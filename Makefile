@@ -15,14 +15,18 @@ test: fuzz-smoke serve-smoke serve-stress lint-distance tune-smoke bench-serve-q
 fuzz-smoke: build
 	_build/default/bin/psc_main.exe fuzz --seed 1 --count 50
 
-# One schedule request through the compile server in stdio mode: the
-# pipe must answer ok and then shut down cleanly.  Part of `make test`;
-# the full protocol suite is test/test_server.ml.
+# The compile server in stdio mode: a malformed number and a run
+# without its scalars must each be answered, not kill the server, so
+# the schedule request behind them (id 3) still gets its ok answer.
+# Part of `make test`; the full protocol suite is test/test_server.ml.
 serve-smoke: build
-	printf '%s\n%s\n' \
-	  '{"id":1,"op":"schedule","source_file":"examples/ps/relaxation.ps"}' \
-	  '{"id":2,"op":"shutdown"}' \
-	  | _build/default/bin/psc_main.exe serve --stdio | grep -q '"ok":true'
+	printf '%s\n%s\n%s\n%s\n' \
+	  '{"id":1,"op":"stats","x":-}' \
+	  '{"id":2,"op":"run","source_file":"examples/ps/relaxation.ps"}' \
+	  '{"id":3,"op":"schedule","source_file":"examples/ps/relaxation.ps"}' \
+	  '{"id":4,"op":"shutdown"}' \
+	  | _build/default/bin/psc_main.exe serve --stdio \
+	  | grep -q '"id":3,"ok":true'
 	@echo "serve-smoke: ok"
 
 # The overload/churn smoke: 500 connection open/close cycles leave no

@@ -239,10 +239,16 @@ let record ~name ~wall ~(ws : Psc.Analysis.cost) ~pool ~steal ~collapse ~policy
         sm.Psc.Pool.sm_imbalance )
   in
   experiments :=
-    Printf.sprintf
-      "{\"name\":%S,\"wall_s\":%.6f,\"work\":%.0f,\"span\":%.0f,\"pool\":%d,\"steal\":%b,\"collapse\":%b,\"policy\":%S,\"cores_limited\":%b,\"steals\":%d,\"steal_attempts\":%d,\"utilization\":%.4f,\"imbalance\":%.3f}"
-      name wall ws.Psc.Analysis.work ws.Psc.Analysis.span pool steal collapse
-      policy (pool > host_cores) steals attempts util imb
+    Psc.Json.(
+      obj
+        [ ("name", str name); ("wall_s", Printf.sprintf "%.6f" wall);
+          ("work", Printf.sprintf "%.0f" ws.Psc.Analysis.work);
+          ("span", Printf.sprintf "%.0f" ws.Psc.Analysis.span);
+          ("pool", int pool); ("steal", bool steal); ("collapse", bool collapse);
+          ("policy", str policy); ("cores_limited", bool (pool > host_cores));
+          ("steals", int steals); ("steal_attempts", int attempts);
+          ("utilization", Printf.sprintf "%.4f" util);
+          ("imbalance", Printf.sprintf "%.3f" imb) ])
     :: !experiments
 
 let ab_pool_size = 4

@@ -36,22 +36,6 @@ let psc_exe () =
 (* ------------------------------------------------------------------ *)
 (* Requests *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let base_src = Ps_models.Models.jacobi
 
 (* PS comments nest and may appear anywhere whitespace may, so a
@@ -69,8 +53,7 @@ let request ~workload ~(seq : int) =
         (Atomic.fetch_and_add miss_uid 1)
         base_src
   in
-  Printf.sprintf "{\"id\":%d,\"op\":\"schedule\",\"source\":\"%s\"}" seq
-    (json_escape src)
+  Psc.Json.(obj [ ("id", int seq); ("op", str "schedule"); ("source", str src) ])
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -200,10 +183,14 @@ let run_level path ~workload ~clients ~per_client : row =
     r_hit_ratio = (if ok = 0 then 0.0 else float_of_int cached /. float_of_int ok) }
 
 let row_json r =
-  Printf.sprintf
-    "{\"workload\":%S,\"clients\":%d,\"requests\":%d,\"errors\":%d,\"shed\":%d,\"req_per_s\":%.1f,\"p50_ms\":%.3f,\"p99_ms\":%.3f,\"max_ms\":%.3f,\"cache_hit_ratio\":%.4f}"
-    r.r_workload r.r_clients r.r_requests r.r_errors r.r_shed r.r_req_per_s
-    r.r_p50_ms r.r_p99_ms r.r_max_ms r.r_hit_ratio
+  let ms v = Printf.sprintf "%.3f" v in
+  Psc.Json.(
+    obj
+      [ ("workload", str r.r_workload); ("clients", int r.r_clients);
+        ("requests", int r.r_requests); ("errors", int r.r_errors);
+        ("shed", int r.r_shed); ("req_per_s", Printf.sprintf "%.1f" r.r_req_per_s);
+        ("p50_ms", ms r.r_p50_ms); ("p99_ms", ms r.r_p99_ms); ("max_ms", ms r.r_max_ms);
+        ("cache_hit_ratio", Printf.sprintf "%.4f" r.r_hit_ratio) ])
 
 (* ------------------------------------------------------------------ *)
 (* Server lifecycle *)

@@ -316,13 +316,16 @@ let emit_c_cmd =
 (* Fill array inputs with the shared deterministic generator. *)
 let default_inputs _t em (scalars : (string * int) list) =
   let open Psc in
+  (* Every scalar first: array bounds are evaluated over them. *)
+  List.iter
+    (fun (d : Elab.data) ->
+      if Stypes.dims d.Elab.d_ty = [] && not (List.mem_assoc d.Elab.d_name scalars)
+      then raise (Psc.Error (Printf.sprintf "missing --input %s=INT" d.Elab.d_name)))
+    em.Psc.Elab.em_params;
   List.map
     (fun (d : Elab.data) ->
       let dims = Stypes.dims d.Elab.d_ty in
-      if dims = [] then (
-        match List.assoc_opt d.Elab.d_name scalars with
-        | Some v -> (d.Elab.d_name, Exec.scalar_int v)
-        | None -> raise (Psc.Error (Printf.sprintf "missing --input %s=INT" d.Elab.d_name)))
+      if dims = [] then (d.Elab.d_name, Exec.scalar_int (List.assoc d.Elab.d_name scalars))
       else begin
         (* Evaluate the bounds with the scalar inputs we have. *)
         let env v = List.assoc_opt v scalars in

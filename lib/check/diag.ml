@@ -118,37 +118,22 @@ let pp ppf d =
     (severity_name (severity d))
     (code_id d.d_code) d.d_msg Loc.pp d.d_loc
 
-(* Hand-rolled JSON: the diagnostic surface is flat enough that a
-   dependency on a JSON library buys nothing. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* One flat object per diagnostic, through the shared JSON writer. *)
 let to_json d =
   let s = d.d_loc.Loc.start_p and e = d.d_loc.Loc.end_p in
-  Printf.sprintf
-    "{\"code\":%S,\"severity\":%S,\"message\":\"%s\",\"line\":%d,\"col\":%d,\"endLine\":%d,\"endCol\":%d}"
-    (code_id d.d_code)
-    (severity_name (severity d))
-    (json_escape d.d_msg) s.Loc.line s.Loc.col e.Loc.line e.Loc.col
+  Ps_json.(
+    obj
+      [ ("code", str (code_id d.d_code));
+        ("severity", str (severity_name (severity d)));
+        ("message", str d.d_msg);
+        ("line", int s.Loc.line); ("col", int s.Loc.col);
+        ("endLine", int e.Loc.line); ("endCol", int e.Loc.col) ])
 
 let render fmt ds =
   let ds = sort ds in
   match fmt with
   | Text -> String.concat "" (List.map (fun d -> Fmt.str "%a\n" pp d) ds)
-  | Json -> "[" ^ String.concat "," (List.map to_json ds) ^ "]"
+  | Json -> Ps_json.arr (List.map to_json ds)
 
 let summary ds =
   let ne = List.length (errors ds) and nw = List.length (warnings ds) in

@@ -46,6 +46,7 @@ module Value = Ps_interp.Value
 module Eval = Ps_interp.Eval
 module Exec = Ps_interp.Exec
 module Pool = Ps_runtime.Pool
+module Json = Ps_json
 module Trace = Ps_obs.Trace
 module Metrics = Ps_obs.Metrics
 module Prof = Ps_obs.Prof

@@ -90,14 +90,18 @@ let have_cc =
 
 let default_inputs (em : Psc.Elab.emodule) ~(scalars : (string * int) list) :
     (string * Psc.Value.value) list =
+  (* Every scalar first: array bounds are evaluated over them. *)
+  List.iter
+    (fun (d : Psc.Elab.data) ->
+      let name = d.Psc.Elab.d_name in
+      if Psc.Stypes.dims d.Psc.Elab.d_ty = [] && not (List.mem_assoc name scalars)
+      then Psc.error "no value for scalar input %s" name)
+    em.Psc.Elab.em_params;
   List.map
     (fun (d : Psc.Elab.data) ->
       let name = d.Psc.Elab.d_name in
       match Psc.Stypes.dims d.Psc.Elab.d_ty with
-      | [] -> (
-        match List.assoc_opt name scalars with
-        | Some v -> (name, Psc.Exec.scalar_int v)
-        | None -> Psc.error "fuzz: no value for scalar input %s" name)
+      | [] -> (name, Psc.Exec.scalar_int (List.assoc name scalars))
       | dims ->
         let env v = List.assoc_opt v scalars in
         let bounds =
@@ -106,7 +110,7 @@ let default_inputs (em : Psc.Elab.emodule) ~(scalars : (string * int) list) :
               let ev e =
                 match Psc.Linexpr.of_expr e with
                 | Some le -> Psc.Linexpr.eval env le
-                | None -> Psc.error "fuzz: input %s has a nonlinear bound" name
+                | None -> Psc.error "input %s has a nonlinear bound" name
               in
               (ev sr.Psc.Stypes.sr_lo, ev sr.Psc.Stypes.sr_hi))
             dims
@@ -130,7 +134,7 @@ let default_inputs (em : Psc.Elab.emodule) ~(scalars : (string * int) list) :
                    strides;
                  Ps_models.Models.fill_value !flat) )
          | Psc.Value.KInt -> (name, Psc.Exec.array_int ~dims:bounds (fun _ -> 0))
-         | _ -> Psc.error "fuzz: unsupported input element type for %s" name))
+         | _ -> Psc.error "unsupported input element type for %s" name))
     em.Psc.Elab.em_params
 
 (* ------------------------------------------------------------------ *)
@@ -437,33 +441,15 @@ let acquire_server () =
       end;
       Some p)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 exception Unsupported_output of string
 
-module Json = Psc.Trace.Json
+module Json = Psc.Json
 
 (* Rebuild a value from the response.  Array values come in row-major
    declared-box order; the flat index is recomputed per point so the
    rebuild does not depend on the builder's own visit order. *)
 let value_of_json (j : Json.t) : string * Psc.Value.value =
-  let str name =
-    match Json.member name j with Some (Json.Str s) -> Some s | _ -> None
-  in
+  let str name = Json.member_str name j in
   let name = match str "name" with Some n -> n | None -> raise (Unsupported_output "nameless output") in
   let elem = Option.value (str "elem") ~default:"?" in
   match str "kind" with
@@ -537,11 +523,12 @@ let run_server tp ~scalars : outcome =
     incr server_trace_seq;
     let trace_id = Printf.sprintf "fz%d" !server_trace_seq in
     let req =
-      Printf.sprintf
-        "{\"id\":0,\"op\":\"run\",\"trace_id\":\"%s\",\"source\":\"%s\",\"scalars\":{%s}}"
-        trace_id (json_escape src)
-        (String.concat ","
-           (List.map (fun (n, v) -> Printf.sprintf "\"%s\":%d" (json_escape n) v) scalars))
+      Json.obj
+        [ ("id", Json.int 0);
+          ("op", Json.str "run");
+          ("trace_id", Json.str trace_id);
+          ("source", Json.str src);
+          ("scalars", Json.obj (List.map (fun (n, v) -> (n, Json.int v)) scalars)) ]
     in
     match
       output_string oc req;
@@ -559,17 +546,15 @@ let run_server tp ~scalars : outcome =
         Trap
           (Printf.sprintf "server: reply did not echo trace_id %S" trace_id)
       | resp -> (
-        match Json.member "ok" resp with
-        | Some (Json.Bool true) -> (
-          match Json.member "outputs" resp with
-          | Some (Json.Arr items) -> (
-            try Outputs (List.map value_of_json items)
-            with Unsupported_output m -> Skip ("server: unsupported output " ^ m))
-          | _ -> Trap "server: response has no outputs")
+        match (Json.member_bool "ok" resp, Json.member "outputs" resp) with
+        | Some true, Some (Json.Arr items) -> (
+          try Outputs (List.map value_of_json items)
+          with Unsupported_output m -> Skip ("server: unsupported output " ^ m))
+        | Some true, _ -> Trap "server: response has no outputs"
         | _ -> (
-          match Json.member "error" resp with
-          | Some (Json.Str m) -> Trap m
-          | _ -> Trap ("server: request failed: " ^ line)))))
+          match Json.member_str "error" resp with
+          | Some m -> Trap m
+          | None -> Trap ("server: request failed: " ^ line)))))
 
 let run_path ~pool tp ~inputs ~scalars (p : path) : outcome =
   match p with

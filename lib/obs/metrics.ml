@@ -292,41 +292,31 @@ let render_text () =
     (sorted_metrics ());
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let render_json () =
-  let row m =
-    match m with
-    | C c ->
-      Printf.sprintf "{\"name\":\"%s\",\"kind\":\"counter\",\"value\":%d}"
-        (json_escape c.c_name) (counter_value c)
-    | G g ->
-      Printf.sprintf "{\"name\":\"%s\",\"kind\":\"gauge\",\"value\":%d}"
-        (json_escape g.g_name) (gauge_value g)
+  let row name kind fields =
+    Ps_json.obj
+      (("name", Ps_json.str name) :: ("kind", Ps_json.str kind) :: fields)
+  in
+  let ints = List.map (fun (k, v) -> (k, Ps_json.int v)) in
+  let row = function
+    | C c -> row c.c_name "counter" (ints [ ("value", counter_value c) ])
+    | G g -> row g.g_name "gauge" (ints [ ("value", gauge_value g) ])
     | H h ->
       let s = snapshot h in
-      Printf.sprintf
-        "{\"name\":\"%s\",\"kind\":\"histogram\",\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"mean\":%.3f}"
-        (json_escape h.h_name) s.hs_count s.hs_sum s.hs_min s.hs_max s.hs_mean
+      row h.h_name "histogram"
+        (ints
+           [ ("count", s.hs_count); ("sum", s.hs_sum); ("min", s.hs_min);
+             ("max", s.hs_max) ]
+        @ [ ("mean", Printf.sprintf "%.3f" s.hs_mean) ])
     | Q q ->
       let s = sk_quantiles q in
-      Printf.sprintf
-        "{\"name\":\"%s\",\"kind\":\"sketch\",\"count\":%d,\"p50\":%d,\"p90\":%d,\"p99\":%d,\"max\":%d,\"total\":%d}"
-        (json_escape q.q_name) s.qs_count s.qs_p50 s.qs_p90 s.qs_p99 s.qs_max
-        (Atomic.get q.q_count)
+      row q.q_name "sketch"
+        (ints
+           [ ("count", s.qs_count); ("p50", s.qs_p50); ("p90", s.qs_p90);
+             ("p99", s.qs_p99); ("max", s.qs_max);
+             ("total", Atomic.get q.q_count) ])
   in
-  "[" ^ String.concat "," (List.map row (sorted_metrics ())) ^ "]"
+  Ps_json.arr (List.map row (sorted_metrics ()))
 
 (* ------------------------------------------------------------------ *)
 (* Clock shared with the pool and the profiler. *)

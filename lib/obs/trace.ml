@@ -27,12 +27,14 @@
    global flag, the upper bits count live collectors, and a zero word
    short-circuits [with_span] with a single load.
 
-   The module also ships the inverse direction — a minimal JSON reader
-   ([Json]), a trace parser ([parse_chrome] / [parse_chrome_file]) and
-   a structural validator ([validate]) — so tests and `psc trace-check`
-   can round-trip an emitted file: every B closed by a matching E,
+   The module also ships the inverse direction — a trace parser
+   ([parse_chrome] / [parse_chrome_file], over the shared [Ps_json]
+   reader) and a structural validator ([validate]) — so tests and
+   `psc trace-check` can round-trip an emitted file: every B closed by a matching E,
    per-(pid,tid) timestamp monotonicity, proper nesting, and no span id
    claimed twice across a merged multi-process trace. *)
+
+module Json = Ps_json
 
 type phase = Begin | End | Instant
 
@@ -143,46 +145,26 @@ let collect f =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let phase_letter = function Begin -> "B" | End -> "E" | Instant -> "i"
 
 let event_to_json e =
-  let args =
+  Json.obj
+    ([ ("name", Json.str e.ev_name);
+       ("ph", Json.str (phase_letter e.ev_ph));
+       ("ts", Printf.sprintf "%.3f" e.ev_ts);
+       ("pid", Json.int e.ev_pid);
+       ("tid", Json.int e.ev_tid) ]
+    @
     match e.ev_args with
-    | [] -> ""
+    | [] -> []
     | kvs ->
-      Printf.sprintf ",\"args\":{%s}"
-        (String.concat ","
-           (List.map
-              (fun (k, v) ->
-                Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-              kvs))
-  in
-  Printf.sprintf
-    "{\"name\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d%s}"
-    (json_escape e.ev_name) (phase_letter e.ev_ph) e.ev_ts e.ev_pid e.ev_tid
-    args
+      [ ("args", Json.obj (List.map (fun (k, v) -> (k, Json.str v)) kvs)) ])
 
 let render_events ?(epoch_us = 0.0) evs =
-  Printf.sprintf
-    "{\"traceEvents\":[\n%s\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"epoch_us\":\"%.3f\"}}\n"
+  Printf.sprintf "{\"traceEvents\":[\n%s\n],\"displayTimeUnit\":%s,\"otherData\":%s}\n"
     (String.concat ",\n" (List.map event_to_json evs))
-    epoch_us
+    (Json.str "ms")
+    (Json.obj [ ("epoch_us", Json.str (Printf.sprintf "%.3f" epoch_us)) ])
 
 let to_chrome_json () = render_events ~epoch_us:(!epoch *. 1e6) (events ())
 
@@ -191,159 +173,7 @@ let write_events ?epoch_us path evs =
   output_string oc (render_events ?epoch_us evs);
   close_out oc
 
-let write path =
-  let oc = open_out path in
-  output_string oc (to_chrome_json ());
-  close_out oc
-
-(* ------------------------------------------------------------------ *)
-(* A minimal JSON reader, for the round-trip tests and `trace-check`. *)
-
-module Json = struct
-  type t =
-    | Obj of (string * t) list
-    | Arr of t list
-    | Str of string
-    | Num of float
-    | Bool of bool
-    | Null
-
-  exception Parse_error of string
-
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then s.[!pos] else '\000' in
-    let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt in
-    let rec skip_ws () =
-      match peek () with
-      | ' ' | '\t' | '\n' | '\r' ->
-        incr pos;
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      skip_ws ();
-      if peek () <> c then fail "expected %c at offset %d" c !pos;
-      incr pos
-    in
-    let lit w v =
-      let l = String.length w in
-      if !pos + l <= n && String.sub s !pos l = w then begin
-        pos := !pos + l;
-        v
-      end
-      else fail "bad literal at offset %d" !pos
-    in
-    let string_lit () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          incr pos;
-          let c = peek () in
-          incr pos;
-          (match c with
-           | 'n' -> Buffer.add_char b '\n'
-           | 't' -> Buffer.add_char b '\t'
-           | 'r' -> Buffer.add_char b '\r'
-           | '"' | '\\' | '/' -> Buffer.add_char b c
-           | 'u' ->
-             if !pos + 4 > n then fail "truncated \\u escape";
-             let hex = String.sub s !pos 4 in
-             pos := !pos + 4;
-             (match int_of_string_opt ("0x" ^ hex) with
-              | Some code when code < 128 -> Buffer.add_char b (Char.chr code)
-              | Some _ -> Buffer.add_char b '?'
-              | None -> fail "bad \\u escape %s" hex)
-           | _ -> fail "unsupported escape \\%c" c);
-          go ()
-        | c ->
-          incr pos;
-          Buffer.add_char b c;
-          go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = '}' then begin
-          incr pos;
-          Obj []
-        end
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = string_lit () in
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            if peek () = ',' then begin
-              incr pos;
-              members ((k, v) :: acc)
-            end
-            else begin
-              expect '}';
-              List.rev ((k, v) :: acc)
-            end
-          in
-          Obj (members [])
-      | '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = ']' then begin
-          incr pos;
-          Arr []
-        end
-        else
-          let rec elems acc =
-            let v = value () in
-            skip_ws ();
-            if peek () = ',' then begin
-              incr pos;
-              elems (v :: acc)
-            end
-            else begin
-              expect ']';
-              List.rev (v :: acc)
-            end
-          in
-          Arr (elems [])
-      | '"' -> Str (string_lit ())
-      | 't' -> lit "true" (Bool true)
-      | 'f' -> lit "false" (Bool false)
-      | 'n' -> lit "null" Null
-      | _ ->
-        let start = !pos in
-        while
-          !pos < n
-          &&
-          match s.[!pos] with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false
-        do
-          incr pos
-        done;
-        if !pos = start then fail "unexpected character at offset %d" !pos;
-        Num (float_of_string (String.sub s start (!pos - start)))
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage at offset %d" !pos;
-    v
-
-  let member k = function
-    | Obj kvs -> List.assoc_opt k kvs
-    | _ -> None
-end
+let write path = write_events ~epoch_us:(!epoch *. 1e6) path (events ())
 
 exception Invalid_trace of string
 
@@ -369,30 +199,23 @@ let parse_chrome_file (text : string) : file =
     | _ -> invalid "trace is neither an object nor an array"
   in
   let epoch_us =
-    match Json.member "otherData" j with
-    | Some other -> (
-      match Json.member "epoch_us" other with
-      | Some (Json.Str s) -> (
-        match float_of_string_opt s with
-        | Some f -> f
-        | None -> invalid "otherData.epoch_us is not a number")
-      | Some (Json.Num f) -> f
-      | _ -> 0.0)
-    | None -> 0.0
+    match Option.bind (Json.member "otherData" j) (Json.member "epoch_us") with
+    | Some (Json.Str s) -> (
+      match float_of_string_opt s with
+      | Some f -> f
+      | None -> invalid "otherData.epoch_us is not a number")
+    | Some (Json.Num f) -> f
+    | _ -> 0.0
   in
   let events =
     List.map
       (fun row ->
-        let str k =
-          match Json.member k row with
-          | Some (Json.Str s) -> s
-          | _ -> invalid "event lacks string field %S" k
+        let need what k = function
+          | Some v -> v
+          | None -> invalid "event lacks %s field %S" what k
         in
-        let num k =
-          match Json.member k row with
-          | Some (Json.Num f) -> f
-          | _ -> invalid "event lacks numeric field %S" k
-        in
+        let str k = need "string" k (Json.member_str k row) in
+        let num k = need "numeric" k (Json.member_num k row) in
         let ph =
           match str "ph" with
           | "B" -> Begin
@@ -408,15 +231,11 @@ let parse_chrome_file (text : string) : file =
               kvs
           | _ -> []
         in
-        let pid =
-          match Json.member "pid" row with
-          | Some (Json.Num f) -> int_of_float f
-          | _ -> 1
-        in
         { ev_name = str "name";
           ev_ph = ph;
           ev_ts = num "ts";
-          ev_pid = pid;
+          ev_pid =
+            int_of_float (Option.value (Json.member_num "pid" row) ~default:1.);
           ev_tid = int_of_float (num "tid");
           ev_args = args })
       rows

@@ -76,23 +76,8 @@ val span_durations : event list -> (string * float) list
     begin order; unmatched events are dropped.  The rendering of a
     collected span subtree in the server's slow-request ring. *)
 
-(** A minimal JSON reader (no external dependency), shared by the trace
-    parser, `psc trace-check`, and the test suites. *)
-module Json : sig
-  type t =
-    | Obj of (string * t) list
-    | Arr of t list
-    | Str of string
-    | Num of float
-    | Bool of bool
-    | Null
-
-  exception Parse_error of string
-
-  val parse : string -> t
-
-  val member : string -> t -> t option
-end
+(** The shared JSON module, kept under this name for existing callers. *)
+module Json = Ps_json
 
 exception Invalid_trace of string
 

@@ -129,101 +129,61 @@ let table_summary (t : table) =
 (* One JSON object per table; schema field "policy":1.  This is both the
    compile-server artifact payload and the `psc tune` output. *)
 
-let esc s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json (t : table) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"policy\":1,\"source\":\"%s\",\"host_cores\":%d,\"nests\":["
-       (source_name t.t_source) t.t_host_cores);
-  List.iteri
-    (fun i (key, d) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"key\":\"%s\",\"par\":%b,\"collapse\":%b,\"steal\":%b"
-           (esc key) d.d_par d.d_collapse d.d_steal);
-      let opt name = function
-        | Some v -> Buffer.add_string b (Printf.sprintf ",\"%s\":%d" name v)
-        | None -> ()
-      in
-      opt "chunk_min" d.d_chunk_min;
-      opt "chunk_max" d.d_chunk_max;
-      opt "wake" d.d_wake;
-      Buffer.add_string b (Printf.sprintf ",\"why\":\"%s\"}" (esc d.d_why)))
-    t.t_entries;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let nest (key, d) =
+    Ps_json.(
+      obj
+        ([ ("key", str key); ("par", bool d.d_par);
+           ("collapse", bool d.d_collapse); ("steal", bool d.d_steal) ]
+        @ opt "chunk_min" int d.d_chunk_min
+        @ opt "chunk_max" int d.d_chunk_max
+        @ opt "wake" int d.d_wake
+        @ [ ("why", str d.d_why) ]))
+  in
+  Ps_json.(
+    obj
+      [ ("policy", int 1); ("source", str (source_name t.t_source));
+        ("host_cores", int t.t_host_cores);
+        ("nests", arr (List.map nest t.t_entries)) ])
 
 let of_json (s : string) : (table, string) result =
-  let module J = Ps_obs.Trace.Json in
+  let module J = Ps_json in
   let open struct
     exception Bad of string
   end in
   let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
+  let need msg = function Some v -> v | None -> bad "%s" msg in
   try
     let j =
-      match J.parse s with
-      | j -> j
-      | exception J.Parse_error m -> bad "malformed JSON: %s" m
+      try J.parse s with J.Parse_error m -> bad "malformed JSON: %s" m
     in
-    let mem name = J.member name j in
-    (match mem "policy" with
-    | Some (J.Num f) when int_of_float f = 1 -> ()
+    (match J.member_num "policy" j with
+    | Some f when int_of_float f = 1 -> ()
     | _ -> bad "missing or unsupported \"policy\" version");
+    let source = need {|missing "source"|} (J.member_str "source" j) in
     let source =
-      match mem "source" with
-      | Some (J.Str s) -> (
-        match source_of_name s with
-        | Some src -> src
-        | None -> bad "unknown source %S" s)
-      | _ -> bad "missing \"source\""
+      match source_of_name source with
+      | Some src -> src
+      | None -> bad "unknown source %S" source
     in
-    let host_cores =
-      match mem "host_cores" with
-      | Some (J.Num f) -> int_of_float f
-      | _ -> bad "missing \"host_cores\""
-    in
+    let host_cores = need {|missing "host_cores"|} (J.member_num "host_cores" j) in
     let nests =
-      match mem "nests" with
+      match J.member "nests" j with
       | Some (J.Arr l) -> l
       | _ -> bad "missing \"nests\" array"
     in
     let entry n =
-      let str name =
-        match J.member name n with
-        | Some (J.Str s) -> s
-        | _ -> bad "nest entry missing string %S" name
-      in
       let flag name =
-        match J.member name n with
-        | Some (J.Bool b) -> b
-        | _ -> bad "nest entry missing bool %S" name
+        need (Printf.sprintf "nest entry missing bool %S" name) (J.member_bool name n)
       in
-      let opt name =
-        match J.member name n with
-        | Some (J.Num f) -> Some (int_of_float f)
-        | _ -> None
-      in
-      let why = match J.member "why" n with Some (J.Str s) -> s | _ -> "" in
-      ( str "key",
+      let opt name = Option.map int_of_float (J.member_num name n) in
+      ( need {|nest entry missing string "key"|} (J.member_str "key" n),
         { d_par = flag "par"; d_collapse = flag "collapse";
           d_steal = flag "steal"; d_chunk_min = opt "chunk_min";
-          d_chunk_max = opt "chunk_max"; d_wake = opt "wake"; d_why = why } )
+          d_chunk_max = opt "chunk_max"; d_wake = opt "wake";
+          d_why = Option.value (J.member_str "why" n) ~default:"" } )
     in
-    Ok { t_source = source; t_host_cores = host_cores;
+    Ok { t_source = source; t_host_cores = int_of_float host_cores;
          t_entries = List.map entry nests }
   with Bad m -> Error m
 

@@ -1,8 +1,9 @@
 (* Wire protocol of the compile service.
 
-   One request per line, one response per line, both JSON objects.  The
-   reader is the trace module's JSON parser (no external dependency);
-   the writer is hand-rolled below.  Real values cross the wire as
+   One request per line, one response per line, both JSON objects, read
+   and written with the shared [Psc.Json] module (no external
+   dependency); responses are built from already-rendered fragments,
+   never through an intermediate tree.  Real values cross the wire as
    "%.17g" strings, never as JSON numbers, so a client that parses them
    with [float_of_string] recovers the exact IEEE double the server
    computed — the differential fuzzer's server path depends on this
@@ -16,7 +17,7 @@
    E030/E032/E033 reject) echoes the id of the request it answers, so a
    pipelining client matches responses by id, never by position. *)
 
-module Json = Psc.Trace.Json
+module Json = Psc.Json
 
 type op = Compile | Schedule | Run | Emit_c | Lint | Tune | Stats | Shutdown
 
@@ -59,34 +60,12 @@ type request = {
 (* ------------------------------------------------------------------ *)
 (* Writing *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jstr s = "\"" ^ escape s ^ "\""
-
-let jint = string_of_int
-
-let jbool b = if b then "true" else "false"
-
-let jarr items = "[" ^ String.concat "," items ^ "]"
-
-let jobj fields =
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields)
-  ^ "}"
+(* Kept as aliases of the shared writer for callers outside the
+   server library. *)
+let jstr = Json.str
+let jint = Json.int
+let jarr = Json.arr
+let jobj = Json.obj
 
 (* ------------------------------------------------------------------ *)
 (* Reading *)
@@ -96,14 +75,16 @@ let jobj fields =
    them. *)
 let render_id (j : Json.t) =
   match j with
-  | Json.Str s -> jstr s
+  | Json.Str s -> Json.str s
   | Json.Num f ->
     if Float.is_integer f && Float.abs f < 1e15 then
       string_of_int (int_of_float f)
     else Printf.sprintf "%.17g" f
-  | Json.Bool b -> jbool b
+  | Json.Bool b -> Json.bool b
   | Json.Null -> "null"
   | Json.Obj _ | Json.Arr _ -> "null"
+
+let id_of j = match Json.member "id" j with Some v -> render_id v | None -> "null"
 
 let parse_request (line : string) : (request, string * string) result =
   (* On error the first component is still the rendered id (when one
@@ -111,14 +92,8 @@ let parse_request (line : string) : (request, string * string) result =
   match Json.parse line with
   | exception Json.Parse_error m -> Error ("null", "malformed JSON: " ^ m)
   | Json.Obj _ as j -> (
-    let id =
-      match Json.member "id" j with Some v -> render_id v | None -> "null"
-    in
-    let str_member name =
-      match Json.member name j with
-      | Some (Json.Str s) -> Some s
-      | Some _ | None -> None
-    in
+    let id = id_of j in
+    let str name = Json.member_str name j in
     match Json.member "op" j with
     | None -> Error (id, "missing required field: op")
     | Some (Json.Str opname) -> (
@@ -126,18 +101,15 @@ let parse_request (line : string) : (request, string * string) result =
       | None -> Error (id, "unknown operation: " ^ opname)
       | Some op ->
         let source =
-          match (str_member "source", str_member "source_file") with
+          match (str "source", str "source_file") with
           | Some s, _ -> Some (Inline s)
           | None, Some f -> Some (From_file f)
           | None, None -> None
         in
         let flag name =
           match Json.member "flags" j with
-          | Some (Json.Obj _ as fl) -> (
-            match Json.member name fl with
-            | Some (Json.Bool b) -> b
-            | _ -> false)
-          | _ -> false
+          | Some fl -> Json.member_bool name fl = Some true
+          | None -> false
         in
         let flags =
           { Psc.Exec.sf_sink = flag "sink";
@@ -149,32 +121,21 @@ let parse_request (line : string) : (request, string * string) result =
           match Json.member "scalars" j with
           | Some (Json.Obj kvs) ->
             List.filter_map
-              (fun (k, v) ->
-                match v with
-                | Json.Num f -> Some (k, int_of_float f)
-                | _ -> None)
+              (function k, Json.Num f -> Some (k, int_of_float f) | _ -> None)
               kvs
           | _ -> []
-        in
-        let deadline_ms =
-          match Json.member "deadline_ms" j with
-          | Some (Json.Num f) -> Some (int_of_float f)
-          | _ -> None
-        in
-        let main =
-          match Json.member "main" j with Some (Json.Bool b) -> b | _ -> false
         in
         Ok
           { rq_id = id;
             rq_op = op;
             rq_source = source;
-            rq_module = str_member "module";
+            rq_module = str "module";
             rq_flags = flags;
             rq_scalars = scalars;
-            rq_deadline_ms = deadline_ms;
-            rq_main = main;
-            rq_trace_id = str_member "trace_id";
-            rq_parent_span = str_member "parent_span" })
+            rq_deadline_ms = Option.map int_of_float (Json.member_num "deadline_ms" j);
+            rq_main = Json.member_bool "main" j = Some true;
+            rq_trace_id = str "trace_id";
+            rq_parent_span = str "parent_span" })
     | Some _ -> Error (id, "field op must be a string"))
   | _ -> Error ("null", "request must be a JSON object")
 
@@ -185,21 +146,11 @@ let parse_request (line : string) : (request, string * string) result =
    and trace context the client sent. *)
 let reject_fields (line : string) : string * string * string option =
   match Json.parse line with
-  | exception Json.Parse_error _ -> ("null", "invalid", None)
   | Json.Obj _ as j ->
-    let id =
-      match Json.member "id" j with Some v -> render_id v | None -> "null"
-    in
-    let op =
-      match Json.member "op" j with Some (Json.Str s) -> s | _ -> "invalid"
-    in
-    let trace_id =
-      match Json.member "trace_id" j with
-      | Some (Json.Str s) -> Some s
-      | _ -> None
-    in
-    (id, op, trace_id)
-  | _ -> ("null", "invalid", None)
+    ( id_of j,
+      Option.value (Json.member_str "op" j) ~default:"invalid",
+      Json.member_str "trace_id" j )
+  | _ | (exception Json.Parse_error _) -> ("null", "invalid", None)
 
 (* ------------------------------------------------------------------ *)
 (* Output values *)
@@ -213,19 +164,19 @@ let elem_name (k : Psc.Value.elem_kind) =
 
 let scalar_fields (s : Psc.Value.scalar) =
   match s with
-  | Psc.Value.Sc_int n -> [ ("elem", jstr "int"); ("value", jstr (string_of_int n)) ]
+  | Psc.Value.Sc_int n -> [ ("elem", Json.str "int"); ("value", Json.str (string_of_int n)) ]
   | Psc.Value.Sc_real v ->
-    [ ("elem", jstr "real"); ("value", jstr (Printf.sprintf "%.17g" v)) ]
-  | Psc.Value.Sc_bool b -> [ ("elem", jstr "bool"); ("value", jstr (jbool b)) ]
+    [ ("elem", Json.str "real"); ("value", Json.str (Printf.sprintf "%.17g" v)) ]
+  | Psc.Value.Sc_bool b -> [ ("elem", Json.str "bool"); ("value", Json.str (Json.bool b)) ]
   | Psc.Value.Sc_enum (ty, o) ->
-    [ ("elem", jstr "enum"); ("ty", jstr ty); ("value", jstr (string_of_int o)) ]
-  | Psc.Value.Sc_record _ -> [ ("elem", jstr "record"); ("value", jstr "<record>") ]
+    [ ("elem", Json.str "enum"); ("ty", Json.str ty); ("value", Json.str (string_of_int o)) ]
+  | Psc.Value.Sc_record _ -> [ ("elem", Json.str "record"); ("value", Json.str "<record>") ]
 
 let scalar_text (s : Psc.Value.scalar) =
   match s with
   | Psc.Value.Sc_int n -> string_of_int n
   | Psc.Value.Sc_real v -> Printf.sprintf "%.17g" v
-  | Psc.Value.Sc_bool b -> jbool b
+  | Psc.Value.Sc_bool b -> Json.bool b
   | Psc.Value.Sc_enum (_, o) -> string_of_int o
   | Psc.Value.Sc_record _ -> "<record>"
 
@@ -259,48 +210,44 @@ let iter_box (s : Psc.Value.slab) f =
 let output_json (name, (v : Psc.Value.value)) =
   match v with
   | Psc.Value.Vscalar s ->
-    jobj ([ ("name", jstr name); ("kind", jstr "scalar") ] @ scalar_fields s)
+    Json.obj ([ ("name", Json.str name); ("kind", Json.str "scalar") ] @ scalar_fields s)
   | Psc.Value.Varray sl ->
     let dims =
       Array.to_list sl.Psc.Value.s_dims
       |> List.map (fun di ->
-             jarr
-               [ jint di.Psc.Value.di_lo;
-                 jint (di.Psc.Value.di_lo + di.Psc.Value.di_extent - 1) ])
+             Json.arr
+               [ Json.int di.Psc.Value.di_lo;
+                 Json.int (di.Psc.Value.di_lo + di.Psc.Value.di_extent - 1) ])
     in
     let values = ref [] in
     iter_box sl (fun ix ->
-        values := jstr (scalar_text (Psc.Value.get_scalar sl ix)) :: !values);
-    let ty =
-      match sl.Psc.Value.s_kind with
-      | Psc.Value.KEnum ty -> [ ("ty", jstr ty) ]
-      | _ -> []
-    in
-    jobj
-      ([ ("name", jstr name);
-         ("kind", jstr "array");
-         ("elem", jstr (elem_name sl.Psc.Value.s_kind)) ]
-      @ ty
-      @ [ ("dims", jarr dims); ("values", jarr (List.rev !values)) ])
+        values := Json.str (scalar_text (Psc.Value.get_scalar sl ix)) :: !values);
+    let ty = match sl.Psc.Value.s_kind with Psc.Value.KEnum ty -> Some ty | _ -> None in
+    Json.obj
+      ([ ("name", Json.str name);
+         ("kind", Json.str "array");
+         ("elem", Json.str (elem_name sl.Psc.Value.s_kind)) ]
+      @ Json.opt "ty" Json.str ty
+      @ [ ("dims", Json.arr dims); ("values", Json.arr (List.rev !values)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Responses *)
 
 let ok_response ~id ~cached fields =
-  jobj
-    ([ ("id", id); ("ok", jbool true); ("cached", jbool cached) ] @ fields)
+  Json.obj
+    ([ ("id", id); ("ok", Json.bool true); ("cached", Json.bool cached) ] @ fields)
 
 (* A failed request carries the diagnostics array of the unified
    diagnostics engine, so clients see the same E0xx codes the CLI
    prints. *)
 let error_response ~id (diags : Psc.Diag.t list) =
-  jobj
+  Json.obj
     [ ("id", id);
-      ("ok", jbool false);
+      ("ok", Json.bool false);
       ("diagnostics", Psc.Diag.render Psc.Diag.Json diags) ]
 
 let error_message ~id msg =
-  jobj [ ("id", id); ("ok", jbool false); ("error", jstr msg) ]
+  Json.obj [ ("id", id); ("ok", Json.bool false); ("error", Json.str msg) ]
 
 (* Stamp the client's trace context onto an already-rendered response
    line.  Every reply — success, diagnostic failure, deadline, even an
@@ -312,6 +259,6 @@ let with_trace_id ~trace_id response =
   | None -> response
   | Some tid ->
     if String.length response > 0 && response.[0] = '{' then
-      "{" ^ jstr "trace_id" ^ ":" ^ jstr tid ^ ","
+      "{" ^ Json.str "trace_id" ^ ":" ^ Json.str tid ^ ","
       ^ String.sub response 1 (String.length response - 1)
     else response

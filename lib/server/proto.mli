@@ -1,8 +1,8 @@
 (** Wire protocol of the compile service.
 
     One request per line, one response per line, both JSON objects.
-    Requests are parsed with the trace module's JSON reader; responses
-    are rendered with the writer helpers below.  Real values cross the
+    Requests are parsed and responses rendered with the shared
+    [Psc.Json] module.  Real values cross the
     wire as ["%.17g"] strings, never as JSON numbers, so a client that
     parses them with [float_of_string] recovers the exact IEEE double
     the server computed — the differential fuzzer's server path depends
@@ -52,14 +52,12 @@ val reject_fields : string -> string * string * string option
     or strictness of building a full request.  Unrecoverable members
     degrade to ["null"] / ["invalid"] / [None] rather than failing. *)
 
-(** {2 JSON writer helpers}
+(** {2 JSON writer aliases}
 
-    Values in the functions below are already-rendered JSON text; the
-    field names passed to {!jobj} are escaped. *)
+    The shared [Psc.Json] writers under their older names. *)
 
 val jstr : string -> string
 val jint : int -> string
-val jbool : bool -> string
 val jarr : string list -> string
 val jobj : (string * string) list -> string
 

@@ -23,6 +23,8 @@
    get E032, and every service thread is joined before the domain pool
    is shut down. *)
 
+module Json = Psc.Json
+
 type config = {
   cf_socket : string option;  (* None: serve stdin/stdout *)
   cf_workers : int;           (* worker threads = concurrent request bound *)
@@ -132,7 +134,6 @@ type server = {
   sv_cf : config;
   sv_cache : Cache.t;
   sv_pool : Psc.Pool.t option;
-  sv_workers : Semaphore.Counting.t;
   sv_queue : work Bq.t;
   sv_draining : bool Atomic.t;
   sv_inflight_n : int Atomic.t;
@@ -186,7 +187,6 @@ let make_server cf =
   { sv_cf = cf;
     sv_cache = Cache.create ~capacity:cf.cf_cache ~shards:cf.cf_shards ();
     sv_pool = (if cf.cf_pool > 0 then Some (Psc.Pool.create cf.cf_pool) else None);
-    sv_workers = Semaphore.Counting.make (max 1 cf.cf_workers);
     sv_queue = Bq.create (max 1 cf.cf_max_queue);
     sv_draining = Atomic.make false;
     sv_inflight_n = Atomic.make 0;
@@ -357,38 +357,36 @@ let diag_response ~id code msg =
     [ Psc.Diag.diag code Ps_lang.Loc.dummy "%s" msg ]
 
 let windows_json (sc : Psc.scheduled) =
-  Proto.jarr
+  Json.arr
     (List.map
        (fun (w : Psc.Schedule.window) ->
-         Proto.jobj
-           [ ("data", Proto.jstr w.Psc.Schedule.w_data);
-             ("dim", Proto.jint w.Psc.Schedule.w_dim);
-             ("window", Proto.jint w.Psc.Schedule.w_size) ])
+         Json.obj
+           [ ("data", Json.str w.Psc.Schedule.w_data);
+             ("dim", Json.int w.Psc.Schedule.w_dim);
+             ("window", Json.int w.Psc.Schedule.w_size) ])
        sc.Psc.sc_windows)
 
 let quantiles_json q =
   let s = Psc.Metrics.sk_quantiles q in
-  Proto.jobj
-    [ ("count", Proto.jint s.Psc.Metrics.qs_count);
-      ("p50", Proto.jint s.Psc.Metrics.qs_p50);
-      ("p90", Proto.jint s.Psc.Metrics.qs_p90);
-      ("p99", Proto.jint s.Psc.Metrics.qs_p99);
-      ("max", Proto.jint s.Psc.Metrics.qs_max) ]
+  Json.obj
+    [ ("count", Json.int s.Psc.Metrics.qs_count);
+      ("p50", Json.int s.Psc.Metrics.qs_p50);
+      ("p90", Json.int s.Psc.Metrics.qs_p90);
+      ("p99", Json.int s.Psc.Metrics.qs_p99);
+      ("max", Json.int s.Psc.Metrics.qs_max) ]
 
 let slow_json (e : slow_entry) =
-  Proto.jobj
-    ([ ("id", e.se_id); ("op", Proto.jstr e.se_op) ]
-    @ (match e.se_trace_id with
-       | Some t -> [ ("trace_id", Proto.jstr t) ]
-       | None -> [])
-    @ [ ("total_us", Proto.jint e.se_total_us);
-        ("queue_us", Proto.jint e.se_queue_us);
+  Json.obj
+    ([ ("id", e.se_id); ("op", Json.str e.se_op) ]
+    @ Json.opt "trace_id" Json.str e.se_trace_id
+    @ [ ("total_us", Json.int e.se_total_us);
+        ("queue_us", Json.int e.se_queue_us);
         ("spans",
-         Proto.jarr
+         Json.arr
            (List.map
               (fun (n, us) ->
-                Proto.jobj
-                  [ ("name", Proto.jstr n);
+                Json.obj
+                  [ ("name", Json.str n);
                     ("us", Printf.sprintf "%.1f" us) ])
               e.se_spans)) ])
 
@@ -400,18 +398,18 @@ let dispatch sv ~deadline ~info (rq : Proto.request) : string =
     let t, hit = project sv ~deadline src in
     info.ri_cached <- hit;
     Proto.ok_response ~id ~cached:hit
-      [ ("modules", Proto.jarr (List.map Proto.jstr (Psc.modules t)));
-        ("warnings", Proto.jint (List.length (Psc.warnings t))) ]
+      [ ("modules", Json.arr (List.map Json.str (Psc.modules t)));
+        ("warnings", Json.int (List.length (Psc.warnings t))) ]
   | Proto.Schedule ->
     let src = request_source info rq in
     let _, sc, hit = scheduled sv ~deadline src rq in
     info.ri_cached <- hit;
     Proto.ok_response ~id ~cached:hit
-      [ ("flowchart", Proto.jstr (Psc.flowchart_string sc));
+      [ ("flowchart", Json.str (Psc.flowchart_string sc));
         ("windows", windows_json sc);
-        ("merged", Proto.jint sc.Psc.sc_merged);
-        ("trimmed", Proto.jint sc.Psc.sc_trimmed);
-        ("collapsed", Proto.jint sc.Psc.sc_collapsed) ]
+        ("merged", Json.int sc.Psc.sc_merged);
+        ("trimmed", Json.int sc.Psc.sc_trimmed);
+        ("collapsed", Json.int sc.Psc.sc_collapsed) ]
   | Proto.Run ->
     let src = request_source info rq in
     let t, sc, hit = scheduled sv ~deadline src rq in
@@ -434,24 +432,19 @@ let dispatch sv ~deadline ~info (rq : Proto.request) : string =
       Psc.Exec.run ~opts ~flowchart:sc.Psc.sc_flowchart
         ~windows:sc.Psc.sc_windows ~prog:t.Psc.prog em ~inputs
     in
-    let policy_field =
-      match policy with
-      | Some tp -> [ ("policy", Proto.jstr (Psc.Policy.table_summary tp)) ]
-      | None -> []
-    in
     Proto.ok_response ~id ~cached:hit
-      ([ ("outputs", Proto.jarr (List.map Proto.output_json r.Psc.Exec.outputs));
+      ([ ("outputs", Json.arr (List.map Proto.output_json r.Psc.Exec.outputs));
          ("allocated",
-          Proto.jobj
+          Json.obj
             (List.map
-               (fun (n, w) -> (n, Proto.jint w))
+               (fun (n, w) -> (n, Json.int w))
                r.Psc.Exec.allocated)) ]
-      @ policy_field)
+      @ Json.opt "policy" (fun tp -> Json.str (Psc.Policy.table_summary tp)) policy)
   | Proto.Emit_c ->
     let src = request_source info rq in
     let c, hit = emitted sv ~deadline src rq in
     info.ri_cached <- hit;
-    Proto.ok_response ~id ~cached:hit [ ("c", Proto.jstr c) ]
+    Proto.ok_response ~id ~cached:hit [ ("c", Json.str c) ]
   | Proto.Lint ->
     let src = request_source info rq in
     check_deadline deadline;
@@ -461,43 +454,43 @@ let dispatch sv ~deadline ~info (rq : Proto.request) : string =
     let diags = Psc.lint t in
     Proto.ok_response ~id ~cached:false
       [ ("diagnostics", Psc.Diag.render Psc.Diag.Json diags);
-        ("summary", Proto.jstr (Psc.Diag.summary diags)) ]
+        ("summary", Json.str (Psc.Diag.summary diags)) ]
   | Proto.Tune ->
     let src = request_source info rq in
     let tp, hit = tuned sv ~deadline src rq in
     info.ri_cached <- hit;
     Proto.ok_response ~id ~cached:hit
       [ ("policy", Psc.Policy.to_json tp);
-        ("summary", Proto.jstr (Psc.Policy.table_summary tp)) ]
+        ("summary", Json.str (Psc.Policy.table_summary tp)) ]
   | Proto.Stats ->
     let s = Cache.stats sv.sv_cache in
     let slow = Mutex.protect sv.sv_slow_mu (fun () -> !(sv.sv_slow)) in
     Proto.ok_response ~id ~cached:false
       [ ("cache",
-         Proto.jobj
-           [ ("entries", Proto.jint s.Cache.st_entries);
-             ("shards", Proto.jint (Cache.shards sv.sv_cache));
-             ("hits", Proto.jint s.Cache.st_hits);
-             ("misses", Proto.jint s.Cache.st_misses);
-             ("evictions", Proto.jint s.Cache.st_evictions) ]);
-        ("inflight", Proto.jint (Atomic.get sv.sv_inflight_n));
-        ("inflight_peak", Proto.jint (Atomic.get sv.sv_inflight_peak));
-        ("connections", Proto.jint (Atomic.get sv.sv_connections));
-        ("queue_depth", Proto.jint (Bq.depth sv.sv_queue));
-        ("queue_max", Proto.jint sv.sv_queue.Bq.max);
-        ("shed", Proto.jint (Psc.Metrics.counter_value sv.sv_shed));
+         Json.obj
+           [ ("entries", Json.int s.Cache.st_entries);
+             ("shards", Json.int (Cache.shards sv.sv_cache));
+             ("hits", Json.int s.Cache.st_hits);
+             ("misses", Json.int s.Cache.st_misses);
+             ("evictions", Json.int s.Cache.st_evictions) ]);
+        ("inflight", Json.int (Atomic.get sv.sv_inflight_n));
+        ("inflight_peak", Json.int (Atomic.get sv.sv_inflight_peak));
+        ("connections", Json.int (Atomic.get sv.sv_connections));
+        ("queue_depth", Json.int (Bq.depth sv.sv_queue));
+        ("queue_max", Json.int sv.sv_queue.Bq.max);
+        ("shed", Json.int (Psc.Metrics.counter_value sv.sv_shed));
         ("uptime_ms",
-         Proto.jint ((Psc.Metrics.now_ns () - sv.sv_start_ns) / 1_000_000));
+         Json.int ((Psc.Metrics.now_ns () - sv.sv_start_ns) / 1_000_000));
         ("latency_ns",
-         Proto.jobj
+         Json.obj
            (("all", quantiles_json sv.sv_lat_all)
             :: ("queue", quantiles_json sv.sv_queue_lat)
             :: List.map (fun (n, q) -> (n, quantiles_json q)) sv.sv_lat_ops));
-        ("slow", Proto.jarr (List.rev_map slow_json slow));
+        ("slow", Json.arr (List.rev_map slow_json slow));
         ("metrics", Psc.Metrics.render_json ()) ]
   | Proto.Shutdown ->
     Atomic.set sv.sv_draining true;
-    Proto.ok_response ~id ~cached:false [ ("draining", Proto.jbool true) ]
+    Proto.ok_response ~id ~cached:false [ ("draining", Json.bool true) ]
 
 (* Every error a request can produce, mapped to one answer line (the
    access log sees the same classification through [info.ri_error]). *)
@@ -528,29 +521,21 @@ let log_access sv ~id ~op ~trace_id ~(info : req_info) ~queue_ns ~handler_ns
   | None -> ()
   | Some (oc, mu) ->
     let line =
-      Proto.jobj
+      Json.obj
         ([ ("ts_us",
             Printf.sprintf "%.0f" (Unix.gettimeofday () *. 1e6));
            ("id", id);
-           ("op", Proto.jstr op) ]
-        @ (match trace_id with
-           | Some t -> [ ("trace_id", Proto.jstr t) ]
-           | None -> [])
-        @ (match info.ri_digest with
-           | Some d -> [ ("digest", Proto.jstr d) ]
-           | None -> [])
-        @ [ ("cached", Proto.jbool info.ri_cached);
-            ("queue_us", Proto.jint (queue_ns / 1000));
-            ("handler_us", Proto.jint (handler_ns / 1000));
-            ("total_us", Proto.jint (total_ns / 1000));
-            ("bytes", Proto.jint bytes) ]
-        @ (match deadline_margin_us with
-           | Some m -> [ ("deadline_margin_us", Proto.jint m) ]
-           | None -> [])
-        @ (match info.ri_error with
-           | Some e -> [ ("error", Proto.jstr e) ]
-           | None -> [])
-        @ [ ("ok", Proto.jbool (info.ri_error = None)) ])
+           ("op", Json.str op) ]
+        @ Json.opt "trace_id" Json.str trace_id
+        @ Json.opt "digest" Json.str info.ri_digest
+        @ [ ("cached", Json.bool info.ri_cached);
+            ("queue_us", Json.int (queue_ns / 1000));
+            ("handler_us", Json.int (handler_ns / 1000));
+            ("total_us", Json.int (total_ns / 1000));
+            ("bytes", Json.int bytes) ]
+        @ Json.opt "deadline_margin_us" Json.int deadline_margin_us
+        @ Json.opt "error" Json.str info.ri_error
+        @ [ ("ok", Json.bool (info.ri_error = None)) ])
     in
     Mutex.protect mu (fun () ->
         output_string oc line;
@@ -566,11 +551,12 @@ let push_slow sv e =
       in
       sv.sv_slow := e :: keep)
 
-(* Handle one request line: parse, gate on draining, bound concurrency,
-   time the answer (queue wait and handler time separately), feed the
-   latency sketches and the access log, capture slow span subtrees, and
-   stamp the client's trace context on the reply.  Returns [None] for
-   blank lines.  [arrival_ns] is when the transport framed the line —
+(* Handle one request line: parse, gate on draining, time the answer
+   (queue wait and handler time separately), feed the latency sketches
+   and the access log, capture slow span subtrees, and stamp the
+   client's trace context on the reply.  Returns [None] for blank
+   lines.  Concurrency needs no gate here: only the [cf_workers] worker
+   threads (socket) or the one stdio loop ever call this.  [arrival_ns] is when the transport framed the line —
    for queued socket requests that predates the worker pickup, so
    queue_ns measures real queue wait. *)
 let handle_line ?arrival_ns sv (line : string) : string option =
@@ -609,15 +595,13 @@ let handle_line ?arrival_ns sv (line : string) : string option =
       else begin
         let deadline = deadline_of rq in
         let info = fresh_info () in
-        Semaphore.Counting.acquire sv.sv_workers;
         let t_start = Psc.Metrics.now_ns () in
         let n = Atomic.fetch_and_add sv.sv_inflight_n 1 + 1 in
         update_peak sv.sv_inflight_peak n;
         Psc.Metrics.set sv.sv_inflight (Atomic.get sv.sv_inflight_n);
         let finally () =
           ignore (Atomic.fetch_and_add sv.sv_inflight_n (-1));
-          Psc.Metrics.set sv.sv_inflight (Atomic.get sv.sv_inflight_n);
-          Semaphore.Counting.release sv.sv_workers
+          Psc.Metrics.set sv.sv_inflight (Atomic.get sv.sv_inflight_n)
         in
         Fun.protect ~finally (fun () ->
             let run_answer () =

@@ -21,11 +21,7 @@ let models =
    root; probe both spots. *)
 let example_dirs = [ "../examples/ps"; "examples/ps" ]
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+let read_file = Util.read_file
 
 let examples () =
   match

@@ -1,5 +1,5 @@
 (* Smoke test for the recorded perf trajectory: run the quick benchmark
-   sweep with [--json], parse BENCH_runtime.json with a minimal JSON
+   sweep with [--json], parse BENCH_runtime.json with the shared JSON
    reader, and check that every expected experiment row is present with
    sane fields.  This is what keeps the A/B harness from silently
    rotting: renaming a workload or dropping a configuration fails here,
@@ -7,174 +7,13 @@
 
 let t name f = Alcotest.test_case name `Quick f
 
-(* --- a minimal JSON reader ----------------------------------------- *)
+module Json = Psc.Json
 
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of float
-  | Bool of bool
-  | Null
-
-exception Bad_json of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let fail fmt = Printf.ksprintf (fun m -> raise (Bad_json m)) fmt in
-  let rec skip_ws () =
-    match peek () with
-    | ' ' | '\t' | '\n' | '\r' ->
-      incr pos;
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then fail "expected %c at offset %d" c !pos;
-    incr pos
-  in
-  let lit w v =
-    let l = String.length w in
-    if !pos + l <= n && String.sub s !pos l = w then begin
-      pos := !pos + l;
-      v
-    end
-    else fail "bad literal at offset %d" !pos
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-        incr pos;
-        let c = peek () in
-        incr pos;
-        Buffer.add_char b
-          (match c with
-          | 'n' -> '\n'
-          | 't' -> '\t'
-          | 'r' -> '\r'
-          | '"' | '\\' | '/' -> c
-          | _ -> fail "unsupported escape \\%c" c);
-        go ()
-      | c ->
-        incr pos;
-        Buffer.add_char b c;
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      incr pos;
-      skip_ws ();
-      if peek () = '}' then begin
-        incr pos;
-        Obj []
-      end
-      else
-        let rec members acc =
-          skip_ws ();
-          let k = string_lit () in
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          if peek () = ',' then begin
-            incr pos;
-            members ((k, v) :: acc)
-          end
-          else begin
-            expect '}';
-            List.rev ((k, v) :: acc)
-          end
-        in
-        Obj (members [])
-    | '[' ->
-      incr pos;
-      skip_ws ();
-      if peek () = ']' then begin
-        incr pos;
-        Arr []
-      end
-      else
-        let rec elems acc =
-          let v = value () in
-          skip_ws ();
-          if peek () = ',' then begin
-            incr pos;
-            elems (v :: acc)
-          end
-          else begin
-            expect ']';
-            List.rev (v :: acc)
-          end
-        in
-        Arr (elems [])
-    | '"' -> Str (string_lit ())
-    | 't' -> lit "true" (Bool true)
-    | 'f' -> lit "false" (Bool false)
-    | 'n' -> lit "null" Null
-    | _ ->
-      let start = !pos in
-      while
-        !pos < n
-        &&
-        match s.[!pos] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        incr pos
-      done;
-      if !pos = start then fail "unexpected character at offset %d" !pos;
-      Num (float_of_string (String.sub s start (!pos - start)))
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage at offset %d" !pos;
-  v
-
-let field k = function
-  | Obj kvs -> (
-    match List.assoc_opt k kvs with
-    | Some v -> v
-    | None -> Alcotest.failf "missing field %S" k)
-  | _ -> Alcotest.failf "not an object (looking for %S)" k
-
-let num = function Num f -> f | _ -> Alcotest.fail "expected a number"
-
-let bool_ = function Bool b -> b | _ -> Alcotest.fail "expected a bool"
-
-let str = function Str s -> s | _ -> Alcotest.fail "expected a string"
-
-(* --- running the sweep --------------------------------------------- *)
-
-let bench_exe =
-  let candidates =
-    [ "_build/default/bench/main.exe"; "../bench/main.exe"; "./bench/main.exe" ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> "dune exec bench/main.exe --"
+open Util
 
 let run_sweep () =
-  let cmd =
-    Printf.sprintf "%s --quick --json > bench_smoke.out 2>&1" bench_exe
-  in
-  let rc = Sys.command cmd in
-  if rc <> 0 then Alcotest.failf "bench --quick --json exited %d" rc;
-  let ic = open_in "BENCH_runtime.json" in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  parse text
+  bench_sweep ~args:"--quick --json" ~log:"bench_smoke.out"
+    ~out:"BENCH_runtime.json"
 
 (* One quick sweep shared by every test case below. *)
 let trajectory = lazy (run_sweep ())
@@ -191,7 +30,7 @@ let expected_names =
 
 let experiments () =
   match field "experiments" (Lazy.force trajectory) with
-  | Arr rows -> rows
+  | Json.Arr rows -> rows
   | _ -> Alcotest.fail "experiments is not an array"
 
 let tests =
@@ -363,7 +202,7 @@ let tests =
           with _ when retries > 0 ->
             let rows =
               match field "experiments" (run_sweep ()) with
-              | Arr r -> r
+              | Json.Arr r -> r
               | _ -> Alcotest.fail "experiments is not an array"
             in
             attempt (retries - 1) rows

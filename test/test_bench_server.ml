@@ -12,37 +12,13 @@
 
 let t name f = Alcotest.test_case name `Quick f
 
-module Json = Psc.Trace.Json
+module Json = Psc.Json
 
-let field k j =
-  match Json.member k j with
-  | Some v -> v
-  | None -> Alcotest.failf "missing field %S" k
-
-let num j = match j with Json.Num f -> f | _ -> Alcotest.fail "expected a number"
-
-let str j = match j with Json.Str s -> s | _ -> Alcotest.fail "expected a string"
-
-let bool_ j = match j with Json.Bool b -> b | _ -> Alcotest.fail "expected a bool"
-
-let bench_exe =
-  let candidates =
-    [ "_build/default/bench/main.exe"; "../bench/main.exe"; "./bench/main.exe" ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> "dune exec bench/main.exe --"
+open Util
 
 let run_sweep () =
-  let cmd =
-    Printf.sprintf "%s serve --quick > bench_serve_smoke.out 2>&1" bench_exe
-  in
-  let rc = Sys.command cmd in
-  if rc <> 0 then Alcotest.failf "bench serve --quick exited %d" rc;
-  let ic = open_in "BENCH_server.json" in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Json.parse text
+  bench_sweep ~args:"serve --quick" ~log:"bench_serve_smoke.out"
+    ~out:"BENCH_server.json"
 
 (* One sweep shared by every case; noise-retrying cases re-run it. *)
 let gate = lazy (run_sweep ())

@@ -3,18 +3,10 @@
 
 let t name f = Alcotest.test_case name `Quick f
 
-let psc_exe =
-  (* Tests run from the build context root. *)
-  let candidates =
-    [ "_build/default/bin/psc_main.exe"; "../bin/psc_main.exe";
-      "./bin/psc_main.exe" ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> "dune exec bin/psc_main.exe --"
+let psc_exe = Util.psc_exe
 
-let with_source src f =
-  let file = Filename.temp_file "psc_cli" ".ps" in
+let with_source ?(suffix = ".ps") src f =
+  let file = Filename.temp_file "psc_cli" suffix in
   let oc = open_out file in
   output_string oc src;
   close_out oc;
@@ -47,6 +39,13 @@ let expect_fail args checks =
       if not (Util.contains text needle) then
         Alcotest.failf "psc %s: error lacks %S:\n%s" args needle text)
     checks
+
+(* Exactly exit code [rc], with [needle] in the output. *)
+let expect_exit rc args needle =
+  let got, text = run_cli args in
+  if got <> rc || not (Util.contains text needle) then
+    Alcotest.failf "psc %s: exit %d (want %d), output lacks %S?\n%s" args got
+      rc needle text
 
 let cli_tests =
   [ t "parse round-trips Fig. 1" (fun () ->
@@ -209,6 +208,23 @@ end C;
                 in
                 Alcotest.(check int) "one trace object" 1
                   (count_substring text "\"traceEvents\"");
-                expect_ok ("trace-check " ^ tr) []))) ]
+                expect_ok ("trace-check " ^ tr) [])));
+    t "run without any scalar input names the first one" (fun () ->
+        (* Array bounds are evaluated over the scalars, so an absent one
+           is reported before any bound is computed. *)
+        expect_exit 1 ("run " ^ Util.example "relaxation.ps")
+          "missing --input M=INT");
+    t "a policy file with a malformed number is E025" (fun () ->
+        with_source Ps_models.Models.jacobi (fun f ->
+            with_source ~suffix:".json"
+              {|{"policy":1,"source":"static","host_cores":-,"nests":[]}|}
+              (fun p ->
+                expect_exit 1
+                  (Printf.sprintf "run -i M=4 -i maxK=2 --policy-file %s %s" p f)
+                  "error[E025]")));
+    t "trace-check calls a malformed number an invalid trace" (fun () ->
+        with_source ~suffix:".json"
+          {|{"traceEvents":[{"name":"x","ph":"B","ts":1e,"pid":1,"tid":1}]}|}
+          (fun f -> expect_exit 1 ("trace-check " ^ f) "invalid trace")) ]
 
 let () = Alcotest.run "cli" [ ("cli", cli_tests) ]

@@ -284,15 +284,15 @@ let metrics_tests =
         Metrics.clear ();
         Metrics.add (Metrics.counter "t.a") 3;
         Metrics.set (Metrics.gauge "t.b") 8;
-        let j = Trace.Json.parse (Metrics.render_json ()) in
+        let j = Psc.Json.parse (Metrics.render_json ()) in
         match j with
-        | Trace.Json.Arr rows ->
+        | Psc.Json.Arr rows ->
           Alcotest.(check int) "rows" 2 (List.length rows);
           let names =
             List.filter_map
               (fun r ->
-                match Trace.Json.member "name" r with
-                | Some (Trace.Json.Str s) -> Some s
+                match Psc.Json.member "name" r with
+                | Some (Psc.Json.Str s) -> Some s
                 | _ -> None)
               rows
           in
@@ -367,17 +367,17 @@ let sketch_tests =
         let c, _, _, _, m = qs q in
         Alcotest.(check int) "window empty" 0 c;
         Alcotest.(check int) "window max cleared" 0 m;
-        let j = Trace.Json.parse (Metrics.render_json ()) in
+        let j = Psc.Json.parse (Metrics.render_json ()) in
         match j with
-        | Trace.Json.Arr [ row ] ->
+        | Psc.Json.Arr [ row ] ->
           Alcotest.(check (option string)) "kind" (Some "sketch")
-            (match Trace.Json.member "kind" row with
-            | Some (Trace.Json.Str s) -> Some s
+            (match Psc.Json.member "kind" row with
+            | Some (Psc.Json.Str s) -> Some s
             | _ -> None);
           Alcotest.(check (option (float 0.001))) "all-time total survives"
             (Some 3.0)
-            (match Trace.Json.member "total" row with
-            | Some (Trace.Json.Num n) -> Some n
+            (match Psc.Json.member "total" row with
+            | Some (Psc.Json.Num n) -> Some n
             | _ -> None)
         | _ -> Alcotest.fail "expected exactly one metrics row");
     QCheck_alcotest.to_alcotest sketch_monotone ]

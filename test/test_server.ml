@@ -10,42 +10,22 @@
 
 let t name f = Alcotest.test_case name `Quick f
 
-module Json = Psc.Trace.Json
+module Json = Psc.Json
 
-let psc_exe =
-  let candidates =
-    [ "_build/default/bin/psc_main.exe"; "../bin/psc_main.exe";
-      "./bin/psc_main.exe" ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.fail "psc executable not found"
-
-let jstring s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  "\"" ^ Buffer.contents b ^ "\""
+let psc_exe = Util.psc_exe
 
 (* Request lines used throughout: the Jacobi relaxation model. *)
 let jacobi_src = Ps_models.Models.jacobi
 
 let schedule_req ?(id = 1) () =
   Printf.sprintf "{\"id\":%d,\"op\":\"schedule\",\"source\":%s}" id
-    (jstring jacobi_src)
+    (Json.str jacobi_src)
 
 let run_req ?(id = 1) () =
   Printf.sprintf
     "{\"id\":%d,\"op\":\"run\",\"source\":%s,\"scalars\":{\"M\":6,\"maxK\":4}}"
-    id (jstring jacobi_src)
+    id (Json.str jacobi_src)
+
 
 (* --- response inspection ------------------------------------------- *)
 
@@ -54,28 +34,16 @@ let parse line =
   | j -> j
   | exception Json.Parse_error m -> Alcotest.failf "bad response %S: %s" line m
 
-let jbool name j =
-  match Json.member name j with
-  | Some (Json.Bool b) -> b
-  | _ -> Alcotest.failf "response has no bool %S" name
+let jbool name j = Util.bool_ (Util.field name j)
 
-let jnum name j =
-  match Json.member name j with
-  | Some (Json.Num f) -> int_of_float f
-  | _ -> Alcotest.failf "response has no number %S" name
+let jnum name j = int_of_float (Util.num (Util.field name j))
 
 let first_code j =
-  match Json.member "diagnostics" j with
-  | Some (Json.Arr (d :: _)) -> (
-    match Json.member "code" d with
-    | Some (Json.Str c) -> c
-    | _ -> Alcotest.fail "diagnostic has no code")
+  match Util.field "diagnostics" j with
+  | Json.Arr (d :: _) -> Util.str (Util.field "code" d)
   | _ -> Alcotest.failf "response has no diagnostics"
 
-let cache_stat name stats_resp =
-  match Json.member "cache" stats_resp with
-  | Some c -> jnum name c
-  | None -> Alcotest.fail "stats response has no cache object"
+let cache_stat name stats_resp = jnum name (Util.field "cache" stats_resp)
 
 (* --- a stdio server session ---------------------------------------- *)
 
@@ -160,7 +128,7 @@ let stdio_tests =
               ask
                 (Printf.sprintf
                    "{\"id\":1,\"op\":\"run\",\"source\":%s,\"scalars\":{\"M\":6,\"maxK\":4},\"deadline_ms\":0}"
-                   (jstring jacobi_src))
+                   (Json.str jacobi_src))
             in
             Alcotest.(check bool) "not ok" false (jbool "ok" late);
             Alcotest.(check string) "E031" "E031" (first_code late);
@@ -205,15 +173,45 @@ let stdio_tests =
               (fun a b ->
                 if not (Float.equal a b) then
                   Alcotest.failf "wire value %.17g <> interpreter %.17g" b a)
-              want got)) ]
+              want got));
+    t "a malformed number answers E030 and the next request is served"
+      (fun () ->
+        with_stdio_server (fun ask ->
+            Alcotest.(check string) "E030" "E030"
+              (first_code (ask {|{"id":1,"op":"stats","x":-}|}));
+            Alcotest.(check int) "next request served" 2
+              (jnum "id" (ask {|{"id":2,"op":"stats"}|}))));
+    t "an ASCII-escaped copy of a non-ASCII source hits the cache" (fun () ->
+        (* The second request is what an encoder such as Python's
+           json.dumps sends by default: the same program, its non-ASCII
+           bytes as \uXXXX escapes. *)
+        let body = Json.str jacobi_src in
+        let req id comment =
+          Printf.sprintf {|{"id":%d,"op":"schedule","source":"(* caf%s *)\n%s}|}
+            id comment (String.sub body 1 (String.length body - 1))
+        in
+        with_stdio_server (fun ask ->
+            let r1 = ask (req 1 "\xc3\xa9 \xf0\x9f\x98\x80") in
+            Alcotest.(check bool) "raw copy is a miss" false (jbool "cached" r1);
+            let r2 = ask (req 2 {|\u00e9 \ud83d\ude00|}) in
+            Alcotest.(check bool) "escaped copy is a hit" true (jbool "cached" r2)));
+    t "a run without its scalars fails with its id; the server survives"
+      (fun () ->
+        with_stdio_server (fun ask ->
+            let r =
+              ask
+                (Printf.sprintf {|{"id":1,"op":"run","source_file":%s}|}
+                   (Json.str (Util.example "relaxation.ps")))
+            in
+            Alcotest.(check (option string)) "names the scalar"
+              (Some "no value for scalar input M") (Json.member_str "error" r);
+            Alcotest.(check int) "its id" 1 (jnum "id" r);
+            Alcotest.(check bool) "server survived" true
+              (jbool "ok" (ask (run_req ~id:2 ()))))) ]
 
 (* --- observability over the wire ------------------------------------ *)
 
-let read_file p =
-  let ic = open_in_bin p in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+let read_file = Util.read_file
 
 let obs_tests =
   [ t "stats reports uptime, the inflight peak and latency quantiles"
@@ -331,7 +329,7 @@ let obs_tests =
                   ask
                     (Printf.sprintf
                        "{\"id\":%d,\"op\":\"schedule\",\"trace_id\":\"mt-1\",\"parent_span\":%S,\"source\":%s}"
-                       i sid (jstring jacobi_src)))
+                       i sid (Json.str jacobi_src)))
             in
             let r1 = request 1 in
             Alcotest.(check bool) "first ok" true (jbool "ok" r1);
@@ -467,6 +465,23 @@ let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX path);
   (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+
+(* Blocking reads on a socket are bounded: a hang must fail the test,
+   not wedge the suite. *)
+let recv_deadline fd = Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0
+
+(* Request lines [first..last] of [line i], written in one burst. *)
+let burst oc first last line =
+  for i = first to last do
+    output_string oc (line i);
+    output_char oc '\n'
+  done;
+  flush oc
+
+(* A schedule request whose comment makes its source digest fresh. *)
+let fresh_req tag i =
+  Printf.sprintf {|{"id":%d,"op":"schedule","source":%s}|} i
+    (Json.str (Printf.sprintf "(* %s %d *)\n%s" tag i jacobi_src))
 
 let ask_fd ic oc line =
   output_string oc line;
@@ -607,7 +622,17 @@ let socket_tests =
         | Unix.WEXITED 0 -> ()
         | Unix.WEXITED n -> Alcotest.failf "server exited with %d" n
         | Unix.WSIGNALED n | Unix.WSTOPPED n ->
-          Alcotest.failf "server killed by signal %d" n) ]
+          Alcotest.failf "server killed by signal %d" n);
+    t "a malformed number on a socket answers E030" (fun () ->
+        let pid, path = start_socket_server () in
+        Fun.protect ~finally:(fun () -> stop_server pid path) @@ fun () ->
+        let fd, ic, oc = connect path in
+        recv_deadline fd;
+        Alcotest.(check string) "E030, not an internal error" "E030"
+          (first_code (parse (ask_fd ic oc {|{"id":1,"op":"stats","x":-}|})));
+        Alcotest.(check bool) "next request served" true
+          (jbool "ok" (parse (ask_fd ic oc {|{"id":2,"op":"stats"}|})));
+        Unix.close fd) ]
 
 (* --- cache unit tests ------------------------------------------------- *)
 
@@ -672,10 +697,6 @@ let cache_tests =
 
 (* --- stress: churn, overload shedding, pipelining -------------------- *)
 
-(* Blocking reads below are bounded: a hang here must fail the test,
-   not wedge the suite. *)
-let recv_deadline fd = Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0
-
 let stress_tests =
   [ t "500 open/close connections leave no residue" (fun () ->
         let pid, path = start_socket_server () in
@@ -729,13 +750,7 @@ let stress_tests =
            thread frames and admits them far faster than the single
            worker can drain, so with a queue bound of 1 nearly all of
            them must be shed — and every one must still be answered. *)
-        for i = 0 to n - 1 do
-          output_string oc
-            (Printf.sprintf "{\"id\":%d,\"op\":\"schedule\",\"source\":%s}" i
-               (jstring (Printf.sprintf "(* flood %d *)\n%s" i jacobi_src)));
-          output_char oc '\n'
-        done;
-        flush oc;
+        burst oc 0 (n - 1) (fresh_req "flood");
         let seen = Hashtbl.create n in
         let ok = ref 0 and shed = ref 0 in
         for _ = 1 to n do
@@ -785,11 +800,7 @@ let stress_tests =
         (* Warm the cache so the burst is all fast hits. *)
         ignore (ask_fd ic oc (schedule_req ~id:0 ()));
         let n = 8 in
-        for i = 1 to n do
-          output_string oc (schedule_req ~id:i ());
-          output_char oc '\n'
-        done;
-        flush oc;
+        burst oc 1 n (fun id -> schedule_req ~id ());
         let seen = Hashtbl.create n in
         for _ = 1 to n do
           let j = parse (input_line ic) in
@@ -802,6 +813,35 @@ let stress_tests =
           if not (Hashtbl.mem seen i) then
             Alcotest.failf "id %d was never answered" i
         done;
+        Unix.close fd);
+    t "malformed lines past a full queue are shed; the event thread lives"
+      (fun () ->
+        let pid, path =
+          start_socket_server ~workers:1 ~extra:[ "--max-queue"; "1" ] ()
+        in
+        Fun.protect ~finally:(fun () -> stop_server pid path) @@ fun () ->
+        let fd, ic, oc = connect path in
+        recv_deadline fd;
+        (* Fresh sources keep the one worker busy, so the malformed
+           lines between them mostly meet a full queue: the event
+           thread itself reads their correlation fields to shed them. *)
+        let n = 100 in
+        burst oc 0 (n - 1) (fun i ->
+            if i mod 2 = 0 then fresh_req "shed" i
+            else Printf.sprintf {|{"id":%d,"op":"schedule","x":-}|} i);
+        let codes =
+          List.init n (fun _ ->
+              let j = parse (input_line ic) in
+              if jbool "ok" j then "ok" else first_code j)
+        in
+        List.iter
+          (fun c ->
+            if not (List.mem c [ "ok"; "E030"; "E033" ]) then
+              Alcotest.failf "unexpected code %s" c)
+          codes;
+        Alcotest.(check bool) "the flood was shed" true (List.mem "E033" codes);
+        Alcotest.(check bool) "the connection is still served" true
+          (jbool "ok" (parse (ask_fd ic oc {|{"id":999,"op":"stats"}|})));
         Unix.close fd) ]
 
 let () =

@@ -91,3 +91,40 @@ let check_string = Alcotest.(check string)
 
 let checkf ?(eps = 1e-12) msg a b =
   if abs_float (a -. b) > eps then Alcotest.failf "%s: %.17g <> %.17g" msg a b
+
+(* --- subprocesses and the JSON reports they write --------------------- *)
+
+let field k j =
+  match Psc.Json.member k j with
+  | Some v -> v
+  | None -> Alcotest.failf "missing field %S" k
+
+let num = function Psc.Json.Num f -> f | _ -> Alcotest.fail "expected a number"
+
+let str = function Psc.Json.Str s -> s | _ -> Alcotest.fail "expected a string"
+
+let bool_ = function Psc.Json.Bool b -> b | _ -> Alcotest.fail "expected a bool"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Tests run from _build/default/test, by hand from the repo root: a
+   built executable or an example found from either. *)
+let built dir name =
+  let path root = Printf.sprintf "%s%s/%s" root dir name in
+  match List.find_opt Sys.file_exists (List.map path [ "_build/default/"; "../"; "./" ]) with
+  | Some p -> p
+  | None -> Printf.sprintf "dune exec %s/%s --" dir name
+
+let psc_exe = built "bin" "psc_main.exe"
+
+let example name =
+  List.find Sys.file_exists [ "../examples/ps/" ^ name; "examples/ps/" ^ name ]
+
+(* Run bench/main.exe with [args] (output to [log]) and parse the JSON
+   file [out] it writes. *)
+let bench_sweep ~args ~log ~out =
+  let rc =
+    Sys.command (Printf.sprintf "%s %s > %s 2>&1" (built "bench" "main.exe") args log)
+  in
+  if rc <> 0 then Alcotest.failf "bench %s exited %d" args rc;
+  Psc.Json.parse (read_file out)
