@@ -39,7 +39,8 @@ serve-stress: build
 
 # Tune the headline relaxation nests, replay the tuned tables
 # bit-identically through `run --policy cached`, and assert no bench
-# `_auto` row loses to its `_seq` sibling past 1.1x (+1ms slack).
+# `_auto` row loses to its `_seq` sibling past 1.1x (+1ms slack).  The
+# sweep writes its JSON in a temporary directory, not the checkout.
 # Part of `make test`; the unit coverage is test/test_policy.ml.
 tune-smoke: build
 	sh bin/tune_smoke.sh _build/default/bin/psc_main.exe \
@@ -58,12 +59,15 @@ bench-quick: build
 # concurrent clients over cache-hit and cache-miss workloads; writes
 # BENCH_server.json, whose schema test_bench_server.ml asserts.  The
 # quick variant (1/8/32 clients, few requests) is part of `make test`
-# and of `dune runtest`; the full sweep goes to 1024 clients.
+# and of `dune runtest`; it runs in a temporary directory so its rows
+# never replace the committed full sweep.  The full sweep goes to 1024
+# clients.
 bench-serve: build
 	dune exec bench/main.exe -- serve
 
 bench-serve-quick: build
-	dune exec bench/main.exe -- serve --quick
+	tmp=$$(mktemp -d) && (cd "$$tmp" && $(CURDIR)/_build/default/bench/main.exe serve --quick); \
+	  rc=$$?; rm -rf "$$tmp"; exit $$rc
 
 # Check dune-file formatting (no ocamlformat in the toolchain, so OCaml
 # sources are exempt).  `make fmt-fix` rewrites in place.

@@ -210,10 +210,11 @@ let part2 () =
      single varying-extent DOALL per diagonal (collapsing is a no-op;
      this row isolates the pool protocol).
 
-   For each size: sequential, the fixed-chunk single-queue pool (the
-   runtime as it was — the baseline), work stealing with guided chunks,
-   and stealing plus collapsing.  Each configuration is timed best-of-N
-   and recorded into the JSON trajectory. *)
+   For each size: sequential, fixed chunks from a single queue (the
+   runtime as it was — the baseline, selected per nest by a uniform
+   policy table), work stealing with guided chunks, and stealing plus
+   collapsing.  Each configuration is timed best-of-N and recorded into
+   the JSON trajectory. *)
 
 let experiments : string list ref = ref []
 
@@ -253,6 +254,11 @@ let record ~name ~wall ~(ws : Psc.Analysis.cost) ~pool ~steal ~collapse ~policy
 
 let ab_pool_size = 4
 
+(* The flowchart a row's policy tables are keyed by (collapse marks do
+   not change the keys). *)
+let flowchart ?name ?(sink = false) ?(trim = false) t =
+  (Psc.schedule ~sink ~trim (Psc.the_module ?name t)).Psc.sc_flowchart
+
 let time_best f =
   let reps = if quick then 2 else 5 in
   let best = ref infinity in
@@ -267,8 +273,7 @@ let part2b () =
   Fmt.pr "Part 2b: runtime A/B (collapse x pool scheduler; pool = %d)@."
     ab_pool_size;
   Fmt.pr "============================================================@.@.";
-  let pool_steal = Psc.Pool.create ab_pool_size in
-  let pool_fixed = Psc.Pool.create ~steal:false ab_pool_size in
+  let pool = Psc.Pool.create ab_pool_size in
   (* Pool counters are gated on the metrics flag; turn it on for the A/B
      section so every pooled row carries steal/utilization data, and off
      again afterwards so part 3's micro-benchmarks run uninstrumented. *)
@@ -286,14 +291,20 @@ let part2b () =
     let t = time_best (fun () -> runner ~pool ?policy ~collapse ()) in
     (t, Psc.Pool.summary pool)
   in
-  let ab name ws ~auto
+  let ab name ws ~fc ~auto
       (runner :
         ?pool:Psc.Pool.t -> ?policy:Psc.Policy.table -> collapse:bool ->
         unit -> unit) =
+    let fixed =
+      Psc.Policy.uniform ~source:Psc.Policy.Tuned ~cores:ab_pool_size fc
+        (fun _ -> Psc.Policy.parallel ~steal:false ~why:"fixed chunks" ())
+    in
     let t_seq = time_best (fun () -> runner ~collapse:false ()) in
-    let t_fixed, sm_fixed = timed_pool pool_fixed ~collapse:false runner in
-    let t_steal, sm_steal = timed_pool pool_steal ~collapse:false runner in
-    let t_sc, sm_sc = timed_pool pool_steal ~collapse:true runner in
+    let t_fixed, sm_fixed =
+      timed_pool pool ~policy:fixed ~collapse:false runner
+    in
+    let t_steal, sm_steal = timed_pool pool ~collapse:false runner in
+    let t_sc, sm_sc = timed_pool pool ~collapse:true runner in
     (* The fifth column runs under the static cost model's per-nest
        table, sized to the host (not the benchmark pool): on a small
        host the table refuses to fork and the row must match the
@@ -311,7 +322,7 @@ let part2b () =
     in
     let t_auto, sm_auto =
       if forks then
-        let t, sm = timed_pool pool_steal ~policy:table ~collapse:false runner in
+        let t, sm = timed_pool pool ~policy:table ~collapse:false runner in
         (t, Some sm)
       else (time_best (fun () -> runner ~policy:table ~collapse:false ()), None)
     in
@@ -341,12 +352,14 @@ let part2b () =
       ab
         (Printf.sprintf "fig6_m%d" m)
         (Psc.work_span jacobi ~env)
+        ~fc:(flowchart jacobi)
         ~auto:(fun () -> Psc.static_policy ~cores:host_cores jacobi ~env)
         (fun ?pool ?policy ~collapse () ->
           ignore (Psc.run ~check:false ?pool ?policy ~collapse jacobi ~inputs));
       ab
         (Printf.sprintf "h3_m%d" m)
         (Psc.work_span ~name:hyper_name ~sink:true ~trim:true hyper_project ~env)
+        ~fc:(flowchart ~name:hyper_name ~sink:true ~trim:true hyper_project)
         ~auto:(fun () ->
           Psc.static_policy ~name:hyper_name ~sink:true ~trim:true
             ~cores:host_cores hyper_project ~env)
@@ -372,6 +385,7 @@ let part2b () =
         (Printf.sprintf "lcs_n%d" n)
         (Psc.work_span ~name:lcs_name ~sink:true ~trim:true lcs_project
            ~env:[ ("N", n) ])
+        ~fc:(flowchart ~name:lcs_name ~sink:true ~trim:true lcs_project)
         ~auto:(fun () ->
           Psc.static_policy ~name:lcs_name ~sink:true ~trim:true
             ~cores:host_cores lcs_project ~env:[ ("N", n) ])
@@ -394,6 +408,7 @@ let part2b () =
       ab
         (Printf.sprintf "grp_n%d" n)
         (Psc.work_span grp_project ~env:[ ("N", n) ])
+        ~fc:(flowchart grp_project)
         ~auto:(fun () ->
           Psc.static_policy ~cores:host_cores grp_project ~env:[ ("N", n) ])
         (fun ?pool ?policy ~collapse () ->
@@ -404,6 +419,7 @@ let part2b () =
       ab
         (Printf.sprintf "insp_n%d" n)
         (Psc.work_span insp_project ~env:[ ("N", n); ("K", k) ])
+        ~fc:(flowchart insp_project)
         ~auto:(fun () ->
           Psc.static_policy ~cores:host_cores insp_project
             ~env:[ ("N", n); ("K", k) ])
@@ -415,8 +431,7 @@ let part2b () =
                    ("N", Psc.Exec.scalar_int n);
                    ("K", Psc.Exec.scalar_int k) ])))
     stride_sizes;
-  Psc.Pool.shutdown pool_steal;
-  Psc.Pool.shutdown pool_fixed;
+  Psc.Pool.shutdown pool;
   Psc.Metrics.set_enabled false;
   Fmt.pr "@."
 

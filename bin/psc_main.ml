@@ -87,9 +87,10 @@ let trim_arg =
 
 let collapse_arg =
   let doc =
-    "Mark perfectly nested DOALL bands for collapsing: the interpreter \
-     flattens a marked band into one combined iteration space, and the C \
-     back end widens the OpenMP pragma with a collapse clause."
+    "Mark perfectly nested DOALL bands for collapsing: without a policy \
+     table the interpreter flattens a marked band into one combined \
+     iteration space, and the C back end widens the OpenMP pragma with a \
+     collapse clause."
   in
   Arg.(value & flag & info [ "collapse" ] ~doc)
 
@@ -431,13 +432,6 @@ let run_cmd =
   let no_windows =
     Arg.(value & flag & info [ "no-windows" ] ~doc:"Disable virtual-dimension storage windows.")
   in
-  let no_steal =
-    Arg.(
-      value & flag
-      & info [ "no-steal" ]
-          ~doc:"Use the fixed-chunk single-queue pool scheduler instead of \
-                work stealing with guided chunks (the A/B baseline).")
-  in
   let stats_flag =
     Arg.(
       value & flag
@@ -463,8 +457,9 @@ let run_cmd =
              from the cost model (work, span, trip counts — tiny nests \
              run sequentially), $(b,cached) loads a tuned table from \
              $(b,--policy-file) (stale tables warn W121 and fall back \
-             to the static model), $(b,off) (default) keeps the global \
-             flags.")
+             to the static model), $(b,off) (default) runs every nest \
+             with the no-table default: fork with work stealing, and \
+             flatten only the bands $(b,--collapse) marks.")
   in
   let policy_file =
     Arg.(
@@ -482,8 +477,8 @@ let run_cmd =
           ~doc:"Tune before running: replay the nests under candidate \
                 policies on the profiler and execute with the winner.")
   in
-  let run file name sink fuse trim collapse inputs par no_windows no_steal verify
-      stats metrics_json policy_mode policy_file tune trace =
+  let run file name sink fuse trim collapse inputs par no_windows verify stats
+      metrics_json policy_mode policy_file tune trace =
     handle (fun () ->
         with_trace trace @@ fun () ->
         if stats || metrics_json then Psc.Metrics.set_enabled true;
@@ -506,7 +501,7 @@ let run_cmd =
               [ Psc.Diag.diag Psc.Diag.Bad_policy Psc.Loc.dummy "%s: %s" f m ];
             exit 1
           | Ok tp ->
-            let sc = Psc.schedule ~sink ~fuse ~trim ~collapse:true em in
+            let sc = Psc.schedule ~sink ~fuse ~trim em in
             let diags =
               Psc.Verify.policy_table ~host_cores tp sc.Psc.sc_flowchart
             in
@@ -538,7 +533,7 @@ let run_cmd =
         let r =
           match par with
           | Some n ->
-            Psc.Pool.with_pool ~steal:(not no_steal) n (fun pool ->
+            Psc.Pool.with_pool n (fun pool ->
                 let r = exec (Some pool) in
                 if stats then pool_table := Some (Psc.Pool.render_stats pool);
                 r)
@@ -582,7 +577,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Schedule and execute a module on the interpreter substrate.")
     Term.(const run $ file_arg $ module_arg $ sink_arg $ fuse_arg $ trim_arg
-          $ collapse_arg $ inputs_arg $ par $ no_windows $ no_steal $ verify_arg
+          $ collapse_arg $ inputs_arg $ par $ no_windows $ verify_arg
           $ stats_flag $ metrics_json $ policy_mode $ policy_file $ tune_flag
           $ trace_arg)
 

@@ -5,11 +5,14 @@
 # outputs stay bit-identical to the untuned run, then re-run the quick
 # benchmark sweep and assert that no `_auto` row loses to its `_seq`
 # sibling by more than 10% (plus 1ms timer slack).  Part of `make test`.
+# The sweep runs in a temporary directory, so the committed
+# BENCH_runtime.json is left alone.
 #
 # Usage: tune_smoke.sh [PSC_EXE] [BENCH_EXE]
 set -eu
 psc=${1:-_build/default/bin/psc_main.exe}
 bench=${2:-_build/default/bench/main.exe}
+bench=$(cd "$(dirname "$bench")" && pwd)/$(basename "$bench")
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -31,12 +34,13 @@ done
 # fails all three sweeps, a noise spike does not.
 attempt=1
 while :; do
-  "$bench" --quick --json >/dev/null
-  if python3 - <<'EOF'
+  (cd "$tmp" && "$bench" --quick --json >/dev/null)
+  if python3 - "$tmp/BENCH_runtime.json" <<'EOF'
 import json
+import sys
 
 rows = {}
-with open("BENCH_runtime.json") as f:
+with open(sys.argv[1]) as f:
     for row in json.load(f)["experiments"]:
         rows[row["name"]] = row
 

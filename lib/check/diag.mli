@@ -68,7 +68,8 @@ type code =
                                  run fell back to the static cost model *)
   | Bad_policy               (** E025: a scheduling-policy table is ill-formed
                                  for this flowchart (unknown nest key, collapse
-                                 on an unmarked head, or bad chunk bounds) *)
+                                 on a nest heading no perfect DOALL band, or
+                                 bad chunk bounds) *)
   (* The compile service (E03x).  Per-request diagnostics from
      [psc serve]: the request is answered with the diagnostic, the
      server itself stays up. *)

@@ -532,8 +532,8 @@ let result (r : Schedule.result) =
 (* Scheduling-policy tables.
 
    A policy is advisory shape, not legality: the interpreter only forks
-   nests the scheduler proved parallel and only flattens bands the
-   Collapse pass marked, whatever the table says.  So the check here is
+   nests the scheduler proved parallel and only flattens perfect DOALL
+   bands ([Collapse.band]), whatever the table says.  So the check here is
    structural well-formedness (E025) plus staleness (W121): a table
    tuned for a different host core count carries chunk and wake numbers
    that do not transfer, and the run falls back to the static model. *)

@@ -55,10 +55,10 @@ val policy_table :
   Ps_sched.Flowchart.t ->
   Ps_diag.Diag.t list
 (** Verify a scheduling-policy table against the flowchart it will steer:
-    structural well-formedness (E025 — unknown nest key, collapse on an
-    unmarked band head, bad chunk bounds) plus, when [host_cores] is
-    given, staleness (W121 — the table was tuned for a different core
-    count).  Policies are advisory shape, never legality: the
-    interpreter ignores a flatten request on an unmarked band and only
-    forks nests the scheduler proved parallel, so these diagnostics
-    protect measurements, not results. *)
+    structural well-formedness (E025 — unknown nest key, collapse on a
+    nest that heads no perfect DOALL band, bad chunk bounds) plus, when
+    [host_cores] is given, staleness (W121 — the table was tuned for a
+    different core count).  Policies are advisory shape, never legality:
+    the interpreter only forks nests the scheduler proved parallel and
+    only flattens perfect DOALL bands, so these diagnostics protect
+    measurements, not results. *)

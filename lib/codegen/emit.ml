@@ -279,7 +279,7 @@ let emit_layout buf (al : array_layout) =
 
 (* ------------------------------------------------------------------ *)
 
-let rec emit_descriptor st buf ~depth ~indent ~par ~bound ~policy
+let rec emit_descriptor st buf ~depth ~indent ~par ~bound
     (d : Ps_sched.Flowchart.descriptor) =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let pad = String.make indent ' ' in
@@ -324,59 +324,19 @@ let rec emit_descriptor st buf ~depth ~indent ~par ~bound ~policy
     let ctx = { x_em = (let e, _, _ = st in e); x_indices = bound } in
     let lo = expr_to_c ctx l.Ps_sched.Flowchart.lp_range.Stypes.sr_lo in
     let hi = expr_to_c ctx l.Ps_sched.Flowchart.lp_range.Stypes.sr_hi in
-    (* Depth of the collapsible DOALL band headed here (1 = no band):
-       consecutive [lp_collapse] marks license an OpenMP collapse
-       clause over the perfect nest. *)
-    let rec band_depth (b : Ps_sched.Flowchart.loop) =
-      if b.Ps_sched.Flowchart.lp_collapse then
-        match b.Ps_sched.Flowchart.lp_body with
-        | [ Ps_sched.Flowchart.D_loop inner ] -> 1 + band_depth inner
-        | _ -> 1
-      else 1
-    in
     let opened = ref 1 in
-    (* The nest's policy decision, if any: per-loop pragma shape instead
-       of the uniform annotation.  An empty policy emits byte-identical
-       legacy output. *)
-    let dec =
-      List.find_map
-        (fun (m, dc) -> if m == l then Some dc else None)
-        policy
-    in
-    let forked =
-      match dec with Some dc -> dc.Ps_sched.Policy.d_par | None -> true
-    in
-    (* The OpenMP schedule clause a decision asks for: dynamic for
-       stealing, static otherwise, chunked when the policy sets a
-       floor. *)
-    let sched_clause () =
-      match dec with
-      | None -> ""
-      | Some dc -> (
-        match dc.Ps_sched.Policy.d_chunk_min with
-        | Some c ->
-          Printf.sprintf " schedule(%s, %d)"
-            (if dc.Ps_sched.Policy.d_steal then "dynamic" else "static")
-            c
-        | None ->
-          if dc.Ps_sched.Policy.d_steal then "" else " schedule(static)")
-    in
     (match l.Ps_sched.Flowchart.lp_kind with
      | Ps_sched.Flowchart.Parallel ->
+       (* Depth of the band headed here (1 = no band): a collapse mark
+          licenses an OpenMP collapse clause over the perfect nest. *)
        let bd =
-         match dec with
-         | Some dc when not dc.Ps_sched.Policy.d_collapse -> 1
-         | _ -> band_depth l
+         if l.Ps_sched.Flowchart.lp_collapse then
+           List.length (Ps_sched.Collapse.band l)
+         else 1
        in
        if par then begin
-         match dec with
-         | Some dc when not dc.Ps_sched.Policy.d_par ->
-           pf "%s/* policy: sequential (%s) */\n" pad dc.Ps_sched.Policy.d_why
-         | _ ->
-           if bd > 1 then
-             pf "%s#pragma omp parallel for collapse(%d)%s\n" pad bd
-               (sched_clause ())
-           else pf "%s#pragma omp parallel for%s\n" pad (sched_clause ())
+         if bd > 1 then pf "%s#pragma omp parallel for collapse(%d)\n" pad bd
+         else pf "%s#pragma omp parallel for\n" pad
        end;
        pf "%sfor (int %s = %s; %s <= %s; %s++) {  /* DOALL (%s) */\n" pad v
          lo v hi v
@@ -389,11 +349,7 @@ let rec emit_descriptor st buf ~depth ~indent ~par ~bound ~policy
        (* Group-partitioned DOALL: the residue classes mod g are
           mutually independent; index order within each class. *)
        let gv = v ^ "_grp" in
-       if par && forked then
-         pf "%s#pragma omp parallel for%s\n" pad (sched_clause ())
-       else if par then
-         pf "%s/* policy: sequential (%s) */\n" pad
-           (match dec with Some dc -> dc.Ps_sched.Policy.d_why | None -> "");
+       if par then pf "%s#pragma omp parallel for\n" pad;
        pf "%sfor (int %s = 0; %s < %d; %s++) {  /* DOGROUP(%d): independent \
            residue classes */\n"
          pad gv gv g gv g;
@@ -413,11 +369,7 @@ let rec emit_descriptor st buf ~depth ~indent ~par ~bound ~policy
          "%s  if (%s < 1) { fprintf(stderr, \"psc: inspector for loop %s: \
           dependence distance %%d is not positive\\n\", %s); exit(2); }\n"
          pad dv v dv;
-       if par && forked then
-         pf "%s  #pragma omp parallel for%s\n" pad (sched_clause ())
-       else if par then
-         pf "%s  /* policy: sequential (%s) */\n" pad
-           (match dec with Some dc -> dc.Ps_sched.Policy.d_why | None -> "");
+       if par then pf "%s  #pragma omp parallel for\n" pad;
        pf "%s  for (int %s = 0; %s < %s; %s++) {  /* DOINSPECT(%s) */\n" pad gv
          gv dv gv de;
        pf "%s    for (int %s = (%s) + %s; %s <= %s; %s += %s) {\n" pad v lo gv
@@ -432,7 +384,7 @@ let rec emit_descriptor st buf ~depth ~indent ~par ~bound ~policy
     let bound' = l.Ps_sched.Flowchart.lp_var :: bound in
     List.iter
       (emit_descriptor st buf ~depth:(depth + 1) ~indent:(indent + (2 * !opened))
-         ~par:par' ~bound:bound' ~policy)
+         ~par:par' ~bound:bound')
       l.Ps_sched.Flowchart.lp_body;
     for i = !opened - 1 downto 0 do
       pf "%s%s}\n" pad (String.make (2 * i) ' ')
@@ -450,18 +402,13 @@ let rec emit_descriptor st buf ~depth ~indent ~par ~bound ~policy
     let bound' = s.Ps_sched.Flowchart.sv_var :: bound in
     List.iter
       (emit_descriptor st buf ~depth:(depth + 1) ~indent:(indent + 4) ~par
-         ~bound:bound' ~policy)
+         ~bound:bound')
       s.Ps_sched.Flowchart.sv_body;
     pf "%s  }\n%s}\n" pad pad
 
-let emit_module ?(windows = []) ?policy (em : Elab.emodule)
+let emit_module ?(windows = []) (em : Elab.emodule)
     (fc : Ps_sched.Flowchart.t) : string =
   Ps_obs.Trace.with_span "emit" @@ fun () ->
-  let policy =
-    match policy with
-    | Some t -> Ps_sched.Policy.resolve t fc
-    | None -> []
-  in
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let ctx = { x_em = em; x_indices = [] } in
@@ -531,7 +478,7 @@ let emit_module ?(windows = []) ?policy (em : Elab.emodule)
   pf "\n";
   let st = (em, windows, fc) in
   List.iter
-    (emit_descriptor st buf ~depth:0 ~indent:2 ~par:true ~bound:[] ~policy)
+    (emit_descriptor st buf ~depth:0 ~indent:2 ~par:true ~bound:[])
     fc;
   pf "\n";
   List.iter
@@ -548,9 +495,9 @@ let emit_module ?(windows = []) ?policy (em : Elab.emodule)
 (* A standalone main() that fills inputs deterministically and prints a
    checksum of every result — used to validate the generated C against
    the interpreter. *)
-let emit_main ?(windows = []) ?policy (em : Elab.emodule)
+let emit_main ?(windows = []) (em : Elab.emodule)
     (fc : Ps_sched.Flowchart.t) ~(scalars : (string * int) list) : string =
-  let kernel = emit_module ~windows ?policy em fc in
+  let kernel = emit_module ~windows em fc in
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   Buffer.add_string buf kernel;

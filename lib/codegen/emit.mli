@@ -13,24 +13,14 @@ exception Unsupported of string
 
 val emit_module :
   ?windows:Ps_sched.Schedule.window list ->
-  ?policy:Ps_sched.Policy.table ->
   Ps_sem.Elab.emodule ->
   Ps_sched.Flowchart.t ->
   string
 (** The kernel: a C function taking inputs (const pointers / scalars)
-    and result out-parameters, allocating windowed locals internally.
-
-    When a [policy] table is given, each loop nest's pragmas follow its
-    per-nest decision: a nest the policy runs sequentially loses its
-    [#pragma omp parallel for] (replaced by a comment carrying the
-    reason), a nest with a chunk hint gains a [schedule(...)] clause,
-    and a band whose decision forbids flattening keeps [collapse] off.
-    Policies never change which loops are {e legal} to parallelise —
-    only which of the proved-parallel ones are worth forking. *)
+    and result out-parameters, allocating windowed locals internally. *)
 
 val emit_main :
   ?windows:Ps_sched.Schedule.window list ->
-  ?policy:Ps_sched.Policy.table ->
   Ps_sem.Elab.emodule ->
   Ps_sched.Flowchart.t ->
   scalars:(string * int) list ->

@@ -31,6 +31,7 @@ module Analysis = Ps_sched.Analysis
 module Fuse = Ps_sched.Fuse
 module Trim = Ps_sched.Trim
 module Collapse = Ps_sched.Collapse
+module Passes = Ps_sched.Passes
 module Policy = Ps_sched.Policy
 module Costmodel = Ps_sched.Costmodel
 module Imatrix = Ps_hyper.Imatrix
@@ -168,7 +169,7 @@ let dep_graph em = wrap (fun () -> Build.build em)
 
 (* A scheduled module: flowchart, storage windows, component table, and
    what the optional passes did. *)
-type scheduled = {
+type scheduled = Passes.scheduled = {
   sc_module : Elab.emodule;
   sc_result : Schedule.result;
   sc_flowchart : Flowchart.t;
@@ -183,31 +184,7 @@ let schedule ?(sink = false) ?(fuse = false) ?(trim = false) ?(collapse = false)
     em =
   wrap (fun () ->
       Trace.with_span "schedule" @@ fun () ->
-      let r = Schedule.schedule em in
-      let fc, windows, sunk =
-        if sink then
-          let s = Sink.apply em r in
-          (s.Sink.s_flowchart, s.Sink.s_windows, s.Sink.s_sunk)
-        else (r.Schedule.r_flowchart, r.Schedule.r_windows, [])
-      in
-      let fc, merged =
-        if fuse then Fuse.apply em r.Schedule.r_graph fc else (fc, 0)
-      in
-      let fc, trimmed = if trim then Trim.apply em fc else (fc, 0) in
-      let fc, collapsed =
-        if collapse then
-          let fc = Collapse.mark fc in
-          (fc, Collapse.count fc)
-        else (fc, 0)
-      in
-      { sc_module = em;
-        sc_result = r;
-        sc_flowchart = fc;
-        sc_windows = windows;
-        sc_sunk = sunk;
-        sc_merged = merged;
-        sc_trimmed = trimmed;
-        sc_collapsed = collapsed })
+      Passes.schedule ~sink ~fuse ~trim ~collapse em)
 
 (* Apply the hyperplane transformation to [target] inside module
    [?name]; returns the extended project (transformed module appended)
@@ -222,20 +199,18 @@ let hyperplane ?name ~target t =
       ({ ast; prog; diagnostics }, tr))
 
 let emit_c ?name ?(sink = false) ?(fuse = false) ?(trim = false)
-    ?(collapse = false) ?policy t =
+    ?(collapse = false) t =
   wrap (fun () ->
       let em = the_module ?name t in
-      let collapse = collapse || policy <> None in
       let sc = schedule ~sink ~fuse ~trim ~collapse em in
-      Emit.emit_module ~windows:sc.sc_windows ?policy em sc.sc_flowchart)
+      Emit.emit_module ~windows:sc.sc_windows em sc.sc_flowchart)
 
 let emit_c_main ?name ?(sink = false) ?(fuse = false) ?(trim = false)
-    ?(collapse = false) ?policy ~scalars t =
+    ?(collapse = false) ~scalars t =
   wrap (fun () ->
       let em = the_module ?name t in
-      let collapse = collapse || policy <> None in
       let sc = schedule ~sink ~fuse ~trim ~collapse em in
-      Emit.emit_main ~windows:sc.sc_windows ?policy em sc.sc_flowchart ~scalars)
+      Emit.emit_main ~windows:sc.sc_windows em sc.sc_flowchart ~scalars)
 
 (* ------------------------------------------------------------------ *)
 (* Verification and lints *)
@@ -265,14 +240,9 @@ let run ?name ?(sink = false) ?(fuse = false) ?(trim = false)
     ?(stats = false) ?policy t ~inputs =
   wrap (fun () ->
       let em = the_module ?name t in
-      (* A policy decides collapse per nest, so bands are always marked
-         under one: an unmarked band could never flatten no matter what
-         the table asks, and marking alone changes nothing. *)
-      let collapse = collapse || policy <> None in
       let sc = schedule ~sink ~fuse ~trim ~collapse em in
       let opts =
-        { Exec.default_opts with pool; check; use_windows; collect_stats = stats;
-          policy;
+        { Exec.pool; check; use_windows; collect_stats = stats; policy;
           sched_flags =
             { Exec.sf_sink = sink; sf_fuse = fuse; sf_trim = trim;
               sf_collapse = collapse } }
@@ -292,14 +262,13 @@ let work_span ?name ?(sink = false) ?(fuse = false) ?(trim = false) t ~env =
 (* Per-nest scheduling policy *)
 
 (* The static cost model's table for a module under concrete scalar
-   inputs.  Bands are always collapse-marked first: the model decides
-   per nest whether flattening pays, and an unmarked band could not
-   flatten at all. *)
+   inputs: the model decides per nest whether forking and flattening
+   pay. *)
 let static_policy ?name ?(sink = false) ?(fuse = false) ?(trim = false)
     ?overhead ?cores t ~env =
   wrap (fun () ->
       let em = the_module ?name t in
-      let sc = schedule ~sink ~fuse ~trim ~collapse:true em in
+      let sc = schedule ~sink ~fuse ~trim em in
       let cores =
         match cores with Some c -> c | None -> Pool.recommended_size ()
       in
@@ -317,7 +286,7 @@ let tune ?name ?(sink = false) ?(fuse = false) ?(trim = false) ?cores
     ?(reps = 2) t ~inputs ~env =
   wrap (fun () ->
       let em = the_module ?name t in
-      let sc = schedule ~sink ~fuse ~trim ~collapse:true em in
+      let sc = schedule ~sink ~fuse ~trim em in
       let fc = sc.sc_flowchart in
       let cores =
         match cores with Some c -> c | None -> Pool.recommended_size ()
@@ -325,25 +294,23 @@ let tune ?name ?(sink = false) ?(fuse = false) ?(trim = false) ?cores
       let keyed = Policy.index fc in
       let static_table = Costmodel.static ~env ~cores fc in
       (* Uniform candidates apply one shape to every nest; collapse is
-         only requested where a band head is actually marked. *)
+         only requested where a nest heads a perfect DOALL band. *)
       let uniform cname mk =
-        ( cname,
-          { Policy.t_source = Policy.Tuned; t_host_cores = cores;
-            t_entries = List.map (fun (l, k) -> (k, mk l)) keyed } )
+        (cname, Policy.uniform ~source:Policy.Tuned ~cores fc mk)
       in
       let why = "tuned candidate" in
       let candidates =
         [ uniform "seq" (fun _ -> Policy.sequential ~why);
           uniform "fixed" (fun _ -> Policy.parallel ~steal:false ~why ());
           uniform "steal" (fun _ -> Policy.parallel ~steal:true ~why ());
-          uniform "steal+collapse" (fun (l : Flowchart.loop) ->
-              Policy.parallel ~steal:true ~collapse:l.Flowchart.lp_collapse
+          uniform "steal+collapse" (fun l ->
+              Policy.parallel ~steal:true ~collapse:(Collapse.collapsible l)
                 ~why ());
           ("static", static_table) ]
       in
       let sched_flags =
         { Exec.sf_sink = sink; sf_fuse = fuse; sf_trim = trim;
-          sf_collapse = true }
+          sf_collapse = false }
       in
       (* Inclusive ns per nest key for one candidate table, summed over
          [reps] runs (each run compiles fresh prof sites; sites named by
@@ -375,7 +342,7 @@ let tune ?name ?(sink = false) ?(fuse = false) ?(trim = false) ?cores
           keyed
       in
       let measured =
-        Pool.with_pool ~steal:true (max 1 cores) (fun pool ->
+        Pool.with_pool (max 1 cores) (fun pool ->
             List.map
               (fun (cname, table) -> (cname, table, measure pool table))
               candidates)

@@ -610,7 +610,7 @@ let judge (reference : outcome) (p : path) (o : outcome) : string option =
   | (Checksums _ | Skip _), _ -> Some (Printf.sprintf "%s: unusable reference" (path_name p))
 
 let check ?(pool_size = 4) ~(paths : path list) tp ~inputs ~scalars : case_result =
-  Psc.Pool.with_pool ~steal:true pool_size @@ fun pool ->
+  Psc.Pool.with_pool pool_size @@ fun pool ->
   let reference = run_path ~pool tp ~inputs ~scalars Seq in
   let others = List.filter (fun p -> p <> Seq) paths in
   let outcomes =

@@ -3,11 +3,11 @@
    The scheduler's flowchart is compiled into nested closures: iterative
    (DO) loops run on the calling domain in index order; parallel (DOALL)
    loops are handed to the domain pool, chunked, with a private frame per
-   chunk.  The outermost DOALL of a nest is parallelized; when the
-   [Collapse] pass has marked a perfect DOALL band the whole band is
-   flattened into one combined iteration space first (see
-   [compile_parallel_band]), otherwise inner DOALLs run sequentially
-   inside each worker.
+   chunk.  The outermost DOALL of a nest is a fork point and runs its one
+   policy decision ([Policy.resolve]); when the decision flattens, the
+   whole perfect DOALL band ([Collapse.band]) becomes one combined
+   iteration space first (see [compile_parallel_band]), otherwise inner
+   DOALLs run sequentially inside each worker.
 
    Compilation of each top-level component is deferred until the moment
    it executes, so arrays whose bounds depend on computed scalar locals
@@ -52,15 +52,18 @@ type opts = {
   pool : Ps_runtime.Pool.t option;  (* None: fully sequential *)
   check : bool;                     (* subscript bounds checking *)
   use_windows : bool;               (* honor virtual-dimension windows *)
-  min_par : int;                    (* smallest trip count worth forking *)
   collect_stats : bool;             (* count equation evaluations *)
   sched_flags : sched_flags;        (* passes applied to callee schedules *)
   policy : Ps_sched.Policy.table option;  (* per-nest schedule shapes *)
 }
 
 let default_opts =
-  { pool = None; check = true; use_windows = true; min_par = 4;
-    collect_stats = false; sched_flags = no_sched_flags; policy = None }
+  { pool = None; check = true; use_windows = true; collect_stats = false;
+    sched_flags = no_sched_flags; policy = None }
+
+(* Smallest point count worth forking: below it a forked nest runs on
+   the calling domain. *)
+let min_par = 4
 
 type run_result = {
   outputs : (string * value) list;
@@ -78,38 +81,35 @@ type state = {
   st_slabs : (string, slab) Hashtbl.t;
   st_evals : int Atomic.t;
   st_policy : (Ps_sched.Flowchart.loop * Ps_sched.Policy.decision) list;
-      (* The run's policy resolved against this flowchart's own loop
-         records: decisions are looked up by physical identity while
-         compiling, so key matching happens once per run, not per nest. *)
+      (* Every fork point's decision (none without a pool), resolved
+         against this flowchart's own loop records: decisions are looked
+         up by physical identity while compiling, so key matching happens
+         once per run, not per nest. *)
   st_keys : (Ps_sched.Flowchart.loop * string) list;
       (* Fork-candidate keys (only filled while profiling): loop prof
          sites are named by policy key so the tuner can attribute a
          measured time to the nest it is deciding. *)
 }
 
-let decision_of st (l : Ps_sched.Flowchart.loop) =
-  List.find_map
-    (fun (m, d) -> if m == l then Some d else None)
-    st.st_policy
-
-let par_allowed st l =
-  match decision_of st l with
-  | Some d -> d.Ps_sched.Policy.d_par
-  | None -> true
+(* The pool and decision of a parallel loop reached with [par] set (a
+   fork point), when its decision forks.  [None] runs the loop on the
+   calling domain and its body with [par] off: inner parallel loops
+   carry no key of their own, so a nest pinned sequential stays
+   sequential throughout. *)
+let fork st ~par (l : Ps_sched.Flowchart.loop) =
+  match st.st_opts.pool with
+  | Some pool
+    when par && l.Ps_sched.Flowchart.lp_kind <> Ps_sched.Flowchart.Iterative ->
+    let d = List.assq l st.st_policy in
+    if d.Ps_sched.Policy.d_par then Some (pool, d) else None
+  | _ -> None
 
 (* The pool deal for one nest: [parallel_for] with the decision's
-   steal/chunk/wake overrides, or the pool defaults when the nest has no
-   policy entry. *)
-let policy_for st (l : Ps_sched.Flowchart.loop) =
-  match decision_of st l with
-  | None ->
-    fun pool ~lo ~hi body -> Ps_runtime.Pool.parallel_for pool ~lo ~hi body
-  | Some d ->
-    fun pool ~lo ~hi body ->
-      Ps_runtime.Pool.parallel_for ?chunk:d.Ps_sched.Policy.d_chunk_min
-        ~steal:d.Ps_sched.Policy.d_steal
-        ?chunk_max:d.Ps_sched.Policy.d_chunk_max ?wake:d.Ps_sched.Policy.d_wake
-        pool ~lo ~hi body
+   steal/chunk/wake settings. *)
+let deal (d : Ps_sched.Policy.decision) pool ~lo ~hi body =
+  Ps_runtime.Pool.parallel_for ?chunk:d.Ps_sched.Policy.d_chunk_min
+    ~steal:d.Ps_sched.Policy.d_steal ?chunk_max:d.Ps_sched.Policy.d_chunk_max
+    ?wake:d.Ps_sched.Policy.d_wake pool ~lo ~hi body
 
 (* ------------------------------------------------------------------ *)
 (* The schedule memo.
@@ -125,12 +125,9 @@ let policy_for st (l : Ps_sched.Flowchart.loop) =
    table because module calls can occur inside DOALL bodies running on
    pool domains. *)
 
-type cached_sched = {
-  cs_flowchart : Ps_sched.Flowchart.t;
-  cs_windows : Ps_sched.Schedule.window list;
-}
-
-let sched_memo : (string, cached_sched) Hashtbl.t = Hashtbl.create 16
+let sched_memo :
+    (string, Ps_sched.Flowchart.t * Ps_sched.Schedule.window list) Hashtbl.t =
+  Hashtbl.create 16
 
 let sched_memo_mutex = Mutex.create ()
 
@@ -142,24 +139,7 @@ let sched_key (em : Elab.emodule) (f : sched_flags) =
     (Digest.to_hex (Digest.string text))
     (flags_fingerprint f)
 
-(* Mirror of [Psc.schedule]'s pass composition, for callee modules. *)
-let schedule_with_flags (em : Elab.emodule) (f : sched_flags) : cached_sched =
-  let r = Ps_sched.Schedule.schedule em in
-  let fc, windows =
-    if f.sf_sink then
-      let s = Ps_sched.Sink.apply em r in
-      (s.Ps_sched.Sink.s_flowchart, s.Ps_sched.Sink.s_windows)
-    else (r.Ps_sched.Schedule.r_flowchart, r.Ps_sched.Schedule.r_windows)
-  in
-  let fc, _ =
-    if f.sf_fuse then Ps_sched.Fuse.apply em r.Ps_sched.Schedule.r_graph fc
-    else (fc, 0)
-  in
-  let fc, _ = if f.sf_trim then Ps_sched.Trim.apply em fc else (fc, 0) in
-  let fc = if f.sf_collapse then Ps_sched.Collapse.mark fc else fc in
-  { cs_flowchart = fc; cs_windows = windows }
-
-let memo_sched (em : Elab.emodule) (f : sched_flags) : cached_sched =
+let memo_sched (em : Elab.emodule) (f : sched_flags) =
   let key = sched_key em f in
   Mutex.lock sched_memo_mutex;
   match Hashtbl.find_opt sched_memo key with
@@ -171,7 +151,11 @@ let memo_sched (em : Elab.emodule) (f : sched_flags) : cached_sched =
     Mutex.unlock sched_memo_mutex;
     (* Schedule outside the lock: scheduling may be slow, and a racing
        duplicate insert is harmless (both computed the same value). *)
-    let cs = schedule_with_flags em f in
+    let sc =
+      Ps_sched.Passes.schedule ~sink:f.sf_sink ~fuse:f.sf_fuse ~trim:f.sf_trim
+        ~collapse:f.sf_collapse em
+    in
+    let cs = Ps_sched.Passes.(sc.sc_flowchart, sc.sc_windows) in
     Mutex.lock sched_memo_mutex;
     if not (Hashtbl.mem sched_memo key) then Hashtbl.add sched_memo key cs;
     Mutex.unlock sched_memo_mutex;
@@ -242,7 +226,7 @@ and call st fname (args : value list) : value list =
   match Elab.find_module st.st_prog fname with
   | None -> fail "call to unknown module %s" fname
   | Some callee ->
-    let sched = memo_sched callee st.st_opts.sched_flags in
+    let flowchart, windows = memo_sched callee st.st_opts.sched_flags in
     let inputs =
       try
         List.map2
@@ -258,10 +242,7 @@ and call st fname (args : value list) : value list =
     (* Callees run sequentially inside the caller's iterations; a policy
        is resolved against the caller's flowchart and does not follow. *)
     let opts = { st.st_opts with pool = None; policy = None } in
-    let r =
-      run_flowchart ~opts ~prog:st.st_prog callee
-        ~flowchart:sched.cs_flowchart ~windows:sched.cs_windows ~inputs
-    in
+    let r = run_flowchart ~opts ~prog:st.st_prog callee ~flowchart ~windows ~inputs in
     List.map snd r.outputs
 
 (* ------------------------------------------------------------------ *)
@@ -380,43 +361,35 @@ and compile_desc st benv ~par ~max_slot (d : Ps_sched.Flowchart.descriptor) :
     let lo_f = Compile.compile_int cctx l.Ps_sched.Flowchart.lp_range.Stypes.sr_lo in
     let hi_f = Compile.compile_int cctx l.Ps_sched.Flowchart.lp_range.Stypes.sr_hi in
     let benv' = (l.Ps_sched.Flowchart.lp_var, slot) :: benv in
+    (* Index order on the calling domain: a DO loop passes [par] on, a
+       parallel loop that does not fork runs its whole nest here. *)
+    let in_order () =
+      let par = par && l.Ps_sched.Flowchart.lp_kind = Ps_sched.Flowchart.Iterative in
+      let body = compile_descs st benv' ~par ~max_slot l.Ps_sched.Flowchart.lp_body in
+      fun fr ->
+        let lo = lo_f fr and hi = hi_f fr in
+        for v = lo to hi do
+          fr.(slot) <- v;
+          body fr
+        done
+    in
+    let fk = fork st ~par l in
     let f =
-      match l.Ps_sched.Flowchart.lp_kind with
-      | Ps_sched.Flowchart.Iterative ->
-        let body = compile_descs st benv' ~par ~max_slot l.Ps_sched.Flowchart.lp_body in
-        fun fr ->
-          let lo = lo_f fr and hi = hi_f fr in
-          for v = lo to hi do
-            fr.(slot) <- v;
-            body fr
-          done
-      | Ps_sched.Flowchart.Parallel -> (
-        match st.st_opts.pool with
-        | Some pool when par && par_allowed st l ->
-          compile_parallel_band st benv ~max_slot pool l
-        | _ ->
-          (* A policy that pins this nest sequential pins the whole nest:
-             inner parallel loops carry no key of their own (they were
-             supposed to run inside the workers), so letting them fork
-             here would make "seq" undecidable for the table. *)
-          let par = par && par_allowed st l in
-          let body = compile_descs st benv' ~par ~max_slot l.Ps_sched.Flowchart.lp_body in
-          fun fr ->
-            let lo = lo_f fr and hi = hi_f fr in
-            for v = lo to hi do
-              fr.(slot) <- v;
-              body fr
-            done)
-      | Ps_sched.Flowchart.Grouped g ->
-        compile_grouped st benv' ~par ~max_slot ~slot ~lo_f ~hi_f l (fun _ -> g)
-      | Ps_sched.Flowchart.Inspected e ->
+      match (l.Ps_sched.Flowchart.lp_kind, fk) with
+      | Ps_sched.Flowchart.Parallel, Some (pool, d) ->
+        compile_parallel_band st benv ~max_slot pool l d
+      | (Ps_sched.Flowchart.Iterative | Ps_sched.Flowchart.Parallel), _ -> in_order ()
+      | Ps_sched.Flowchart.Grouped g, _ ->
+        compile_grouped st benv' ~max_slot ~slot ~lo_f ~hi_f l fk ~in_order (fun _ ->
+            g)
+      | Ps_sched.Flowchart.Inspected e, _ ->
         (* Inspector/executor: evaluate the dependence distance at loop
            entry (the form only mentions scalar inputs, all in scope
            here); a non-positive distance means the partition premise is
            false and the schedule cannot run this instance. *)
         let d_f = Compile.compile_int cctx e in
         let pe = Ps_lang.Pretty.expr_to_string e in
-        compile_grouped st benv' ~par ~max_slot ~slot ~lo_f ~hi_f l (fun fr ->
+        compile_grouped st benv' ~max_slot ~slot ~lo_f ~hi_f l fk ~in_order (fun fr ->
             let d = d_f fr in
             if d < 1 then
               fail "inspector for loop %s: dependence distance %s = %d is not \
@@ -432,16 +405,19 @@ and compile_desc st benv ~par ~max_slot (d : Ps_sched.Flowchart.descriptor) :
    order within each.  Sequential execution keeps plain ascending order:
    every element is written exactly once, so any dependence-respecting
    order computes identical bits, and the inspection still runs. *)
-and compile_grouped st benv' ~par ~max_slot ~slot ~lo_f ~hi_f
-    (l : Ps_sched.Flowchart.loop) (g_f : Compile.frame -> int) :
+and compile_grouped st benv' ~max_slot ~slot ~lo_f ~hi_f
+    (l : Ps_sched.Flowchart.loop) fk ~in_order (g_f : Compile.frame -> int) :
     Compile.frame -> unit =
-  match st.st_opts.pool with
-  | Some pool when par && par_allowed st l ->
+  match fk with
+  | None ->
+    let run = in_order () in
+    fun fr ->
+      ignore (g_f fr : int);
+      run fr
+  | Some (pool, d) ->
     let body =
       compile_descs st benv' ~par:false ~max_slot l.Ps_sched.Flowchart.lp_body
     in
-    let min_par = st.st_opts.min_par in
-    let pfor = policy_for st l in
     fun fr ->
       let g = g_f fr in
       let lo = lo_f fr and hi = hi_f fr in
@@ -451,7 +427,7 @@ and compile_grouped st benv' ~par ~max_slot ~slot ~lo_f ~hi_f
           body fr
         done
       else
-        pfor pool ~lo:0 ~hi:(g - 1) (fun clo chi ->
+        deal d pool ~lo:0 ~hi:(g - 1) (fun clo chi ->
             let fr' = Array.copy fr in
             for r = clo to chi do
               let v = ref (lo + r) in
@@ -461,18 +437,6 @@ and compile_grouped st benv' ~par ~max_slot ~slot ~lo_f ~hi_f
                 v := !v + g
               done
             done)
-  | _ ->
-    let par = par && par_allowed st l in
-    let body =
-      compile_descs st benv' ~par ~max_slot l.Ps_sched.Flowchart.lp_body
-    in
-    fun fr ->
-      ignore (g_f fr : int);
-      let lo = lo_f fr and hi = hi_f fr in
-      for v = lo to hi do
-        fr.(slot) <- v;
-        body fr
-      done
 
 (* Loop-level profiling: a site per compiled loop node (inclusive time,
    so a hot inner equation also surfaces through its enclosing DOALL),
@@ -520,8 +484,8 @@ and profile_loop st (l : Ps_sched.Flowchart.loop) (f : Compile.frame -> unit) :
   end
 
 (* Parallel execution of a DOALL, possibly as the head of a collapsed
-   band.  [Collapse] marks perfect DOALL pairs; this backend flattens as
-   much of the marked chain as the bound shapes allow:
+   band.  When the decision flattens, this backend flattens as much of
+   the perfect DOALL band ([Collapse.band]) as the bound shapes allow:
 
    - a *rectangular* prefix (no inner bound mentions a band variable)
      becomes one product space decoded by div/mod once per chunk and
@@ -538,31 +502,18 @@ and profile_loop st (l : Ps_sched.Flowchart.loop) (f : Compile.frame -> unit) :
 
    The fork heuristic compares [min_par] against the *total* point count
    of the band: exact for a flattened band, and estimated (inner extents
-   sampled at the first row) for an unmarked structural nest, so a
-   [DOALL I(3) (DOALL J(10^6))] still forks even when collapsing is off. *)
+   sampled at the first row) for a band run nested, so a
+   [DOALL I(3) (DOALL J(10^6))] still forks even when it is not
+   flattened.
 
-and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop) :
-    Compile.frame -> unit =
+   The decision at the head governs the whole band: whether it
+   flattens, and the shape of the deal. *)
+
+and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop)
+    (d : Ps_sched.Policy.decision) : Compile.frame -> unit =
   let open Ps_sched.Flowchart in
-  let min_par = st.st_opts.min_par in
-  let pfor = policy_for st l in
-  (* A policy decision at the head governs the whole band: whether the
-     marked chain may flatten at all, and the shape of the deal. *)
-  let allow_collapse =
-    match decision_of st l with
-    | Some d -> d.Ps_sched.Policy.d_collapse
-    | None -> true
-  in
-  (* The chain of perfectly nested DOALLs headed at [l]: loops marked by
-     [Collapse] when [marked], any perfect DOALL nesting otherwise (used
-     only to estimate the band's point count). *)
-  let rec chain ~marked (l : loop) =
-    match l.lp_body with
-    | [ D_loop inner ]
-      when inner.lp_kind = Parallel && ((not marked) || l.lp_collapse) ->
-      l :: chain ~marked inner
-    | _ -> [ l ]
-  in
+  let pfor = deal d in
+  let band = Ps_sched.Collapse.band l in
   (* Compile each band loop's bounds with the previous band variables in
      scope; returns (slot, lo_f, hi_f) outermost first plus the extended
      environment for the innermost body. *)
@@ -591,16 +542,15 @@ and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop) :
       bl :: rect_prefix (bl.lp_var :: vars) rest
     | _ -> []
   in
-  let marked = if allow_collapse then chain ~marked:true l else [ l ] in
-  let band =
-    match marked with
+  let shape =
+    match if d.Ps_sched.Policy.d_collapse then band else [ l ] with
     | [] | [ _ ] -> `Single
     | l0 :: rest -> (
       match rect_prefix [ l0.lp_var ] rest with
       | _ :: _ as tail -> `Rect (l0 :: tail)
       | [] -> `Tri (l0, List.hd rest))
   in
-  match band with
+  match shape with
   | `Single ->
     let slot = List.length benv in
     if slot + 1 > !max_slot then max_slot := slot + 1;
@@ -613,7 +563,7 @@ and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop) :
        structural nest's extents, inner bounds sampled at the first row
        (the band slots are scratch until the loop runs, so writing the
        sample values into the frame is harmless). *)
-    let est_bounds, _ = compile_bounds benv (chain ~marked:false l) in
+    let est_bounds, _ = compile_bounds benv band in
     let est_total fr =
       List.fold_left
         (fun total (s, lo_f, hi_f) ->
@@ -640,9 +590,9 @@ and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop) :
               fr'.(slot) <- v;
               body fr'
             done)
-  | `Rect band ->
-    let bounds, benv_band = compile_bounds benv band in
-    let last = List.nth band (List.length band - 1) in
+  | `Rect flat ->
+    let bounds, benv_band = compile_bounds benv flat in
+    let last = List.nth flat (List.length flat - 1) in
     let body = compile_descs st benv_band ~par:false ~max_slot last.lp_body in
     let bounds = Array.of_list bounds in
     let k = Array.length bounds in
@@ -923,9 +873,9 @@ and run_flowchart ~opts ~prog (em : Elab.emodule)
       st_slabs = Hashtbl.create 16;
       st_evals = Atomic.make 0;
       st_policy =
-        (match opts.policy with
-        | Some t -> Ps_sched.Policy.resolve t flowchart
-        | None -> []);
+        (if Option.is_some opts.pool then
+           Ps_sched.Policy.resolve opts.policy flowchart
+         else []);
       st_keys =
         (if Prof.enabled () then Ps_sched.Policy.index flowchart else []) }
   in
@@ -935,7 +885,7 @@ and run_flowchart ~opts ~prog (em : Elab.emodule)
   List.iter
     (fun d ->
       let max_slot = ref 0 in
-      let f = compile_desc st [] ~par:true ~max_slot d in
+      let f = compile_desc st [] ~par:(Option.is_some opts.pool) ~max_slot d in
       let frame = Array.make (max 1 !max_slot) 0 in
       f frame)
     flowchart;

@@ -3,7 +3,8 @@
     The schedule is compiled into nested closures: DO loops run on the
     calling domain in index order; DOALL loops go to the domain pool,
     chunked, with a private frame per chunk (only the outermost DOALL of
-    a nest is parallelized).  Compilation of each top-level component is
+    a nest is a fork point; its policy decision may flatten the whole
+    band under it).  Compilation of each top-level component is
     deferred to just before it executes, so arrays whose bounds depend on
     computed scalar locals allocate after those scalars exist — sound by
     the scheduler's topological component order. *)
@@ -31,15 +32,17 @@ type opts = {
   pool : Ps_runtime.Pool.t option;  (** [None]: fully sequential *)
   check : bool;                     (** subscript bounds checking *)
   use_windows : bool;               (** honor virtual-dimension windows *)
-  min_par : int;                    (** smallest trip count worth forking *)
   collect_stats : bool;             (** count equation evaluations *)
   sched_flags : sched_flags;        (** passes applied to callee schedules *)
   policy : Ps_sched.Policy.table option;
-      (** Per-nest schedule shapes; [None] keeps the pool-global
-          behavior.  A nest whose decision is [d_par = false] compiles
-          sequentially, collapse marks are flattened only where the
-          decision allows, and chunk/steal/wake overrides go to the pool
-          per job.  Policies never change results. *)
+      (** Per-nest schedule shapes.  With a pool, every fork point runs
+          one {!Ps_sched.Policy.decision}: its entry in this table, else
+          {!Ps_sched.Policy.default} (fork, steal, flatten only a band
+          marked by [--collapse]).  A decision with [d_par = false]
+          compiles the nest sequentially, [d_collapse] flattens the
+          {!Ps_sched.Collapse.band} under the fork, and the
+          chunk/steal/wake settings go to the pool per job.  Policies
+          never change results. *)
 }
 
 val default_opts : opts

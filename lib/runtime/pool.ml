@@ -30,10 +30,11 @@
    and counted, their bodies skipped), so a failing body raises once at
    the caller instead of thousands of times in the workers.
 
-   For A/B measurement the stealing scheduler can be disabled per pool
-   ([create ~steal:false]): the range then becomes a single shared slice
-   handed out in fixed chunks of span / (4 * size) — the classic static
-   self-scheduling loop, kept as the measurable baseline. *)
+   For A/B measurement stealing can be turned off per job
+   ([parallel_for ~steal:false], a policy decision's [d_steal]): the
+   range then becomes a single shared slice handed out in fixed chunks
+   of span / (4 * size) — the classic static self-scheduling loop, kept
+   as the measurable baseline. *)
 
 module Metrics = Ps_obs.Metrics
 
@@ -84,7 +85,6 @@ type job = {
 
 type t = {
   p_size : int;                 (* total workers including the caller *)
-  p_steal : bool;
   p_mutex : Mutex.t;
   p_wake : Condition.t;
   p_busy : bool Atomic.t;       (* a job is in flight: re-entrant calls run inline *)
@@ -277,11 +277,10 @@ let worker pool index =
   in
   wait 0
 
-let create ?(steal = true) size =
+let create size =
   let size = max 1 size in
   let pool =
     { p_size = size;
-      p_steal = steal;
       p_mutex = Mutex.create ();
       p_wake = Condition.create ();
       p_busy = Atomic.make false;
@@ -301,8 +300,6 @@ let create ?(steal = true) size =
 
 let size pool = pool.p_size
 
-let stealing pool = pool.p_steal
-
 let shutdown pool =
   Atomic.set pool.p_shutdown true;
   Mutex.lock pool.p_mutex;
@@ -313,7 +310,7 @@ let shutdown pool =
 
 let sequential_for lo hi body = if lo <= hi then body lo hi
 
-let parallel_for ?chunk ?steal ?chunk_max ?wake pool ~lo ~hi
+let parallel_for ?chunk ?(steal = true) ?chunk_max ?wake pool ~lo ~hi
     (body : int -> int -> unit) =
   if lo > hi then ()
   else if hi = lo then body lo hi
@@ -324,9 +321,7 @@ let parallel_for ?chunk ?steal ?chunk_max ?wake pool ~lo ~hi
     body lo hi
   else begin
     let span = hi - lo + 1 in
-    (* Per-job overrides (a scheduling policy's choices for one nest);
-       the pool-wide configuration is only the default. *)
-    let stealing = match steal with Some s -> s | None -> pool.p_steal in
+    (* Per-job settings: a scheduling policy's choices for one nest. *)
     let wake_at = match wake with Some w -> w | None -> wake_threshold in
     (* Captured once per job: flipping the metrics flag mid-flight must
        not leave a half-counted job. *)
@@ -337,7 +332,7 @@ let parallel_for ?chunk ?steal ?chunk_max ?wake pool ~lo ~hi
     in
     let active = Atomic.make 0 in
     let job =
-      if stealing then begin
+      if steal then begin
         (* One contiguous slice per worker — but never slices smaller
            than the grain; slice [i] owns [lo + i*len .. ...], the last
            slice takes the remainder. *)
@@ -541,10 +536,8 @@ let render_stats pool =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf
-       "pool: %d workers, %s scheduler, %d jobs, utilization %.1f%%, imbalance %.2fx\n"
-       pool.p_size
-       (if pool.p_steal then "steal" else "fixed")
-       sm.sm_jobs
+       "pool: %d workers, %d jobs, utilization %.1f%%, imbalance %.2fx\n"
+       pool.p_size sm.sm_jobs
        (sm.sm_utilization *. 100.0)
        sm.sm_imbalance);
   Buffer.add_string b
@@ -565,8 +558,8 @@ let render_stats pool =
    registry is live the pool's counters are drained into it on the way
    out (also on exceptions), so back-to-back pools aggregate instead of
    vanishing with the pool — and each pool starts from zero. *)
-let with_pool ?steal size f =
-  let pool = create ?steal size in
+let with_pool size f =
+  let pool = create size in
   Fun.protect
     ~finally:(fun () ->
       if Metrics.enabled () then drain_stats pool;

@@ -11,22 +11,16 @@
 
 type t
 
-val create : ?steal:bool -> int -> t
+val create : int -> t
 (** [create n] spawns a pool of [n] workers total (including the calling
-    domain); clamped to at least 1.  [steal] (default [true]) selects
-    the work-stealing scheduler with guided chunks; [~steal:false] keeps
-    a single shared queue with fixed [span / (4 * size)] chunks — the
-    measurable baseline for A/B runs. *)
+    domain); clamped to at least 1. *)
 
 val size : t -> int
-
-val stealing : t -> bool
-(** Whether this pool uses the work-stealing scheduler. *)
 
 val shutdown : t -> unit
 (** Terminate and join the workers.  The pool must not be used after. *)
 
-val with_pool : ?steal:bool -> int -> (t -> 'a) -> 'a
+val with_pool : int -> (t -> 'a) -> 'a
 (** Run with a temporary pool, shutting it down on exit (also on
     exceptions). *)
 
@@ -45,12 +39,14 @@ val parallel_for :
     nothing.  A re-entrant call from inside a running job executes
     inline.  If bodies raise, the remaining iterations are drained
     without executing and the first exception is re-raised at the
-    caller.  [chunk] sets the minimum claim size (stealing mode) or the
-    fixed chunk size (baseline mode); at least 1.
+    caller.
 
-    The remaining optionals are per-job overrides for a scheduling
-    policy's choices on one nest, defaulting to the pool-wide
-    configuration: [steal] picks the scheduler for this job only,
+    The optionals are one job's settings, a scheduling policy's choices
+    for one nest.  [steal] (default [true]) deals per-worker slices with
+    guided chunks and work stealing; [~steal:false] keeps a single
+    shared queue with fixed [span / (4 * size)] chunks — the measurable
+    baseline for A/B runs.  [chunk] sets the minimum claim size
+    (stealing) or the fixed chunk size (baseline); at least 1.
     [chunk_max] caps a guided claim, and [wake] replaces
     {!wake_threshold} for this job's parked-worker broadcast. *)
 

@@ -11,11 +11,7 @@
    counts, the standard loop-collapsing transformation (cf. OpenMP's
    [collapse] clause).
 
-   This pass only *marks* the heads of collapsible bands
-   ([lp_collapse]); the interpreter ([Ps_interp.Exec]) and the code
-   generator decide how much of a marked band they can actually flatten
-   (e.g. the interpreter needs the inner bounds to be affine in at most
-   the head variable).  The mark is purely structural:
+   The band is purely structural ([band]):
 
    - the loop is DOALL, and
    - its body is exactly one descriptor, itself a DOALL loop
@@ -26,18 +22,26 @@
    executing the flattened space in any order is exactly the DOALL
    guarantee the scheduler (and the [Verify] translation validator)
    already established per axis: every dependence distance across each
-   axis of the band is zero.  [Verify.flowchart] additionally rejects
-   marks placed on anything but such a perfect DOALL pair (E021), so a
+   axis of the band is zero.
+
+   Whether a band is flattened is a per-nest policy decision; this pass
+   only *marks* the heads of collapsible bands ([lp_collapse]) under
+   [--collapse].  The marks are the no-table default (flatten where
+   marked), the C back end's licence for an OpenMP collapse clause, and
+   the [DOALL*] of the printed flowchart.  [Verify.flowchart] rejects
+   marks placed on anything but a perfect DOALL pair (E021), so a
    corrupted flowchart cannot smuggle an iterative loop into a band. *)
 
 let is_parallel (l : Flowchart.loop) = l.Flowchart.lp_kind = Flowchart.Parallel
 
-(* Is [l] (already marked below it) the head of a perfect DOALL pair? *)
+let rec band (l : Flowchart.loop) : Flowchart.loop list =
+  match l.Flowchart.lp_body with
+  | [ Flowchart.D_loop inner ] when is_parallel l && is_parallel inner ->
+    l :: band inner
+  | _ -> [ l ]
+
 let collapsible (l : Flowchart.loop) =
-  is_parallel l
-  && (match l.Flowchart.lp_body with
-     | [ Flowchart.D_loop inner ] -> is_parallel inner
-     | _ -> false)
+  match band l with _ :: _ :: _ -> true | _ -> false
 
 let rec mark_descs (descs : Flowchart.t) : Flowchart.t =
   List.map mark_desc descs

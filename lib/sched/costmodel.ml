@@ -10,8 +10,8 @@
        run sequentially (this subsumes the W120 tiny-loop warning by
        construction: the nest the lint flags is the nest the model
        refuses to fork);
-     - a marked DOALL band with rectangular inner bounds flattens
-       (collapse) for one big well-balanced deal;
+     - a perfect DOALL band ([Collapse.band]) with rectangular inner
+       bounds flattens (collapse) for one big well-balanced deal;
      - a band whose inner bounds mention outer band variables is a
        trimmed wavefront: its extents are skewed and vanish at the
        sweep's corners, so flattening trades a balanced outer deal for
@@ -34,18 +34,6 @@ let default_overhead = 256
    recorded trajectory: the h3 m=16 wavefront (~128 evals/epoch) must
    stay sequential, the m=32 one (~512) must fork. *)
 
-(* The marked DOALL band rooted at [l]: the head plus every directly
-   nested DOALL reachable through collapse marks.  [l] itself counts
-   even when unmarked (a band of one). *)
-let rec band (l : Flowchart.loop) : Flowchart.loop list =
-  if not l.Flowchart.lp_collapse then [ l ]
-  else
-    match l.Flowchart.lp_body with
-    | [ Flowchart.D_loop inner ]
-      when inner.Flowchart.lp_kind = Flowchart.Parallel ->
-      l :: band inner
-    | _ -> [ l ]
-
 (* A band is rectangular when no member's bounds mention an outer band
    variable: every slice of the flattened space has the same extent, so
    a flat deal is perfectly balanced. *)
@@ -65,7 +53,7 @@ let rectangular (chain : Flowchart.loop list) =
 type estimate = {
   e_work : float;   (* equation evals per invocation of the nest *)
   e_iters : int;    (* parallel indices dealt to the pool per fork *)
-  e_depth : int;    (* marked band depth (1 = nothing to collapse) *)
+  e_depth : int;    (* band depth (1 = nothing to collapse) *)
   e_rect : bool;
 }
 
@@ -88,7 +76,7 @@ let midpoint env (l : Flowchart.loop) =
    @raise Analysis.Unsupported when a bound cannot be evaluated. *)
 let estimate env (l : Flowchart.loop) collapse : estimate =
   let cost = Analysis.of_flowchart ~env [ Flowchart.D_loop l ] in
-  let chain = band l in
+  let chain = Collapse.band l in
   let rect = rectangular chain in
   let iters =
     if collapse && List.length chain >= 2 then
@@ -112,7 +100,7 @@ let decide ~overhead ~cores (l : Flowchart.loop) (est : estimate option) :
     | None -> (
       (* Unanalyzable bounds: assume the space is big enough to fork,
          but only flatten bands we can prove rectangular. *)
-      let chain = band l in
+      let chain = Collapse.band l in
       let rect = List.length chain >= 2 && rectangular chain in
       Policy.parallel ~steal:true ~collapse:rect
         ~why:"unanalyzable bounds; assumed wide" ())

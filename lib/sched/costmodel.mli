@@ -5,7 +5,7 @@
     (equation evaluations per fork, with enclosing DO variables taken at
     the midpoints of their ranges) and decides: sequential when the work
     is below the parallel overhead or the host has one core; collapse
-    only for marked bands with rectangular inner bounds (a skewed
+    only for perfect DOALL bands with rectangular inner bounds (a skewed
     trimmed wavefront stays nested — the recorded h3 regression, fixed
     by construction); stealing with a chunk floor on big uniform spaces
     and a raised wake threshold on modest ones. *)
@@ -13,10 +13,6 @@
 val default_overhead : int
 (** Equation evaluations per invocation below which forking is a loss
     (approximately one pool wake + deal round trip). *)
-
-val band : Flowchart.loop -> Flowchart.loop list
-(** The marked DOALL band rooted at a head: the head plus every directly
-    nested DOALL reachable through collapse marks. *)
 
 val rectangular : Flowchart.loop list -> bool
 (** No member's bounds mention an outer band variable. *)

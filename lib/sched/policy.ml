@@ -3,12 +3,15 @@
    The scheduler proves legality — DO vs DOALL vs DOGROUP/DOINSPECT —
    and the verifier (E02x) checks it.  This module holds the orthogonal
    *shape* decision: for each parallelization point of a flowchart,
-   whether the interpreter should fork at all, whether a marked DOALL
-   band may be flattened, whether the forked job work-steals or deals
-   fixed chunks, and optional per-job chunk / wake-threshold overrides.
-   A policy can never change results, only how the iteration space is
-   walked; that invariant is what lets a tuned table be cached and
-   replayed as just another compile artifact. *)
+   whether the interpreter should fork at all, whether the perfect DOALL
+   band under it ([Collapse.band]) is flattened, whether the forked job
+   work-steals or deals fixed chunks, and optional per-job chunk /
+   wake-threshold overrides.  Every fork point of a run executes exactly
+   one decision ([resolve]): its table entry, or [default] when the run
+   has no table or the table no entry for it.  A policy can never change
+   results, only how the iteration space is walked; that invariant is
+   what lets a tuned table be cached and replayed as just another
+   compile artifact. *)
 
 type source = Static | Tuned
 
@@ -21,7 +24,7 @@ let source_of_name = function
 
 type decision = {
   d_par : bool;       (* false: run the whole nest sequentially *)
-  d_collapse : bool;  (* flatten the marked DOALL band under this head *)
+  d_collapse : bool;  (* flatten the DOALL band under this head *)
   d_steal : bool;     (* work-stealing deal vs fixed contiguous chunks *)
   d_chunk_min : int option;  (* per-job floor on a claimed chunk *)
   d_chunk_max : int option;  (* per-job ceiling on a claimed chunk *)
@@ -87,15 +90,30 @@ let index (fc : Flowchart.t) : (Flowchart.loop * string) list =
 
 let find (t : table) key = List.assoc_opt key t.t_entries
 
-(* Pair each fork candidate of [fc] with its table entry; the loop
-   records are physically those of [fc], so the interpreter can look
-   decisions up by identity while compiling. *)
-let resolve (t : table) (fc : Flowchart.t) :
+(* What a run with no table does at a fork point: fork with work
+   stealing and the pool's default chunks and wake threshold, and
+   flatten the band only where [--collapse] marked its head. *)
+let default (l : Flowchart.loop) =
+  parallel ~steal:true ~collapse:l.Flowchart.lp_collapse ~why:"default" ()
+
+(* Pair each fork candidate of [fc] with the decision it runs: its table
+   entry, else [default].  The loop records are physically those of
+   [fc], so the interpreter can look decisions up by identity while
+   compiling. *)
+let resolve (t : table option) (fc : Flowchart.t) :
     (Flowchart.loop * decision) list =
-  List.filter_map
+  List.map
     (fun (l, key) ->
-      match find t key with Some d -> Some (l, d) | None -> None)
+      match Option.bind t (fun t -> find t key) with
+      | Some d -> (l, d)
+      | None -> (l, default l))
     (index fc)
+
+(* One decision shape applied to every fork candidate of [fc]. *)
+let uniform ~source ~cores (fc : Flowchart.t) (mk : Flowchart.loop -> decision)
+    =
+  { t_source = source; t_host_cores = cores;
+    t_entries = List.map (fun (l, key) -> (key, mk l)) (index fc) }
 
 let stale (t : table) ~host_cores = t.t_host_cores <> host_cores
 
@@ -190,26 +208,22 @@ let of_json (s : string) : (table, string) result =
 (* --- structural validation ------------------------------------------ *)
 
 (* A table is well-formed for a flowchart when every entry names an
-   existing fork candidate and collapse is only requested on a marked
-   band head.  Policies are advisory, so an ill-formed table is a
-   caller error, not a legality problem — legality stays with the
-   verifier regardless of what the policy asks for. *)
+   existing fork candidate and collapse is only requested on the head
+   of a perfect DOALL band.  Policies are advisory, so an ill-formed
+   table is a caller error, not a legality problem — legality stays
+   with the verifier regardless of what the policy asks for. *)
 let validate (t : table) (fc : Flowchart.t) : string list =
-  let keys = List.map snd (index fc) in
-  let marked =
-    List.filter_map
-      (fun (l, key) ->
-        if l.Flowchart.lp_collapse then Some key else None)
-      (index fc)
-  in
+  let keyed = index fc in
   List.concat_map
     (fun (key, d) ->
-      if not (List.mem key keys) then
-        [ Printf.sprintf "policy entry %S matches no loop nest" key ]
-      else if d.d_collapse && not (List.mem key marked) then
+      match List.find_opt (fun (_, k) -> String.equal k key) keyed with
+      | None -> [ Printf.sprintf "policy entry %S matches no loop nest" key ]
+      | Some (l, _) when d.d_collapse && not (Collapse.collapsible l) ->
         [ Printf.sprintf
-            "policy entry %S requests collapse on an unmarked nest" key ]
-      else
+            "policy entry %S requests collapse on a nest that heads no \
+             perfect DOALL band"
+            key ]
+      | Some _ -> (
         let low =
           List.filter_map
             (fun c ->
@@ -226,5 +240,5 @@ let validate (t : table) (fc : Flowchart.t) : string list =
           | Some lo, Some hi when lo > hi ->
             [ Printf.sprintf "policy entry %S: chunk_min %d > chunk_max %d" key
                 lo hi ]
-          | _ -> [])
+          | _ -> []))
     t.t_entries

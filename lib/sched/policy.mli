@@ -4,8 +4,10 @@
     the verifier's business; a policy only picks the *shape* of the
     schedule at each fork candidate: sequential vs forked, flattened
     band vs nested, stealing vs fixed chunks, and per-job chunk / wake
-    overrides.  A policy never changes results, which is what makes a
-    tuned table safe to cache and replay as a compile artifact. *)
+    overrides.  Every fork point of a run executes exactly one decision
+    ({!resolve}): its table entry, or {!default}.  A policy never
+    changes results, which is what makes a tuned table safe to cache
+    and replay as a compile artifact. *)
 
 type source = Static | Tuned
 
@@ -15,7 +17,7 @@ val source_of_name : string -> source option
 
 type decision = {
   d_par : bool;       (** false: run the whole nest sequentially *)
-  d_collapse : bool;  (** flatten the marked DOALL band under this head *)
+  d_collapse : bool;  (** flatten the {!Collapse.band} under this head *)
   d_steal : bool;     (** work-stealing deal vs fixed contiguous chunks *)
   d_chunk_min : int option;  (** per-job floor on a claimed chunk *)
   d_chunk_max : int option;  (** per-job ceiling on a claimed chunk *)
@@ -49,10 +51,20 @@ val index : Flowchart.t -> (Flowchart.loop * string) list
 
 val find : table -> string -> decision option
 
-val resolve : table -> Flowchart.t -> (Flowchart.loop * decision) list
-(** Pair each fork candidate with its decision, dropping keyless nests.
-    The loop values are physically those of the argument flowchart, so
-    callers may look up decisions by identity ([==]). *)
+val default : Flowchart.loop -> decision
+(** A fork point's decision without a table entry, as without a table:
+    fork, work-stealing, the pool's default chunks and wake threshold,
+    flatten only where [--collapse] marked the band. *)
+
+val resolve : table option -> Flowchart.t -> (Flowchart.loop * decision) list
+(** Every fork candidate with the decision it runs: its table entry,
+    else {!default}.  The loops are physically those of the flowchart,
+    so callers may look decisions up by identity ([==]). *)
+
+val uniform :
+  source:source -> cores:int -> Flowchart.t -> (Flowchart.loop -> decision) ->
+  table
+(** One decision rule applied to every fork candidate of a flowchart. *)
 
 val stale : table -> host_cores:int -> bool
 (** Chunk and wake choices do not transfer across hosts: a table tuned
@@ -74,5 +86,5 @@ val of_json : string -> (table, string) result
 
 val validate : table -> Flowchart.t -> string list
 (** Structural problems: entries naming no nest, collapse requested on
-    an unmarked head, inverted or non-positive chunk bounds.  Empty
-    means well-formed. *)
+    a nest that heads no perfect DOALL band ({!Collapse.collapsible}),
+    inverted or non-positive chunk bounds.  Empty means well-formed. *)

@@ -117,25 +117,33 @@ let parse_request (line : string) : (request, string * string) result =
             sf_trim = flag "trim";
             sf_collapse = flag "collapse" }
         in
+        (* A scalar is an integer in [int] range: anything else is
+           refused by name, never truncated, dropped or wrapped. *)
+        let int_of = function
+          | Json.Num f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+            Some (int_of_float f)
+          | _ -> None
+        in
         let scalars =
           match Json.member "scalars" j with
-          | Some (Json.Obj kvs) ->
-            List.filter_map
-              (function k, Json.Num f -> Some (k, int_of_float f) | _ -> None)
-              kvs
+          | Some (Json.Obj kvs) -> List.map (fun (k, v) -> (k, int_of v)) kvs
           | _ -> []
         in
-        Ok
-          { rq_id = id;
-            rq_op = op;
-            rq_source = source;
-            rq_module = str "module";
-            rq_flags = flags;
-            rq_scalars = scalars;
-            rq_deadline_ms = Option.map int_of_float (Json.member_num "deadline_ms" j);
-            rq_main = Json.member_bool "main" j = Some true;
-            rq_trace_id = str "trace_id";
-            rq_parent_span = str "parent_span" })
+        match List.find_opt (fun (_, n) -> n = None) scalars with
+        | Some (k, _) ->
+          Error (id, Printf.sprintf "scalar %s must be an integer in int range" k)
+        | None ->
+          Ok
+            { rq_id = id;
+              rq_op = op;
+              rq_source = source;
+              rq_module = str "module";
+              rq_flags = flags;
+              rq_scalars = List.map (fun (k, n) -> (k, Option.get n)) scalars;
+              rq_deadline_ms = Option.map int_of_float (Json.member_num "deadline_ms" j);
+              rq_main = Json.member_bool "main" j = Some true;
+              rq_trace_id = str "trace_id";
+              rq_parent_span = str "parent_span" })
     | Some _ -> Error (id, "field op must be a string"))
   | _ -> Error ("null", "request must be a JSON object")
 

@@ -166,14 +166,16 @@ and work = {
 
 (* One client socket, owned by exactly one event thread.  All fd I/O
    happens on that thread; workers only append to [cn_out] (under
-   [cn_mu]) and wake the owner.  [cn_rbuf]/[cn_wpend]/[cn_woff] are
-   event-thread-private. *)
+   [cn_mu]) and wake the owner.  [cn_rbuf]/[cn_eof]/[cn_wpend]/[cn_woff]
+   are event-thread-private. *)
 and conn = {
   cn_fd : Unix.file_descr;
   cn_mu : Mutex.t;
   cn_out : Buffer.t;         (* responses staged by workers *)
   mutable cn_closed : bool;  (* set under cn_mu; fd closed by the owner *)
+  cn_inflight : int Atomic.t;  (* admitted requests not yet answered *)
   cn_rbuf : Buffer.t;        (* partial input line accumulator *)
+  mutable cn_eof : bool;     (* the client half-closed: read no more *)
   mutable cn_wpend : string; (* in-progress write chunk *)
   mutable cn_woff : int;
   cn_wake : unit -> unit;    (* wake the owning event thread *)
@@ -806,23 +808,34 @@ let shed sv c line =
 let admit sv c line =
   if String.trim line <> "" then begin
     let wk = { wk_conn = c; wk_line = line; wk_arrival = Psc.Metrics.now_ns () } in
+    Atomic.incr c.cn_inflight;
     if not (Bq.try_push sv.sv_queue wk) then begin
       let _, op, _ = Proto.reject_fields line in
       if
         (op = "stats" || op = "shutdown")
         && Bq.push_force sv.sv_queue wk
       then ()
-      else shed sv c line
+      else begin
+        Atomic.decr c.cn_inflight;
+        shed sv c line
+      end
     end
   end
 
 (* Read whatever the socket has, frame complete lines off the front of
    the accumulator and admit each.  One read per readiness report keeps
    a flooding client from starving its neighbours; poll is level
-   triggered, so leftover bytes re-report immediately. *)
+   triggered, so leftover bytes re-report immediately.  End of input is
+   the client half-closing: a final unterminated line is admitted, and
+   the connection stays open until its admitted requests are answered
+   and flushed. *)
 let conn_read sv ev c =
   match Unix.read c.cn_fd ev.ev_scratch 0 (Bytes.length ev.ev_scratch) with
-  | 0 -> close_conn sv c
+  | 0 ->
+    c.cn_eof <- true;
+    let last = Buffer.contents c.cn_rbuf in
+    Buffer.clear c.cn_rbuf;
+    admit sv c last
   | n ->
     Buffer.add_subbytes c.cn_rbuf ev.ev_scratch 0 n;
     let s = Buffer.contents c.cn_rbuf in
@@ -873,7 +886,9 @@ let ev_loop sv cf ev () =
             cn_mu = Mutex.create ();
             cn_out = Buffer.create 256;
             cn_closed = false;
+            cn_inflight = Atomic.make 0;
             cn_rbuf = Buffer.create 256;
+            cn_eof = false;
             cn_wpend = "";
             cn_woff = 0;
             cn_wake = (fun () -> ev_wake ev) }
@@ -906,24 +921,34 @@ let ev_loop sv cf ev () =
     end
     else begin
       let conns = Array.of_list ev.ev_conns in
+      (* A half-closed connection is watched only while it has output
+         to write; a hangup it keeps reporting would spin the loop, and
+         the worker answering it rings the doorbell anyway. *)
+      let watched =
+        Array.of_list
+          (List.filter (fun c -> (not c.cn_eof) || conn_pending c) ev.ev_conns)
+      in
       let spec =
         Array.init
-          (Array.length conns + 1)
+          (Array.length watched + 1)
           (fun i ->
             if i = 0 then
               (ev.ev_wake_r, Evpoll.{ want_read = true; want_write = false })
             else
-              let c = conns.(i - 1) in
+              let c = watched.(i - 1) in
               ( c.cn_fd,
-                Evpoll.{ want_read = true; want_write = conn_pending c } ))
+                Evpoll.{ want_read = not c.cn_eof; want_write = conn_pending c }
+              ))
       in
       let ready = Evpoll.poll spec ~timeout_ms:100 in
       drain_wake_pipe ev;
       List.iter
         (fun (i, (r : Evpoll.ready)) ->
           if i > 0 then begin
-            let c = conns.(i - 1) in
-            if (r.Evpoll.readable || r.Evpoll.errored) && not (conn_closed c)
+            let c = watched.(i - 1) in
+            if
+              (r.Evpoll.readable || r.Evpoll.errored)
+              && (not c.cn_eof) && not (conn_closed c)
             then conn_read sv ev c
           end)
         ready;
@@ -931,7 +956,10 @@ let ev_loop sv cf ev () =
          polled writable: a response staged during the poll is usually
          writable immediately, and a failed attempt just EAGAINs. *)
       Array.iter
-        (fun c -> if not (conn_closed c) && conn_pending c then conn_flush sv c)
+        (fun c ->
+          if not (conn_closed c) && conn_pending c then conn_flush sv c;
+          if c.cn_eof && Atomic.get c.cn_inflight = 0 && not (conn_pending c)
+          then close_conn sv c)
         conns
     end
   done
@@ -952,6 +980,10 @@ let worker_loop sv () =
         conn_send wk.wk_conn
           (Proto.error_message ~id:"null"
              ("internal error: " ^ Printexc.to_string e)));
+      (* Answered (staged) before it leaves the in-flight count that a
+         half-closed connection waits on; the owner re-checks after. *)
+      Atomic.decr wk.wk_conn.cn_inflight;
+      wk.wk_conn.cn_wake ();
       Bq.finished sv.sv_queue
   done
 

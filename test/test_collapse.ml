@@ -88,6 +88,14 @@ let verify_tests =
 
 let rel_box m = [ (0, m + 1); (0, m + 1) ]
 
+(* The fixed-chunk deal with every band flattened, selected per nest by
+   a table over [tp]'s (unmarked) schedule. *)
+let fixed_collapsed tp =
+  let fc = (Psc.schedule (Psc.default_module tp)).Psc.sc_flowchart in
+  Psc.Policy.uniform ~source:Psc.Policy.Tuned ~cores:4 fc (fun l ->
+      Psc.Policy.parallel ~steal:false
+        ~collapse:(Psc.Collapse.collapsible l) ~why:"fixed-chunk test" ())
+
 let bit_equal name box r1 r2 =
   Util.max_diff
     (List.assoc name r1.Psc.Exec.outputs)
@@ -107,8 +115,9 @@ let exec_tests =
               (bit_equal "newA" (rel_box m) r_seq r_par);
             Util.check_bool "collapsed = seq" true
               (bit_equal "newA" (rel_box m) r_seq r_col));
-        Psc.Pool.with_pool ~steal:false 4 (fun pool ->
-            let r = Util.run ~pool ~collapse:true Models.jacobi inputs in
+        Psc.Pool.with_pool 4 (fun pool ->
+            let tp = Util.load Models.jacobi in
+            let r = Psc.run ~pool ~policy:(fixed_collapsed tp) tp ~inputs in
             Util.check_bool "collapsed fixed-chunk = seq" true
               (bit_equal "newA" (rel_box m) r_seq r)));
     t "h3: collapsed triangular band is bit-identical" (fun () ->
@@ -257,13 +266,12 @@ let collapse_prop =
       let box = rel_box s.m in
       let r_seq = Psc.run tp ~inputs in
       Psc.Pool.with_pool 3 (fun pool ->
-          Psc.Pool.with_pool ~steal:false 3 (fun fixed ->
-              let r_par = Psc.run ~pool tp ~inputs in
-              let r_col = Psc.run ~pool ~collapse:true tp ~inputs in
-              let r_fix = Psc.run ~pool:fixed ~collapse:true tp ~inputs in
-              bit_equal "Out" box r_seq r_par
-              && bit_equal "Out" box r_seq r_col
-              && bit_equal "Out" box r_seq r_fix)))
+          let r_par = Psc.run ~pool tp ~inputs in
+          let r_col = Psc.run ~pool ~collapse:true tp ~inputs in
+          let r_fix = Psc.run ~pool ~policy:(fixed_collapsed tp) tp ~inputs in
+          bit_equal "Out" box r_seq r_par
+          && bit_equal "Out" box r_seq r_col
+          && bit_equal "Out" box r_seq r_fix))
 
 let () =
   Alcotest.run "collapse"

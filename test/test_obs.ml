@@ -425,9 +425,9 @@ let prof_tests =
 (* ------------------------------------------------------------------ *)
 (* Pool counters. *)
 
-let pool_job pool n =
+let pool_job ?steal pool n =
   let acc = Atomic.make 0 in
-  Pool.parallel_for pool ~lo:1 ~hi:n (fun a b ->
+  Pool.parallel_for ?steal pool ~lo:1 ~hi:n (fun a b ->
       let s = ref 0 in
       for i = a to b do
         s := !s + i
@@ -465,9 +465,9 @@ let pool_tests =
     t "the fixed-chunk scheduler reports no steals" (fun () ->
         with_flags @@ fun () ->
         Metrics.set_enabled true;
-        Pool.with_pool ~steal:false 4 (fun pool ->
+        Pool.with_pool 4 (fun pool ->
             Pool.reset_stats pool;
-            pool_job pool 10_000;
+            pool_job ~steal:false pool 10_000;
             let sm = Pool.summary pool in
             Alcotest.(check int) "steals" 0 sm.Pool.sm_steals));
     t "with_pool drains the counters into the registry" (fun () ->

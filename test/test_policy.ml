@@ -13,11 +13,12 @@ let hyper_project, hyper_tr = Psc.hyperplane ~target:"A" seidel
 
 let hyper_name = hyper_tr.Psc.Transform.tr_module.Psc.Ast.m_name
 
-(* The scheduled flowchart a policy table is resolved against: always
-   collapse-marked, as [Psc.run ~policy] schedules. *)
+(* The scheduled flowchart a policy table is resolved against, as
+   [Psc.run ~policy] schedules it without [--collapse]: a table's
+   collapse needs no marks. *)
 let flowchart ?name ?(sink = false) ?(trim = false) tp =
   let em = Psc.the_module ?name tp in
-  (Psc.schedule ~sink ~trim ~collapse:true em).Psc.sc_flowchart
+  (Psc.schedule ~sink ~trim em).Psc.sc_flowchart
 
 let decision table key =
   match Psc.Policy.find table key with
@@ -242,26 +243,53 @@ let exec_tests =
           [ (None, jacobi, false, false, [ ("M", 16); ("maxK", 6) ]);
             (None, seidel, false, false, [ ("M", 12); ("maxK", 4) ]) ]);
     t "an all-sequential table forks nothing even with a pool" (fun () ->
-        let em = Psc.the_module jacobi in
-        let sc = Psc.schedule ~collapse:true em in
         let inputs = Ps_models.Models.relaxation_inputs ~m:8 ~maxk:4 in
-        let keyed = Psc.Policy.index sc.Psc.sc_flowchart in
         let table =
-          { Psc.Policy.t_source = Psc.Policy.Static;
-            t_host_cores = 2;
-            t_entries =
-              List.map
-                (fun (_, k) -> (k, Psc.Policy.sequential ~why:"test"))
-                keyed }
+          Psc.Policy.uniform ~source:Psc.Policy.Static ~cores:2
+            (flowchart jacobi) (fun _ -> Psc.Policy.sequential ~why:"test")
         in
         Psc.Metrics.set_enabled true;
         let sm =
-          Psc.Pool.with_pool ~steal:true 2 (fun pool ->
+          Psc.Pool.with_pool 2 (fun pool ->
               ignore (Psc.run ~pool ~policy:table jacobi ~inputs);
               Psc.Pool.summary pool)
         in
         Psc.Metrics.set_enabled false;
-        Alcotest.(check int) "no chunks dealt" 0 sm.Psc.Pool.sm_chunks) ]
+        Alcotest.(check int) "no chunks dealt" 0 sm.Psc.Pool.sm_chunks);
+    t "a table's collapse flattens a band scheduled without --collapse"
+      (fun () ->
+        (* fig6 at M=8, maxK=2 runs three 10x10 bands.  Flattened, each
+           deals its 100 points to the pool; run nested, only the 10
+           outer indices of each are dealt.  The flowchart goes to
+           [Exec.run] as scheduled, unmarked, the way the server runs a
+           request with a cached table. *)
+        let em = Psc.the_module jacobi in
+        let sc = Psc.schedule em in
+        let inputs = Ps_models.Models.relaxation_inputs ~m:8 ~maxk:2 in
+        let table =
+          Psc.Policy.uniform ~source:Psc.Policy.Tuned ~cores:2
+            sc.Psc.sc_flowchart (fun l ->
+              Psc.Policy.parallel ~collapse:(Psc.Collapse.collapsible l)
+                ~why:"test" ())
+        in
+        Alcotest.(check string) "every nest steals and flattens"
+          "tuned[I=steal+collapse;K.I=steal+collapse;I#2=steal+collapse]"
+          (Psc.Policy.table_summary table);
+        Psc.Metrics.set_enabled true;
+        let sm =
+          Psc.Pool.with_pool 2 (fun pool ->
+              ignore
+                (Psc.Exec.run
+                   ~opts:
+                     { Psc.Exec.default_opts with
+                       pool = Some pool; policy = Some table }
+                   ~flowchart:sc.Psc.sc_flowchart ~windows:sc.Psc.sc_windows
+                   ~prog:jacobi.Psc.prog em ~inputs);
+              Psc.Pool.summary pool)
+        in
+        Psc.Metrics.set_enabled false;
+        Alcotest.(check int) "flattened points dealt" 300 sm.Psc.Pool.sm_points)
+  ]
 
 let () =
   Alcotest.run "policy"

@@ -5,11 +5,11 @@ open Ps_runtime
 
 let t name f = Alcotest.test_case name `Quick f
 
-let with_pool ?steal n f = Pool.with_pool ?steal n f
+let with_pool = Pool.with_pool
 
-let sum_range pool lo hi chunk =
+let sum_range ?steal pool lo hi chunk =
   let acc = Atomic.make 0 in
-  Pool.parallel_for ?chunk pool ~lo ~hi (fun a b ->
+  Pool.parallel_for ?chunk ?steal pool ~lo ~hi (fun a b ->
       let s = ref 0 in
       for i = a to b do
         s := !s + i
@@ -95,23 +95,19 @@ let error_tests =
             Alcotest.(check int) "sum after" (expected 0 99) (sum_range pool 0 99 None))) ]
 
 (* The stealing scheduler and the fixed-chunk baseline it is measured
-   against.  Stealing is the default, so the suites above already run on
-   it; these pin down what is specific to each mode. *)
+   against, selected per job ([parallel_for ~steal:false]).  Stealing is
+   the default, so the suites above already run on it; these pin down
+   what is specific to each mode. *)
 let stealing_tests =
-  [ t "stealing is on by default and reported" (fun () ->
-        with_pool 3 (fun pool ->
-            Alcotest.(check bool) "default" true (Pool.stealing pool)));
-    t "no-steal pool reports stealing off" (fun () ->
-        with_pool ~steal:false 3 (fun pool ->
-            Alcotest.(check bool) "off" false (Pool.stealing pool)));
-    t "no-steal pool sums a range" (fun () ->
-        with_pool ~steal:false 4 (fun pool ->
-            Alcotest.(check int) "sum" (expected 0 999) (sum_range pool 0 999 None)));
+  [ t "no-steal pool sums a range" (fun () ->
+        with_pool 4 (fun pool ->
+            Alcotest.(check int) "sum" (expected 0 999)
+              (sum_range ~steal:false pool 0 999 None)));
     t "no-steal visits every index exactly once" (fun () ->
-        with_pool ~steal:false 4 (fun pool ->
+        with_pool 4 (fun pool ->
             let n = 2000 in
             let marks = Array.make n 0 in
-            Pool.parallel_for pool ~lo:0 ~hi:(n - 1) (fun a b ->
+            Pool.parallel_for ~steal:false pool ~lo:0 ~hi:(n - 1) (fun a b ->
                 for i = a to b do
                   marks.(i) <- marks.(i) + 1
                 done);
@@ -158,12 +154,13 @@ let stealing_tests =
                only the handful in flight at that instant ever ran. *)
             Alcotest.(check bool) "drained" true (Atomic.get executed < 20)));
     t "no-steal pool is usable after an exception" (fun () ->
-        with_pool ~steal:false 4 (fun pool ->
+        with_pool 4 (fun pool ->
             (try
-               Pool.parallel_for pool ~lo:0 ~hi:100 (fun _ _ -> raise Boom)
+               Pool.parallel_for ~steal:false pool ~lo:0 ~hi:100 (fun _ _ ->
+                   raise Boom)
              with Boom -> ());
             Alcotest.(check int) "sum after" (expected 0 99)
-              (sum_range pool 0 99 None)));
+              (sum_range ~steal:false pool 0 99 None)));
     t "nested loops across two pools both fork" (fun () ->
         (* An inner loop on a *different* idle pool takes the real forking
            path even while the outer job is in flight. *)
@@ -186,12 +183,13 @@ let determinism_prop =
       with_pool 3 (fun pool ->
           sum_range pool lo (lo + span) (Some chunk) = expected lo (lo + span)))
 
-let no_steal_prop =
+let fixed_chunk_prop =
   QCheck.Test.make ~count:60 ~name:"fixed-chunk baseline sum equals sequential sum"
     QCheck.(triple (int_range 0 300) (int_range 0 300) (int_range 1 64))
     (fun (lo, span, chunk) ->
-      with_pool ~steal:false 3 (fun pool ->
-          sum_range pool lo (lo + span) (Some chunk) = expected lo (lo + span)))
+      with_pool 3 (fun pool ->
+          sum_range ~steal:false pool lo (lo + span) (Some chunk)
+          = expected lo (lo + span)))
 
 let () =
   Alcotest.run "pool"
@@ -200,4 +198,4 @@ let () =
       ("errors", error_tests);
       ("stealing", stealing_tests);
       ("properties",
-       List.map QCheck_alcotest.to_alcotest [ determinism_prop; no_steal_prop ]) ]
+       List.map QCheck_alcotest.to_alcotest [ determinism_prop; fixed_chunk_prop ]) ]

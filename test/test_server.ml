@@ -38,10 +38,12 @@ let jbool name j = Util.bool_ (Util.field name j)
 
 let jnum name j = int_of_float (Util.num (Util.field name j))
 
-let first_code j =
+let first_diag name j =
   match Util.field "diagnostics" j with
-  | Json.Arr (d :: _) -> Util.str (Util.field "code" d)
+  | Json.Arr (d :: _) -> Util.str (Util.field name d)
   | _ -> Alcotest.failf "response has no diagnostics"
+
+let first_code = first_diag "code"
 
 let cache_stat name stats_resp = jnum name (Util.field "cache" stats_resp)
 
@@ -207,7 +209,25 @@ let stdio_tests =
               (Some "no value for scalar input M") (Json.member_str "error" r);
             Alcotest.(check int) "its id" 1 (jnum "id" r);
             Alcotest.(check bool) "server survived" true
-              (jbool "ok" (ask (run_req ~id:2 ()))))) ]
+              (jbool "ok" (ask (run_req ~id:2 ())))));
+    t "a run scalar that is not an integer is E030 with its id" (fun () ->
+        with_stdio_server (fun ask ->
+            List.iteri
+              (fun i m ->
+                let r =
+                  ask
+                    (Printf.sprintf
+                       {|{"id":%d,"op":"run","source":%s,"scalars":{"M":%s,"maxK":2}}|}
+                       (i + 1) (Json.str jacobi_src) m)
+                in
+                Alcotest.(check string) (m ^ " is E030") "E030" (first_code r);
+                Alcotest.(check int) (m ^ " keeps its id") (i + 1) (jnum "id" r);
+                Alcotest.(check string) (m ^ " names the scalar")
+                  "scalar M must be an integer in int range"
+                  (first_diag "message" r))
+              [ "2.9"; {|"3"|}; "1e400" ];
+            Alcotest.(check bool) "next request served" true
+              (jbool "ok" (ask (run_req ~id:4 ()))))) ]
 
 (* --- observability over the wire ------------------------------------ *)
 
@@ -632,6 +652,24 @@ let socket_tests =
           (first_code (parse (ask_fd ic oc {|{"id":1,"op":"stats","x":-}|})));
         Alcotest.(check bool) "next request served" true
           (jbool "ok" (parse (ask_fd ic oc {|{"id":2,"op":"stats"}|})));
+        Unix.close fd);
+    t "a client that half-closes still gets every answer" (fun () ->
+        let pid, path = start_socket_server () in
+        Fun.protect ~finally:(fun () -> stop_server pid path) @@ fun () ->
+        let fd, ic, oc = connect path in
+        recv_deadline fd;
+        (* The last line has no newline: end of input frames it. *)
+        output_string oc (schedule_req ~id:1 () ^ "\n");
+        output_string oc {|{"id":2,"op":"stats"}|};
+        flush oc;
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        let rec answers acc =
+          match input_line ic with
+          | line -> answers (jnum "id" (parse line) :: acc)
+          | exception End_of_file -> List.sort compare acc
+        in
+        Alcotest.(check (list int)) "both requests answered" [ 1; 2 ]
+          (answers []);
         Unix.close fd) ]
 
 (* --- cache unit tests ------------------------------------------------- *)
