@@ -5,7 +5,7 @@ all: build
 build:
 	dune build
 
-test: fuzz-smoke serve-smoke serve-stress lint-distance tune-smoke bench-serve-quick
+test: fmt fuzz-smoke serve-smoke serve-stress lint-distance tune-smoke bench-serve-quick
 	dune runtest
 
 # Bounded differential fuzzing pass: every generated module must agree
@@ -70,7 +70,8 @@ bench-serve-quick: build
 	  rc=$$?; rm -rf "$$tmp"; exit $$rc
 
 # Check dune-file formatting (no ocamlformat in the toolchain, so OCaml
-# sources are exempt).  `make fmt-fix` rewrites in place.
+# sources are exempt).  Part of `make test`; `make fmt-fix` rewrites in
+# place.
 fmt:
 	dune build @fmt
 

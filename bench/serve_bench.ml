@@ -89,8 +89,6 @@ type client_result = {
   mutable cr_shed : int;  (* E033 answers: shed by the bounded queue *)
 }
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 let client_run path ~workload ~per_client (cr : client_result) =
   match connect path with
   | None -> cr.cr_errors <- cr.cr_errors + per_client
@@ -99,7 +97,7 @@ let client_run path ~workload ~per_client (cr : client_result) =
     let oc = Unix.out_channel_of_descr fd in
     for seq = 1 to per_client do
       let req = request ~workload ~seq in
-      let t0 = now_ns () in
+      let t0 = Psc.Metrics.now_ns () in
       match
         output_string oc req;
         output_char oc '\n';
@@ -109,7 +107,7 @@ let client_run path ~workload ~per_client (cr : client_result) =
       | exception (End_of_file | Sys_error _) ->
         cr.cr_errors <- cr.cr_errors + 1
       | line ->
-        let dt = now_ns () - t0 in
+        let dt = Psc.Metrics.now_ns () - t0 in
         if contains ~needle:"\"ok\":true" line then begin
           cr.cr_lat_ns <- dt :: cr.cr_lat_ns;
           if contains ~needle:"\"cached\":true" line then

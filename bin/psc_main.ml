@@ -836,8 +836,11 @@ let serve_cmd =
     Arg.(
       value & flag
       & info [ "stdio" ]
-          ~doc:"Serve standard input/output instead of a socket (one \
-                request per line; exits on EOF or a shutdown request).")
+          ~doc:"Serve standard input/output instead of a socket: one \
+                more connection of the event core, pipelined, shed and \
+                drained like a socket client (one request per line, \
+                answers correlate by id; exits at end of input once every \
+                request is answered, or on a shutdown request).")
   in
   let workers_arg =
     Arg.(

@@ -51,12 +51,6 @@ let nodes g = g.g_nodes
 
 let edges g = g.g_edges
 
-let node_set g = NodeSet.of_list g.g_nodes
-
-let succ g n = List.filter (fun e -> Node.equal e.e_src n) g.g_edges
-
-let pred g n = List.filter (fun e -> Node.equal e.e_dst n) g.g_edges
-
 let node_name g = function
   | Data d -> d
   | Eq id -> (Ps_sem.Elab.eq_exn g.g_module id).Ps_sem.Elab.q_name

@@ -43,12 +43,6 @@ val nodes : t -> node list
 
 val edges : t -> edge list
 
-val node_set : t -> NodeSet.t
-
-val succ : t -> node -> edge list
-
-val pred : t -> node -> edge list
-
 val node_name : t -> node -> string
 (** "A" for data, "eq.3" for equations. *)
 

@@ -85,10 +85,6 @@ let classify (q : Elab.eq) (sr : Stypes.subrange) (e : Ps_lang.Ast.expr) : sub_e
         | _ -> Opaque))
     | _ -> Opaque)
 
-let is_identity = function Affine { offset = 0; _ } -> true | _ -> false
-
-let is_minus_const = function Affine { offset; _ } -> offset < 0 | _ -> false
-
 let offset = function Affine { offset; _ } -> Some offset | _ -> None
 
 (* The symbolic affine view of an aligned subscript: [a*var + (params, const)].

@@ -35,12 +35,6 @@ val classify :
 (** Classify one subscript appearing at a dimension with the given
     subrange, inside the given equation. *)
 
-val is_identity : sub_exp -> bool
-(** The class "I". *)
-
-val is_minus_const : sub_exp -> bool
-(** The class "I - constant" with a non-zero offset. *)
-
 val offset : sub_exp -> int option
 (** The affine offset, when there is one. *)
 

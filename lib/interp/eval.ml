@@ -218,6 +218,4 @@ and eval_bool ctx e =
   | Sc_bool b -> b
   | _ -> fail "expected a boolean"
 
-and eval_float ctx e = as_float (scalar_of_value (eval ctx e))
-
 and eval_scalar ctx e = scalar_of_value (eval ctx e)

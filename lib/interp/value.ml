@@ -49,13 +49,6 @@ type value =
   | Vscalar of scalar
   | Varray of slab
 
-let scalar_kind = function
-  | Sc_int _ -> KInt
-  | Sc_real _ -> KReal
-  | Sc_bool _ -> KBool
-  | Sc_enum (t, _) -> KEnum t
-  | Sc_record _ -> KInt (* unused *)
-
 let kind_of_ty (ty : Stypes.ty) : elem_kind =
   match ty with
   | Stypes.Scalar Stypes.Sint -> KInt

@@ -87,8 +87,6 @@ val set_bool : slab -> int -> bool -> unit
 
 (** {1 Scalars} *)
 
-val scalar_kind : scalar -> elem_kind
-
 val kind_of_ty : Ps_sem.Stypes.ty -> elem_kind
 
 val as_int : scalar -> int

@@ -319,6 +319,9 @@ let render_json () =
   Ps_json.arr (List.map row (sorted_metrics ()))
 
 (* ------------------------------------------------------------------ *)
-(* Clock shared with the pool and the profiler. *)
+(* Clock shared with the pool, the profiler and the server.  Every
+   caller takes differences or compares deadlines, so it reads
+   CLOCK_MONOTONIC: a wall-clock step cannot move a deadline or corrupt
+   a duration. *)
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())

@@ -96,5 +96,7 @@ val render_json : unit -> string
 (** A JSON array of [{"name","kind",...}] rows, sorted by name. *)
 
 val now_ns : unit -> int
-(** Wall clock in nanoseconds — the clock shared by the pool counters
-    and the profiler. *)
+(** CLOCK_MONOTONIC in nanoseconds, from an arbitrary origin — the
+    clock shared by the pool counters, the profiler and the server's
+    deadlines and latencies.  Only differences are meaningful; {!Trace}
+    keeps the wall clock, whose epoch trace merging needs. *)

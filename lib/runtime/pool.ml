@@ -308,8 +308,6 @@ let shutdown pool =
   List.iter Domain.join pool.p_domains;
   pool.p_domains <- []
 
-let sequential_for lo hi body = if lo <= hi then body lo hi
-
 let parallel_for ?chunk ?(steal = true) ?chunk_max ?wake pool ~lo ~hi
     (body : int -> int -> unit) =
   if lo > hi then ()

@@ -50,10 +50,6 @@ val parallel_for :
     [chunk_max] caps a guided claim, and [wake] replaces
     {!wake_threshold} for this job's parked-worker broadcast. *)
 
-val sequential_for : int -> int -> (int -> int -> unit) -> unit
-(** [sequential_for lo hi body] is [body lo hi] when the range is
-    non-empty — the degenerate substrate used when no pool is given. *)
-
 val recommended_size : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 

@@ -14,9 +14,6 @@ val default_overhead : int
 (** Equation evaluations per invocation below which forking is a loss
     (approximately one pool wake + deal round trip). *)
 
-val rectangular : Flowchart.loop list -> bool
-(** No member's bounds mention an outer band variable. *)
-
 val static :
   ?overhead:int ->
   env:(string * int) list ->

@@ -1,32 +1,32 @@
 (* The compile service: a long-lived `psc serve` process answering
-   newline-delimited JSON requests over a Unix-domain socket (or stdio
-   for tests and one-shot scripting).
+   newline-delimited JSON requests over a Unix-domain socket, or over
+   stdin/stdout as the single connection of a server with no listener.
 
-   The socket transport is event-driven: a small fixed pool of event
-   threads multiplexes all client sockets with poll(2) (Evpoll),
-   framing request lines and feeding a *bounded* queue drained by a
-   fixed pool of worker threads.  When the queue is full the server
-   sheds load — the request is answered E033 immediately instead of
-   being buffered unboundedly (stats and shutdown bypass the bound:
-   they are cheap, and they are how operators observe and stop an
-   overload).  Responses are staged in per-connection write buffers
-   flushed by the event threads as sockets accept them, so one slow
-   reader never stalls the loop, and connections are pipelined:
-   multiple requests may be in flight per connection, with responses
-   correlated by id rather than by order.
+   One event-driven transport serves both: a small fixed pool of event
+   threads multiplexes every connection with poll(2) (Evpoll), framing
+   request lines and feeding a *bounded* queue drained by a fixed pool
+   of worker threads.  When the queue is full the server sheds load —
+   the request is answered E033 immediately instead of being buffered
+   unboundedly (stats and shutdown bypass the bound: they are cheap,
+   and they are how operators observe and stop an overload).  Responses
+   are staged in per-connection write buffers flushed by the event
+   threads as the descriptors accept them, so one slow reader never
+   stalls the loop, and connections are pipelined: multiple requests
+   may be in flight per connection, with responses correlated by id
+   rather than by order.
 
    A request never kills the server: malformed JSON, unknown
    operations, compile errors, runtime traps and expired deadlines are
    all answered on the wire (the E03x codes come from the unified
-   diagnostics engine).  SIGTERM or a shutdown request flips the
-   draining flag — in-flight requests finish and are answered, new ones
-   get E032, and every service thread is joined before the domain pool
-   is shut down. *)
+   diagnostics engine).  SIGTERM, a shutdown request, or the end of the
+   stdio connection flips the draining flag — lines framed from then on
+   get E032, in-flight requests finish and are answered, and every
+   service thread is joined before the domain pool is shut down. *)
 
 module Json = Psc.Json
 
 type config = {
-  cf_socket : string option;  (* None: serve stdin/stdout *)
+  cf_socket : string option;  (* None: serve stdin/stdout, no listener *)
   cf_workers : int;           (* worker threads = concurrent request bound *)
   cf_pool : int;              (* domain pool size; 0 = sequential *)
   cf_cache : int;             (* artifact cache capacity *)
@@ -63,7 +63,7 @@ let slow_capacity = 32
    Event threads push framed lines, worker threads pop them; [active]
    counts items popped but not yet answered, so the drain logic can ask
    "is every admitted request finished?" ([idle]) without a separate
-   in-flight gauge.  [try_push] refuses rather than blocks when the
+   in-flight gauge.  [push] refuses rather than blocks when the
    queue is full — refusal is what becomes an E033 on the wire. *)
 module Bq = struct
   type 'a t = {
@@ -83,24 +83,15 @@ module Bq = struct
       active = 0;
       stopped = false }
 
-  let push_unlocked q x =
-    Queue.push x q.items;
-    Condition.signal q.nonempty
-
-  let try_push q x =
+  (* [~force] pushes past the bound, for the two ops that must survive
+     an overload. *)
+  let push ?(force = false) q x =
     Mutex.protect q.mu (fun () ->
-        if q.stopped || Queue.length q.items >= q.max then false
+        if q.stopped || ((not force) && Queue.length q.items >= q.max) then
+          false
         else begin
-          push_unlocked q x;
-          true
-        end)
-
-  (* Past the bound, for the two ops that must survive an overload. *)
-  let push_force q x =
-    Mutex.protect q.mu (fun () ->
-        if q.stopped then false
-        else begin
-          push_unlocked q x;
+          Queue.push x q.items;
+          Condition.signal q.nonempty;
           true
         end)
 
@@ -164,15 +155,17 @@ and work = {
   wk_arrival : int;  (* ns *)
 }
 
-(* One client socket, owned by exactly one event thread.  All fd I/O
-   happens on that thread; workers only append to [cn_out] (under
-   [cn_mu]) and wake the owner.  [cn_rbuf]/[cn_eof]/[cn_wpend]/[cn_woff]
+(* One client connection, owned by exactly one event thread: an input
+   and an output descriptor, both the same socket unless it is stdio.
+   All fd I/O happens on the owner; workers only append to [cn_out]
+   (under [cn_mu]) and wake it.  [cn_rbuf]/[cn_eof]/[cn_wpend]/[cn_woff]
    are event-thread-private. *)
 and conn = {
-  cn_fd : Unix.file_descr;
+  cn_rfd : Unix.file_descr;
+  cn_wfd : Unix.file_descr;
   cn_mu : Mutex.t;
   cn_out : Buffer.t;         (* responses staged by workers *)
-  mutable cn_closed : bool;  (* set under cn_mu; fd closed by the owner *)
+  mutable cn_closed : bool;  (* set under cn_mu; fds closed by the owner *)
   cn_inflight : int Atomic.t;  (* admitted requests not yet answered *)
   cn_rbuf : Buffer.t;        (* partial input line accumulator *)
   mutable cn_eof : bool;     (* the client half-closed: read no more *)
@@ -553,142 +546,93 @@ let push_slow sv e =
       in
       sv.sv_slow := e :: keep)
 
-(* Handle one request line: parse, gate on draining, time the answer
-   (queue wait and handler time separately), feed the latency sketches
-   and the access log, capture slow span subtrees, and stamp the
-   client's trace context on the reply.  Returns [None] for blank
-   lines.  Concurrency needs no gate here: only the [cf_workers] worker
-   threads (socket) or the one stdio loop ever call this.  [arrival_ns] is when the transport framed the line —
-   for queued socket requests that predates the worker pickup, so
-   queue_ns measures real queue wait. *)
-let handle_line ?arrival_ns sv (line : string) : string option =
-  let line = String.trim line in
-  if line = "" then None
-  else begin
+(* The answer to a rejected line (E030, E032, E033): a diagnostic
+   correlated by the client's id and trace context, counted, and logged
+   with zeroed timings. *)
+let reject sv (id, op, trace_id) code msg =
+  Psc.Metrics.incr sv.sv_requests;
+  let resp = Proto.with_trace_id ~trace_id (diag_response ~id code msg) in
+  let info = fresh_info () in
+  info.ri_error <- Some (Psc.Diag.code_id code);
+  log_access sv ~id ~op ~trace_id ~info ~queue_ns:0 ~handler_ns:0 ~total_ns:0
+    ~bytes:(String.length resp) ~deadline_margin_us:None;
+  resp
+
+(* Handle one request line: parse, time the answer (queue wait and
+   handler time separately), feed the latency sketches and the access
+   log, capture slow span subtrees, and stamp the client's trace
+   context on the reply.  Draining and overload are refused before a
+   line is queued ([admit]), so only a parse failure is rejected here.
+   Concurrency needs no gate: only the [cf_workers] worker threads ever
+   call this.  [arrival_ns] is when the event thread framed the line,
+   so queue_ns measures real queue wait. *)
+let handle_line sv ~arrival_ns (line : string) : string =
+  match Proto.parse_request line with
+  | Error (id, msg) -> reject sv (id, "invalid", None) Psc.Diag.Bad_request msg
+  | Ok rq ->
     Psc.Metrics.incr sv.sv_requests;
-    let t_arrival =
-      match arrival_ns with Some t -> t | None -> Psc.Metrics.now_ns ()
+    let id = rq.Proto.rq_id in
+    let op = Proto.op_name rq.Proto.rq_op in
+    let trace_id = rq.Proto.rq_trace_id in
+    let deadline = deadline_of rq in
+    let info = fresh_info () in
+    let t_start = Psc.Metrics.now_ns () in
+    let n = Atomic.fetch_and_add sv.sv_inflight_n 1 + 1 in
+    update_peak sv.sv_inflight_peak n;
+    Psc.Metrics.set sv.sv_inflight (Atomic.get sv.sv_inflight_n);
+    let finally () =
+      ignore (Atomic.fetch_and_add sv.sv_inflight_n (-1));
+      Psc.Metrics.set sv.sv_inflight (Atomic.get sv.sv_inflight_n)
     in
-    let reject ~id ~op ~trace_id ~error resp =
-      let resp = Proto.with_trace_id ~trace_id resp in
-      let info = fresh_info () in
-      info.ri_error <- Some error;
-      log_access sv ~id ~op ~trace_id ~info ~queue_ns:0 ~handler_ns:0
-        ~total_ns:(Psc.Metrics.now_ns () - t_arrival)
-        ~bytes:(String.length resp) ~deadline_margin_us:None;
-      Some resp
-    in
-    match Proto.parse_request line with
-    | Error (id, msg) ->
-      reject ~id ~op:"invalid" ~trace_id:None ~error:"E030"
-        (diag_response ~id Psc.Diag.Bad_request msg)
-    | Ok rq ->
-      let id = rq.Proto.rq_id in
-      let op = Proto.op_name rq.Proto.rq_op in
-      let trace_id = rq.Proto.rq_trace_id in
-      if
-        Atomic.get sv.sv_draining
-        && rq.Proto.rq_op <> Proto.Shutdown
-        && rq.Proto.rq_op <> Proto.Stats
-      then
-        reject ~id ~op ~trace_id ~error:"E032"
-          (diag_response ~id Psc.Diag.Server_draining
-             "server is draining; request rejected")
-      else begin
-        let deadline = deadline_of rq in
-        let info = fresh_info () in
-        let t_start = Psc.Metrics.now_ns () in
-        let n = Atomic.fetch_and_add sv.sv_inflight_n 1 + 1 in
-        update_peak sv.sv_inflight_peak n;
-        Psc.Metrics.set sv.sv_inflight (Atomic.get sv.sv_inflight_n);
-        let finally () =
-          ignore (Atomic.fetch_and_add sv.sv_inflight_n (-1));
-          Psc.Metrics.set sv.sv_inflight (Atomic.get sv.sv_inflight_n)
+    Fun.protect ~finally (fun () ->
+        let run_answer () =
+          let span_args =
+            [ ("op", op); ("sid", Psc.Trace.fresh_span_id ()) ]
+            @ (match trace_id with
+               | Some t -> [ ("trace_id", t) ]
+               | None -> [])
+            @ (match rq.Proto.rq_parent_span with
+               | Some p -> [ ("parent", p) ]
+               | None -> [])
+          in
+          Psc.Trace.with_span "request" ~args:span_args (fun () ->
+              answer sv ~deadline ~info rq)
         in
-        Fun.protect ~finally (fun () ->
-            let run_answer () =
-              let span_args =
-                [ ("op", op); ("sid", Psc.Trace.fresh_span_id ()) ]
-                @ (match trace_id with
-                   | Some t -> [ ("trace_id", t) ]
-                   | None -> [])
-                @ (match rq.Proto.rq_parent_span with
-                   | Some p -> [ ("parent", p) ]
-                   | None -> [])
-              in
-              Psc.Trace.with_span "request" ~args:span_args (fun () ->
-                  answer sv ~deadline ~info rq)
-            in
-            let resp, spans =
-              (* [collect] flips the global not-off switch, so only pay
-                 for it when slow-capture is on. *)
-              match sv.sv_cf.cf_slow_ms with
-              | None -> (run_answer (), [])
-              | Some _ -> Psc.Trace.collect run_answer
-            in
-            let resp = Proto.with_trace_id ~trace_id resp in
-            let t_end = Psc.Metrics.now_ns () in
-            let queue_ns = t_start - t_arrival in
-            let handler_ns = t_end - t_start in
-            let total_ns = t_end - t_arrival in
-            (match List.assoc_opt op sv.sv_lat_ops with
-             | Some q -> Psc.Metrics.sk_observe q handler_ns
-             | None -> ());
-            Psc.Metrics.sk_observe sv.sv_lat_all total_ns;
-            Psc.Metrics.sk_observe sv.sv_queue_lat queue_ns;
-            (match sv.sv_cf.cf_slow_ms with
-             | Some thresh when total_ns >= thresh * 1_000_000 ->
-               push_slow sv
-                 { se_id = id;
-                   se_op = op;
-                   se_trace_id = trace_id;
-                   se_total_us = total_ns / 1000;
-                   se_queue_us = queue_ns / 1000;
-                   se_spans = Psc.Trace.span_durations spans }
-             | _ -> ());
-            log_access sv ~id ~op ~trace_id ~info ~queue_ns ~handler_ns
-              ~total_ns ~bytes:(String.length resp)
-              ~deadline_margin_us:
-                (Option.map (fun d -> (d - t_end) / 1000) deadline);
-            Some resp)
-      end
-  end
+        let resp, spans =
+          (* [collect] flips the global not-off switch, so only pay
+             for it when slow-capture is on. *)
+          match sv.sv_cf.cf_slow_ms with
+          | None -> (run_answer (), [])
+          | Some _ -> Psc.Trace.collect run_answer
+        in
+        let resp = Proto.with_trace_id ~trace_id resp in
+        let t_end = Psc.Metrics.now_ns () in
+        let queue_ns = t_start - arrival_ns in
+        let handler_ns = t_end - t_start in
+        let total_ns = t_end - arrival_ns in
+        (match List.assoc_opt op sv.sv_lat_ops with
+         | Some q -> Psc.Metrics.sk_observe q handler_ns
+         | None -> ());
+        Psc.Metrics.sk_observe sv.sv_lat_all total_ns;
+        Psc.Metrics.sk_observe sv.sv_queue_lat queue_ns;
+        (match sv.sv_cf.cf_slow_ms with
+         | Some thresh when total_ns >= thresh * 1_000_000 ->
+           push_slow sv
+             { se_id = id;
+               se_op = op;
+               se_trace_id = trace_id;
+               se_total_us = total_ns / 1000;
+               se_queue_us = queue_ns / 1000;
+               se_spans = Psc.Trace.span_durations spans }
+         | _ -> ());
+        log_access sv ~id ~op ~trace_id ~info ~queue_ns ~handler_ns ~total_ns
+          ~bytes:(String.length resp)
+          ~deadline_margin_us:
+            (Option.map (fun d -> (d - t_end) / 1000) deadline);
+        resp)
 
 (* ------------------------------------------------------------------ *)
-(* The stdio transport: one synchronous request at a time, for tests
-   and one-shot scripting.  No queue, no shedding — a pipe has exactly
-   one client, and EOF is its hangup. *)
-
-let serve_channel sv ic oc =
-  let stop = ref false in
-  while not !stop do
-    match input_line ic with
-    | exception End_of_file -> stop := true
-    | line -> (
-      match handle_line sv line with
-      | None -> ()
-      | Some resp -> (
-        (* The reader vanishing mid-response (SIGPIPE is ignored, so
-           the write raises instead) ends the connection, nothing
-           more.  Close the channel here: its buffer still holds the
-           undeliverable bytes, and a later flush — the Format
-           at_exit one does not catch Sys_error — would raise again. *)
-        try
-          output_string oc resp;
-          output_char oc '\n';
-          flush oc
-        with Sys_error _ ->
-          stop := true;
-          close_out_noerr oc))
-  done
-
-let serve_stdio sv =
-  serve_channel sv stdin stdout;
-  (* EOF on stdin also drains: nobody can talk to us any more. *)
-  Atomic.set sv.sv_draining true
-
-(* ------------------------------------------------------------------ *)
-(* The socket transport: event threads + bounded queue + workers. *)
+(* The transport: event threads + bounded queue + workers. *)
 
 (* An event thread: owns a subset of the connections, multiplexed with
    poll(2).  The self-pipe is its doorbell — workers ring it after
@@ -698,7 +642,8 @@ type ev = {
   ev_wake_r : Unix.file_descr;
   ev_wake_w : Unix.file_descr;
   ev_wake_flag : bool Atomic.t;
-  ev_incoming : Unix.file_descr Queue.t;  (* accepted, not yet adopted *)
+  ev_incoming : (Unix.file_descr * Unix.file_descr) Queue.t;
+      (* (input, output) pairs assigned, not yet adopted *)
   ev_inc_mu : Mutex.t;
   mutable ev_conns : conn list;  (* owned by this thread only *)
   ev_scratch : Bytes.t;          (* read buffer, thread-private *)
@@ -723,8 +668,21 @@ let ev_wake ev =
     try ignore (Unix.write ev.ev_wake_w wake_byte 0 1)
     with Unix.Unix_error _ -> ()
 
+let assign sv ev (rfd, wfd) =
+  Unix.set_nonblock rfd;
+  Unix.set_nonblock wfd;
+  ignore (Atomic.fetch_and_add sv.sv_connections 1);
+  Mutex.protect ev.ev_inc_mu (fun () -> Queue.push (rfd, wfd) ev.ev_incoming);
+  ev_wake ev
+
+let close_fds (rfd, wfd) =
+  (try Unix.close rfd with Unix.Unix_error _ -> ());
+  if wfd <> rfd then try Unix.close wfd with Unix.Unix_error _ -> ()
+
 let conn_closed c = Mutex.protect c.cn_mu (fun () -> c.cn_closed)
 
+(* With no listener nothing can connect again, so the close of the last
+   connection drains the server. *)
 let close_conn sv c =
   let fresh =
     Mutex.protect c.cn_mu (fun () ->
@@ -735,8 +693,11 @@ let close_conn sv c =
         end)
   in
   if fresh then begin
-    (try Unix.close c.cn_fd with Unix.Unix_error _ -> ());
-    ignore (Atomic.fetch_and_add sv.sv_connections (-1))
+    close_fds (c.cn_rfd, c.cn_wfd);
+    if
+      Atomic.fetch_and_add sv.sv_connections (-1) = 1
+      && sv.sv_cf.cf_socket = None
+    then Atomic.set sv.sv_draining true
   end
 
 (* Stage a response on the connection's write buffer and ring the
@@ -758,10 +719,10 @@ let conn_pending c =
   c.cn_woff < String.length c.cn_wpend
   || Mutex.protect c.cn_mu (fun () -> Buffer.length c.cn_out > 0)
 
-(* Flush as much staged output as the socket accepts right now.  The
-   in-progress chunk is event-thread-private, so a partial write picks
-   up exactly where it left off; workers keep staging into [cn_out]
-   meanwhile without blocking on the socket. *)
+(* Flush as much staged output as the descriptor accepts right now.
+   The in-progress chunk is event-thread-private, so a partial write
+   picks up exactly where it left off; workers keep staging into
+   [cn_out] meanwhile without blocking on the descriptor. *)
 let conn_flush sv c =
   if c.cn_woff >= String.length c.cn_wpend then begin
     let chunk =
@@ -778,76 +739,83 @@ let conn_flush sv c =
   end;
   let len = String.length c.cn_wpend - c.cn_woff in
   if len > 0 then
-    match Unix.write_substring c.cn_fd c.cn_wpend c.cn_woff len with
+    match Unix.write_substring c.cn_wfd c.cn_wpend c.cn_woff len with
     | n -> c.cn_woff <- c.cn_woff + n
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception Unix.Unix_error _ -> close_conn sv c
 
-(* Overload shedding: the bounded queue refused the line, so answer
-   E033 right here on the event thread — correlated by id, logged, and
-   counted — instead of buffering unboundedly or hanging the client. *)
-let shed sv c line =
-  Psc.Metrics.incr sv.sv_requests;
-  Psc.Metrics.incr sv.sv_shed;
-  let id, op, trace_id = Proto.reject_fields line in
-  let resp =
-    Proto.with_trace_id ~trace_id
-      (diag_response ~id Psc.Diag.Server_overloaded
-         (Printf.sprintf "server overloaded: request queue (max %d) is full"
-            sv.sv_queue.Bq.max))
-  in
-  let info = fresh_info () in
-  info.ri_error <- Some "E033";
-  log_access sv ~id ~op ~trace_id ~info ~queue_ns:0 ~handler_ns:0 ~total_ns:0
-    ~bytes:(String.length resp) ~deadline_margin_us:None;
-  conn_send c resp
-
-(* Admit one framed line: bounded push, with an escape hatch for the
-   two ops that must survive an overload — stats (how operators see it)
-   and shutdown (how they stop it) are cheap and bypass the bound. *)
+(* Admit one framed line, in stream order, or refuse it at once: E032
+   once the server drains, so every line framed before a shutdown is
+   answered however the workers interleave, and E033 past the queue
+   bound.  Stats (how operators see an overload) and shutdown (how they
+   stop it) are cheap and bypass both refusals. *)
 let admit sv c line =
-  if String.trim line <> "" then begin
-    let wk = { wk_conn = c; wk_line = line; wk_arrival = Psc.Metrics.now_ns () } in
-    Atomic.incr c.cn_inflight;
-    if not (Bq.try_push sv.sv_queue wk) then begin
-      let _, op, _ = Proto.reject_fields line in
+  let line = String.trim line in
+  if line <> "" then begin
+    let fields = lazy (Proto.reject_fields line) in
+    let exempt () =
+      let _, op, _ = Lazy.force fields in
+      op = "stats" || op = "shutdown"
+    in
+    if Atomic.get sv.sv_draining && not (exempt ()) then
+      conn_send c
+        (reject sv (Lazy.force fields) Psc.Diag.Server_draining
+           "server is draining; request rejected")
+    else begin
+      let wk =
+        { wk_conn = c; wk_line = line; wk_arrival = Psc.Metrics.now_ns () }
+      in
+      Atomic.incr c.cn_inflight;
       if
-        (op = "stats" || op = "shutdown")
-        && Bq.push_force sv.sv_queue wk
-      then ()
-      else begin
+        not
+          (Bq.push sv.sv_queue wk
+          || (exempt () && Bq.push ~force:true sv.sv_queue wk))
+      then begin
         Atomic.decr c.cn_inflight;
-        shed sv c line
+        Psc.Metrics.incr sv.sv_shed;
+        conn_send c
+          (reject sv (Lazy.force fields) Psc.Diag.Server_overloaded
+             (Printf.sprintf "server overloaded: request queue (max %d) is full"
+                sv.sv_queue.Bq.max))
       end
     end
   end
 
-(* Read whatever the socket has, frame complete lines off the front of
-   the accumulator and admit each.  One read per readiness report keeps
-   a flooding client from starving its neighbours; poll is level
-   triggered, so leftover bytes re-report immediately.  End of input is
-   the client half-closing: a final unterminated line is admitted, and
-   the connection stays open until its admitted requests are answered
-   and flushed. *)
+(* Read whatever the descriptor has and admit each line it completes,
+   searching only the new bytes for '\n' and copying out only complete
+   lines, so framing is linear in the line length however it is split.
+   One read per readiness report keeps a flooding client from starving
+   its neighbours; poll is level triggered, so leftover bytes re-report
+   immediately.  End of input is the client half-closing: a final
+   unterminated line is admitted, and the connection stays open until
+   its admitted requests are answered and flushed. *)
 let conn_read sv ev c =
-  match Unix.read c.cn_fd ev.ev_scratch 0 (Bytes.length ev.ev_scratch) with
+  let buf = ev.ev_scratch in
+  match Unix.read c.cn_rfd buf 0 (Bytes.length buf) with
   | 0 ->
     c.cn_eof <- true;
     let last = Buffer.contents c.cn_rbuf in
     Buffer.clear c.cn_rbuf;
     admit sv c last
   | n ->
-    Buffer.add_subbytes c.cn_rbuf ev.ev_scratch 0 n;
-    let s = Buffer.contents c.cn_rbuf in
-    (match String.rindex_opt s '\n' with
-     | None -> ()
-     | Some last ->
-       Buffer.clear c.cn_rbuf;
-       Buffer.add_substring c.cn_rbuf s (last + 1)
-         (String.length s - last - 1);
-       List.iter
-         (fun line -> admit sv c line)
-         (String.split_on_char '\n' (String.sub s 0 last)))
+    let start = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.get buf i = '\n' then begin
+        let line =
+          if Buffer.length c.cn_rbuf = 0 then
+            Bytes.sub_string buf !start (i - !start)
+          else begin
+            Buffer.add_subbytes c.cn_rbuf buf !start (i - !start);
+            let s = Buffer.contents c.cn_rbuf in
+            Buffer.reset c.cn_rbuf;
+            s
+          end
+        in
+        start := i + 1;
+        admit sv c line
+      end
+    done;
+    Buffer.add_subbytes c.cn_rbuf buf !start (n - !start)
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> close_conn sv c
 
@@ -872,7 +840,7 @@ let ev_loop sv cf ev () =
   let grace_deadline = ref None in
   let running = ref true in
   while !running do
-    (* Adopt connections the accept loop assigned to this thread. *)
+    (* Adopt connections assigned to this thread. *)
     let adopted =
       Mutex.protect ev.ev_inc_mu (fun () ->
           let xs = List.of_seq (Queue.to_seq ev.ev_incoming) in
@@ -880,9 +848,10 @@ let ev_loop sv cf ev () =
           xs)
     in
     List.iter
-      (fun fd ->
+      (fun (rfd, wfd) ->
         let c =
-          { cn_fd = fd;
+          { cn_rfd = rfd;
+            cn_wfd = wfd;
             cn_mu = Mutex.create ();
             cn_out = Buffer.create 256;
             cn_closed = false;
@@ -910,7 +879,6 @@ let ev_loop sv cf ev () =
     in
     let work_done =
       Bq.idle sv.sv_queue
-      && Atomic.get sv.sv_inflight_n = 0
       && List.for_all (fun c -> not (conn_pending c)) ev.ev_conns
     in
     if draining && no_incoming && (ev.ev_conns = [] || (past_grace && work_done))
@@ -921,12 +889,18 @@ let ev_loop sv cf ev () =
     end
     else begin
       let conns = Array.of_list ev.ev_conns in
-      (* A half-closed connection is watched only while it has output
-         to write; a hangup it keeps reporting would spin the loop, and
-         the worker answering it rings the doorbell anyway. *)
+      (* One poll entry per open input and one per output with bytes
+         pending (a socket with both appears twice).  A half-closed
+         input is not watched: a hangup it keeps reporting would spin
+         the loop, and the worker answering it rings the doorbell
+         anyway. *)
       let watched =
         Array.of_list
-          (List.filter (fun c -> (not c.cn_eof) || conn_pending c) ev.ev_conns)
+          (List.concat_map
+             (fun c ->
+               (if c.cn_eof then [] else [ (c, true) ])
+               @ if conn_pending c then [ (c, false) ] else [])
+             ev.ev_conns)
       in
       let spec =
         Array.init
@@ -935,20 +909,20 @@ let ev_loop sv cf ev () =
             if i = 0 then
               (ev.ev_wake_r, Evpoll.{ want_read = true; want_write = false })
             else
-              let c = watched.(i - 1) in
-              ( c.cn_fd,
-                Evpoll.{ want_read = not c.cn_eof; want_write = conn_pending c }
-              ))
+              let c, input = watched.(i - 1) in
+              ( (if input then c.cn_rfd else c.cn_wfd),
+                Evpoll.{ want_read = input; want_write = not input } ))
       in
       let ready = Evpoll.poll spec ~timeout_ms:100 in
       drain_wake_pipe ev;
       List.iter
         (fun (i, (r : Evpoll.ready)) ->
           if i > 0 then begin
-            let c = watched.(i - 1) in
+            let c, input = watched.(i - 1) in
             if
-              (r.Evpoll.readable || r.Evpoll.errored)
-              && (not c.cn_eof) && not (conn_closed c)
+              input
+              && (r.Evpoll.readable || r.Evpoll.errored)
+              && not (conn_closed c)
             then conn_read sv ev c
           end)
         ready;
@@ -973,9 +947,8 @@ let worker_loop sv () =
     match Bq.pop sv.sv_queue with
     | None -> running := false
     | Some wk ->
-      (match handle_line ~arrival_ns:wk.wk_arrival sv wk.wk_line with
-      | None -> ()
-      | Some resp -> conn_send wk.wk_conn resp
+      (match handle_line sv ~arrival_ns:wk.wk_arrival wk.wk_line with
+      | resp -> conn_send wk.wk_conn resp
       | exception e ->
         conn_send wk.wk_conn
           (Proto.error_message ~id:"null"
@@ -987,22 +960,41 @@ let worker_loop sv () =
       Bq.finished sv.sv_queue
   done
 
-(* The accept loop runs on the serving thread: poll the listener (with
-   a timeout so SIGTERM-driven draining is noticed promptly), accept in
-   bursts, and deal connections round-robin to the event threads.  On
-   drain: stop listening, then join every event thread, stop the queue,
-   and join every worker — only after all of them are gone does [main]
-   shut the domain pool down, so no request can race a dying pool. *)
-let serve_socket sv cf path =
-  (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
-  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind lfd (Unix.ADDR_UNIX path);
-  (* Deep backlog: `bench serve` opens hundreds of connections at
-     once, and a refused connect at that moment is a measurement
-     artifact, not a server property. *)
-  Unix.listen lfd 512;
-  Unix.set_nonblock lfd;
-  let n_ev = max 1 (min 4 (Psc.Pool.recommended_size () / 2)) in
+(* The one serve routine.  With a socket path the serving thread
+   accepts clients (polling the listener with a timeout, so a drain is
+   noticed promptly) and deals them round-robin to the event threads;
+   without one, stdin/stdout is the single connection, duplicated so
+   that closing it never frees descriptors 0 and 1 for reuse, and
+   before anything else is opened, so a closed stdin fails here instead
+   of aliasing one of the server's own descriptors.  On drain: stop
+   listening, then join every event thread, stop the queue, and join
+   every worker — only after all of them are gone does [main] shut the
+   domain pool down, so no request can race a dying pool. *)
+let serve sv cf =
+  let stdio =
+    if cf.cf_socket <> None then None
+    else
+      let rfd = Unix.dup Unix.stdin in
+      Some (rfd, Unix.dup Unix.stdout)
+  in
+  let listener =
+    Option.map
+      (fun path ->
+        (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
+        let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.bind lfd (Unix.ADDR_UNIX path);
+        (* Deep backlog: `bench serve` opens hundreds of connections at
+           once, and a refused connect at that moment is a measurement
+           artifact, not a server property. *)
+        Unix.listen lfd 512;
+        Unix.set_nonblock lfd;
+        (lfd, path))
+      cf.cf_socket
+  in
+  let n_ev =
+    if listener = None then 1
+    else max 1 (min 4 (Psc.Pool.recommended_size () / 2))
+  in
   let evs = Array.init n_ev (fun _ -> make_ev ()) in
   let ev_threads =
     Array.map (fun ev -> Thread.create (ev_loop sv cf ev) ()) evs
@@ -1011,33 +1003,30 @@ let serve_socket sv cf path =
     Array.init (max 1 cf.cf_workers) (fun _ ->
         Thread.create (worker_loop sv) ())
   in
-  let rr = ref 0 in
-  while not (Atomic.get sv.sv_draining) do
-    (match
-       Evpoll.poll
-         [| (lfd, Evpoll.{ want_read = true; want_write = false }) |]
-         ~timeout_ms:100
-     with
-    | [] -> ()
-    | _ :: _ ->
-      let accepting = ref true in
-      while !accepting do
-        match Unix.accept lfd with
-        | fd, _ ->
-          Unix.set_nonblock fd;
-          ignore (Atomic.fetch_and_add sv.sv_connections 1);
-          let ev = evs.(!rr mod n_ev) in
-          incr rr;
-          Mutex.protect ev.ev_inc_mu (fun () -> Queue.push fd ev.ev_incoming);
-          ev_wake ev
-        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-          accepting := false
-        | exception Unix.Unix_error _ -> accepting := false
-      done);
-    ()
-  done;
-  (try Unix.close lfd with Unix.Unix_error _ -> ());
-  (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
+  Option.iter (assign sv evs.(0)) stdio;
+  (match listener with
+   | None -> ()
+   | Some (lfd, path) ->
+     let rr = ref 0 in
+     while not (Atomic.get sv.sv_draining) do
+       match
+         Evpoll.poll
+           [| (lfd, Evpoll.{ want_read = true; want_write = false }) |]
+           ~timeout_ms:100
+       with
+       | [] -> ()
+       | _ :: _ ->
+         let accepting = ref true in
+         while !accepting do
+           match Unix.accept lfd with
+           | fd, _ ->
+             assign sv evs.(!rr mod n_ev) (fd, fd);
+             incr rr
+           | exception Unix.Unix_error _ -> accepting := false
+         done
+     done;
+     (try Unix.close lfd with Unix.Unix_error _ -> ());
+     try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
   (* Drain: event threads finish answering and flushing (bounded by the
      grace period), then the workers run the queue dry and exit.  Join
      them all — unconditionally — before returning to [main]'s pool
@@ -1050,13 +1039,17 @@ let serve_socket sv cf path =
       (* Connections accepted but never adopted (the assignment raced
          the drain): close them now so nothing leaks. *)
       Mutex.protect ev.ev_inc_mu (fun () ->
-          Queue.iter
-            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-            ev.ev_incoming;
+          Queue.iter close_fds ev.ev_incoming;
           Queue.clear ev.ev_incoming);
       (try Unix.close ev.ev_wake_r with Unix.Unix_error _ -> ());
       try Unix.close ev.ev_wake_w with Unix.Unix_error _ -> ())
-    evs
+    evs;
+  (* Descriptors 0 and 1 may be a terminal shared with the parent
+     shell: give them back blocking. *)
+  if stdio <> None then
+    List.iter
+      (fun fd -> try Unix.clear_nonblock fd with Unix.Unix_error _ -> ())
+      [ Unix.stdin; Unix.stdout ]
 
 let main cf =
   Psc.Metrics.set_enabled true;
@@ -1069,8 +1062,7 @@ let main cf =
   Fun.protect
     ~finally:(fun () ->
       (* By the time we get here every event and worker thread has been
-         joined (serve_socket) or there never were any (stdio), so the
-         pool has no remaining users. *)
+         joined ([serve]), so the pool has no remaining users. *)
       (match sv.sv_pool with Some p -> Psc.Pool.shutdown p | None -> ());
       (match sv.sv_access with
        | Some (oc, mu) -> Mutex.protect mu (fun () -> close_out_noerr oc)
@@ -1084,7 +1076,4 @@ let main cf =
         output_char oc '\n';
         close_out oc
       | None -> ())
-    (fun () ->
-      match cf.cf_socket with
-      | None -> serve_stdio sv
-      | Some path -> serve_socket sv cf path)
+    (fun () -> serve sv cf)

@@ -1,26 +1,30 @@
 (** The compile service: a long-lived [psc serve] process answering
     newline-delimited JSON requests ({!Proto}) over a Unix-domain
-    socket, or over stdin/stdout for tests and one-shot scripting.
+    socket, or over stdin/stdout.
 
-    The socket transport is event-driven: a small fixed pool of event
-    threads multiplexes every client socket with poll(2) ({!Evpoll}),
-    framing request lines into a bounded queue drained by a fixed pool
-    of worker threads.  When the queue is full the server sheds load —
-    the request is answered E033 immediately ([stats] and [shutdown]
-    bypass the bound) — and responses are staged in per-connection
-    write buffers flushed as sockets accept them, so one slow reader
-    never stalls the loop.  Connections are pipelined: responses
-    correlate by id, not by arrival order.
+    There is one event-driven transport: a small fixed pool of event
+    threads multiplexes every connection with poll(2) ({!Evpoll}),
+    framing request lines in time linear in their length into a
+    bounded queue drained by a fixed pool of worker threads.  Stdio is
+    one more connection of that core (stdin in, stdout out), so it is
+    pipelined, shed and drained exactly like a socket client.  When the
+    queue is full the server sheds load — the request is answered E033
+    immediately ([stats] and [shutdown] bypass the bound) — and
+    responses are staged in per-connection write buffers flushed as the
+    descriptors accept them, so one slow reader never stalls the loop.
+    Connections are pipelined: responses correlate by id, not by
+    arrival order.
 
     A request never kills the server: malformed JSON, unknown
     operations, compile errors, runtime traps and expired deadlines are
     all answered on the wire with the unified E03x diagnostic codes.
-    SIGTERM or a [shutdown] request flips the draining flag — in-flight
-    requests finish and are answered, new ones get E032, every service
-    thread is joined, and the process exits cleanly. *)
+    SIGTERM, a [shutdown] request or the end of the stdio connection
+    flips the draining flag — lines framed from then on get E032,
+    in-flight requests finish and are answered, every service thread is
+    joined, and the process exits cleanly. *)
 
 type config = {
-  cf_socket : string option;  (** [None]: serve stdin/stdout *)
+  cf_socket : string option;  (** [None]: stdin/stdout, no listener *)
   cf_workers : int;           (** worker threads = concurrent request bound *)
   cf_pool : int;              (** domain pool size; 0 = sequential *)
   cf_cache : int;             (** artifact cache capacity *)
@@ -44,8 +48,11 @@ val default_config : config
     dump. *)
 
 val main : config -> unit
-(** Run the server until it drains: stdio EOF or a [shutdown] request
-    (stdio mode), SIGTERM or a [shutdown] request (socket mode).
-    Enables {!Psc.Metrics}, installs the SIGTERM handler, ignores
-    SIGPIPE, and shuts the domain pool down only after every event and
-    worker thread has been joined. *)
+(** Run the server until it drains: SIGTERM or a [shutdown] request,
+    or, in stdio mode, the stdio connection closing (end of input once
+    every admitted request is answered and flushed).  A drain waits at
+    most [cf_grace_ms] for connections that stay open, the stdio one
+    included.  Enables {!Psc.Metrics}, installs the SIGTERM handler,
+    ignores SIGPIPE, puts stdin and stdout back in blocking mode after a
+    stdio session, and shuts the domain pool down only after every
+    event and worker thread has been joined. *)

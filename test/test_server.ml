@@ -49,27 +49,75 @@ let cache_stat name stats_resp = jnum name (Util.field "cache" stats_resp)
 
 (* --- a stdio server session ---------------------------------------- *)
 
-let with_stdio_server ?(args = "") f =
-  let cmd =
-    Printf.sprintf "%s serve --stdio %s 2>/dev/null" (Filename.quote psc_exe)
-      args
-  in
-  let ic, oc = Unix.open_process cmd in
-  let ask line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc;
-    parse (input_line ic)
-  in
-  let result = f ask in
-  output_string oc "{\"id\":99,\"op\":\"shutdown\"}\n";
-  (try flush oc with Sys_error _ -> ());
-  (try ignore (input_line ic) with End_of_file -> ());
-  (match Unix.close_process (ic, oc) with
+let check_exit = function
   | Unix.WEXITED 0 -> ()
   | Unix.WEXITED n -> Alcotest.failf "server exited with %d" n
   | Unix.WSIGNALED n | Unix.WSTOPPED n ->
-    Alcotest.failf "server killed by signal %d" n);
+    Alcotest.failf "server killed by signal %d" n
+
+(* A `psc serve --stdio` child on raw pipes: [f] writes the server's
+   stdin and reads its stdout, and may close stdin itself to end the
+   input.  Returns [f]'s result with the child's exit status.  A
+   watchdog kills the child after 60 s, so a hang fails the test
+   instead of wedging the suite. *)
+let with_stdio_pipes ?(args = []) f =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process psc_exe
+      (Array.of_list ([ psc_exe; "serve"; "--stdio" ] @ args))
+      in_r out_w devnull
+  in
+  List.iter Unix.close [ in_r; out_w; devnull ];
+  let ic = Unix.in_channel_of_descr out_r in
+  let oc = Unix.out_channel_of_descr in_w in
+  let finished = Atomic.make false in
+  let watchdog =
+    Thread.create
+      (fun () ->
+        let rec go n =
+          if Atomic.get finished then ()
+          else if n = 0 then
+            try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
+          else begin
+            Unix.sleepf 0.05;
+            go (n - 1)
+          end
+        in
+        go 1200)
+      ()
+  in
+  let status = ref (Unix.WEXITED 0) in
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        close_out_noerr oc;
+        close_in_noerr ic;
+        status := snd (Unix.waitpid [] pid);
+        Atomic.set finished true;
+        Thread.join watchdog)
+      (fun () -> f ic oc)
+  in
+  (result, !status)
+
+(* A scripted session: [f] gets [ask], which sends one request line and
+   returns its parsed answer; a shutdown and a clean exit follow. *)
+let with_stdio_server ?args f =
+  let result, status =
+    with_stdio_pipes ?args (fun ic oc ->
+        let ask line =
+          output_string oc line;
+          output_char oc '\n';
+          flush oc;
+          parse (input_line ic)
+        in
+        let result = f ask in
+        (try ignore (ask {|{"id":99,"op":"shutdown"}|})
+         with End_of_file | Sys_error _ -> ());
+        result)
+  in
+  check_exit status;
   result
 
 (* The declared-box elements of an array output, in the row-major order
@@ -267,7 +315,7 @@ let obs_tests =
               | None -> assert false)
             | None -> Alcotest.fail "stats has no latency_ns"));
     t "--slow-ms 0 captures every request's span subtree" (fun () ->
-        with_stdio_server ~args:"--slow-ms 0" (fun ask ->
+        with_stdio_server ~args:[ "--slow-ms"; "0" ] (fun ask ->
             ignore (ask (schedule_req ~id:1 ()));
             let s = ask "{\"id\":2,\"op\":\"stats\"}" in
             match Json.member "slow" s with
@@ -298,7 +346,7 @@ let obs_tests =
           ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
         @@ fun () ->
         with_stdio_server
-          ~args:(Printf.sprintf "--metrics-json %s" (Filename.quote file))
+          ~args:[ "--metrics-json"; file ]
           (fun ask -> ignore (ask (schedule_req ~id:1 ())));
         let j = Json.parse (read_file file) in
         match j with
@@ -339,7 +387,7 @@ let obs_tests =
            parent_span so the server's request span can point back. *)
         Psc.Trace.set_enabled true;
         with_stdio_server
-          ~args:(Printf.sprintf "--trace %s" (Filename.quote server_trace))
+          ~args:[ "--trace"; server_trace ]
           (fun ask ->
             let request i =
               let sid = Psc.Trace.fresh_span_id () in
@@ -422,7 +470,7 @@ let trace_tests =
       (fun () ->
         let trace_file = Filename.temp_file "ps_server" ".trace.json" in
         with_stdio_server
-          ~args:(Printf.sprintf "--trace %s" (Filename.quote trace_file))
+          ~args:[ "--trace"; trace_file ]
           (fun ask ->
             ignore (ask (schedule_req ~id:1 ()));
             let r2 = ask (schedule_req ~id:2 ()) in
@@ -513,6 +561,255 @@ let stop_server pid path =
   (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
   ignore (Unix.waitpid [] pid);
   (try Sys.remove path with Sys_error _ -> ())
+
+(* Every answer left on the server's stdout, up to its end. *)
+let rec read_all ic acc =
+  match input_line ic with
+  | line -> read_all ic (parse line :: acc)
+  | exception End_of_file -> List.rev acc
+
+let stdio_pipe_tests =
+  [ t "a burst written before any read gets one answer per id, in any order"
+      (fun () ->
+        let n = 16 in
+        let ids, status =
+          with_stdio_pipes (fun ic oc ->
+              burst oc 1 n (fun id ->
+                  if id mod 2 = 0 then schedule_req ~id () else run_req ~id ());
+              List.init n (fun _ -> jnum "id" (parse (input_line ic))))
+        in
+        check_exit status;
+        Alcotest.(check (list int)) "one answer per id" (List.init n succ)
+          (List.sort compare ids));
+    t "--workers 1 --max-queue 1 over stdio sheds E033 and answers every id"
+      (fun () ->
+        let n = 100 in
+        let answers, status =
+          with_stdio_pipes ~args:[ "--workers"; "1"; "--max-queue"; "1" ]
+            (fun ic oc ->
+              burst oc 0 (n - 1) (fresh_req "stdio-flood");
+              List.init n (fun _ ->
+                  let j = parse (input_line ic) in
+                  (jnum "id" j, if jbool "ok" j then "ok" else first_code j)))
+        in
+        check_exit status;
+        Alcotest.(check (list int)) "every id answered once"
+          (List.init n Fun.id)
+          (List.sort compare (List.map fst answers));
+        let codes = List.map snd answers in
+        List.iter
+          (fun c ->
+            if c <> "ok" && c <> "E033" then
+              Alcotest.failf "unexpected code %s" c)
+          codes;
+        Alcotest.(check bool) "some requests were served" true
+          (List.mem "ok" codes);
+        Alcotest.(check bool) "the flood was shed" true
+          (List.mem "E033" codes));
+    t "a last line without a newline, then end of input, is answered"
+      (fun () ->
+        let ids, status =
+          with_stdio_pipes (fun ic oc ->
+              output_string oc (schedule_req ~id:1 () ^ "\n");
+              output_string oc {|{"id":2,"op":"stats"}|};
+              close_out oc;
+              List.map (jnum "id") (read_all ic []))
+        in
+        check_exit status;
+        Alcotest.(check (list int)) "both requests answered" [ 1; 2 ]
+          (List.sort compare ids));
+    t "end of input without shutdown exits 0 well inside the drain grace"
+      (fun () ->
+        let elapsed, status =
+          with_stdio_pipes (fun ic oc ->
+              let r = parse (ask_fd ic oc (schedule_req ~id:1 ())) in
+              Alcotest.(check bool) "answered" true (jbool "ok" r);
+              let t0 = Psc.Metrics.now_ns () in
+              close_out oc;
+              Alcotest.(check int) "nothing more to read" 0
+                (List.length (read_all ic []));
+              float_of_int (Psc.Metrics.now_ns () - t0) /. 1e9)
+        in
+        check_exit status;
+        (* The default grace is 5 s; end of input drains at once. *)
+        if elapsed >= 2.0 then
+          Alcotest.failf "the server took %.2f s to exit after end of input"
+            elapsed) ]
+
+(* --- stress over both transports -------------------------------------- *)
+
+(* The fixed mix of the transport-agreement case: well-formed requests
+   over several models and ops, each twice (the repeat may or may not
+   hit the cache, depending on how the workers interleave), garbage
+   lines that still carry an id, and garbage whose id cannot be
+   recovered (answered with id null).  No stats: its answer changes
+   from run to run.  Returns the lines in a seeded order, every id they
+   carry, the ids of the garbage among them, and the count of id-less
+   lines. *)
+let agreement_mix rng =
+  let open Ps_models.Models in
+  let ops =
+    [ ("schedule", ""); ("compile", ""); ("lint", ""); ("emit-c", "");
+      ("schedule", {|,"flags":{"sink":true,"fuse":true,"trim":true}|}) ]
+  in
+  let good =
+    List.concat_map
+      (fun src -> List.map (fun (op, extra) -> (op, src, extra)) ops)
+      [ jacobi; seidel; heat1d; lcs ]
+    @ [ ("run", jacobi, {|,"scalars":{"M":6,"maxK":4}|});
+        ("run", jacobi, {|,"scalars":{"M":5,"maxK":3}|}) ]
+  in
+  let good =
+    List.mapi
+      (fun i (op, src, extra) ->
+        Printf.sprintf {|{"id":%d,"op":"%s","source":%s%s}|} (i + 1) op
+          (Json.str src) extra)
+      (good @ good)
+  in
+  let garbage =
+    List.mapi
+      (fun i fmt -> Printf.sprintf fmt (1000 + i))
+      [ {|{"id":%d,"op":"frobnicate"}|}; {|{"id":%d}|}; {|{"id":%d,"op":7}|};
+        {|{"id":%d,"op":"run","source":"x","scalars":{"M":2.5}}|};
+        {|{"id":%d,"op":"lint","flags":{},"scalars":{"M":"3"}}|} ]
+  in
+  let id_less =
+    [ "this is not json"; {|{"id":7,"op":"schedule","x":-}|}; "[1,2,3]";
+      {|{"op":"sched|} ]
+  in
+  let lines =
+    List.map snd
+      (List.sort compare
+         (List.map
+            (fun l -> (Random.State.bits rng, l))
+            (good @ garbage @ id_less)))
+  in
+  ( lines,
+    List.init (List.length good) succ
+    @ List.init (List.length garbage) (fun i -> 1000 + i),
+    List.init (List.length garbage) (fun i -> 1000 + i),
+    List.length id_less )
+
+(* Write [lines] as one byte stream cut at seeded random boundaries
+   (half the fragments are 1-7 bytes), keeping at most a seeded depth of
+   complete lines unanswered, and return every answer line. *)
+let pipeline rng ic oc lines =
+  let stream = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  let n = String.length stream in
+  let depth = 1 + Random.State.int rng 8 in
+  let answers = ref [] and sent = ref 0 and got = ref 0 and pos = ref 0 in
+  let take () =
+    answers := input_line ic :: !answers;
+    incr got
+  in
+  while !pos < n do
+    let len =
+      min (n - !pos)
+        (if Random.State.bool rng then 1 + Random.State.int rng 7
+         else 8 + Random.State.int rng 1024)
+    in
+    output_substring oc stream !pos len;
+    flush oc;
+    for i = !pos to !pos + len - 1 do
+      if stream.[i] = '\n' then incr sent
+    done;
+    pos := !pos + len;
+    while !sent - !got >= depth do
+      take ()
+    done
+  done;
+  while !got < !sent do
+    take ()
+  done;
+  !answers
+
+(* The same exchange over a fresh socket server. *)
+let over_socket f =
+  let pid, path = start_socket_server () in
+  Fun.protect ~finally:(fun () -> stop_server pid path) @@ fun () ->
+  let fd, ic, oc = connect path in
+  recv_deadline fd;
+  let r = f ic oc in
+  Unix.close fd;
+  r
+
+let transport_tests =
+  [ t "a seeded split, pipelined mix is answered alike on both transports"
+      (fun () ->
+        let rng = Random.State.make [| 16 |] in
+        let lines, ids, garbage_ids, id_less = agreement_mix rng in
+        let check name answers =
+          let js = List.map parse answers in
+          let id_of j =
+            match Json.member "id" j with
+            | Some (Json.Num f) -> Some (int_of_float f)
+            | _ -> None
+          in
+          Alcotest.(check (list int))
+            (name ^ ": one answer per id")
+            (List.sort compare ids)
+            (List.sort compare (List.filter_map id_of js));
+          Alcotest.(check int)
+            (name ^ ": one id-less answer per id-less line")
+            id_less
+            (List.length
+               (List.filter (fun j -> Json.member "id" j = Some Json.Null) js));
+          List.iter
+            (fun j ->
+              match id_of j with
+              | Some id when not (List.mem id garbage_ids) -> ()
+              | _ ->
+                Alcotest.(check string) (name ^ ": garbage is E030") "E030"
+                  (first_code j))
+            js
+        in
+        let stdio, status =
+          with_stdio_pipes (fun ic oc -> pipeline rng ic oc lines)
+        in
+        check_exit status;
+        let socket = over_socket (fun ic oc -> pipeline rng ic oc lines) in
+        check "stdio" stdio;
+        check "socket" socket;
+        (* Whether a request hit the cache depends on the interleaving;
+           everything else in an answer must not. *)
+        let canon answers =
+          List.sort compare
+            (List.map
+               (fun l ->
+                 match parse l with
+                 | Json.Obj kvs ->
+                   (Json.Obj (List.remove_assoc "cached" kvs), l)
+                 | j -> (j, l))
+               answers)
+        in
+        let rec agree = function
+          | (a, la) :: xs, (b, lb) :: ys ->
+            if a = b then agree (xs, ys)
+            else Alcotest.failf "stdio answered %s\nsocket answered %s" la lb
+          | [], [] -> ()
+          | _ -> Alcotest.fail "the transports gave different answer counts"
+        in
+        agree (canon stdio, canon socket));
+    t "a 16 MiB line is answered in under 2 s on each transport" (fun () ->
+        let line =
+          Printf.sprintf {|{"id":1,"op":"stats","pad":"%s"}|}
+            (String.make (16 lsl 20) 'x')
+        in
+        let timed ic oc =
+          let t0 = Psc.Metrics.now_ns () in
+          let j = parse (ask_fd ic oc line) in
+          let secs = float_of_int (Psc.Metrics.now_ns () - t0) /. 1e9 in
+          Alcotest.(check bool) "answered ok" true (jbool "ok" j);
+          secs
+        in
+        let stdio, status = with_stdio_pipes timed in
+        check_exit status;
+        let socket = over_socket timed in
+        List.iter
+          (fun (name, secs) ->
+            if secs >= 2.0 then
+              Alcotest.failf "%s answered the 16 MiB line in %.2f s" name secs)
+          [ ("stdio", stdio); ("socket", socket) ]) ]
 
 (* --- socket tests ----------------------------------------------------- *)
 
@@ -638,11 +935,7 @@ let socket_tests =
         Unix.close fd;
         let _, status = Unix.waitpid [] pid in
         (try Sys.remove path with Sys_error _ -> ());
-        match status with
-        | Unix.WEXITED 0 -> ()
-        | Unix.WEXITED n -> Alcotest.failf "server exited with %d" n
-        | Unix.WSIGNALED n | Unix.WSTOPPED n ->
-          Alcotest.failf "server killed by signal %d" n);
+        check_exit status);
     t "a malformed number on a socket answers E030" (fun () ->
         let pid, path = start_socket_server () in
         Fun.protect ~finally:(fun () -> stop_server pid path) @@ fun () ->
@@ -884,9 +1177,9 @@ let stress_tests =
 
 let () =
   Alcotest.run "server"
-    [ ("stdio", stdio_tests);
+    [ ("stdio", stdio_tests @ stdio_pipe_tests);
       ("obs", obs_tests);
       ("trace", trace_tests);
       ("socket", socket_tests);
       ("cache", cache_tests);
-      ("stress", stress_tests) ]
+      ("stress", stress_tests @ transport_tests) ]
