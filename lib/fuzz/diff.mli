@@ -1,9 +1,9 @@
 (** The differential oracle: run one program through every execution
     path and compare outputs element-wise against the sequential
     reference.  Interpreter paths must agree bit for bit; the C path is
-    compared through its checksums.  A defined runtime trap (zero
-    divisor) agrees with a reference trap; a one-sided trap is a
-    mismatch. *)
+    compared through its checksums, also bit for bit.  A defined runtime
+    trap (zero divisor) agrees with a reference trap; a one-sided trap
+    is a mismatch. *)
 
 type path =
   | Seq        (** plain sequential interpreter: the reference *)
@@ -50,6 +50,11 @@ val default_inputs :
 
 val checksum : Psc.Value.value -> float
 (** Row-major sum over the declared box (the emitted main()'s sum). *)
+
+val compare_checksums :
+  (string * Psc.Value.value) list -> (string * float) list -> string option
+(** [compare_checksums ref_out sums] judges the C path's checksums
+    against the reference outputs, bit for bit; [None] when they agree. *)
 
 val check :
   ?pool_size:int ->

@@ -306,8 +306,14 @@ and seed_inputs st (inputs : (string * value) list) =
 
 and compile_descs st (benv : (string * int) list) ~par (descs : Ps_sched.Flowchart.t)
     ~(max_slot : int ref) : Compile.frame -> unit =
-  let fns = Array.of_list (List.map (compile_desc st benv ~par ~max_slot) descs) in
-  fun fr -> Array.iter (fun f -> f fr) fns
+  match List.map (compile_desc st benv ~par ~max_slot) descs with
+  | [ f ] -> f
+  | fs ->
+    let fns = Array.of_list fs in
+    fun fr ->
+      for i = 0 to Array.length fns - 1 do
+        (Array.unsafe_get fns i) fr
+      done
 
 and compile_desc st benv ~par ~max_slot (d : Ps_sched.Flowchart.descriptor) :
     Compile.frame -> unit =
@@ -723,19 +729,12 @@ and compile_equation st benv ~aliases er_id : Compile.frame -> unit =
     q.Elab.q_indices;
   let cctx = { (compile_ctx st benv) with Compile.k_slot = slot_of } in
   let compile_subs (df : Elab.def) (s : slab) =
-    Array.of_list
+    Compile.compile_offset cctx s
       (List.map
          (function
-           | Elab.Sub_index ix ->
-             let slot = Option.get (slot_of ix.Elab.ix_var) in
-             fun (fr : Compile.frame) -> Array.unsafe_get fr slot
-           | Elab.Sub_fixed e -> Compile.compile_int cctx e)
+           | Elab.Sub_index ix -> Ps_lang.Ast.var_e ix.Elab.ix_var
+           | Elab.Sub_fixed e -> e)
          df.Elab.df_subs)
-    (* With [check = false] (the bench fast path) this closure computes
-       offsets with no bounds test at all; window dimensions still wrap
-       through the Euclidean remainder so an [I - c] subscript evaluated
-       below the lower bound cannot address outside the slab. *)
-    |> fun fns -> Compile.offset_closure ~check:st.st_opts.check s fns
   in
   match q.Elab.q_defs, q.Elab.q_rhs.Ps_lang.Ast.e with
   | [ df ], _
@@ -779,17 +778,19 @@ and compile_equation st benv ~aliases er_id : Compile.frame -> unit =
     -> (
     let s = slab_of st df.Elab.df_data in
     let off_f = compile_subs df s in
+    (* Each writer computes the value before the destination offset. *)
     match s.s_data with
-    | PFloat a ->
-      let rhs = Compile.compile_real cctx q.Elab.q_rhs in
-      fun fr -> Array.unsafe_set a (off_f fr) (rhs fr)
+    | PFloat a -> Compile.compile_store_real cctx q.Elab.q_rhs a off_f
     | PInt arr ->
       let rhs = Compile.compile_int cctx q.Elab.q_rhs in
-      fun fr -> Array.unsafe_set arr (off_f fr) (rhs fr)
+      fun fr ->
+        let v = rhs fr in
+        Array.unsafe_set arr (off_f fr) v
     | PBool b ->
       let rhs = Compile.compile_bool cctx q.Elab.q_rhs in
       fun fr ->
-        Bytes.unsafe_set b (off_f fr) (if rhs fr then '\001' else '\000')
+        let v = rhs fr in
+        Bytes.unsafe_set b (off_f fr) (if v then '\001' else '\000')
     | PBox arr ->
       let rhs = Compile.compile_scalar cctx q.Elab.q_rhs in
       fun fr ->

@@ -270,6 +270,57 @@ let parallel_tests =
         in
         Alcotest.(check bool) "bit equal" true (d = 0.0)) ]
 
+(* The paper's three executed kernels at the benchmark's sizes (Jacobi
+   and the transformed Seidel at M = 64, maxK = 40; the transformed LCS at
+   N = 512), sequential with bounds checks on, as `psc run` runs them.
+   The closure compiler must keep an evaluation free of allocation: the
+   bound covers the whole run, set-up (compilation, slab allocation)
+   included, which is a few hundredths of a word per evaluation here.
+   The evaluation counts pin the schedules: the work is unchanged. *)
+let alloc_case name ?target ~sink_trim src inputs ~evaluations ~max_words =
+  t (Printf.sprintf "%s allocates under %g words per evaluation" name max_words)
+    (fun () ->
+      let tp = Psc.load_string src in
+      let tp, mname =
+        match target with
+        | None -> (tp, None)
+        | Some target ->
+          let tp, tr = Psc.hyperplane ~target tp in
+          (tp, Some tr.Psc.Transform.tr_module.Psc.Ast.m_name)
+      in
+      let em = Psc.the_module ?name:mname tp in
+      let sc = Psc.schedule ~sink:sink_trim ~trim:sink_trim em in
+      let run stats =
+        Psc.Exec.run
+          ~opts:
+            { Psc.Exec.default_opts with
+              collect_stats = stats;
+              sched_flags =
+                { Psc.Exec.no_sched_flags with sf_sink = sink_trim; sf_trim = sink_trim } }
+          ~flowchart:sc.Psc.sc_flowchart ~windows:sc.Psc.sc_windows ~prog:tp.Psc.prog em
+          ~inputs
+      in
+      let evals = Option.get (run true).Psc.Exec.evaluations in
+      Alcotest.(check int) "evaluations" evaluations evals;
+      let w0 = Gc.minor_words () in
+      ignore (run false);
+      let per_eval = (Gc.minor_words () -. w0) /. float_of_int evals in
+      if per_eval >= max_words then
+        Alcotest.failf "%s: %.3f minor words per evaluation (bound %g)" name per_eval
+          max_words)
+
+let alloc_tests =
+  let relax = Ps_models.Models.relaxation_inputs ~m:64 ~maxk:40 in
+  let n = 512 in
+  let str k = Psc.Exec.array_int ~dims:[ (1, n) ] (fun ix -> (ix.(0) * k) mod 4) in
+  let lcs_inputs = [ ("X", str 7); ("Y", str 5); ("N", Psc.Exec.scalar_int n) ] in
+  [ alloc_case "fig6" ~sink_trim:false Ps_models.Models.jacobi relax ~evaluations:178596
+      ~max_words:1.0;
+    alloc_case "h3" ~target:"A" ~sink_trim:true Ps_models.Models.seidel relax
+      ~evaluations:178596 ~max_words:0.25;
+    alloc_case "lcs" ~target:"L" ~sink_trim:true Ps_models.Models.lcs lcs_inputs
+      ~evaluations:263170 ~max_words:0.1 ]
+
 let validation_tests =
   [ t "missing input is diagnosed" (fun () ->
         Util.expect_error ~substring:"missing input" (fun () ->
@@ -307,4 +358,5 @@ let () =
       ("module calls", call_tests);
       ("windows", window_tests);
       ("parallel", parallel_tests);
+      ("allocation per evaluation", alloc_tests);
       ("validation", validation_tests) ]

@@ -123,6 +123,39 @@ let diff_tests =
         Alcotest.(check int) "agreed" 5 r.Fuzz.r_agreed;
         Alcotest.(check (list reject)) "failures" [] r.Fuzz.r_failures) ]
 
+(* The emitted C is one of only two oracles ([Eval] is the other) that do
+   not share the interpreter's compiled closures, so it is compared bit
+   for bit. *)
+let c_oracle_tests =
+  [ t "a checksum one ulp off the interpreter's is a mismatch" (fun () ->
+        let v =
+          Psc.Exec.array_real ~dims:[ (0, 4) ] (fun ix -> 0.1 *. float_of_int ix.(0))
+        in
+        let out = [ ("X", v) ] and sum = Diff.checksum v in
+        Alcotest.(check (option string))
+          "same bits agree" None
+          (Diff.compare_checksums out [ ("X", sum) ]);
+        Alcotest.(check bool)
+          "Float.succ is reported" true
+          (Option.is_some (Diff.compare_checksums out [ ("X", Float.succ sum) ])));
+    t "the paper kernels agree with their emitted C bit for bit" (fun () ->
+        if not (Lazy.force Diff.have_cc) then Alcotest.skip ();
+        List.iter
+          (fun (name, src, scalars) ->
+            let r =
+              Diff.check_source ~pool_size:2 ~paths:[ Diff.Seq; Diff.Cc ] ~scalars src
+            in
+            (match List.assoc_opt Diff.Cc r.Diff.cr_outcomes with
+             | Some (Diff.Checksums _) -> ()
+             | _ -> Alcotest.failf "%s: the C path produced no checksums" name);
+            match r.Diff.cr_verdict with
+            | None -> ()
+            | Some v -> Alcotest.failf "%s: %s" name v)
+          [ ("jacobi", Ps_models.Models.jacobi, [ ("M", 12); ("maxK", 7) ]);
+            ("seidel", Ps_models.Models.seidel, [ ("M", 12); ("maxK", 7) ]);
+            ("lcs", Ps_models.Models.lcs, [ ("N", 20) ]);
+            ("heat1d", Ps_models.Models.heat1d, [ ("N", 30); ("steps", 9) ]) ]) ]
+
 let corpus_tests =
   [ t "scalar directives parse" (fun () ->
         Alcotest.(check (list (pair string int)))
@@ -147,4 +180,5 @@ let corpus_tests =
 
 let () =
   Alcotest.run "fuzz"
-    [ ("gen", gen_tests); ("diff", diff_tests); ("corpus", corpus_tests) ]
+    [ ("gen", gen_tests); ("diff", diff_tests); ("c oracle", c_oracle_tests);
+      ("corpus", corpus_tests) ]
