@@ -28,8 +28,8 @@
    read that traps raises the same [Value.Bounds] message; no float
    operation is reassociated.  Run sequentially at the benchmark's sizes,
    fig6, h3 and lcs allocate 0.03, 0.05 and 0.02 minor words per
-   evaluation, set-up included; test_exec's "allocation per evaluation"
-   cases pin bounds of 1, 0.25 and 0.1.
+   evaluation, set-up included; test_exec's "allocation" cases pin
+   bounds of 1, 0.25 and 0.1.
 
    Module inputs and already-computed scalar locals are read from their
    store slabs at compile time or run time as appropriate; anything

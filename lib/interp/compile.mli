@@ -8,7 +8,7 @@
     chains and real stores fuse into single closures.  Run sequentially
     at the benchmark's sizes, fig6, h3 and lcs allocate 0.03, 0.05 and
     0.02 minor words per evaluation, set-up included (test_exec's
-    "allocation per evaluation" cases pin bounds of 1, 0.25 and 0.1).
+    "allocation" cases pin bounds of 1, 0.25 and 0.1).
     Anything exotic (records, module calls, slices) falls back to the
     tree-walk evaluator; the test suite checks agreement with {!Eval} on
     random expressions. *)

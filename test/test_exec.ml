@@ -358,5 +358,5 @@ let () =
       ("module calls", call_tests);
       ("windows", window_tests);
       ("parallel", parallel_tests);
-      ("allocation per evaluation", alloc_tests);
+      ("allocation", alloc_tests);
       ("validation", validation_tests) ]

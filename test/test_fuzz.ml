@@ -180,5 +180,5 @@ let corpus_tests =
 
 let () =
   Alcotest.run "fuzz"
-    [ ("gen", gen_tests); ("diff", diff_tests); ("c oracle", c_oracle_tests);
+    [ ("gen", gen_tests); ("diff", diff_tests); ("oracle", c_oracle_tests);
       ("corpus", corpus_tests) ]
