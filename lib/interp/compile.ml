@@ -370,10 +370,11 @@ let[@inline] icmp op (x : int) y =
   | Ast.Gt -> x > y
   | _ -> x >= y
 
+(* IEEE, as the emitted C compares: NaN is unequal even to itself. *)
 let[@inline] fcmp op (x : float) y =
   match op with
-  | Ast.Eq -> Float.equal x y
-  | Ast.Ne -> not (Float.equal x y)
+  | Ast.Eq -> x = y
+  | Ast.Ne -> x <> y
   | Ast.Lt -> x < y
   | Ast.Le -> x <= y
   | Ast.Gt -> x > y

@@ -75,6 +75,16 @@ let scalar_of_value = function
   | Vscalar s -> s
   | Varray s -> fail "array value %s used as a scalar" s.s_name
 
+(* A comparison [op] read off a three-way compare. *)
+let ordered (op : Ps_lang.Ast.binop) c =
+  match op with
+  | Eq -> c = 0
+  | Ne -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | _ -> c >= 0
+
 let rec eval (ctx : ctx) (e : Ps_lang.Ast.expr) : value =
   let open Ps_lang.Ast in
   match e.e with
@@ -119,7 +129,22 @@ let rec eval (ctx : ctx) (e : Ps_lang.Ast.expr) : value =
     | _ -> fail "unary '-' on a non-number")
   | Unop (Not, a) -> Vscalar (Sc_bool (not (eval_bool ctx a)))
   | Binop (op, a, b) -> eval_binop ctx op a b
-  | If (c, t, f) -> if eval_bool ctx c then eval ctx t else eval ctx f
+  | If (c, t, f) -> (
+    let taken, other = if eval_bool ctx c then (t, f) else (f, t) in
+    match eval ctx taken with
+    | Vscalar (Sc_int n) when types_real ctx other -> Vscalar (Sc_real (float_of_int n))
+    | v -> v)
+
+(* An [if] with an int and a real branch is real (Elab's rule), as the
+   compiled closures and the emitted C compute it: an int from the taken
+   branch widens when the other one types as real.  A branch the
+   elaborator cannot type on its own, a module call, is left as it is,
+   as the compiled boxed path leaves it. *)
+and types_real ctx e =
+  match Elab.type_of_expr ctx.c_em ~is_index:(fun x -> ctx.c_index x <> None) e with
+  | Stypes.Scalar Stypes.Sreal -> true
+  | _ -> false
+  | exception Elab.Error _ -> false
 
 and eval_binop ctx op a b =
   let open Ps_lang.Ast in
@@ -152,23 +177,24 @@ and eval_binop ctx op a b =
     Vscalar (Sc_int (x mod y))
   | Eq | Ne | Lt | Le | Gt | Ge -> (
     let va = scalar_of_value (eval ctx a) and vb = scalar_of_value (eval ctx b) in
-    let c =
-      match va, vb with
-      | (Sc_int _ | Sc_real _), (Sc_int _ | Sc_real _) ->
-        Float.compare (as_float va) (as_float vb)
-      | Sc_bool x, Sc_bool y -> Bool.compare x y
-      | Sc_enum (_, x), Sc_enum (_, y) -> Int.compare x y
-      | _ -> fail "incomparable values"
-    in
+    (* Ints against ints as ints, other numbers by IEEE comparison (NaN
+       is unordered, unequal even to itself), as the compiled closures
+       and the emitted C compare. *)
     let r =
-      match op with
-      | Eq -> c = 0
-      | Ne -> c <> 0
-      | Lt -> c < 0
-      | Le -> c <= 0
-      | Gt -> c > 0
-      | Ge -> c >= 0
-      | _ -> assert false
+      match va, vb with
+      | Sc_int x, Sc_int y -> ordered op (Int.compare x y)
+      | (Sc_int _ | Sc_real _), (Sc_int _ | Sc_real _) -> (
+        let x = as_float va and y = as_float vb in
+        match op with
+        | Eq -> x = y
+        | Ne -> x <> y
+        | Lt -> x < y
+        | Le -> x <= y
+        | Gt -> x > y
+        | _ -> x >= y)
+      | Sc_bool x, Sc_bool y -> ordered op (Bool.compare x y)
+      | Sc_enum (_, x), Sc_enum (_, y) -> ordered op (Int.compare x y)
+      | _ -> fail "incomparable values"
     in
     Vscalar (Sc_bool r))
 

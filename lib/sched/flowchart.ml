@@ -112,7 +112,7 @@ and pp_descriptor_tree em ppf = function
 
 let to_tree_string em fc = Fmt.str "@[<v>%a@]" (pp_tree em) fc
 
-(* Structural queries used by tests and benches. *)
+(* Structural queries used by tests and the benchmark. *)
 
 let rec count_loops ?kind (fc : t) =
   List.fold_left

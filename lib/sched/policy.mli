@@ -75,8 +75,8 @@ val summary : decision -> string
     ["fixed,chunk>=8,wake=64"]. *)
 
 val table_summary : table -> string
-(** E.g. ["static[K.I=steal+collapse;I.J=seq]"] — the bench trajectory's
-    [policy] field. *)
+(** E.g. ["static[K.I=steal+collapse;I.J=seq]"]: a run response's
+    [policy] field and [psc tune]'s summary line. *)
 
 val to_json : table -> string
 (** One-line JSON object (schema field ["policy":1]) — the wire and

@@ -182,7 +182,7 @@ let is_builtin name = List.mem_assoc name builtins
 type check_env = {
   ce_module : string;
   ce_datas : (string * Stypes.ty) list;     (* params, results, locals *)
-  ce_indices : (string * index) list;       (* bound index variables *)
+  ce_is_index : string -> bool;             (* bound index variables *)
   ce_enum_ctors : (string * string) list;   (* constructor -> enum type *)
   ce_signatures : (string * signature) list;
 }
@@ -200,16 +200,14 @@ let rec type_of env (e : Ast.expr) : Stypes.ty =
   | Ast.Int _ -> Scalar Sint
   | Ast.Real _ -> Scalar Sreal
   | Ast.Bool _ -> Scalar Sbool
+  | Ast.Var x when env.ce_is_index x -> Scalar Sint
   | Ast.Var x -> (
-    match List.assoc_opt x env.ce_indices with
-    | Some _ -> Scalar Sint
+    match List.assoc_opt x env.ce_datas with
+    | Some ty -> ty
     | None -> (
-      match List.assoc_opt x env.ce_datas with
-      | Some ty -> ty
-      | None -> (
-        match List.assoc_opt x env.ce_enum_ctors with
-        | Some enum -> Scalar (Senum enum)
-        | None -> err e.Ast.e_loc "unknown identifier %s" x)))
+      match List.assoc_opt x env.ce_enum_ctors with
+      | Some enum -> Scalar (Senum enum)
+      | None -> err e.Ast.e_loc "unknown identifier %s" x))
   | Ast.Index (base, subs) -> (
     let bty = type_of env base in
     match bty with
@@ -445,7 +443,10 @@ let elab_equation ~env ~tenv ~datas ~eq_id (eq : Ast.equation) : eq =
     if implicit_vars = [] then eq.Ast.eq_rhs else append_subs eq.Ast.eq_rhs implicit_vars
   in
   (* Type check. *)
-  let env = { env with ce_indices = List.map (fun ix -> (ix.ix_var, ix)) q_indices } in
+  let env =
+    { env with
+      ce_is_index = (fun x -> List.exists (fun ix -> String.equal ix.ix_var x) q_indices) }
+  in
   (* The type of a LHS after its (possibly partial) subscripts and its
      record field path. *)
   let rec path_type ty path =
@@ -598,7 +599,7 @@ let elab_module ~signatures (m : Ast.pmodule) : emodule =
   let env =
     { ce_module = m.Ast.m_name;
       ce_datas = List.map (fun d -> (d.d_name, d.d_ty)) datas;
-      ce_indices = [];
+      ce_is_index = (fun _ -> false);
       ce_enum_ctors = enum_ctors;
       ce_signatures = signatures }
   in
@@ -637,20 +638,16 @@ let elab_program (prog : Ast.program) : eprogram =
   check_dup_modules prog;
   { ep_modules = List.map (elab_module ~signatures) prog }
 
-(* Convenience: expose the type of an arbitrary expression inside an
-   equation of an elaborated module (used by the code generator). *)
-let type_of_expr em ?eq expr =
-  let signatures = [] in
+(* The type of an expression inside a module, for the evaluator; no
+   module signatures are in scope. *)
+let type_of_expr em ~is_index expr =
   let env =
     { ce_module = em.em_name;
       ce_datas =
         List.map (fun d -> (d.d_name, d.d_ty)) (em.em_params @ em.em_results @ em.em_locals);
-      ce_indices =
-        (match eq with
-         | Some q -> List.map (fun ix -> (ix.ix_var, ix)) q.q_indices
-         | None -> []);
+      ce_is_index = is_index;
       ce_enum_ctors =
         List.concat_map (fun (ename, cs) -> List.map (fun c -> (c, ename)) cs) em.em_enums;
-      ce_signatures = signatures }
+      ce_signatures = [] }
   in
   type_of env expr

@@ -81,6 +81,8 @@ val elab_program : Ps_lang.Ast.program -> eprogram
     @raise Error on any semantic fault. *)
 
 val type_of_expr :
-  emodule -> ?eq:eq -> Ps_lang.Ast.expr -> Stypes.ty
-(** Type of an expression inside a module, with an equation's index
-    variables in scope when [eq] is given (used by the code generator). *)
+  emodule -> is_index:(string -> bool) -> Ps_lang.Ast.expr -> Stypes.ty
+(** Type of an expression inside a module, [is_index] naming the bound
+    index variables; the evaluator uses it to give an [if] its static
+    type.  No module signatures are in scope.
+    @raise Error on a call to a module, or an ill-typed expression. *)

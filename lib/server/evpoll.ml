@@ -2,8 +2,8 @@
 
    A thin wrapper over poll(2) (see psc_poll_stubs.c).  Unix.select
    cannot watch descriptors numbered past FD_SETSIZE (1024 on Linux),
-   and the full `bench serve` sweep holds 1024 client sockets at once,
-   so the event loop polls instead.  The stub releases the OCaml
+   and a server may hold 1024 client sockets at once (a stress case
+   does), so the event loop polls instead.  The stub releases the OCaml
    runtime lock for the duration of the wait, so worker threads keep
    draining the request queue while an event thread sleeps.
 

@@ -983,9 +983,10 @@ let serve sv cf =
         (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
         let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         Unix.bind lfd (Unix.ADDR_UNIX path);
-        (* Deep backlog: `bench serve` opens hundreds of connections at
-           once, and a refused connect at that moment is a measurement
-           artifact, not a server property. *)
+        (* Deep backlog: a client may open hundreds of connections at
+           once (the 1024-connection stress case does), and a refused
+           connect at that moment is a test artifact, not a server
+           property. *)
         Unix.listen lfd 512;
         Unix.set_nonblock lfd;
         (lfd, path))

@@ -32,7 +32,49 @@ let exact_tests =
         let c = cost Ps_models.Models.jacobi env in
         let p = Psc.Analysis.parallelism c in
         Alcotest.(check bool) "near grid" true
-          (p > float_of_int grid /. 2. && p <= float_of_int grid *. 2.)) ]
+          (p > float_of_int grid /. 2. && p <= float_of_int grid *. 2.));
+    t "the size sweeps EXPERIMENTS cites" (fun () ->
+        (* F6, F7 and H3 (work and span), V1 (words of the recurrence
+           array: Jacobi's window-2 and full allocations, the transformed
+           module's window-3 and full box) and A1 (equation evaluations
+           of the box and trimmed wavefronts). *)
+        let jacobi = Util.load Ps_models.Models.jacobi in
+        let seidel = Util.load Ps_models.Models.seidel in
+        let hyper, tr = Psc.hyperplane ~target:"A" seidel in
+        let name = tr.Psc.Transform.tr_module.Psc.Ast.m_name in
+        let a' = tr.Psc.Transform.tr_new_name in
+        List.iter
+          (fun (m, maxk, (jw, js), (sw, ss), (hw, hs), (j2, jf, h3, hf), box) ->
+            let at = Printf.sprintf "M=%d maxK=%d: %s" m maxk in
+            let env = [ ("M", m); ("maxK", maxk) ] in
+            let ws label (c : Psc.Analysis.cost) (w, s) =
+              Util.checkf ~eps:0.0 (at (label ^ " work")) (float_of_int w) c.Psc.Analysis.work;
+              Util.checkf ~eps:0.0 (at (label ^ " span")) (float_of_int s) c.Psc.Analysis.span
+            in
+            ws "jacobi" (Psc.work_span jacobi ~env) (jw, js);
+            ws "seidel" (Psc.work_span seidel ~env) (sw, ss);
+            ws "hyper" (Psc.work_span ~name ~sink:true hyper ~env) (hw, hs);
+            let inputs = Ps_models.Models.relaxation_inputs ~m ~maxk in
+            let words ?use_windows ?name ?sink tp data =
+              List.assoc data (Psc.run ?use_windows ?name ?sink tp ~inputs).Psc.Exec.allocated
+            in
+            Util.check_int (at "jacobi window-2") j2 (words jacobi "A");
+            Util.check_int (at "jacobi full") jf (words ~use_windows:false jacobi "A");
+            Util.check_int (at "hyper window-3") h3 (words ~name ~sink:true hyper a');
+            Util.check_int (at "hyper full box") hf (words ~use_windows:false ~name ~sink:true hyper a');
+            let evals ?name ?sink ?trim tp =
+              Option.get (Psc.run ~stats:true ?name ?sink ?trim tp ~inputs).Psc.Exec.evaluations
+            in
+            let e_seidel = evals seidel in
+            Util.check_int (at "seidel evaluations") sw e_seidel;
+            Util.check_int (at "hyper box evaluations") box (evals ~name ~sink:true hyper);
+            Util.check_int (at "trimmed equals seidel") e_seidel (evals ~name ~sink:true ~trim:true hyper))
+          [ (16, 10, (3564, 11), (3564, 2918), (10494, 106), (648, 3240, 540, 9540), 9864);
+            (32, 20, (24276, 21), (24276, 21966), (74970, 210), (2312, 23120, 2040, 71400), 72556);
+            (64, 40, (178596, 41), (178596, 169886), (565554, 418), (8712, 174240, 7920, 551760),
+             556116);
+            (96, 48, (470596, 49), (470596, 451390), (1387778, 578),
+             (19208, 460992, 14112, 1359456), 1369060) ]) ]
 
 let transform_tests =
   [ t "hyperplane transformation multiplies parallelism" (fun () ->

@@ -97,6 +97,16 @@ let eval_bool_ src =
     x
   | v, _ -> Alcotest.failf "%s: expected bool, got %a" src Value.pp_scalar v
 
+(* [both] with the int scalar [n] rebound; the compiler folds int
+   inputs, so both engines read the new value. *)
+let both_n n src =
+  let s = Value.make_slab ~name:"n" ~elem:(Stypes.Scalar Stypes.Sint) ~dims:[] in
+  Value.set_scalar s [||] (Value.Sc_int n);
+  let slab x = if x = "n" then s else Hashtbl.find slabs x in
+  let e = Ps_lang.Parser.expr_of_string src in
+  ( Eval.eval_scalar { eval_ctx with Eval.c_slab = slab } e,
+    Compile.compile_scalar { cctx with Compile.k_slab = slab } e frame )
+
 let semantics_tests =
   [ t "int arithmetic" (fun () ->
         Alcotest.(check int) "n + 2*m" 1 (eval_int_ "n + 2 * m"));
@@ -162,7 +172,30 @@ let semantics_tests =
         let e = Ps_lang.Parser.expr_of_string "n mod (n - 7)" in
         match Compile.compile_scalar cctx e frame with
         | exception Eval.Runtime_error _ -> ()
-        | _ -> Alcotest.fail "expected runtime error") ]
+        | _ -> Alcotest.fail "expected runtime error");
+    t "NaN is unordered in eval as compiled" (fun () ->
+        (* sqrt(-2.5) is NaN: no ordering holds, so the else branch. *)
+        Alcotest.(check int) "NaN < 1.0" 0
+          (eval_int_ "if sqrt(a - 5.0) < 1.0 then 1 else 0"));
+    t "ints past 2^53 compare as ints" (fun () ->
+        (* As floats, 2^53 and 2^53 + 1 round to the same value. *)
+        match both_n (1 lsl 53) "if n = n + 1 then 1 else 0" with
+        | Value.Sc_int 0, Value.Sc_int 0 -> ()
+        | v1, v2 ->
+          Alcotest.failf "eval %a, compile %a" Value.pp_scalar v1 Value.pp_scalar v2);
+    t "a mixed int/real if is real" (fun () ->
+        (* The taken branch is the int m = -3: as a real, -3.0 * 0 is
+           -0.0, where the int product is 0. *)
+        match both "(if n > 0 then m else a) * 0" with
+        | Value.Sc_real x, Value.Sc_real y ->
+          Alcotest.(check int64) "bits" (Int64.bits_of_float x) (Int64.bits_of_float y);
+          Alcotest.(check int64) "-0.0" (Int64.bits_of_float (-0.0)) (Int64.bits_of_float y)
+        | v1, v2 ->
+          Alcotest.failf "eval %a, compile %a" Value.pp_scalar v1 Value.pp_scalar v2);
+    t "a mixed if's int branch does not wrap" (fun () ->
+        (* As an int product this wraps modulo 2^63. *)
+        Util.checkf ~eps:0.0 "product" (4611686018427387.0 *. 3001.0)
+          (eval_real "(if n > 0 then 4611686018427387 else a) * 3001")) ]
 
 let bounds_tests =
   [ t "out-of-range read raises with checking on" (fun () ->
@@ -228,7 +261,8 @@ let agreement_prop =
    dimension is a 2-plane window, a 2-D int slab, three frame slots and
    the int inputs [n] and [m] (folded at compile time), read through
    random affine subscripts, in left-deep and scaled sums, and/or
-   guards, min/max and mixed int/real arithmetic. *)
+   guards, min/max, mixed int/real arithmetic and [if]s, and comparisons
+   of NaN, the infinities and numbers about 2^53. *)
 let shape_module =
   {|
 S: module (n: int; m: int; a: real;
@@ -334,15 +368,25 @@ let gen_shape : Ps_lang.Ast.expr QCheck.Gen.t =
       (int_range 0 3)
   in
   let cmp = oneofl [ Eq; Ne; Lt; Le; Gt; Ge ] in
+  (* Ints about 2^53, where comparing as floats would round. *)
+  let near_2_53 = int_range (-2) 2 >|= fun k -> (1 lsl 53) + k in
+  let big_aff = map2 (fun k a -> bin Add (int_e k) a) near_2_53 aff in
   let guard =
     map2
       (fun op tests -> List.fold_left (bin op) (List.hd tests) (List.tl tests))
       (oneofl [ And; Or ])
-      (list_size (int_range 1 4) (map3 bin cmp aff aff))
+      (list_size (int_range 1 4)
+         (frequency [ (3, map3 bin cmp aff aff); (1, map3 bin cmp big_aff big_aff) ]))
   in
-  (* Both branches of an [if] have one type: [Eval] returns a branch's
-     value with that branch's own type, where the compiled [if] takes
-     the expression's static type. *)
+  (* Comparison operands at the edges: NaN, the infinities, and ints and
+     reals about 2^53. *)
+  let edge =
+    frequency
+      [ (1, oneofl (List.map (fun f -> mk (Real f)) [ Float.nan; Float.infinity; Float.neg_infinity ]));
+        (1, return (mk (Call ("sqrt", [ bin Sub (var_e "a") (mk (Real 5.0)) ]))));
+        (1, map int_e near_2_53);
+        (1, map (fun k -> mk (Real (Float.of_int k))) near_2_53) ]
+  in
   let ints =
     fix
       (fun self depth ->
@@ -378,7 +422,14 @@ let gen_shape : Ps_lang.Ast.expr QCheck.Gen.t =
               (1, map3 (fun f x y -> mk (Call (f, [ x; y ]))) (oneofl [ "min"; "max" ]) sub sub);
               (1, map2 (fun x y -> mk (Call ("min", [ x; y ]))) sub ints);
               (3, map3 (fun c x y -> mk (If (c, x, y))) guard sub sub);
-              (1, map3 (fun c x y -> mk (If (c, x, y))) (map3 bin cmp sub sub) sub sub) ])
+              (1, map3 (fun c x y -> mk (If (c, x, y))) guard sub ints);
+              (1, map3 (fun c x y -> mk (If (c, x, y))) guard ints sub);
+              (1, map3 (fun c x y -> mk (If (c, x, y))) (map3 bin cmp sub sub) sub sub);
+              (1,
+               map3
+                 (fun c x y -> mk (If (c, x, y)))
+                 (map3 bin cmp (frequency [ (1, sub); (1, edge) ]) edge)
+                 sub sub) ])
       3
   in
   frequency [ (4, reals); (1, ints); (1, guard) ]

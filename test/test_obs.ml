@@ -506,7 +506,22 @@ let pool_tests =
         if t_off > (t_on *. 3.0) +. 0.05 then
           Alcotest.failf
             "disabled instrumentation slower than enabled: %.4fs vs %.4fs"
-            t_off t_on) ]
+            t_off t_on);
+    t "a stealing job's steals, utilization and imbalance are sane" (fun () ->
+        with_flags @@ fun () ->
+        Metrics.set_enabled true;
+        Pool.with_pool 2 (fun pool ->
+            Pool.reset_stats pool;
+            pool_job pool 100_000;
+            let sm = Pool.summary pool in
+            if sm.Pool.sm_steals > sm.Pool.sm_steal_attempts then
+              Alcotest.failf "steals (%d) exceed attempts (%d)" sm.Pool.sm_steals
+                sm.Pool.sm_steal_attempts;
+            if not (sm.Pool.sm_utilization > 0.0) then
+              Alcotest.failf "utilization %.4f is not positive" sm.Pool.sm_utilization;
+            (* Max over mean worker points: 1.0 when even. *)
+            if not (sm.Pool.sm_imbalance >= 1.0) then
+              Alcotest.failf "imbalance %.3f below 1.0" sm.Pool.sm_imbalance)) ]
 
 let () =
   Alcotest.run "obs"

@@ -291,9 +291,183 @@ let exec_tests =
         Alcotest.(check int) "flattened points dealt" 300 sm.Psc.Pool.sm_points)
   ]
 
+(* --- paired timing of the static table ----------------------------- *)
+
+(* The static table, sized for this host and run on a pool of that many
+   domains, against the sequential run, on the ten row families of the
+   paper's programs and the two distance-analysis schedules (DOGROUP,
+   DOINSPECT).  Each family's sides are warmed once, then timed in
+   interleaved rounds in this one process, the side that runs first
+   rotating, so every side sees the same host phases; the check reads
+   the medians.  On h3 the hand-picked fixed-chunk, stealing and
+   steal+collapse runs join the same rounds. *)
+
+let rounds = 21
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* [(name, median seconds)] for each [(name, run)] side. *)
+let paired_medians sides =
+  let sides = Array.of_list sides in
+  let k = Array.length sides in
+  Array.iter (fun (_, run) -> run ()) sides;
+  let samples = Array.make k [] in
+  for r = 0 to rounds - 1 do
+    for j = 0 to k - 1 do
+      let i = (r + j) mod k in
+      let t0 = Psc.Metrics.now_ns () in
+      (snd sides.(i)) ();
+      samples.(i) <- (Psc.Metrics.now_ns () - t0) :: samples.(i)
+    done
+  done;
+  Array.to_list
+    (Array.mapi (fun i (name, _) -> (name, float_of_int (median samples.(i)) /. 1e9)) sides)
+
+type runner = ?pool:Psc.Pool.t -> ?policy:Psc.Policy.table -> collapse:bool -> unit -> unit
+
+(* One family: its static table for [cores], its runner, and the
+   flowchart its hand-picked tables are keyed by when it has them. *)
+let family name ?hand_picked ~table (run : runner) = (name, hand_picked, table, run)
+
+let relaxation_families =
+  List.concat_map
+    (fun (m, maxk) ->
+      let inputs = Ps_models.Models.relaxation_inputs ~m ~maxk in
+      let env = [ ("M", m); ("maxK", maxk) ] in
+      [ family (Printf.sprintf "fig6 M=%d" m)
+          ~table:(fun cores -> Psc.static_policy ~cores jacobi ~env)
+          (fun ?pool ?policy ~collapse () ->
+            ignore (Psc.run ~check:false ?pool ?policy ~collapse jacobi ~inputs));
+        family (Printf.sprintf "h3 M=%d" m)
+          ~hand_picked:(flowchart ~name:hyper_name ~sink:true ~trim:true hyper_project)
+          ~table:(fun cores ->
+            Psc.static_policy ~name:hyper_name ~sink:true ~trim:true ~cores hyper_project ~env)
+          (fun ?pool ?policy ~collapse () ->
+            ignore
+              (Psc.run ~check:false ?pool ?policy ~collapse ~name:hyper_name ~sink:true
+                 ~trim:true hyper_project ~inputs)) ])
+    [ (16, 10); (32, 20) ]
+
+let lcs_families =
+  let lcs, tr = Psc.hyperplane ~target:"L" (Psc.load_string Ps_models.Models.lcs) in
+  let name = tr.Psc.Transform.tr_module.Psc.Ast.m_name in
+  List.map
+    (fun n ->
+      let seq f = Psc.Exec.array_int ~dims:[ (1, n) ] (fun ix -> f ix.(0) mod 4) in
+      let inputs =
+        [ ("X", seq (fun i -> (i * 7) + 3)); ("Y", seq (fun i -> (i * 5) + 1));
+          ("N", Psc.Exec.scalar_int n) ]
+      in
+      family (Printf.sprintf "lcs N=%d" n)
+        ~table:(fun cores ->
+          Psc.static_policy ~name ~sink:true ~trim:true ~cores lcs ~env:[ ("N", n) ])
+        (fun ?pool ?policy ~collapse () ->
+          ignore
+            (Psc.run ~check:false ?pool ?policy ~collapse ~name ~sink:true ~trim:true lcs
+               ~inputs)))
+    [ 64; 128 ]
+
+let stride_families =
+  let grp = Psc.load_string Ps_models.Models.strided_copy in
+  let insp = Psc.load_string Ps_models.Models.param_recurrence in
+  let k = 7 in
+  List.concat_map
+    (fun n ->
+      let a =
+        Psc.Exec.array_real ~dims:[ (1, n) ] (fun ix -> Ps_models.Models.fill_value ix.(0))
+      in
+      let grp_inputs = [ ("A", a); ("N", Psc.Exec.scalar_int n) ] in
+      let insp_inputs = ("K", Psc.Exec.scalar_int k) :: grp_inputs in
+      [ family (Printf.sprintf "grp N=%d" n)
+          ~table:(fun cores -> Psc.static_policy ~cores grp ~env:[ ("N", n) ])
+          (fun ?pool ?policy ~collapse () ->
+            ignore (Psc.run ~check:false ?pool ?policy ~collapse grp ~inputs:grp_inputs));
+        family (Printf.sprintf "insp N=%d" n)
+          ~table:(fun cores -> Psc.static_policy ~cores insp ~env:[ ("N", n); ("K", k) ])
+          (fun ?pool ?policy ~collapse () ->
+            ignore (Psc.run ~check:false ?pool ?policy ~collapse insp ~inputs:insp_inputs)) ])
+    [ 4096; 16384 ]
+
+let paired_case (name, hand_picked, table, (run : runner)) =
+  t name (fun () ->
+      let cores = Psc.Pool.recommended_size () in
+      if cores = 1 then begin
+        print_endline
+          "skipped: on one core every static table is all-sequential, so auto \
+           would be timed against itself";
+        Alcotest.skip ()
+      end;
+      let table = table cores in
+      Psc.Pool.with_pool cores @@ fun pool ->
+      let hand =
+        match hand_picked with
+        | None -> []
+        | Some fc ->
+          let fixed =
+            Psc.Policy.uniform ~source:Psc.Policy.Tuned ~cores fc (fun _ ->
+                Psc.Policy.parallel ~steal:false ~why:"fixed chunks" ())
+          in
+          [ ("fixed", fun () -> run ~pool ~policy:fixed ~collapse:false ());
+            ("steal", fun () -> run ~pool ~collapse:false ());
+            ("steal+collapse", fun () -> run ~pool ~collapse:true ()) ]
+      in
+      let sides =
+        [ ("auto", fun () -> run ~pool ~policy:table ~collapse:false ());
+          ("seq", fun () -> run ~collapse:false ()) ]
+        @ hand
+      in
+      (* The first bound one set of medians breaks, if any. *)
+      let verdict medians =
+        let report =
+          Printf.sprintf "%s, %d rounds, pool of %d: %s; %s" name rounds cores
+            (String.concat ", "
+               (List.map (fun (n, s) -> Printf.sprintf "%s %.3f ms" n (s *. 1e3)) medians))
+            (Psc.Policy.table_summary table)
+        in
+        print_endline report;
+        let auto = List.assoc "auto" medians in
+        let others = List.map snd (List.remove_assoc "auto" medians) in
+        let bounds =
+          ((1.1 *. List.assoc "seq" medians) +. 0.001, "1.1 x seq + 1 ms")
+          ::
+          (if hand = [] then []
+           else
+             [ ((1.1 *. List.fold_left min infinity others) +. 0.001,
+                "1.1 x the best hand-picked run + 1 ms");
+               (List.fold_left max 0.0 others, "the worst hand-picked run") ])
+        in
+        List.find_map
+          (fun (limit, what) ->
+            if auto <= limit then None
+            else
+              Some
+                (Printf.sprintf "auto %.3f ms exceeds %s (%.3f ms): %s" (auto *. 1e3) what
+                   (limit *. 1e3) report))
+          bounds
+      in
+      (* A broken bound earns two fresh sets of rounds before it counts,
+         as in the sweeps this check replaces: a real regression breaks
+         it three times running, a burst of host load does not. *)
+      let rec attempt k =
+        match verdict (paired_medians sides) with
+        | None -> ()
+        | Some m when k < 3 ->
+          print_endline ("measuring again: " ^ m);
+          attempt (k + 1)
+        | Some m -> Alcotest.fail m
+      in
+      attempt 1)
+
+let paired_tests =
+  List.map paired_case (relaxation_families @ lcs_families @ stride_families)
+
 let () =
   Alcotest.run "policy"
     [ ("cost-model", cost_tests);
       ("roundtrip", roundtrip_tests);
       ("verify", verify_tests);
-      ("exec", exec_tests) ]
+      ("exec", exec_tests);
+      ("paired", paired_tests) ]

@@ -526,7 +526,16 @@ let start_socket_server ?(workers = 8) ?(extra = []) () =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let pid = Unix.create_process psc_exe argv devnull devnull devnull in
   Unix.close devnull;
-  wait_for (fun () -> Sys.file_exists path) "server socket";
+  (* The socket file appears at bind, a moment before listen, when a
+     connect is still refused: wait for a connect to succeed. *)
+  let listening () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> true
+    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) -> false
+  in
+  wait_for listening "server socket";
   (pid, path)
 
 let connect path =
@@ -556,6 +565,15 @@ let ask_fd ic oc line =
   output_char oc '\n';
   flush oc;
   input_line ic
+
+(* The server's open-connection gauge, read over a connection of its
+   own (so counted in it). *)
+let connections path =
+  let fd, ic, oc = connect path in
+  recv_deadline fd;
+  let s = parse (ask_fd ic oc "{\"id\":1,\"op\":\"stats\"}") in
+  Unix.close fd;
+  jnum "connections" s
 
 let stop_server pid path =
   (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
@@ -1047,14 +1065,7 @@ let stress_tests =
         (* The connection gauge must come back down: the event loop
            reaps closed sockets rather than accreting per-connection
            state (the old transport leaked one thread handle each). *)
-        let connections () =
-          let fd, ic, oc = connect path in
-          recv_deadline fd;
-          let s = parse (ask_fd ic oc "{\"id\":1,\"op\":\"stats\"}") in
-          Unix.close fd;
-          jnum "connections" s
-        in
-        wait_for (fun () -> connections () <= 2) "connection gauge to settle";
+        wait_for (fun () -> connections path <= 2) "connection gauge to settle";
         (* And the server still does real work. *)
         let fd, ic, oc = connect path in
         recv_deadline fd;
@@ -1175,6 +1186,61 @@ let stress_tests =
           (jbool "ok" (parse (ask_fd ic oc {|{"id":999,"op":"stats"}|})));
         Unix.close fd) ]
 
+(* 1024 connections open at once, each with one request in flight: half
+   of them hits on a warm source, half fresh sources.  One client thread
+   opens them all, writes every request, then reads every answer. *)
+let connections_1024 =
+  t "1024 connections at once: no error, no shed, hits hit, misses miss"
+    (fun () ->
+      let pid, path = start_socket_server ~extra:[ "--max-queue"; "4096" ] () in
+      Fun.protect ~finally:(fun () -> stop_server pid path) @@ fun () ->
+      (let fd, ic, oc = connect path in
+       recv_deadline fd;
+       Alcotest.(check bool) "warm-up ok" true
+         (jbool "ok" (parse (ask_fd ic oc (schedule_req ~id:0 ()))));
+       Unix.close fd);
+      let floor = connections path in
+      let n = 1024 in
+      let t0 = Psc.Metrics.now_ns () in
+      let conns =
+        Array.init n (fun _ ->
+            let fd, ic, oc = connect path in
+            recv_deadline fd;
+            (fd, ic, oc))
+      in
+      let t1 = Psc.Metrics.now_ns () in
+      Array.iteri
+        (fun i (_, _, oc) ->
+          output_string oc
+            (if i mod 2 = 0 then schedule_req ~id:i () else fresh_req "c1024" i);
+          output_char oc '\n';
+          flush oc)
+        conns;
+      let errors = ref 0 and shed = ref 0 and hit_misses = ref 0 and miss_hits = ref 0 in
+      Array.iteri
+        (fun i (_, ic, _) ->
+          let j = parse (input_line ic) in
+          if jnum "id" j <> i then
+            Alcotest.failf "connection %d was answered for id %d" i (jnum "id" j);
+          if not (jbool "ok" j) then
+            if first_code j = "E033" then incr shed else incr errors
+          else if jbool "cached" j <> (i mod 2 = 0) then
+            incr (if i mod 2 = 0 then hit_misses else miss_hits))
+        conns;
+      let t2 = Psc.Metrics.now_ns () in
+      Printf.printf "%d connections: connect %.3f s, answers %.3f s\n" n
+        (float_of_int (t1 - t0) /. 1e9)
+        (float_of_int (t2 - t1) /. 1e9);
+      Alcotest.(check int) "errors" 0 !errors;
+      Alcotest.(check int) "E033 answers" 0 !shed;
+      Alcotest.(check int) "hits not served from the cache" 0 !hit_misses;
+      Alcotest.(check int) "misses served from the cache" 0 !miss_hits;
+      let _, ic0, oc0 = conns.(0) in
+      Alcotest.(check int) "stats.shed" 0
+        (jnum "shed" (parse (ask_fd ic0 oc0 {|{"id":-1,"op":"stats"}|})));
+      Array.iter (fun (fd, _, _) -> Unix.close fd) conns;
+      wait_for (fun () -> connections path <= floor) "connection gauge to settle")
+
 let () =
   Alcotest.run "server"
     [ ("stdio", stdio_tests @ stdio_pipe_tests);
@@ -1182,4 +1248,4 @@ let () =
       ("trace", trace_tests);
       ("socket", socket_tests);
       ("cache", cache_tests);
-      ("stress", stress_tests @ transport_tests) ]
+      ("stress", stress_tests @ transport_tests @ [ connections_1024 ]) ]

@@ -92,7 +92,7 @@ let check_string = Alcotest.(check string)
 let checkf ?(eps = 1e-12) msg a b =
   if abs_float (a -. b) > eps then Alcotest.failf "%s: %.17g <> %.17g" msg a b
 
-(* --- subprocesses and the JSON reports they write --------------------- *)
+(* --- subprocesses and the JSON they answer ------------------------------ *)
 
 let field k j =
   match Psc.Json.member k j with
@@ -119,12 +119,3 @@ let psc_exe = built "bin" "psc_main.exe"
 
 let example name =
   List.find Sys.file_exists [ "../examples/ps/" ^ name; "examples/ps/" ^ name ]
-
-(* Run bench/main.exe with [args] (output to [log]) and parse the JSON
-   file [out] it writes. *)
-let bench_sweep ~args ~log ~out =
-  let rc =
-    Sys.command (Printf.sprintf "%s %s > %s 2>&1" (built "bench" "main.exe") args log)
-  in
-  if rc <> 0 then Alcotest.failf "bench %s exited %d" args rc;
-  Psc.Json.parse (read_file out)
