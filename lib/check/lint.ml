@@ -255,187 +255,60 @@ let subscripts (em : Elab.emodule) : Diag.t list =
   List.rev !diags
 
 (* ------------------------------------------------------------------ *)
-(* Virtualization failures (§3.4), with the failing rule. *)
+(* Virtualization failures (§3.4): the scheduler's own refusals, each
+   with the rule it acted on. *)
 
 let virtualization (r : Schedule.result) : Diag.t list =
-  let g = r.Schedule.r_graph in
-  let em = g.g_module in
-  (* The outermost MSCC each node landed in, by display name. *)
-  let component_of =
-    let tbl = Hashtbl.create 16 in
-    List.iteri
-      (fun i (ct : Schedule.component_trace) ->
-        List.iter (fun n -> Hashtbl.replace tbl n i) ct.Schedule.ct_nodes)
-      r.Schedule.r_components;
-    fun name -> Hashtbl.find_opt tbl name
-  in
-  let windowed d p =
-    List.exists
-      (fun (w : Schedule.window) ->
-        String.equal w.Schedule.w_data d && w.Schedule.w_dim = p)
-      r.Schedule.r_windows
-  in
-  let windowed_elsewhere d p =
-    List.exists
-      (fun (w : Schedule.window) ->
-        String.equal w.Schedule.w_data d && w.Schedule.w_dim <> p)
-      r.Schedule.r_windows
-  in
-  let diags = ref [] in
-  List.iter
-    (fun (d : Elab.data) ->
-      if d.Elab.d_kind = Elab.Local then begin
-        let name = d.Elab.d_name in
-        let defines_d q =
-          List.exists
-            (fun e ->
-              match e.e_kind, e.e_src, e.e_dst with
-              | Def, Eq q', Data n -> q' = q && String.equal n name
-              | _ -> false)
-            (Dgraph.edges g)
-        in
-        let uses =
-          List.filter
-            (fun e ->
-              match e.e_kind, e.e_src with
-              | Use, Data n -> String.equal n name
-              | _ -> false)
-            (Dgraph.edges g)
-        in
-        let ndims = List.length (Stypes.dims d.Elab.d_ty) in
-        for p = 0 to ndims - 1 do
-          (* Dimension [p] is a virtualization candidate when some
-             self-dependence is carried exactly there: a negative offset
-             at [p] with identity subscripts on every outer dimension
-             (an outer-carried dependence leaves [p] a plain spatial
-             dimension that must stay fully allocated). *)
-          let identity_before e =
-            let ok = ref true in
-            for k = 0 to p - 1 do
-              (match e.e_subs.(k) with
-               | Label.Affine { offset = 0; _ } -> ()
-               | _ -> ok := false)
-            done;
-            !ok
-          in
-          let recursive =
-            List.exists
-              (fun e ->
-                match e.e_dst with
-                | Eq q when defines_d q -> (
-                  Array.length e.e_subs > p
-                  && identity_before e
-                  &&
-                  match e.e_subs.(p) with
-                  | Label.Affine { offset; _ } -> offset < 0
-                  | _ -> false)
-                | _ -> false)
-              uses
-          in
-          if recursive && not (windowed name p) then begin
-            let inside e =
-              match e.e_dst with
-              | Eq q -> (
-                match
-                  ( component_of (Dgraph.node_name g (Eq q)),
-                    component_of name )
-                with
-                | Some a, Some b -> a = b
-                | _ -> false)
-              | Data _ -> false
-            in
-            let reason =
-              List.find_map
-                (fun e ->
-                  if Array.length e.e_subs <= p then None
-                  else
-                    match e.e_subs.(p), inside e with
-                    | Label.Affine { offset; _ }, true when offset > 0 ->
-                      Some
-                        (Printf.sprintf
-                           "a forward reference (class \"%s\") needs a plane \
-                            not yet computed"
-                           (Label.class_name e.e_subs.(p)))
-                    | (Label.Slice | Label.Opaque | Label.Const_low
-                      | Label.Const_mid _), true ->
-                      Some
-                        (Printf.sprintf
-                           "a reference of class \"%s\" inside its component \
-                            is not a window access"
-                           (Label.class_name e.e_subs.(p)))
-                    | (Label.Affine _ | Label.Slice | Label.Opaque
-                      | Label.Const_low | Label.Const_mid _), false ->
-                      Some
-                        (Printf.sprintf
-                           "it is read outside its component at other than \
-                            the final plane (class \"%s\")"
-                           (Label.class_name e.e_subs.(p)))
-                    | _ -> None)
-                uses
-            in
-            (* Write side (mirrors [Schedule.analyze_virtual]): a window
-               is also refused when another component writes the array
-               sweeping this dimension, since those writes would be
-               clobbered before their readers run.  Boundary planes
-               (constant subscripts near the lower bound) are the
-               allowed exception. *)
-            let write_reason =
-              List.find_map
-                (fun e ->
-                  match e.e_kind, e.e_dst with
-                  | Def, Data n
-                    when String.equal n name && Array.length e.e_subs > p -> (
-                    let inside_def =
-                      match e.e_src with
-                      | Eq q -> (
-                        match
-                          ( component_of (Dgraph.node_name g (Eq q)),
-                            component_of name )
-                        with
-                        | Some a, Some b -> a = b
-                        | _ -> false)
-                      | Data _ -> false
-                    in
-                    match e.e_subs.(p), inside_def with
-                    | Label.Affine { offset = 0; _ }, true -> None
-                    | (Label.Const_low | Label.Const_mid _), false -> None
-                    | sub, false ->
-                      Some
-                        (Printf.sprintf
-                           "it is written outside its component (class \
-                            \"%s\"), which would be clobbered by the window"
-                           (Label.class_name sub))
-                    | sub, true ->
-                      Some
-                        (Printf.sprintf
-                           "a write of class \"%s\" inside its component \
-                            does not march with the loop"
-                           (Label.class_name sub)))
-                  | _ -> None)
-                (Dgraph.edges g)
-            in
-            match (match reason with Some _ -> reason | None -> write_reason) with
-            | Some why ->
-              diags :=
-                Diag.diag Diag.No_virtualization d.Elab.d_loc
-                  "dimension %d of %s is recursively indexed but stays fully \
-                   allocated: %s"
-                  (p + 1) name why
-                :: !diags
-            | None ->
-              if windowed_elsewhere name p then
-                diags :=
-                  Diag.diag Diag.No_virtualization d.Elab.d_loc
-                    "dimension %d of %s stays fully allocated: the \
-                     at-most-one-window rule keeps only the outermost \
-                     scheduled dimension virtual"
-                    (p + 1) name
-                  :: !diags
-          end
-        done
-      end)
-    em.Elab.em_locals;
-  List.rev !diags
+  let em = r.Schedule.r_graph.g_module in
+  List.map
+    (fun (rf : Schedule.refused) ->
+      let name = rf.Schedule.rf_data and dim = rf.Schedule.rf_dim in
+      let cls (e : edge) = Label.class_name e.e_subs.(dim) in
+      let why =
+        match rf.Schedule.rf_why with
+        | Schedule.One_window w ->
+          Printf.sprintf
+            "the at-most-one-window rule keeps only the outermost scheduled \
+             dimension virtual (dimension %d)"
+            (w + 1)
+        | Schedule.Grouped g ->
+          Printf.sprintf
+            "its loop runs as DOGROUP(%d), whose residue classes do not reuse \
+             planes in sweep order"
+            g
+        | Schedule.Read_inside e -> (
+          match e.e_subs.(dim) with
+          | Label.Affine { offset; _ } when offset > 0 ->
+            Printf.sprintf
+              "a forward reference (class \"%s\") needs a plane not yet \
+               computed"
+              (cls e)
+          | _ ->
+            Printf.sprintf
+              "a reference of class \"%s\" inside its component is not a \
+               window access"
+              (cls e))
+        | Schedule.Read_outside e ->
+          Printf.sprintf
+            "it is read outside its component at other than the final plane \
+             (class \"%s\")"
+            (cls e)
+        | Schedule.Write_inside e ->
+          Printf.sprintf
+            "a write of class \"%s\" inside its component does not march \
+             with the loop"
+            (cls e)
+        | Schedule.Write_outside e ->
+          Printf.sprintf
+            "it is written outside its component (class \"%s\"), which would \
+             be clobbered by the window"
+            (cls e)
+      in
+      Diag.diag Diag.No_virtualization (Elab.data_exn em name).Elab.d_loc
+        "dimension %d of %s is recursively indexed but stays fully allocated: \
+         %s"
+        (dim + 1) name why)
+    r.Schedule.r_refusals
 
 (* ------------------------------------------------------------------ *)
 (* DOALLs too small to parallelize (W120).

@@ -11,7 +11,8 @@
     - [W112] a recursively indexed dimension stays fully allocated, with
       the reason virtualization (paper §3.4) fails — a forward
       reference, a non-affine subscript, an outside read of other than
-      the final plane, or the at-most-one-window rule;
+      the final plane, a write that would clobber the window, the
+      at-most-one-window rule, or a DOGROUP upgrade;
     - [W113] the basic scheduling algorithm cannot order the module (the
       hyperplane transformation of §4 may apply);
     - [W115] a subscript demoted to [Opaque] that the symbolic distance
@@ -33,8 +34,8 @@ val subscripts : Ps_sem.Elab.emodule -> Ps_diag.Diag.t list
 (** Symbolically out-of-bounds subscripts ([E020]). *)
 
 val virtualization : Ps_sched.Schedule.result -> Ps_diag.Diag.t list
-(** Recursively indexed dimensions that fail virtualization, with the
-    failing §3.4 rule ([W112]). *)
+(** The scheduler's window refusals ({!Ps_sched.Schedule.refused}),
+    each with the §3.4 rule it acted on ([W112]). *)
 
 val wake_check :
   Ps_sem.Elab.emodule -> Ps_sched.Schedule.result -> Ps_diag.Diag.t list

@@ -510,6 +510,16 @@ let flowchart ?(windows = []) (g : Dgraph.t) (fc : Fc.t) : Diag.t list =
       (match !aligned with
        | [] -> ()
        | (q0, l0) :: rest ->
+         (* Planes are reused only by a sequential sweep. *)
+         (match l0.Fc.lp_kind with
+          | Fc.Iterative -> ()
+          | k ->
+            report
+              (Diag.diag Diag.Window_clobber (eq_loc q0)
+                 "dimension %d of %s is windowed, but %s marches it under %s \
+                  %s, not a DO, so its planes are live at once"
+                 (w.Schedule.w_dim + 1) w.Schedule.w_data (eq_name q0)
+                 (Fc.kind_name k) l0.Fc.lp_var));
          List.iter
            (fun (q, l) ->
              if not (l == l0) then

@@ -15,11 +15,13 @@
      edge was deleted and a parallel loop otherwise (step 6); and recurses
      on the remaining subgraph (step 7).
 
-   Virtual-dimension analysis (§3.4) runs at the moment a dimension is
-   scheduled: a local array's scheduled dimension is virtual — allocated
-   as a small window instead of its full extent — when every use is
-   either an I/I-const reference from inside the component or an
-   upper-bound reference from outside. *)
+   Virtual-dimension analysis (§3.4) runs at the moment a loop that
+   carries a dependence is scheduled: a local array's scheduled
+   dimension is virtual — allocated as a small window instead of its
+   full extent — when every use is either an I/I-const reference from
+   inside the component or an upper-bound reference from outside, and
+   no write would clobber the window.  Each refusal is recorded with
+   its reason, which is what W112 reports. *)
 
 open Ps_sem
 open Ps_graph
@@ -33,6 +35,16 @@ type window = {
   w_size : int;  (* number of planes to allocate *)
 }
 
+type refusal =
+  | One_window of int
+  | Grouped of int
+  | Read_inside of Dgraph.edge
+  | Read_outside of Dgraph.edge
+  | Write_inside of Dgraph.edge
+  | Write_outside of Dgraph.edge
+
+type refused = { rf_data : string; rf_dim : int; rf_why : refusal }
+
 type component_trace = {
   ct_nodes : string list;
   ct_flowchart : Flowchart.t;
@@ -41,6 +53,7 @@ type component_trace = {
 type result = {
   r_flowchart : Flowchart.t;
   r_windows : window list;
+  r_refusals : refused list;
   r_components : component_trace list;  (* outermost MSCCs, as in Fig. 5 *)
   r_graph : Dgraph.t;
 }
@@ -55,6 +68,7 @@ type state = {
   (* Loop-variable renamings accumulated per equation. *)
   st_aliases : (int, (string * string) list) Hashtbl.t;
   st_windows : window list ref;
+  st_refusals : refused list ref;
 }
 
 let scheduled st id = try Hashtbl.find st.st_scheduled id with Not_found -> []
@@ -403,95 +417,83 @@ let candidates st (c : Scc.component) =
   uniq [] names
 
 (* ------------------------------------------------------------------ *)
-(* Virtual-dimension analysis (§3.4), run when a dimension is scheduled. *)
+(* Virtual-dimension analysis (§3.4).
 
-let analyze_virtual st (c : Scc.component) (ch : chosen) =
-  let comp_eqs = eq_ids_of_component c in
+   [window] is the one statement of the rule, shared with [Sink].  It
+   applies to a dimension whose loop carries a dependence (a DO): a
+   DOALL runs its planes at once, so every iteration needs its own.
+   Reads come first: rule 1, an I/I-const reference from inside, or
+   rule 2, the final plane read from outside.  Then the write side:
+   with [window] planes a slot is reused every [window] iterations, so
+   a write is safe only as the producing write itself (offset 0,
+   inside, marching with the loop) or as a boundary plane from outside
+   within the startup window: planes [lo .. lo + window - 1] are read
+   back at most [window - 1] iterations later, before their slots come
+   round again.  Any other write (an LCS-style base column L[I, 0],
+   say, a DOALL in another component sweeping the dimension) would be
+   overwritten before its readers run. *)
+
+let window (g : Dgraph.t) ~inside ?exempt d p : (int, refusal) Stdlib.result =
+  let exception Refused of refusal in
+  let exempt q = match exempt with Some x -> x = q | None -> false in
+  try
+    let max_back = ref 0 in
+    List.iter
+      (fun e ->
+        match e.e_kind, e.e_src, e.e_dst with
+        | Use, Data d', Eq q when String.equal d d' && not (exempt q) -> (
+          let inside = List.mem q inside in
+          match e.e_subs.(p), inside with
+          | Label.Affine { offset; _ }, true when offset <= 0 ->
+            if -offset > !max_back then max_back := -offset
+          | Label.Const_high, false -> ()
+          | _ -> raise (Refused (if inside then Read_inside e else Read_outside e)))
+        | _ -> ())
+      (Dgraph.edges g);
+    let window = !max_back + 1 in
+    List.iter
+      (fun e ->
+        match e.e_kind, e.e_dst with
+        | Def, Data d' when String.equal d d' -> (
+          let inside = match e.e_src with Eq q -> List.mem q inside | Data _ -> false in
+          match e.e_subs.(p), inside with
+          | Label.Affine { offset = 0; _ }, true | Label.Const_low, false -> ()
+          | Label.Const_mid k, false when k < window -> ()
+          | _ -> raise (Refused (if inside then Write_inside e else Write_outside e)))
+        | _ -> ())
+      (Dgraph.edges g);
+    Ok window
+  with Refused r -> Error r
+
+(* Run when the basic path schedules a loop that carries a dependence.
+   At most one dimension per array is windowed: windowing a second,
+   inner dimension is unsound — a reference such as L[I-1, J] (previous
+   outer plane, same inner position) needs the previous plane's full
+   inner extent, which a second window would have partially
+   overwritten.  The paper's worked example never windows two
+   dimensions (the spatial ones are disqualified by their I+1
+   subscripts), so §3.4 does not address the interaction; we keep the
+   outermost window only.  A loop upgraded to DOGROUP keeps no window:
+   residue classes do not reuse planes in sweep order. *)
+let analyze_virtual st (c : Scc.component) (ch : chosen) kind =
+  let inside = eq_ids_of_component c in
   List.iter
     (fun d ->
-      match Elab.find_data st.st_em d with
-      | Some data when data.Elab.d_kind = Elab.Local -> (
-        match List.assoc_opt d ch.ch_data_pos with
-        | None -> ()
-        | Some _
-          when List.exists (fun w -> String.equal w.w_data d) !(st.st_windows) ->
-          (* At most one virtual dimension per array: windowing a second,
-             inner dimension is unsound — a reference such as
-             L[I-1, J] (previous outer plane, same inner position) needs
-             the previous plane's full inner extent, which a second
-             window would have partially overwritten.  The paper's worked
-             example never windows two dimensions (the spatial ones are
-             disqualified by their I+1 subscripts), so §3.4 does not
-             address the interaction; we keep the outermost window only. *)
-          ()
-        | Some p ->
-          (* Examine every use of [d] in the full graph. *)
-          let uses =
-            List.filter
-              (fun e ->
-                e.e_kind = Use
-                && match e.e_src with Data d' -> String.equal d d' | Eq _ -> false)
-              (Dgraph.edges st.st_graph)
-          in
-          let max_back = ref 0 in
-          let virtual_ok =
-            List.for_all
-              (fun e ->
-                let inside =
-                  match e.e_dst with Eq q -> List.mem q comp_eqs | Data _ -> false
-                in
-                match e.e_subs.(p) with
-                | Label.Affine { offset; _ } when inside && offset <= 0 ->
-                  (* Rule 1: I or I - constant, target inside the MSCC. *)
-                  if -offset > !max_back then max_back := -offset;
-                  true
-                | Label.Const_high when not inside ->
-                  (* Rule 2: only the final element used outside. *)
-                  true
-                | _ -> false)
-              uses
-          in
-          let window = !max_back + 1 in
-          (* Write side: with [window] planes of physical storage, a
-             plane's slot is reused every [window] iterations, so a
-             write is only safe when it is either the producing write
-             itself (subscripted by the scheduled variable, offset 0,
-             so it lands plane-by-plane in step with the loop) or a
-             boundary plane from another component that sits within
-             the startup window — planes [lo .. lo + window - 1] are
-             read back at most [max_back] iterations later, strictly
-             before the loop comes around to reuse their slots.  Any
-             other write (e.g. a DOALL in another component sweeping
-             the scheduled dimension, as in an LCS-style base column
-             L[I, 0]) would be partially overwritten before its
-             readers run, so the dimension must stay fully allocated. *)
-          let defs_ok =
-            List.for_all
-              (fun e ->
-                if
-                  not
-                    (e.e_kind = Def
-                     &&
-                     match e.e_dst with
-                     | Data d' -> String.equal d d'
-                     | Eq _ -> false)
-                then true
-                else
-                  let inside =
-                    match e.e_src with
-                    | Eq q -> List.mem q comp_eqs
-                    | Data _ -> false
-                  in
-                  match e.e_subs.(p) with
-                  | Label.Affine { offset = 0; _ } -> inside
-                  | Label.Const_low -> not inside
-                  | Label.Const_mid k -> (not inside) && k < window
-                  | _ -> false)
-              (Dgraph.edges st.st_graph)
-          in
-          if virtual_ok && defs_ok then
-            st.st_windows :=
-              { w_data = d; w_dim = p; w_size = window } :: !(st.st_windows))
+      match Elab.find_data st.st_em d, List.assoc_opt d ch.ch_data_pos with
+      | Some { Elab.d_kind = Elab.Local; _ }, Some p -> (
+        let verdict =
+          match List.find_opt (fun w -> String.equal w.w_data d) !(st.st_windows) with
+          | Some w -> Error (One_window w.w_dim)
+          | None -> (
+            match window st.st_graph ~inside d p, kind with
+            | Ok _, Flowchart.Grouped g -> Error (Grouped g)
+            | v, _ -> v)
+        in
+        match verdict with
+        | Ok w_size ->
+          st.st_windows := { w_data = d; w_dim = p; w_size } :: !(st.st_windows)
+        | Error rf_why ->
+          st.st_refusals := { rf_data = d; rf_dim = p; rf_why } :: !(st.st_refusals))
       | _ -> ())
     (data_of_component c)
 
@@ -563,9 +565,6 @@ and schedule_component st (sg : Scc.subgraph) (comp : Scc.component) : Flowchart
                     'I - constant' in a consistent position";
                  component = component_names st comp })))
     | Some ch ->
-      (* Virtual-dimension analysis before the edges disappear. *)
-      let windows_before = !(st.st_windows) in
-      analyze_virtual st comp ch;
       (* Step 4: delete the "I - constant" edges. *)
       let deleted =
         List.filter
@@ -585,18 +584,16 @@ and schedule_component st (sg : Scc.subgraph) (comp : Scc.component) : Flowchart
       (* Step 6: iterative iff recursive edges were deleted — unless the
          carried distances share a modulus g >= 2, in which case the
          residue classes mod g are independent and the loop runs as a
-         group-partitioned DOALL.  Grouped order voids the sequential
-         plane reuse a window relies on, so the windows this component
-         just gained are dropped with the upgrade. *)
+         group-partitioned DOALL. *)
       let kind =
         if deleted = [] then Flowchart.Parallel
         else
           match basic_group_modulus comp ch deleted with
-          | Some g ->
-            st.st_windows := windows_before;
-            Flowchart.Grouped g
+          | Some g -> Flowchart.Grouped g
           | None -> Flowchart.Iterative
       in
+      (* §3.4 applies only where the loop carries a dependence. *)
+      if deleted <> [] then analyze_virtual st comp ch kind;
       emit_loop st sg comp ch ~kind ~deleted)
 
 (* Steps 5 and 7, shared by the basic and symbolic paths: mark the
@@ -628,12 +625,14 @@ let schedule_graph_of (g : Dgraph.t) : result =
       st_em = em;
       st_scheduled = Hashtbl.create 16;
       st_aliases = Hashtbl.create 16;
-      st_windows = ref [] }
+      st_windows = ref [];
+      st_refusals = ref [] }
   in
   let trace = ref [] in
   let fc = schedule_graph st (Scc.full_subgraph g) ~trace:(Some trace) in
   { r_flowchart = fc;
     r_windows = List.rev !(st.st_windows);
+    r_refusals = List.rev !(st.st_refusals);
     r_components = List.rev !trace;
     r_graph = g }
 

@@ -11,8 +11,9 @@
    This pass moves such an extraction *into* the iterative loop: on
    iteration K' it copies exactly the hyperplane { f(indices) = K' } that
    was just computed, by solving f for one index variable instead of
-   scanning.  With every outside reference eliminated, the time dimension
-   of A' becomes virtual after all, with the window the paper states
+   scanning.  With the offending outside reference eliminated, the time
+   dimension of A' becomes virtual after all, by the scheduler's own
+   §3.4 rule ([Schedule.window]), with the window the paper states
    (three planes for the worked example).
 
    The pass is sound only if every point of the extraction's index space
@@ -291,54 +292,16 @@ let apply (em : Elab.emodule) (sched : Schedule.result) : result =
                           lp_body = [ body ] })
                     remaining inner
                 in
-                (* Window: every use of data must now be an I/I-const
-                   reference from inside the loop, or the sunk equation. *)
-                let max_back = ref 0 in
-                let uses_ok =
-                  List.for_all
-                    (fun e ->
-                      match e.Ps_graph.Dgraph.e_kind, e.Ps_graph.Dgraph.e_src,
-                            e.Ps_graph.Dgraph.e_dst with
-                      | Ps_graph.Dgraph.Use, Ps_graph.Dgraph.Data d',
-                        Ps_graph.Dgraph.Eq tgt
-                        when String.equal d' data ->
-                        if tgt = q.Elab.q_id then true
-                        else if List.mem tgt body_eq_ids then (
-                          match e.Ps_graph.Dgraph.e_subs.(p) with
-                          | Ps_graph.Label.Affine { offset; _ } when offset <= 0 ->
-                            if -offset > !max_back then max_back := -offset;
-                            true
-                          | _ -> false)
-                        else false
-                      | _ -> true)
-                    (Ps_graph.Dgraph.edges graph)
-                in
-                (* Write side, mirroring [Schedule.analyze_virtual]:
-                   sinking the reader fixes a rule-2 violation, not a
-                   write outside the producing loop — those still
-                   clobber the window, so the same definition rules
-                   apply. *)
-                let window = !max_back + 1 in
-                let defs_ok =
-                  List.for_all
-                    (fun e ->
-                      match e.Ps_graph.Dgraph.e_kind, e.Ps_graph.Dgraph.e_src,
-                            e.Ps_graph.Dgraph.e_dst with
-                      | Ps_graph.Dgraph.Def, Ps_graph.Dgraph.Eq src,
-                        Ps_graph.Dgraph.Data d'
-                        when String.equal d' data -> (
-                        let inside = List.mem src body_eq_ids in
-                        match e.Ps_graph.Dgraph.e_subs.(p) with
-                        | Ps_graph.Label.Affine { offset = 0; _ } -> inside
-                        | Ps_graph.Label.Const_low -> not inside
-                        | Ps_graph.Label.Const_mid k ->
-                          (not inside) && k < window
-                        | _ -> false)
-                      | _ -> true)
-                    (Ps_graph.Dgraph.edges graph)
-                in
-                if not (uses_ok && defs_ok) then None
-                else begin
+                (* The §3.4 rule of [Schedule.window], with the loop
+                   body as the inside and the sunk reader exempt.
+                   Sinking fixes a rule-2 violation, not a write outside
+                   the producing loop: those still clobber the window. *)
+                match
+                  Schedule.window graph ~inside:body_eq_ids ~exempt:q.Elab.q_id
+                    data p
+                with
+                | Error _ -> None
+                | Ok window ->
                   let w =
                     { Schedule.w_data = data; w_dim = p; w_size = window }
                   in
@@ -358,8 +321,7 @@ let apply (em : Elab.emodule) (sched : Schedule.result) : result =
                       sk_window = window;
                       sk_solved_var = u }
                     :: !sunk;
-                  Some { l with Flowchart.lp_body = l.Flowchart.lp_body @ [ nest ] }
-                end)))
+                  Some { l with Flowchart.lp_body = l.Flowchart.lp_body @ [ nest ] })))
   in
   (* Scan the top level: for each iterative loop, try to absorb each later
      extraction-shaped descriptor. *)

@@ -250,7 +250,16 @@ let mutation_tests =
           Psc.Verify.transform { tr with Psc.Transform.tr_time = bad }
         in
         Alcotest.(check bool) "E018 reported" true
-          (has Diag.Hyperplane_violation diags)) ]
+          (has Diag.Hyperplane_violation diags));
+    t "a window marched by a DOALL is rejected (E022)" (fun () ->
+        (* Every concurrent I of DOALL I (DO J) would share one plane. *)
+        let sc =
+          Psc.schedule (Psc.default_module (Psc.load_string Util.doall_window))
+        in
+        let shared = { Psc.Schedule.w_data = "A"; w_dim = 0; w_size = 1 } in
+        let diags = verify_fc sc sc.Psc.sc_flowchart (shared :: sc.Psc.sc_windows) in
+        Alcotest.(check bool) "E022 reported" true
+          (has Diag.Window_clobber diags)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Lints. *)
@@ -339,7 +348,53 @@ let lint_tests =
             "T: module (x: real; N: int): [y: real]; type I = 1 .. N; var A: \
              array [1 .. N] of real; define A[I] = x; y = A[N]; end T;"
         in
-        Alcotest.(check bool) "no W120" false (has Diag.Sequential_doall ds)) ]
+        Alcotest.(check bool) "no W120" false (has Diag.Sequential_doall ds));
+    t "W112 fires on exactly these dimensions, for these rules" (fun () ->
+        let rules =
+          [ ("at-most-one-window", "one window"); ("read outside", "read outside");
+            ("written outside", "write outside"); ("forward reference", "read inside");
+            ("not a window access", "read inside"); ("does not march", "write inside");
+            ("DOGROUP", "grouped") ]
+        in
+        let w112 (name, src) =
+          List.filter_map
+            (fun d ->
+              if d.Diag.d_code <> Diag.No_virtualization then None
+              else
+                let dim, data =
+                  Scanf.sscanf d.Diag.d_msg "dimension %d of %s " (fun k a -> (k, a))
+                in
+                let rule =
+                  List.find_map
+                    (fun (phrase, rule) ->
+                      if Util.contains d.Diag.d_msg phrase then Some rule else None)
+                    rules
+                in
+                Some
+                  (Printf.sprintf "%s %s %d: %s" name data dim
+                     (Option.value rule ~default:d.Diag.d_msg)))
+            (lint src)
+        in
+        let examples =
+          List.map
+            (fun f -> (f, Util.read_file (Util.example f)))
+            [ "gauss_seidel.ps"; "lcs.ps"; "param_recurrence.ps"; "relaxation.ps";
+              "strided_copy.ps" ]
+        in
+        let sources =
+          all_models
+          @ [ ("strided_copy", M.strided_copy); ("param_recurrence", M.param_recurrence) ]
+          @ examples
+        in
+        Alcotest.(check int) "18 sources" 18 (List.length sources);
+        Alcotest.(check (list string)) "source array dimension: rule"
+          [ "gauss_seidel.ps A 2: one window"; "gauss_seidel.ps A 3: one window";
+            "lcs L 1: write outside"; "lcs L 2: write outside";
+            "lcs.ps L 1: write outside"; "lcs.ps L 2: write outside";
+            "prefix_sum Acc 1: read outside"; "seidel A 2: one window";
+            "seidel A 3: one window"; "strided_copy C 1: read outside";
+            "strided_copy.ps C 1: read outside" ]
+          (List.sort compare (List.concat_map w112 sources))) ]
 
 let () =
   Alcotest.run "diag"

@@ -163,7 +163,15 @@ let corpus_tests =
           [ ("N", 4); ("T", 3) ]
           (Fuzz.parse_scalars "(* hdr *)\n(*! fuzz scalars: N=4 T=3 *)\nx"));
     t "every corpus entry replays green" (fun () ->
-        let dir = "corpus" in
+        let dir =
+          match
+            List.find_opt
+              (fun d -> Sys.file_exists d && Sys.is_directory d)
+              [ "corpus"; "test/corpus" ]
+          with
+          | Some d -> d
+          | None -> Alcotest.fail "corpus directory not found"
+        in
         let files =
           Sys.readdir dir |> Array.to_list
           |> List.filter (fun f -> Filename.check_suffix f ".ps")

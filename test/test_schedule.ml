@@ -102,7 +102,24 @@ end Fib;
     t "spatial dimensions with +1 offsets are not virtual" (fun () ->
         let ws = Util.windows_of Ps_models.Models.jacobi in
         Alcotest.(check bool) "no window on dims 1/2" true
-          (List.for_all (fun (_, dim, _) -> dim = 0) ws)) ]
+          (List.for_all (fun (_, dim, _) -> dim = 0) ws));
+    t "a DOALL dimension is never virtual; its DO dimension is" (fun () ->
+        (* DOALL I (DO J): one plane on I would be shared by every
+           concurrent I, so pooled runs raced to wrong sums. *)
+        Alcotest.(check (list (triple string int int))) "windows"
+          [ ("A", 1, 2) ]
+          (Util.windows_of Util.doall_window);
+        let inputs =
+          [ ("M", Psc.Exec.scalar_int 1000); ("N", Psc.Exec.scalar_int 50) ]
+        in
+        let r_of r = Util.output_real r "r" [||] in
+        let r0 = r_of (Util.run Util.doall_window inputs) in
+        Alcotest.(check (float 0.0)) "sequential" 1049.0 r0;
+        Psc.Pool.with_pool 2 (fun pool ->
+            for _ = 1 to 20 do
+              Alcotest.(check (float 0.0)) "pool of 2" r0
+                (r_of (Util.run ~pool Util.doall_window inputs))
+            done)) ]
 
 let rule_tests =
   [ t "paper footnote: inconsistent positions are rejected" (fun () ->

@@ -119,3 +119,17 @@ let psc_exe = built "bin" "psc_main.exe"
 
 let example name =
   List.find Sys.file_exists [ "../examples/ps/" ^ name; "examples/ps/" ^ name ]
+
+(* A recurrence along J under a DOALL over I, as in
+   test/corpus/doall_window.ps: a window on dimension I would be one
+   plane shared by every concurrent I. *)
+let doall_window =
+  {|
+W: module (M: int; N: int): [r: real];
+type I = 1 .. M; J = 1 .. N;
+var A: array [I, J] of real;
+define
+  A[I, J] = if J = 1 then I * 1.0 else A[I, J-1] + 1.0;
+  r = A[M, N];
+end W;
+|}
