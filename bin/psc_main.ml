@@ -314,53 +314,15 @@ let emit_c_cmd =
     Term.(const run $ file_arg $ module_arg $ sink_arg $ collapse_arg $ main
           $ inputs_arg $ verify_arg $ trace_arg)
 
-(* Fill array inputs with the shared deterministic generator. *)
-let default_inputs _t em (scalars : (string * int) list) =
-  let open Psc in
-  (* Every scalar first: array bounds are evaluated over them. *)
+(* Every scalar input comes from the command line; array inputs are
+   filled as the emitted main() fills them. *)
+let inputs_for em scalars =
   List.iter
-    (fun (d : Elab.data) ->
-      if Stypes.dims d.Elab.d_ty = [] && not (List.mem_assoc d.Elab.d_name scalars)
-      then raise (Psc.Error (Printf.sprintf "missing --input %s=INT" d.Elab.d_name)))
+    (fun (d : Psc.Elab.data) ->
+      if Psc.Stypes.dims d.Psc.Elab.d_ty = [] && not (List.mem_assoc d.Psc.Elab.d_name scalars)
+      then Psc.error "missing --input %s=INT" d.Psc.Elab.d_name)
     em.Psc.Elab.em_params;
-  List.map
-    (fun (d : Elab.data) ->
-      let dims = Stypes.dims d.Elab.d_ty in
-      if dims = [] then (d.Elab.d_name, Exec.scalar_int (List.assoc d.Elab.d_name scalars))
-      else begin
-        (* Evaluate the bounds with the scalar inputs we have. *)
-        let env v = List.assoc_opt v scalars in
-        let bounds =
-          List.map
-            (fun (sr : Stypes.subrange) ->
-              let eval e =
-                match Linexpr.of_expr e with
-                | Some l -> Linexpr.eval env l
-                | None ->
-                  raise (Psc.Error (Printf.sprintf "non-linear bound on input %s" d.Elab.d_name))
-              in
-              (eval sr.Stypes.sr_lo, eval sr.Stypes.sr_hi))
-            dims
-        in
-        let extents = List.map (fun (lo, hi) -> hi - lo + 1) bounds in
-        let strides =
-          let rec go = function
-            | [] -> []
-            | _ :: rest as l ->
-              (List.fold_left ( * ) 1 (List.tl l)) :: go rest
-          in
-          go extents
-        in
-        let lows = List.map fst bounds in
-        ( d.Elab.d_name,
-          Exec.array_real ~dims:bounds (fun ix ->
-              let flat = ref 0 in
-              List.iteri
-                (fun p s -> flat := !flat + ((ix.(p) - List.nth lows p) * s))
-                strides;
-              Ps_models.Models.fill_value !flat) )
-      end)
-    em.Psc.Elab.em_params
+  Psc.default_inputs em ~scalars
 
 (* Measure candidate per-nest scheduling policies with the loop-level
    profiler and print the winning table as JSON — the same table `psc
@@ -397,7 +359,7 @@ let tune_cmd =
         let t = load file in
         print_warnings t;
         let em = Psc.the_module ?name t in
-        let ins = default_inputs t em inputs in
+        let ins = inputs_for em inputs in
         let table =
           Psc.tune ?name ~sink ~fuse ~trim ?cores ~reps t ~inputs:ins
             ~env:inputs
@@ -486,7 +448,7 @@ let run_cmd =
         let t = load file in
         let em = Psc.the_module ?name t in
         if verify then verify_schedule (Psc.schedule ~sink ~fuse ~trim ~collapse em);
-        let ins = default_inputs t em inputs in
+        let ins = inputs_for em inputs in
         let host_cores =
           match par with Some n -> max 1 n | None -> Psc.Pool.recommended_size ()
         in
@@ -543,23 +505,8 @@ let run_cmd =
           (fun (nm, v) ->
             match v with
             | Psc.Value.Vscalar sc -> Fmt.pr "%s = %a@." nm Psc.Value.pp_scalar sc
-            | Psc.Value.Varray s ->
-              (* Checksum, as the C harness prints. *)
-              let acc = ref 0.0 in
-              let n = Psc.Value.ndims s in
-              let idx = Array.make n 0 in
-              let rec go p =
-                if p = n then
-                  acc := !acc +. Psc.Value.(as_float (get_scalar s idx))
-                else
-                  let di = s.Psc.Value.s_dims.(p) in
-                  for v = di.Psc.Value.di_lo to di.Psc.Value.di_lo + di.Psc.Value.di_extent - 1 do
-                    idx.(p) <- v;
-                    go (p + 1)
-                  done
-              in
-              go 0;
-              Fmt.pr "%s checksum = %.17g@." nm !acc)
+            | Psc.Value.Varray _ ->
+              Fmt.pr "%s checksum = %.17g@." nm (Psc.checksum v))
           r.Psc.Exec.outputs;
         Fmt.pr "--- storage ---@.";
         List.iter
@@ -862,13 +809,6 @@ let serve_cmd =
           ~doc:"Keep at most N pipeline artifacts (projects, schedules, \
                 emitted C) in the content-addressed cache.")
   in
-  let shards_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"Stripe the artifact cache across N independently locked \
-                shards, so concurrent requests hit disjoint locks.")
-  in
   let max_queue_arg =
     Arg.(
       value & opt int 1024
@@ -912,7 +852,7 @@ let serve_cmd =
                 shutdown (including a SIGTERM drain), mirroring run \
                 --metrics-json.")
   in
-  let run socket stdio workers par cache shards max_queue grace access_log
+  let run socket stdio workers par cache max_queue grace access_log
       slow_ms metrics_json trace =
     handle (fun () ->
         with_trace trace @@ fun () ->
@@ -921,7 +861,6 @@ let serve_cmd =
             cf_workers = workers;
             cf_pool = par;
             cf_cache = cache;
-            cf_shards = shards;
             cf_max_queue = max_queue;
             cf_grace_ms = grace;
             cf_access_log = access_log;
@@ -945,7 +884,7 @@ let serve_cmd =
           lint, tune, stats, shutdown) with pipeline artifacts cached between \
           requests.  SIGTERM drains in-flight work instead of killing it.")
     Term.(const run $ socket_arg $ stdio_arg $ workers_arg $ par_arg
-          $ cache_arg $ shards_arg $ max_queue_arg $ grace_arg
+          $ cache_arg $ max_queue_arg $ grace_arg
           $ access_log_arg $ slow_ms_arg $ metrics_json_arg $ trace_arg)
 
 let main_cmd =

@@ -89,61 +89,31 @@ type t = {
   diagnostics : Sa_check.diagnostic list;
 }
 
-let load_string src =
+(* Parse with [parse], elaborate and check single assignment.  A strict
+   load raises the first single-assignment error; a lenient one keeps
+   them as diagnostics on the project. *)
+let load ~strict parse src =
   wrap (fun () ->
       Trace.with_span "load" @@ fun () ->
-      let ast = Trace.with_span "parse" (fun () -> Parser.program_of_string src) in
+      let ast = Trace.with_span "parse" (fun () -> parse src) in
       let prog = Trace.with_span "elab" (fun () -> Elab.elab_program ast) in
       let diagnostics =
         Trace.with_span "sa_check" (fun () -> Sa_check.check_program prog)
       in
       (match Sa_check.errors diagnostics with
-       | [] -> ()
-       | e :: _ -> error "%s" (Fmt.str "%a" Sa_check.pp_diagnostic e));
+       | e :: _ when strict -> error "%s" (Fmt.str "%a" Sa_check.pp_diagnostic e)
+       | _ -> ());
       { ast; prog; diagnostics })
+
+let load_string = load ~strict:true Parser.program_of_string
 
 (* Translate equation notation (the paper's "ultimate goal" front end)
    and load the resulting module as a project. *)
-let load_equations src =
-  wrap (fun () ->
-      Trace.with_span "load" @@ fun () ->
-      let m = Trace.with_span "parse" (fun () -> Eqn.translate src) in
-      let ast = [ m ] in
-      let prog = Trace.with_span "elab" (fun () -> Elab.elab_program ast) in
-      let diagnostics =
-        Trace.with_span "sa_check" (fun () -> Sa_check.check_program prog)
-      in
-      (match Sa_check.errors diagnostics with
-       | [] -> ()
-       | e :: _ -> error "%s" (Fmt.str "%a" Sa_check.pp_diagnostic e));
-      { ast; prog; diagnostics })
+let load_equations = load ~strict:true (fun src -> [ Eqn.translate src ])
 
-(* Like [load_string], but single-assignment errors become diagnostics
-   on the project instead of raising: the lint and check drivers report
-   them all and set the exit code from their severity. *)
-let load_string_lenient src =
-  wrap (fun () ->
-      Trace.with_span "load" @@ fun () ->
-      let ast = Trace.with_span "parse" (fun () -> Parser.program_of_string src) in
-      let prog = Trace.with_span "elab" (fun () -> Elab.elab_program ast) in
-      let diagnostics =
-        Trace.with_span "sa_check" (fun () -> Sa_check.check_program prog)
-      in
-      { ast; prog; diagnostics })
-
-let load_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  load_string src
-
-let load_file_lenient path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  load_string_lenient src
+(* The lint and check drivers report every single-assignment error and
+   set the exit code from their severity. *)
+let load_string_lenient = load ~strict:false Parser.program_of_string
 
 let warnings t = Diag.warnings t.diagnostics
 
@@ -251,6 +221,51 @@ let run ?name ?(sink = false) ?(fuse = false) ?(trim = false)
         ~flowchart:sc.sc_flowchart
         ~windows:(if use_windows then sc.sc_windows else [])
         ~prog:t.prog em ~inputs)
+
+(* ------------------------------------------------------------------ *)
+(* The C harness contract *)
+
+(* The inputs the emitted main() ([Emit.emit_main]) builds: scalars from
+   [scalars], real arrays filled in row-major order from
+   [Models.fill_value], int arrays zero (the harness's cast of that
+   fill).  Every scalar is checked first: array bounds are evaluated
+   over them. *)
+let default_inputs (em : Elab.emodule) ~scalars =
+  List.iter
+    (fun (d : Elab.data) ->
+      if Stypes.dims d.Elab.d_ty = [] && not (List.mem_assoc d.Elab.d_name scalars)
+      then error "no value for scalar input %s" d.Elab.d_name)
+    em.Elab.em_params;
+  List.map
+    (fun (d : Elab.data) ->
+      let name = d.Elab.d_name in
+      let bound e =
+        match Linexpr.of_expr e with
+        | Some le -> Linexpr.eval (fun v -> List.assoc_opt v scalars) le
+        | None -> error "input %s has a nonlinear bound" name
+      in
+      let dims =
+        List.map
+          (fun (sr : Stypes.subrange) -> (bound sr.Stypes.sr_lo, bound sr.Stypes.sr_hi))
+          (Stypes.dims d.Elab.d_ty)
+      in
+      match (dims, Value.kind_of_ty (Stypes.elem_ty d.Elab.d_ty)) with
+      | [], _ -> (name, Exec.scalar_int (List.assoc name scalars))
+      | _, Value.KReal ->
+        (name, Ps_models.Models.(numbered Exec.array_real ~dims fill_value))
+      | _, Value.KInt -> (name, Exec.array_int ~dims (fun _ -> 0))
+      | _ -> error "unsupported input element type for %s" name)
+    em.Elab.em_params
+
+(* A result's sum over its declared box in row-major order, as the
+   emitted main() prints it; a scalar is its own sum. *)
+let checksum (v : Value.value) =
+  match v with
+  | Value.Vscalar s -> Value.as_float s
+  | Value.Varray s ->
+    let acc = ref 0.0 in
+    Value.iter_box s (fun ix -> acc := !acc +. Value.as_float (Value.get_scalar s ix));
+    !acc
 
 let work_span ?name ?(sink = false) ?(fuse = false) ?(trim = false) t ~env =
   wrap (fun () ->

@@ -85,60 +85,8 @@ type case_result = {
 let have_cc =
   lazy (Sys.command "command -v cc > /dev/null 2>&1" = 0)
 
-(* ------------------------------------------------------------------ *)
-(* Generic deterministic inputs for corpus programs (mirrors both the
-   emitted main()'s fill and the generator's [Gen.inputs]): real arrays
-   get the shared pseudo-random fill in row-major order; int and bool
-   arrays get the same truncation the C harness applies — zero. *)
-
-let default_inputs (em : Psc.Elab.emodule) ~(scalars : (string * int) list) :
-    (string * Psc.Value.value) list =
-  (* Every scalar first: array bounds are evaluated over them. *)
-  List.iter
-    (fun (d : Psc.Elab.data) ->
-      let name = d.Psc.Elab.d_name in
-      if Psc.Stypes.dims d.Psc.Elab.d_ty = [] && not (List.mem_assoc name scalars)
-      then Psc.error "no value for scalar input %s" name)
-    em.Psc.Elab.em_params;
-  List.map
-    (fun (d : Psc.Elab.data) ->
-      let name = d.Psc.Elab.d_name in
-      match Psc.Stypes.dims d.Psc.Elab.d_ty with
-      | [] -> (name, Psc.Exec.scalar_int (List.assoc name scalars))
-      | dims ->
-        let env v = List.assoc_opt v scalars in
-        let bounds =
-          List.map
-            (fun (sr : Psc.Stypes.subrange) ->
-              let ev e =
-                match Psc.Linexpr.of_expr e with
-                | Some le -> Psc.Linexpr.eval env le
-                | None -> Psc.error "input %s has a nonlinear bound" name
-              in
-              (ev sr.Psc.Stypes.sr_lo, ev sr.Psc.Stypes.sr_hi))
-            dims
-        in
-        let kind = Psc.Value.kind_of_ty (Psc.Stypes.elem_ty d.Psc.Elab.d_ty) in
-        (match kind with
-         | Psc.Value.KReal ->
-           let exts = List.map (fun (lo, hi) -> hi - lo + 1) bounds in
-           let strides =
-             let rec go = function
-               | [] -> []
-               | _ :: rest as l -> List.fold_left ( * ) 1 (List.tl l) :: go rest
-             in
-             go exts
-           in
-           ( name,
-             Psc.Exec.array_real ~dims:bounds (fun ix ->
-                 let flat = ref 0 in
-                 List.iteri
-                   (fun p st -> flat := !flat + ((ix.(p) - fst (List.nth bounds p)) * st))
-                   strides;
-                 Ps_models.Models.fill_value !flat) )
-         | Psc.Value.KInt -> (name, Psc.Exec.array_int ~dims:bounds (fun _ -> 0))
-         | _ -> Psc.error "unsupported input element type for %s" name))
-    em.Psc.Elab.em_params
+(* [Psc.default_inputs] under its old name, which perfbench/ calls. *)
+let default_inputs = Psc.default_inputs
 
 (* ------------------------------------------------------------------ *)
 (* Element-wise comparison *)
@@ -161,30 +109,6 @@ let pp_sc (s : Psc.Value.scalar) =
   | Psc.Value.Sc_enum (_, o) -> Printf.sprintf "enum#%d" o
   | Psc.Value.Sc_record _ -> "<record>"
 
-(* Iterate the declared box of a slab. *)
-let iter_box (s : Psc.Value.slab) f =
-  let n = Psc.Value.ndims s in
-  let ix = Array.map (fun di -> di.Psc.Value.di_lo) s.Psc.Value.s_dims in
-  if Array.exists (fun di -> di.Psc.Value.di_extent <= 0) s.Psc.Value.s_dims then ()
-  else
-    let rec advance p =
-      if p < 0 then false
-      else begin
-        let di = s.Psc.Value.s_dims.(p) in
-        ix.(p) <- ix.(p) + 1;
-        if ix.(p) < di.Psc.Value.di_lo + di.Psc.Value.di_extent then true
-        else begin
-          ix.(p) <- di.Psc.Value.di_lo;
-          advance (p - 1)
-        end
-      end
-    in
-    let continue_ = ref true in
-    while !continue_ do
-      f ix;
-      continue_ := advance (n - 1)
-    done
-
 let compare_value name (a : Psc.Value.value) (b : Psc.Value.value) : string option =
   match (a, b) with
   | Psc.Value.Vscalar x, Psc.Value.Vscalar y ->
@@ -198,7 +122,7 @@ let compare_value name (a : Psc.Value.value) (b : Psc.Value.value) : string opti
     if dims_of sa <> dims_of sb then Some (Printf.sprintf "%s: shapes differ" name)
     else begin
       let bad = ref None in
-      iter_box sa (fun ix ->
+      Psc.Value.iter_box sa (fun ix ->
           if !bad = None then begin
             let x = Psc.Value.get_scalar sa ix and y = Psc.Value.get_scalar sb ix in
             if not (eq_scalar x y) then
@@ -226,14 +150,6 @@ let compare_outputs (ref_out : (string * Psc.Value.value) list)
           | Some v' -> compare_value name v v'))
       None ref_out
 
-let checksum (v : Psc.Value.value) : float =
-  match v with
-  | Psc.Value.Vscalar s -> Psc.Value.as_float s
-  | Psc.Value.Varray sl ->
-    let acc = ref 0.0 in
-    iter_box sl (fun ix -> acc := !acc +. Psc.Value.as_float (Psc.Value.get_scalar sl ix));
-    !acc
-
 let compare_checksums (ref_out : (string * Psc.Value.value) list)
     (sums : (string * float) list) : string option =
   List.fold_left
@@ -244,7 +160,7 @@ let compare_checksums (ref_out : (string * Psc.Value.value) list)
         match List.assoc_opt name ref_out with
         | None -> Some (Printf.sprintf "%s: C result unknown to the interpreter" name)
         | Some v ->
-          let i = checksum v in
+          let i = Psc.checksum v in
           if eq_float c i then None
           else Some (Printf.sprintf "%s: C checksum %.17g vs interpreter %.17g" name c i)))
     None sums
@@ -446,8 +362,7 @@ exception Unsupported_output of string
 module Json = Psc.Json
 
 (* Rebuild a value from the response.  Array values come in row-major
-   declared-box order; the flat index is recomputed per point so the
-   rebuild does not depend on the builder's own visit order. *)
+   declared-box order, the order the builder numbers its points in. *)
 let value_of_json (j : Json.t) : string * Psc.Value.value =
   let str name = Json.member_str name j in
   let name = match str "name" with Some n -> n | None -> raise (Unsupported_output "nameless output") in
@@ -486,25 +401,12 @@ let value_of_json (j : Json.t) : string * Psc.Value.value =
              vs)
       | _ -> raise (Unsupported_output (name ^ ": bad values"))
     in
-    let exts = List.map (fun (lo, hi) -> hi - lo + 1) dims in
-    let strides =
-      let rec go = function
-        | [] -> []
-        | _ :: rest as l -> List.fold_left ( * ) 1 (List.tl l) :: go rest
-      in
-      go exts
-    in
-    let los = List.map fst dims in
-    let flat ix =
-      let f = ref 0 in
-      List.iteri (fun p st -> f := !f + ((ix.(p) - List.nth los p) * st)) strides;
-      !f
-    in
+    let value parse q = parse values.(q) in
     (match elem with
      | "real" ->
-       (name, Psc.Exec.array_real ~dims (fun ix -> float_of_string values.(flat ix)))
+       (name, Ps_models.Models.numbered Psc.Exec.array_real ~dims (value float_of_string))
      | "int" ->
-       (name, Psc.Exec.array_int ~dims (fun ix -> int_of_string values.(flat ix)))
+       (name, Ps_models.Models.numbered Psc.Exec.array_int ~dims (value int_of_string))
      | k -> raise (Unsupported_output (name ^ ": array elem " ^ k)))
   | _ -> raise (Unsupported_output name)
 
@@ -632,13 +534,9 @@ let check_source ?(pool_size = 4) ~paths ~scalars src : case_result =
     { cr_outcomes = []; cr_verdict = Some ("load: " ^ m) }
   | tp -> (
     let em = Psc.default_module tp in
-    match default_inputs em ~scalars with
+    match Psc.default_inputs em ~scalars with
     | exception Psc.Error m -> { cr_outcomes = []; cr_verdict = Some ("inputs: " ^ m) }
     | inputs -> check ~pool_size ~paths tp ~inputs ~scalars)
 
 let check_spec ?(pool_size = 4) ~paths (spec : Gen.spec) : case_result =
-  let src = Gen.render spec in
-  match Psc.load_string src with
-  | exception Psc.Error m ->
-    { cr_outcomes = []; cr_verdict = Some ("load: " ^ m) }
-  | tp -> check ~pool_size ~paths tp ~inputs:(Gen.inputs spec) ~scalars:(Gen.scalars spec)
+  check_source ~pool_size ~paths ~scalars:(Gen.scalars spec) (Gen.render spec)

@@ -43,13 +43,7 @@ val have_cc : bool Lazy.t
 
 val default_inputs :
   Psc.Elab.emodule -> scalars:(string * int) list -> (string * Psc.Value.value) list
-(** Deterministic inputs for any module: real arrays get the shared
-    row-major fill, int/bool arrays the zero fill the C harness's cast
-    produces, scalars come from [scalars].
-    @raise Psc.Error when a scalar has no value. *)
-
-val checksum : Psc.Value.value -> float
-(** Row-major sum over the declared box (the emitted main()'s sum). *)
+(** {!Psc.default_inputs}, under its old name. *)
 
 val compare_checksums :
   (string * Psc.Value.value) list -> (string * float) list -> string option

@@ -173,7 +173,7 @@ let replay_source ?(pool_size = 4) ~paths (src : string) : (unit, string) result
           else None)
         em.Psc.Elab.em_params
     in
-    match Diff.default_inputs em ~scalars with
+    match Psc.default_inputs em ~scalars with
     | exception Psc.Error m -> Error ("inputs: " ^ m)
     | inputs -> (
       let r = Diff.check ~pool_size ~paths tp ~inputs ~scalars in

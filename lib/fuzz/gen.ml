@@ -610,41 +610,12 @@ let render (s : spec) : string =
 (* ------------------------------------------------------------------ *)
 (* Inputs *)
 
-let input_dims (s : spec) : (int * int) list =
-  match s.sp_shape with
-  | Time t ->
-    if t.t_axes = [] then [ (0, s.sp_n) ]
-    else List.map (fun (ax : axis) -> (ax.ax_lo, s.sp_n + ax.ax_hi_off)) t.t_axes
-  | Map m -> List.map (fun (ax : axis) -> (ax.ax_lo, s.sp_n + ax.ax_hi_off)) m.m_axes
-  | Lcs _ -> [ (0, s.sp_n) ]
-  | Stride _ -> [ (1, 2 * s.sp_n) ]
-
-(* Row-major deterministic fill, shared with the emitted C main(). *)
-let real_input ~dims =
-  let exts = List.map (fun (lo, hi) -> hi - lo + 1) dims in
-  let strides =
-    let rec go = function
-      | [] -> []
-      | _ :: rest as l -> List.fold_left ( * ) 1 (List.tl l) :: go rest
-    in
-    go exts
-  in
-  let los = List.map fst dims in
-  Ps_interp.Exec.array_real ~dims (fun ix ->
-      let flat = ref 0 in
-      List.iteri (fun p st -> flat := !flat + ((ix.(p) - List.nth los p) * st)) strides;
-      Ps_models.Models.fill_value !flat)
-
 let scalars (s : spec) : (string * int) list =
   match s.sp_shape with
   | Time _ -> [ ("N", s.sp_n); ("T", s.sp_t) ]
   | Map _ | Lcs _ -> [ ("N", s.sp_n) ]
   | Stride { st_kind = St_param k; _ } -> [ ("N", s.sp_n); ("K", k) ]
   | Stride _ -> [ ("N", s.sp_n) ]
-
-let inputs (s : spec) : (string * Ps_interp.Value.value) list =
-  ("Inp", real_input ~dims:(input_dims s))
-  :: List.map (fun (nm, v) -> (nm, Ps_interp.Exec.scalar_int v)) (scalars s)
 
 let describe (s : spec) : string =
   let shape =

@@ -102,12 +102,9 @@ val generate : Rng.t -> spec
 val render : spec -> string
 (** PS source text of the spec (module name [Fz]). *)
 
-val inputs : spec -> (string * Ps_interp.Value.value) list
-(** Interpreter inputs: [Inp] filled row-major with the deterministic
-    generator shared with the emitted C main(), plus the scalars. *)
-
 val scalars : spec -> (string * int) list
-(** Scalar inputs, for [emit_c_main]. *)
+(** Scalar inputs; {!Psc.default_inputs} derives the array input [Inp]
+    from them, as the emitted main() does. *)
 
 val describe : spec -> string
 (** One-line label for logs. *)

@@ -242,7 +242,7 @@ and call st fname (args : value list) : value list =
     (* Callees run sequentially inside the caller's iterations; a policy
        is resolved against the caller's flowchart and does not follow. *)
     let opts = { st.st_opts with pool = None; policy = None } in
-    let r = run_flowchart ~opts ~prog:st.st_prog callee ~flowchart ~windows ~inputs in
+    let r = run ~opts ~prog:st.st_prog callee ~flowchart ~windows ~inputs in
     List.map snd r.outputs
 
 (* ------------------------------------------------------------------ *)
@@ -292,6 +292,10 @@ and seed_inputs st (inputs : (string * value) list) =
                 (di.di_lo + di.di_extent - 1)
                 lo hi)
           dims;
+        let kind = kind_of_ty (Stypes.elem_ty data.Elab.d_ty) in
+        if given.s_kind <> kind then
+          fail "input %s: %s elements given but %s declared" name
+            (kind_name given.s_kind) (kind_name kind);
         Hashtbl.replace st.st_slabs name { given with s_name = name })
     scalar_first;
   (* Every parameter must be supplied. *)
@@ -842,29 +846,18 @@ and compile_equation st benv ~aliases er_id : Compile.frame -> unit =
       q.Elab.q_name
 
 (* [get_scalar]/[set_scalar] below reach [Value.offset] with no bounds
-   check; both sides iterate the declared extents of [src], so every
-   subscript is in declared range by construction (window dimensions map
-   through the slab's window as usual). *)
+   check; the walk covers the declared box of [src], so every subscript
+   is in declared range by construction (window dimensions map through
+   the slab's window as usual). *)
 and copy_into ~src ~dst =
   if ndims src <> ndims dst then fail "array shape mismatch writing %s" dst.s_name;
-  let n = ndims src in
-  let idx = Array.make n 0 in
-  let rec fill p =
-    if p = n then set_scalar dst idx (get_scalar src idx)
-    else
-      let di = src.s_dims.(p) in
-      for v = di.di_lo to di.di_lo + di.di_extent - 1 do
-        idx.(p) <- v;
-        fill (p + 1)
-      done
-  in
-  if n = 0 then set_scalar dst [||] (get_scalar src [||]) else fill 0
+  iter_box src (fun idx -> set_scalar dst idx (get_scalar src idx))
 
 (* ------------------------------------------------------------------ *)
 
-and run_flowchart ~opts ~prog (em : Elab.emodule)
-    ~(flowchart : Ps_sched.Flowchart.t) ~(windows : Ps_sched.Schedule.window list)
-    ~inputs : run_result =
+and run ?(opts = default_opts) ~(flowchart : Ps_sched.Flowchart.t)
+    ~(windows : Ps_sched.Schedule.window list) ~prog (em : Elab.emodule) ~inputs
+    : run_result =
   Trace.with_span ~args:[ ("module", em.Elab.em_name) ] "run" @@ fun () ->
   let st =
     { st_prog = prog;
@@ -907,20 +900,6 @@ and run_flowchart ~opts ~prog (em : Elab.emodule)
     evaluations =
       (if opts.collect_stats then Some (Atomic.get st.st_evals) else None) }
 
-(* Top-level entry point: schedule (if needed) and run. *)
-let run ?(opts = default_opts) ?flowchart ?windows ~(prog : Elab.eprogram)
-    (em : Elab.emodule) ~(inputs : (string * value) list) : run_result =
-  match flowchart with
-  | Some fc ->
-    run_flowchart ~opts ~prog em ~flowchart:fc
-      ~windows:(Option.value windows ~default:[])
-      ~inputs
-  | None ->
-    let sched = Ps_sched.Schedule.schedule em in
-    let windows = Option.value windows ~default:sched.Ps_sched.Schedule.r_windows in
-    run_flowchart ~opts ~prog em ~flowchart:sched.Ps_sched.Schedule.r_flowchart
-      ~windows ~inputs
-
 (* Convenience input builders. *)
 
 let scalar_int n = Vscalar (Sc_int n)
@@ -929,43 +908,21 @@ let scalar_real f = Vscalar (Sc_real f)
 
 let scalar_bool b = Vscalar (Sc_bool b)
 
-let array_real ~dims (f : int array -> float) : value =
-  let slab =
-    make_slab ~name:"<input>" ~elem:(Stypes.Scalar Stypes.Sreal)
+(* An input slab over the inclusive bounds [dims], each point set by
+   [set] in row-major order. *)
+let input_array ty ~dims set =
+  let s =
+    make_slab ~name:"<input>" ~elem:(Stypes.Scalar ty)
       ~dims:(List.map (fun (lo, hi) -> (lo, hi - lo + 1, hi - lo + 1)) dims)
   in
-  let n = List.length dims in
-  let idx = Array.make n 0 in
-  let rec fill p =
-    if p = n then set_scalar slab idx (Sc_real (f idx))
-    else
-      let di = slab.s_dims.(p) in
-      for v = di.di_lo to di.di_lo + di.di_extent - 1 do
-        idx.(p) <- v;
-        fill (p + 1)
-      done
-  in
-  if n = 0 then set_scalar slab [||] (Sc_real (f [||])) else fill 0;
-  Varray slab
+  iter_box s (fun idx -> set s (offset s idx) idx);
+  Varray s
+
+let array_real ~dims (f : int array -> float) : value =
+  input_array Stypes.Sreal ~dims (fun s off idx -> set_float s off (f idx))
 
 let array_int ~dims (f : int array -> int) : value =
-  let slab =
-    make_slab ~name:"<input>" ~elem:(Stypes.Scalar Stypes.Sint)
-      ~dims:(List.map (fun (lo, hi) -> (lo, hi - lo + 1, hi - lo + 1)) dims)
-  in
-  let n = List.length dims in
-  let idx = Array.make n 0 in
-  let rec fill p =
-    if p = n then set_scalar slab idx (Sc_int (f idx))
-    else
-      let di = slab.s_dims.(p) in
-      for v = di.di_lo to di.di_lo + di.di_extent - 1 do
-        idx.(p) <- v;
-        fill (p + 1)
-      done
-  in
-  if n = 0 then set_scalar slab [||] (Sc_int (f [||])) else fill 0;
-  Varray slab
+  input_array Stypes.Sint ~dims (fun s off idx -> set_int s off (f idx))
 
 (* Read a scalar out of an output array value. *)
 let read_real v idx =

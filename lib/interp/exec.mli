@@ -61,16 +61,16 @@ type run_result = {
 
 val run :
   ?opts:opts ->
-  ?flowchart:Ps_sched.Flowchart.t ->
-  ?windows:Ps_sched.Schedule.window list ->
+  flowchart:Ps_sched.Flowchart.t ->
+  windows:Ps_sched.Schedule.window list ->
   prog:Ps_sem.Elab.eprogram ->
   Ps_sem.Elab.emodule ->
   inputs:(string * Value.value) list ->
   run_result
-(** Execute a module.  Without [flowchart] the module is scheduled first
-    (and the schedule's windows used unless [windows] overrides them).
-    [prog] supplies callee modules.  Inputs are validated against the
-    declared shapes.
+(** Execute a module's [flowchart] with the storage [windows] (both as
+    {!Ps_sched.Passes.schedule} produced them; [[]] allocates every
+    dimension in full).  [prog] supplies callee modules.  Inputs are
+    validated against the declared shapes and element kinds.
     @raise Runtime_error on missing/ill-shaped inputs or evaluation
     faults; @raise Value.Bounds on a checked subscript violation. *)
 
@@ -84,7 +84,7 @@ val scalar_bool : bool -> Value.value
 
 val array_real : dims:(int * int) list -> (int array -> float) -> Value.value
 (** [array_real ~dims f] builds an array over the inclusive bounds
-    [dims], filling each point from [f]. *)
+    [dims], filling each point from [f] in {!Value.iter_box} order. *)
 
 val array_int : dims:(int * int) list -> (int array -> int) -> Value.value
 

@@ -57,6 +57,12 @@ let kind_of_ty (ty : Stypes.ty) : elem_kind =
   | Stypes.Scalar (Stypes.Senum e) -> KEnum e
   | Stypes.Record _ | Stypes.Array _ -> KInt (* boxed separately *)
 
+let kind_name = function
+  | KInt -> "int"
+  | KReal -> "real"
+  | KBool -> "bool"
+  | KEnum _ -> "enum"
+
 (* ------------------------------------------------------------------ *)
 (* Slab construction *)
 
@@ -96,6 +102,23 @@ let allocated_words (s : slab) =
   | PBox a -> Array.length a
 
 let ndims s = Array.length s.s_dims
+
+(* The one row-major walk over a slab's declared box (last subscript
+   fastest): the order the emitted C harness fills inputs and sums
+   results in.  [ix] is reused between calls. *)
+let iter_box (s : slab) f =
+  let n = ndims s in
+  let ix = Array.make n 0 in
+  let rec go p =
+    if p = n then f ix
+    else
+      let di = s.s_dims.(p) in
+      for v = di.di_lo to di.di_lo + di.di_extent - 1 do
+        ix.(p) <- v;
+        go (p + 1)
+      done
+  in
+  go 0
 
 (* Always-nonnegative (Euclidean) remainder.  OCaml's [mod] takes the
    sign of the dividend, so a negative relative index — an [I - c] read

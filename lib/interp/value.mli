@@ -53,6 +53,13 @@ val allocated_words : slab -> int
 
 val ndims : slab -> int
 
+val iter_box : slab -> (int array -> unit) -> unit
+(** [iter_box s f] calls [f] on every point of [s]'s declared box in
+    row-major order (last subscript fastest), the order in which the
+    emitted C harness fills inputs and sums results.  The index vector
+    is reused between calls.  A rank-0 slab has one point, [[||]]; a box
+    with an empty dimension has none. *)
+
 val wrap_window : int -> int -> int
 (** [wrap_window rel w] is the Euclidean (always-nonnegative) remainder
     of [rel] by window size [w], so negative relative indices — an
@@ -88,6 +95,9 @@ val set_bool : slab -> int -> bool -> unit
 (** {1 Scalars} *)
 
 val kind_of_ty : Ps_sem.Stypes.ty -> elem_kind
+
+val kind_name : elem_kind -> string
+(** ["int"], ["real"], ["bool"] or ["enum"]. *)
 
 val as_int : scalar -> int
 

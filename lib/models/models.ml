@@ -298,20 +298,23 @@ let fill_value (q : int) : float =
   let x = Int64.add (Int64.mul (Int64.of_int q) 2654435761L) 12345L in
   Int64.to_float (Int64.unsigned_rem x 1000L) /. 1000.0
 
-(* Standard grid input for the relaxation modules: (M+2) x (M+2),
-   row-major LCG fill. *)
-let grid_input m =
-  Ps_interp.Exec.array_real
-    ~dims:[ (0, m + 1); (0, m + 1) ]
-    (fun ix -> fill_value ((ix.(0) * (m + 2)) + ix.(1)))
+(* Number the points of [build]'s row-major walk ([Value.iter_box]):
+   point q, counting from 0, holds [f q].  With [fill_value] this is the
+   emitted main()'s input fill. *)
+let numbered build ~dims f =
+  let q = ref (-1) in
+  build ~dims (fun _ ->
+      incr q;
+      f !q)
 
-let line_input n =
-  Ps_interp.Exec.array_real ~dims:[ (0, n + 1) ] (fun ix -> fill_value ix.(0))
+let filled dims = numbered Ps_interp.Exec.array_real ~dims fill_value
 
-let square_input ?(lo = 1) n =
-  Ps_interp.Exec.array_real
-    ~dims:[ (lo, n); (lo, n) ]
-    (fun ix -> fill_value (((ix.(0) - lo) * n) + (ix.(1) - lo)))
+(* Standard grid input for the relaxation modules: (M+2) x (M+2). *)
+let grid_input m = filled [ (0, m + 1); (0, m + 1) ]
+
+let line_input n = filled [ (0, n + 1) ]
+
+let square_input n = filled [ (1, n); (1, n) ]
 
 let relaxation_inputs ~m ~maxk =
   [ ("InitialA", grid_input m);

@@ -63,14 +63,27 @@ val fill_value : int -> float
 (** The LCG fill shared bit-for-bit with the generated-C harness
     ({!Ps_codegen.Emit.emit_main}): flat index to a value in [0, 1). *)
 
+val numbered :
+  (dims:(int * int) list -> (int array -> 'a) -> Ps_interp.Value.value) ->
+  dims:(int * int) list ->
+  (int -> 'a) ->
+  Ps_interp.Value.value
+(** [numbered build ~dims f] builds an array over the inclusive bounds
+    [dims] with [build] ({!Ps_interp.Exec.array_real} or
+    {!Ps_interp.Exec.array_int}) whose [q]th point in row-major order
+    ({!Ps_interp.Value.iter_box}), counting from 0, holds [f q].
+    [numbered Exec.array_real ~dims fill_value] is the emitted main()'s
+    input fill. *)
+
 val grid_input : int -> Ps_interp.Value.value
-(** [(M+2) x (M+2)] real grid, row-major {!fill_value}. *)
+(** [(M+2) x (M+2)] real grid over [0 .. M+1], filled as the emitted
+    main() fills it. *)
 
 val line_input : int -> Ps_interp.Value.value
-(** [0 .. N+1] real line. *)
+(** [0 .. N+1] real line, filled likewise. *)
 
-val square_input : ?lo:int -> int -> Ps_interp.Value.value
-(** [lo..N x lo..N] real matrix (default [lo = 1]). *)
+val square_input : int -> Ps_interp.Value.value
+(** [1..N x 1..N] real matrix, filled likewise. *)
 
 val relaxation_inputs : m:int -> maxk:int -> (string * Ps_interp.Value.value) list
 (** The full input binding for {!jacobi} / {!seidel}. *)

@@ -41,21 +41,6 @@ type result = {
 
 (* ---------------------------------------------------------------- *)
 
-(* Non-emptiness facts of all subranges in scope: hi - lo >= 0. *)
-let range_facts (em : Elab.emodule) =
-  let of_sr (sr : Stypes.subrange) =
-    match Linexpr.of_expr sr.Stypes.sr_lo, Linexpr.of_expr sr.Stypes.sr_hi with
-    | Some lo, Some hi -> Some (Linexpr.sub hi lo)
-    | _ -> None
-  in
-  let declared = List.filter_map (fun (_, sr) -> of_sr sr) em.Elab.em_subranges in
-  let from_dims =
-    List.concat_map
-      (fun (d : Elab.data) -> List.filter_map of_sr (Stypes.dims d.Elab.d_ty))
-      (em.Elab.em_params @ em.Elab.em_results @ em.Elab.em_locals)
-  in
-  declared @ from_dims
-
 (* All references to [data] in an expression, as subscript lists. *)
 let rec refs_to data (e : Ast.expr) acc =
   match e.Ast.e with
@@ -120,7 +105,7 @@ let loop_dim_of em body_eq_ids ~data ~lp_var =
 
 let apply (em : Elab.emodule) (sched : Schedule.result) : result =
   Ps_obs.Trace.with_span "schedule.sink" @@ fun () ->
-  let facts = range_facts em in
+  let facts = Sa_check.range_facts em in
   let graph = sched.Schedule.r_graph in
   let windows = ref sched.Schedule.r_windows in
   let sunk = ref [] in

@@ -163,13 +163,6 @@ let reject_fields (line : string) : string * string * string option =
 (* ------------------------------------------------------------------ *)
 (* Output values *)
 
-let elem_name (k : Psc.Value.elem_kind) =
-  match k with
-  | Psc.Value.KInt -> "int"
-  | Psc.Value.KReal -> "real"
-  | Psc.Value.KBool -> "bool"
-  | Psc.Value.KEnum _ -> "enum"
-
 let scalar_fields (s : Psc.Value.scalar) =
   match s with
   | Psc.Value.Sc_int n -> [ ("elem", Json.str "int"); ("value", Json.str (string_of_int n)) ]
@@ -188,33 +181,6 @@ let scalar_text (s : Psc.Value.scalar) =
   | Psc.Value.Sc_enum (_, o) -> string_of_int o
   | Psc.Value.Sc_record _ -> "<record>"
 
-(* Iterate the declared box in row-major ascending order — the same
-   order a client rebuilding the array with [Exec.array_real] visits. *)
-let iter_box (s : Psc.Value.slab) f =
-  let n = Psc.Value.ndims s in
-  let ix = Array.map (fun di -> di.Psc.Value.di_lo) s.Psc.Value.s_dims in
-  if Array.exists (fun di -> di.Psc.Value.di_extent <= 0) s.Psc.Value.s_dims
-  then ()
-  else begin
-    let rec advance p =
-      if p < 0 then false
-      else begin
-        let di = s.Psc.Value.s_dims.(p) in
-        ix.(p) <- ix.(p) + 1;
-        if ix.(p) < di.Psc.Value.di_lo + di.Psc.Value.di_extent then true
-        else begin
-          ix.(p) <- di.Psc.Value.di_lo;
-          advance (p - 1)
-        end
-      end
-    in
-    let continue_ = ref true in
-    while !continue_ do
-      f ix;
-      continue_ := advance (n - 1)
-    done
-  end
-
 let output_json (name, (v : Psc.Value.value)) =
   match v with
   | Psc.Value.Vscalar s ->
@@ -228,13 +194,13 @@ let output_json (name, (v : Psc.Value.value)) =
                  Json.int (di.Psc.Value.di_lo + di.Psc.Value.di_extent - 1) ])
     in
     let values = ref [] in
-    iter_box sl (fun ix ->
+    Psc.Value.iter_box sl (fun ix ->
         values := Json.str (scalar_text (Psc.Value.get_scalar sl ix)) :: !values);
     let ty = match sl.Psc.Value.s_kind with Psc.Value.KEnum ty -> Some ty | _ -> None in
     Json.obj
       ([ ("name", Json.str name);
          ("kind", Json.str "array");
-         ("elem", Json.str (elem_name sl.Psc.Value.s_kind)) ]
+         ("elem", Json.str (Psc.Value.kind_name sl.Psc.Value.s_kind)) ]
       @ Json.opt "ty" Json.str ty
       @ [ ("dims", Json.arr dims); ("values", Json.arr (List.rev !values)) ])
 

@@ -30,7 +30,6 @@ type config = {
   cf_workers : int;           (* worker threads = concurrent request bound *)
   cf_pool : int;              (* domain pool size; 0 = sequential *)
   cf_cache : int;             (* artifact cache capacity *)
-  cf_shards : int;            (* artifact cache lock stripes *)
   cf_max_queue : int;         (* bounded request queue; past it, E033 *)
   cf_grace_ms : int;          (* drain: wait this long for clients to leave *)
   cf_access_log : string option;  (* one JSON line per request *)
@@ -40,8 +39,8 @@ type config = {
 
 let default_config =
   { cf_socket = None; cf_workers = 4; cf_pool = 0; cf_cache = 64;
-    cf_shards = 8; cf_max_queue = 1024; cf_grace_ms = 5000;
-    cf_access_log = None; cf_slow_ms = None; cf_metrics_json = None }
+    cf_max_queue = 1024; cf_grace_ms = 5000; cf_access_log = None;
+    cf_slow_ms = None; cf_metrics_json = None }
 
 (* A captured slow request: enough to name the straggler (id, op, the
    client's trace id) and say where the time went (the span subtree
@@ -180,7 +179,7 @@ let all_ops =
 
 let make_server cf =
   { sv_cf = cf;
-    sv_cache = Cache.create ~capacity:cf.cf_cache ~shards:cf.cf_shards ();
+    sv_cache = Cache.create ~capacity:cf.cf_cache ();
     sv_pool = (if cf.cf_pool > 0 then Some (Psc.Pool.create cf.cf_pool) else None);
     sv_queue = Bq.create (max 1 cf.cf_max_queue);
     sv_draining = Atomic.make false;
@@ -323,7 +322,7 @@ let tuned sv ~deadline src (rq : Proto.request) =
         let f = rq.Proto.rq_flags in
         let em = Psc.the_module ?name:rq.Proto.rq_module t in
         let inputs =
-          Ps_fuzz.Diff.default_inputs em ~scalars:rq.Proto.rq_scalars
+          Psc.default_inputs em ~scalars:rq.Proto.rq_scalars
         in
         Cache.A_policy
           (Psc.tune ?name:rq.Proto.rq_module ~sink:f.Psc.Exec.sf_sink
@@ -411,7 +410,7 @@ let dispatch sv ~deadline ~info (rq : Proto.request) : string =
     info.ri_cached <- hit;
     check_deadline deadline;
     let em = sc.Psc.sc_module in
-    let inputs = Ps_fuzz.Diff.default_inputs em ~scalars:rq.Proto.rq_scalars in
+    let inputs = Psc.default_inputs em ~scalars:rq.Proto.rq_scalars in
     (* A tuned policy table cached by a prior [tune] of the same
        (source, module, flags) steers this run's nests; its absence is
        not a miss.  The staleness guard is belt-and-braces — the cache

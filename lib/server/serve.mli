@@ -28,7 +28,6 @@ type config = {
   cf_workers : int;           (** worker threads = concurrent request bound *)
   cf_pool : int;              (** domain pool size; 0 = sequential *)
   cf_cache : int;             (** artifact cache capacity *)
-  cf_shards : int;            (** artifact cache lock stripes *)
   cf_max_queue : int;
       (** bounded request queue depth; requests past it are shed with
           E033 instead of buffered unboundedly *)

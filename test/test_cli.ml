@@ -225,6 +225,41 @@ end C;
     t "trace-check calls a malformed number an invalid trace" (fun () ->
         with_source ~suffix:".json"
           {|{"traceEvents":[{"name":"x","ph":"B","ts":1e,"pid":1,"tid":1}]}|}
-          (fun f -> expect_exit 1 ("trace-check " ^ f) "invalid trace")) ]
+          (fun f -> expect_exit 1 ("trace-check " ^ f) "invalid trace"));
+    t "run fills an int array input as the emitted main() does" (fun () ->
+        (* Regression: run filled every array input with reals, so X held
+           the fill's fractions and s came out 2.  The C harness casts
+           them to 0, and the server's run answers 0 too. *)
+        with_source
+          {|
+S: module (X: array[I] of int; N: int): [s: int];
+type I = 1 .. N; J = 0 .. N;
+var P: array [J] of int;
+define P[0] = 0; P[I] = P[I-1] + X[I] * 2; s = P[N];
+end S;
+|}
+          (fun f ->
+            expect_ok ("run -i N=4 " ^ f) [ "s = 0" ];
+            with_source ~suffix:".json"
+              (Printf.sprintf {|{"id":1,"op":"run","source_file":%s,"scalars":{"N":4}}|}
+                 (Psc.Json.str f))
+              (fun req ->
+                expect_ok ("serve --stdio < " ^ req)
+                  [ {|"outputs":[{"name":"s","kind":"scalar","elem":"int","value":"0"}]|} ]);
+            if Lazy.force Ps_fuzz.Diff.have_cc then begin
+              let rc, c = run_cli ("emit-c --main -i N=4 " ^ f) in
+              Alcotest.(check int) "emit-c exit" 0 rc;
+              with_source ~suffix:".c" c (fun cfile ->
+                  let exe = Filename.remove_extension cfile in
+                  Fun.protect
+                    ~finally:(fun () -> if Sys.file_exists exe then Sys.remove exe)
+                    (fun () ->
+                      Alcotest.(check int) "cc" 0
+                        (Sys.command (Printf.sprintf "cc -O1 -o %s %s -lm" exe cfile));
+                      let ic = Unix.open_process_in exe in
+                      let out = In_channel.input_all ic in
+                      ignore (Unix.close_process_in ic);
+                      Alcotest.(check string) "C harness" "s 0\n" out))
+            end)) ]
 
 let () = Alcotest.run "cli" [ ("cli", cli_tests) ]

@@ -126,64 +126,13 @@ let run_c source =
          | [ name; v ] -> (name, float_of_string v)
          | _ -> Alcotest.failf "bad C output line %S" line)
 
-(* The interpreter-side checksum with the same deterministic fill as the
-   generated main(). *)
+(* The interpreter-side checksums, from the inputs the generated main()
+   builds. *)
 let interp_checksums ?sink ?name src scalars =
   let tp = Util.load src in
-  let em = Psc.the_module ?name tp in
-  let inputs =
-    List.map
-      (fun (d : Psc.Elab.data) ->
-        let dims = Psc.Stypes.dims d.Psc.Elab.d_ty in
-        if dims = [] then
-          (d.Psc.Elab.d_name, Psc.Exec.scalar_int (List.assoc d.Psc.Elab.d_name scalars))
-        else
-          let env v = List.assoc_opt v scalars in
-          let bounds =
-            List.map
-              (fun (sr : Psc.Stypes.subrange) ->
-                let ev e = Psc.Linexpr.eval env (Option.get (Psc.Linexpr.of_expr e)) in
-                (ev sr.Psc.Stypes.sr_lo, ev sr.Psc.Stypes.sr_hi))
-              dims
-          in
-          let extents = List.map (fun (lo, hi) -> hi - lo + 1) bounds in
-          let strides =
-            let rec go = function
-              | [] -> []
-              | _ :: rest as l -> List.fold_left ( * ) 1 (List.tl l) :: go rest
-            in
-            go extents
-          in
-          let fill ix =
-            let flat = ref 0 in
-            List.iteri
-              (fun p s -> flat := !flat + ((ix.(p) - fst (List.nth bounds p)) * s))
-              strides;
-            Ps_models.Models.fill_value !flat
-          in
-          (* The generated main() fills int arrays with (int)ps_fill(q),
-             which truncates the [0, 1) fill to 0; mirror the cast. *)
-          ( d.Psc.Elab.d_name,
-            match Psc.Value.kind_of_ty (Psc.Stypes.elem_ty d.Psc.Elab.d_ty) with
-            | Psc.Value.KInt ->
-              Psc.Exec.array_int ~dims:bounds (fun ix -> int_of_float (fill ix))
-            | _ -> Psc.Exec.array_real ~dims:bounds fill ))
-      em.Psc.Elab.em_params
-  in
+  let inputs = Psc.default_inputs (Psc.the_module ?name tp) ~scalars in
   let r = Psc.run ?sink ?name tp ~inputs in
-  List.map
-    (fun (nm, v) ->
-      match v with
-      | Psc.Value.Vscalar sc -> (nm, Psc.Value.as_float sc)
-      | Psc.Value.Varray s ->
-        let n = Psc.Value.ndims s in
-        let box =
-          List.init n (fun p ->
-              let di = s.Psc.Value.s_dims.(p) in
-              (di.Psc.Value.di_lo, di.Psc.Value.di_lo + di.Psc.Value.di_extent - 1))
-        in
-        (nm, Util.checksum (Psc.Value.Varray s) box))
-    r.Psc.Exec.outputs
+  List.map (fun (nm, v) -> (nm, Psc.checksum v)) r.Psc.Exec.outputs
 
 let compare_c_and_interp ?sink ?name src scalars =
   let tp = Util.load src in

@@ -350,7 +350,15 @@ end Oops;
     t "unknown input name is diagnosed" (fun () ->
         Util.expect_error (fun () ->
             Util.run Ps_models.Models.jacobi
-              (("bogus", Psc.Exec.scalar_int 1) :: inputs))) ]
+              (("bogus", Psc.Exec.scalar_int 1) :: inputs)));
+    t "an array input of the wrong element kind is diagnosed" (fun () ->
+        (* LCS declares X an int array: reals given for it must stop the
+           run, not be computed with in an int array. *)
+        let n = 8 in
+        let x = Psc.Exec.array_real ~dims:[ (1, n) ] (fun ix -> float_of_int (ix.(0) mod 4)) in
+        let y = Psc.Exec.array_int ~dims:[ (1, n) ] (fun ix -> ix.(0) mod 3) in
+        Util.expect_error ~substring:"input X" (fun () ->
+            Util.run Ps_models.Models.lcs [ ("X", x); ("Y", y); ("N", Psc.Exec.scalar_int n) ])) ]
 
 let () =
   Alcotest.run "exec"

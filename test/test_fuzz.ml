@@ -131,7 +131,7 @@ let c_oracle_tests =
         let v =
           Psc.Exec.array_real ~dims:[ (0, 4) ] (fun ix -> 0.1 *. float_of_int ix.(0))
         in
-        let out = [ ("X", v) ] and sum = Diff.checksum v in
+        let out = [ ("X", v) ] and sum = Psc.checksum v in
         Alcotest.(check (option string))
           "same bits agree" None
           (Diff.compare_checksums out [ ("X", sum) ]);

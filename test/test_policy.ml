@@ -226,7 +226,7 @@ let exec_tests =
         List.iter
           (fun (name, tp, sink, trim, scalars) ->
             let em = Psc.the_module ?name tp in
-            let inputs = Ps_fuzz.Diff.default_inputs em ~scalars in
+            let inputs = Psc.default_inputs em ~scalars in
             ignore sink;
             ignore trim;
             let r =

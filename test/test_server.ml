@@ -196,7 +196,7 @@ let stdio_tests =
             let tp = Psc.load_string jacobi_src in
             let em = Psc.default_module tp in
             let scalars = [ ("M", 6); ("maxK", 4) ] in
-            let inputs = Ps_fuzz.Diff.default_inputs em ~scalars in
+            let inputs = Psc.default_inputs em ~scalars in
             let want =
               match
                 List.assoc_opt "newA" (Psc.run tp ~inputs).Psc.Exec.outputs

@@ -49,7 +49,25 @@ let layout_tests =
         Alcotest.(check int) "plane 0 aliases plane 3" (offset s [| 3 |]) o;
         Alcotest.(check int) "plane -2 aliases plane 1"
           (offset s [| 1 |])
-          (offset s [| -2 |])) ]
+          (offset s [| -2 |]));
+    t "iter_box visits the declared box in row-major order" (fun () ->
+        let visits dims =
+          let seen = ref [] in
+          iter_box (make_slab ~name:"a" ~elem:real ~dims) (fun ix ->
+              seen := Array.copy ix :: !seen);
+          List.rev !seen
+        in
+        Alcotest.(check (list (array int)))
+          "2 x 3 from (1, 0)"
+          [ [| 1; 0 |]; [| 1; 1 |]; [| 1; 2 |]; [| 2; 0 |]; [| 2; 1 |]; [| 2; 2 |] ]
+          (visits [ (1, 2, 2); (0, 3, 3) ]);
+        (* Row-major is ascending lexicographic order; a window does not
+           shrink the declared box. *)
+        let v = visits [ (0, 4, 2); (-1, 2, 2); (3, 5, 5) ] in
+        Alcotest.(check int) "product of the extents" (4 * 2 * 5) (List.length v);
+        Alcotest.(check (list (array int))) "ascending, no repeats" (List.sort_uniq compare v) v;
+        Alcotest.(check (list (array int))) "an empty extent" [] (visits [ (0, 3, 3); (0, 0, 0) ]);
+        Alcotest.(check (list (array int))) "rank 0 is one point" [ [||] ] (visits [])) ]
 
 let rw_tests =
   [ t "write then read a float" (fun () ->

@@ -53,22 +53,6 @@ let max_diff out1 out2 (box : (int * int) list) =
   go 0;
   !worst
 
-let checksum out (box : (int * int) list) =
-  let n = List.length box in
-  let idx = Array.make n 0 in
-  let acc = ref 0.0 in
-  let rec go p =
-    if p = n then acc := !acc +. Psc.Exec.read_real out idx
-    else
-      let lo, hi = List.nth box p in
-      for v = lo to hi do
-        idx.(p) <- v;
-        go (p + 1)
-      done
-  in
-  go 0;
-  !acc
-
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
