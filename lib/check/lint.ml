@@ -311,15 +311,16 @@ let virtualization (r : Schedule.result) : Diag.t list =
     r.Schedule.r_refusals
 
 (* ------------------------------------------------------------------ *)
-(* DOALLs too small to parallelize (W120).
+(* Fork candidates too small to parallelize (W120).
 
    The runtime pool never wakes parked workers for a job whose span is
    below [Pool.wake_threshold] — waking costs more than the loop — so a
-   scheduled DOALL with a provably constant trip count under that bound
-   executes on the calling domain alone.  The profiler observes this
-   dynamically ("parallel loop ran sequentially"); this lint catches it
-   statically.  Only the outermost DOALL of a nest is flagged: inner
-   DOALLs run sequentially inside each worker's chunk by design. *)
+   DOALL fork candidate ([Policy.index]) with a provably constant trip
+   count under that bound executes on the calling domain alone.  The
+   profiler observes this dynamically ("parallel loop ran
+   sequentially"); this lint catches it statically.  Loops nested in a
+   candidate are not flagged: they run sequentially inside each
+   worker's chunk by design. *)
 
 let wake_check (em : Elab.emodule) (r : Schedule.result) : Diag.t list =
   let module Fc = Ps_sched.Flowchart in
@@ -328,50 +329,29 @@ let wake_check (em : Elab.emodule) (r : Schedule.result) : Diag.t list =
     | Some l when l.Linexpr.terms = [] -> Some l.Linexpr.const
     | _ -> None
   in
-  let rec first_eq_loc (descs : Fc.t) =
-    List.find_map
-      (fun d ->
-        match d with
-        | Fc.D_eq { Fc.er_id; _ } -> Some (Elab.eq_exn em er_id).Elab.q_loc
-        | Fc.D_loop l -> first_eq_loc l.Fc.lp_body
-        | Fc.D_solve s -> first_eq_loc s.Fc.sv_body
-        | Fc.D_data _ -> None)
-      descs
-  in
-  let diags = ref [] in
-  let rec walk ~inside_par (descs : Fc.t) =
-    List.iter
-      (fun d ->
-        match d with
-        | Fc.D_loop l ->
-          let is_par = l.Fc.lp_kind = Fc.Parallel in
-          (if is_par && not inside_par then
-             match
-               ( const_of l.Fc.lp_range.Stypes.sr_lo,
-                 const_of l.Fc.lp_range.Stypes.sr_hi )
-             with
-             | Some lo, Some hi ->
-               let trip = hi - lo + 1 in
-               if trip > 0 && trip < Ps_runtime.Pool.wake_threshold then
-                 let loc =
-                   Option.value (first_eq_loc l.Fc.lp_body)
-                     ~default:em.Elab.em_ast.Ast.m_loc
-                 in
-                 diags :=
-                   Diag.diag Diag.Sequential_doall loc
-                     "DOALL %s has a constant trip count of %d, below the \
-                      pool's wake threshold (%d): it will not wake parked \
-                      workers and runs effectively sequentially"
-                     l.Fc.lp_var trip Ps_runtime.Pool.wake_threshold
-                   :: !diags
-             | _ -> ());
-          walk ~inside_par:(inside_par || is_par) l.Fc.lp_body
-        | Fc.D_solve s -> walk ~inside_par s.Fc.sv_body
-        | Fc.D_data _ | Fc.D_eq _ -> ())
-      descs
-  in
-  walk ~inside_par:false r.Schedule.r_flowchart;
-  List.rev !diags
+  List.filter_map
+    (fun (c : Ps_sched.Policy.candidate) ->
+      let l = c.Ps_sched.Policy.c_loop in
+      match
+        ( l.Fc.lp_kind,
+          const_of l.Fc.lp_range.Stypes.sr_lo,
+          const_of l.Fc.lp_range.Stypes.sr_hi )
+      with
+      | Fc.Parallel, Some lo, Some hi
+        when hi >= lo && hi - lo + 1 < Ps_runtime.Pool.wake_threshold ->
+        let loc =
+          match Fc.equations l.Fc.lp_body with
+          | id :: _ -> (Elab.eq_exn em id).Elab.q_loc
+          | [] -> em.Elab.em_ast.Ast.m_loc
+        in
+        Some
+          (Diag.diag Diag.Sequential_doall loc
+             "DOALL %s has a constant trip count of %d, below the pool's wake \
+              threshold (%d): it will not wake parked workers and runs \
+              effectively sequentially"
+             l.Fc.lp_var (hi - lo + 1) Ps_runtime.Pool.wake_threshold)
+      | _ -> None)
+    (Ps_sched.Policy.index r.Schedule.r_flowchart)
 
 (* ------------------------------------------------------------------ *)
 (* Distance-analysis lints (W115/W116).

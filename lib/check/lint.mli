@@ -21,9 +21,9 @@
     - [W116] an inspector/executor schedule whose runtime distance test
       the declared ranges already decide, so the partition could be
       static;
-    - [W120] a scheduled DOALL's constant trip count is below the
-      runtime pool's wake threshold, so it runs effectively
-      sequentially.
+    - [W120] a DOALL fork candidate ({!Ps_sched.Policy.index}) has a
+      constant trip count below the runtime pool's wake threshold, so it
+      runs effectively sequentially.
 
     All lints are advisory except [E020]; none alter the pipeline. *)
 
@@ -39,8 +39,8 @@ val virtualization : Ps_sched.Schedule.result -> Ps_diag.Diag.t list
 
 val wake_check :
   Ps_sem.Elab.emodule -> Ps_sched.Schedule.result -> Ps_diag.Diag.t list
-(** Outermost DOALLs whose constant trip count is below
-    {!Ps_runtime.Pool.wake_threshold} ([W120]). *)
+(** DOALL fork candidates ({!Ps_sched.Policy.index}) whose constant trip
+    count is below {!Ps_runtime.Pool.wake_threshold} ([W120]). *)
 
 val opaque_classifiable : Ps_sem.Elab.emodule -> Ps_diag.Diag.t list
 (** Subscripts labelled [Opaque] that are linear in exactly one equation

@@ -1,8 +1,8 @@
 (* C code generation (paper §1, §3.4).
 
    The flowchart drives emission directly: a Subrange descriptor becomes a
-   for loop annotated iterative or concurrent (the outermost concurrent
-   loop of each nest also gets an OpenMP pragma so the generated code
+   for loop annotated iterative or concurrent (every fork candidate,
+   [Policy.index], also gets an OpenMP pragma so the generated code
    actually runs in parallel on a modern compiler); a node descriptor
    becomes an assignment.  Virtual dimensions allocate their window and
    subscript through [% window], exactly as §3.4 prescribes.
@@ -279,14 +279,14 @@ let emit_layout buf (al : array_layout) =
 
 (* ------------------------------------------------------------------ *)
 
-let rec emit_descriptor st buf ~depth ~indent ~par ~bound
+(* [forks] holds the fork candidates' loops: each gets the pragma. *)
+let rec emit_descriptor em ~forks buf ~indent ~bound
     (d : Ps_sched.Flowchart.descriptor) =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let pad = String.make indent ' ' in
   match d with
   | Ps_sched.Flowchart.D_data name -> pf "%s/* data %s */\n" pad name
   | Ps_sched.Flowchart.D_eq { er_id; er_aliases } ->
-    let em, _, _ = st in
     let q = Elab.eq_exn em er_id in
     let ctx =
       { x_em = em;
@@ -321,7 +321,8 @@ let rec emit_descriptor st buf ~depth ~indent ~par ~bound
      | _ -> fail "multi-result equations cannot be emitted to C")
   | Ps_sched.Flowchart.D_loop l ->
     let v = c_name l.Ps_sched.Flowchart.lp_var in
-    let ctx = { x_em = (let e, _, _ = st in e); x_indices = bound } in
+    let ctx = { x_em = em; x_indices = bound } in
+    let par = List.memq l forks in
     let lo = expr_to_c ctx l.Ps_sched.Flowchart.lp_range.Stypes.sr_lo in
     let hi = expr_to_c ctx l.Ps_sched.Flowchart.lp_range.Stypes.sr_hi in
     let opened = ref 1 in
@@ -375,22 +376,15 @@ let rec emit_descriptor st buf ~depth ~indent ~par ~bound
        pf "%s    for (int %s = (%s) + %s; %s <= %s; %s += %s) {\n" pad v lo gv
          v hi v dv;
        opened := 3);
-    let par' =
-      match l.Ps_sched.Flowchart.lp_kind with
-      | Ps_sched.Flowchart.Parallel | Ps_sched.Flowchart.Grouped _
-      | Ps_sched.Flowchart.Inspected _ -> false
-      | Ps_sched.Flowchart.Iterative -> par
-    in
     let bound' = l.Ps_sched.Flowchart.lp_var :: bound in
     List.iter
-      (emit_descriptor st buf ~depth:(depth + 1) ~indent:(indent + (2 * !opened))
-         ~par:par' ~bound:bound')
+      (emit_descriptor em ~forks buf ~indent:(indent + (2 * !opened)) ~bound:bound')
       l.Ps_sched.Flowchart.lp_body;
     for i = !opened - 1 downto 0 do
       pf "%s%s}\n" pad (String.make (2 * i) ' ')
     done
   | Ps_sched.Flowchart.D_solve s ->
-    let ctx = { x_em = (let e, _, _ = st in e); x_indices = bound } in
+    let ctx = { x_em = em; x_indices = bound } in
     let v = c_name s.Ps_sched.Flowchart.sv_var in
     pf "%s{  /* solved subscript (unrotate) */\n" pad;
     pf "%s  const int %s = %s;\n" pad v
@@ -401,8 +395,7 @@ let rec emit_descriptor st buf ~depth ~indent ~par ~bound
       (expr_to_c ctx s.Ps_sched.Flowchart.sv_range.Stypes.sr_hi);
     let bound' = s.Ps_sched.Flowchart.sv_var :: bound in
     List.iter
-      (emit_descriptor st buf ~depth:(depth + 1) ~indent:(indent + 4) ~par
-         ~bound:bound')
+      (emit_descriptor em ~forks buf ~indent:(indent + 4) ~bound:bound')
       s.Ps_sched.Flowchart.sv_body;
     pf "%s  }\n%s}\n" pad pad
 
@@ -476,10 +469,10 @@ let emit_module ?(windows = []) (em : Elab.emodule)
           (ctype_str (ctype_of_ty d.Elab.d_ty)))
     em.Elab.em_locals;
   pf "\n";
-  let st = (em, windows, fc) in
-  List.iter
-    (emit_descriptor st buf ~depth:0 ~indent:2 ~par:true ~bound:[])
-    fc;
+  let forks =
+    List.map (fun c -> c.Ps_sched.Policy.c_loop) (Ps_sched.Policy.index fc)
+  in
+  List.iter (emit_descriptor em ~forks buf ~indent:2 ~bound:[]) fc;
   pf "\n";
   List.iter
     (fun (d : Elab.data) ->

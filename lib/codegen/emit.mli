@@ -2,9 +2,9 @@
 
     Emission is driven by the flowchart: subrange descriptors become for
     loops annotated [/* DO (iterative) */] or [/* DOALL (concurrent) */]
-    (the outermost DOALL of each nest also gets an OpenMP pragma), node
-    descriptors become assignments.  Virtual dimensions allocate their
-    window and subscript through [% window] (§3.4).
+    (every fork candidate, {!Ps_sched.Policy.index}, also gets an OpenMP
+    pragma), node descriptors become assignments.  Virtual dimensions
+    allocate their window and subscript through [% window] (§3.4).
 
     Unsupported constructs (module calls, record types) raise
     {!Unsupported}; enumerations become [#define]d integers. *)

@@ -226,7 +226,8 @@ let run ?name ?(sink = false) ?(fuse = false) ?(trim = false)
 (* The C harness contract *)
 
 (* The inputs the emitted main() ([Emit.emit_main]) builds: scalars from
-   [scalars], real arrays filled in row-major order from
+   [scalars] (a bool scalar is the truth value of the int the harness
+   declares), real arrays filled in row-major order from
    [Models.fill_value], int arrays zero (the harness's cast of that
    fill).  Every scalar is checked first: array bounds are evaluated
    over them. *)
@@ -250,6 +251,7 @@ let default_inputs (em : Elab.emodule) ~scalars =
           (Stypes.dims d.Elab.d_ty)
       in
       match (dims, Value.kind_of_ty (Stypes.elem_ty d.Elab.d_ty)) with
+      | [], Value.KBool -> (name, Exec.scalar_bool (List.assoc name scalars <> 0))
       | [], _ -> (name, Exec.scalar_int (List.assoc name scalars))
       | _, Value.KReal ->
         (name, Ps_models.Models.(numbered Exec.array_real ~dims fill_value))
@@ -343,8 +345,8 @@ let tune ?name ?(sink = false) ?(fuse = false) ?(trim = false) ?cores
         let rows = Prof.rows () in
         Prof.set_enabled false;
         List.map
-          (fun ((l : Flowchart.loop), key) ->
-            let name = Flowchart.kind_name l.Flowchart.lp_kind ^ " " ^ key in
+          (fun (c : Policy.candidate) ->
+            let name = Policy.site_name c.Policy.c_loop c.Policy.c_key in
             let ns =
               List.fold_left
                 (fun acc (r : Prof.row) ->
@@ -353,7 +355,7 @@ let tune ?name ?(sink = false) ?(fuse = false) ?(trim = false) ?cores
                   else acc)
                 0 rows
             in
-            (key, ns))
+            (c.Policy.c_key, ns))
           keyed
       in
       let measured =
@@ -364,7 +366,8 @@ let tune ?name ?(sink = false) ?(fuse = false) ?(trim = false) ?cores
       in
       let entries =
         List.map
-          (fun (_, key) ->
+          (fun (c : Policy.candidate) ->
+            let key = c.Policy.c_key in
             let best =
               List.fold_left
                 (fun acc (cname, table, times) ->

@@ -36,10 +36,6 @@ type path =
   | Cc         (* emitted C, compiled and executed *)
   | Server     (* a `psc serve --stdio` subprocess, outputs over the wire *)
 
-let all_paths =
-  [ Seq; Nowin; Nocheck; Passes; Steal; Collapse; Group; Inspector; Hyper;
-    Hyper_par; Auto; Cc; Server ]
-
 let path_name = function
   | Seq -> "seq"
   | Nowin -> "nowin"
@@ -238,19 +234,14 @@ let run_inspector ~pool tp ~inputs : outcome =
   in
   match Psc.schedule (Psc.default_module tp) with
   | exception Psc.Error m -> Trap ("schedule: " ^ m)
-  | sc -> (
+  | sc ->
     let em = Psc.default_module tp in
     let opts = { Psc.Exec.default_opts with Psc.Exec.pool = Some pool } in
-    try
-      Outputs
-        (Psc.Exec.run ~opts
-           ~flowchart:(demote sc.Psc.sc_flowchart)
-           ~windows:sc.Psc.sc_windows ~prog:tp.Psc.prog em ~inputs)
-          .Psc.Exec.outputs
-    with
-    | Psc.Error m -> Trap m
-    | Psc.Eval.Runtime_error m -> Trap ("runtime error: " ^ m)
-    | Psc.Value.Bounds m -> Trap ("subscript out of bounds: " ^ m))
+    interp_outputs (fun () ->
+        Psc.wrap (fun () ->
+            Psc.Exec.run ~opts
+              ~flowchart:(demote sc.Psc.sc_flowchart)
+              ~windows:sc.Psc.sc_windows ~prog:tp.Psc.prog em ~inputs))
 
 let run_c tp ~scalars : outcome =
   if not (Lazy.force have_cc) then Skip "no C compiler"

@@ -54,12 +54,3 @@ let edges g = g.g_edges
 let node_name g = function
   | Data d -> d
   | Eq id -> (Ps_sem.Elab.eq_exn g.g_module id).Ps_sem.Elab.q_name
-
-let pp_node g ppf n = Fmt.string ppf (node_name g n)
-
-(* The data endpoint whose dimensions [e_subs] refers to. *)
-let data_endpoint e =
-  match e.e_kind, e.e_src, e.e_dst with
-  | Use, Data d, _ -> Some d
-  | Def, _, Data d -> Some d
-  | _ -> None

@@ -45,8 +45,3 @@ val edges : t -> edge list
 
 val node_name : t -> node -> string
 (** "A" for data, "eq.3" for equations. *)
-
-val pp_node : t -> node Fmt.t
-
-val data_endpoint : edge -> string option
-(** The data node whose dimensions [e_subs] refers to. *)

@@ -77,13 +77,3 @@ let to_dot (g : t) =
     g.g_edges;
   pf "}\n";
   Buffer.contents buf
-
-let pp_components g ppf (comps : Scc.component list) =
-  Fmt.pf ppf "@[<v>";
-  List.iteri
-    (fun i (c : Scc.component) ->
-      Fmt.pf ppf "Component %d: {%a}@," (i + 1)
-        (Fmt.list ~sep:(Fmt.any ", ") (fun ppf n -> Fmt.string ppf (node_name g n)))
-        c.Scc.c_nodes)
-    comps;
-  Fmt.pf ppf "@]"

@@ -11,5 +11,3 @@ val listing : Dgraph.t -> string
 val to_dot : Dgraph.t -> string
 (** Graphviz source: ellipses for data, boxes for equations, dashed
     edges for bound dependencies. *)
-
-val pp_components : Dgraph.t -> Scc.component list Fmt.t

@@ -3,11 +3,12 @@
    The scheduler's flowchart is compiled into nested closures: iterative
    (DO) loops run on the calling domain in index order; parallel (DOALL)
    loops are handed to the domain pool, chunked, with a private frame per
-   chunk.  The outermost DOALL of a nest is a fork point and runs its one
-   policy decision ([Policy.resolve]); when the decision flattens, the
-   whole perfect DOALL band ([Collapse.band]) becomes one combined
-   iteration space first (see [compile_parallel_band]), otherwise inner
-   DOALLs run sequentially inside each worker.
+   chunk.  A fork candidate ([Policy.index]: the outermost parallel loop
+   of a nest) runs its one policy decision ([Policy.resolve]); when the
+   decision flattens, the whole perfect DOALL band ([Collapse.band])
+   becomes one combined iteration space first (see
+   [compile_parallel_band]), otherwise inner DOALLs run sequentially
+   inside each worker.
 
    Compilation of each top-level component is deferred until the moment
    it executes, so arrays whose bounds depend on computed scalar locals
@@ -80,28 +81,23 @@ type state = {
   st_windows : Ps_sched.Schedule.window list;
   st_slabs : (string, slab) Hashtbl.t;
   st_evals : int Atomic.t;
-  st_policy : (Ps_sched.Flowchart.loop * Ps_sched.Policy.decision) list;
-      (* Every fork point's decision (none without a pool), resolved
-         against this flowchart's own loop records: decisions are looked
-         up by physical identity while compiling, so key matching happens
-         once per run, not per nest. *)
-  st_keys : (Ps_sched.Flowchart.loop * string) list;
-      (* Fork-candidate keys (only filled while profiling): loop prof
-         sites are named by policy key so the tuner can attribute a
-         measured time to the nest it is deciding. *)
+  st_forks : (Ps_sched.Policy.candidate * Ps_sched.Policy.decision) list;
+      (* Every fork candidate with its decision, resolved against this
+         flowchart's own loop records (only with a pool or while
+         profiling): looked up by physical identity while compiling, so
+         key matching happens once per run, not per nest. *)
 }
 
-(* The pool and decision of a parallel loop reached with [par] set (a
-   fork point), when its decision forks.  [None] runs the loop on the
-   calling domain and its body with [par] off: inner parallel loops
-   carry no key of their own, so a nest pinned sequential stays
-   sequential throughout. *)
-let fork st ~par (l : Ps_sched.Flowchart.loop) =
-  match st.st_opts.pool with
-  | Some pool
-    when par && l.Ps_sched.Flowchart.lp_kind <> Ps_sched.Flowchart.Iterative ->
-    let d = List.assq l st.st_policy in
-    if d.Ps_sched.Policy.d_par then Some (pool, d) else None
+let candidate st (l : Ps_sched.Flowchart.loop) =
+  List.find_opt (fun (c, _) -> c.Ps_sched.Policy.c_loop == l) st.st_forks
+
+(* The pool and decision of a fork candidate whose decision forks.
+   [None] runs the loop, and its whole nest, on the calling domain:
+   inner parallel loops are never candidates, so a nest pinned
+   sequential stays sequential throughout. *)
+let fork st l =
+  match (st.st_opts.pool, candidate st l) with
+  | Some pool, Some (_, d) when d.Ps_sched.Policy.d_par -> Some (pool, d)
   | _ -> None
 
 (* The pool deal for one nest: [parallel_for] with the decision's
@@ -267,19 +263,21 @@ and seed_inputs st (inputs : (string * value) list) =
         | Some _ -> fail "%s is not an input parameter" name
         | None -> fail "unknown input %s" name
       in
+      (* Validate shape and kind against the declaration. *)
+      let dims = Stypes.dims data.Elab.d_ty in
+      let given_dims = match v with Vscalar _ -> 0 | Varray g -> ndims g in
+      if List.length dims <> given_dims then
+        fail "input %s: expected %d dimensions, got %d" name (List.length dims)
+          given_dims;
       match v with
       | Vscalar sc ->
-        let s =
-          make_slab ~name ~elem:data.Elab.d_ty ~dims:[]
-        in
-        set_scalar s [||] sc;
+        let s = make_slab ~name ~elem:data.Elab.d_ty ~dims:[] in
+        (try set_scalar s [||] sc
+         with Invalid_argument _ ->
+           fail "input %s: %a given but %s declared" name pp_scalar sc
+             (kind_name s.s_kind));
         Hashtbl.replace st.st_slabs name s
       | Varray given ->
-        (* Validate shape against the declared dimensions. *)
-        let dims = Stypes.dims data.Elab.d_ty in
-        if List.length dims <> ndims given then
-          fail "input %s: expected %d dimensions, got %d" name (List.length dims)
-            (ndims given);
         let ectx = eval_ctx st (fun _ -> None) in
         List.iteri
           (fun p (sr : Stypes.subrange) ->
@@ -308,9 +306,9 @@ and seed_inputs st (inputs : (string * value) list) =
 (* ------------------------------------------------------------------ *)
 (* Descriptor compilation *)
 
-and compile_descs st (benv : (string * int) list) ~par (descs : Ps_sched.Flowchart.t)
+and compile_descs st (benv : (string * int) list) (descs : Ps_sched.Flowchart.t)
     ~(max_slot : int ref) : Compile.frame -> unit =
-  match List.map (compile_desc st benv ~par ~max_slot) descs with
+  match List.map (compile_desc st benv ~max_slot) descs with
   | [ f ] -> f
   | fs ->
     let fns = Array.of_list fs in
@@ -319,7 +317,7 @@ and compile_descs st (benv : (string * int) list) ~par (descs : Ps_sched.Flowcha
         (Array.unsafe_get fns i) fr
       done
 
-and compile_desc st benv ~par ~max_slot (d : Ps_sched.Flowchart.descriptor) :
+and compile_desc st benv ~max_slot (d : Ps_sched.Flowchart.descriptor) :
     Compile.frame -> unit =
   match d with
   | Ps_sched.Flowchart.D_data name ->
@@ -357,7 +355,7 @@ and compile_desc st benv ~par ~max_slot (d : Ps_sched.Flowchart.descriptor) :
     let lo_f = Compile.compile_int cctx s.Ps_sched.Flowchart.sv_range.Stypes.sr_lo in
     let hi_f = Compile.compile_int cctx s.Ps_sched.Flowchart.sv_range.Stypes.sr_hi in
     let benv' = (s.Ps_sched.Flowchart.sv_var, slot) :: benv in
-    let body = compile_descs st benv' ~par ~max_slot s.Ps_sched.Flowchart.sv_body in
+    let body = compile_descs st benv' ~max_slot s.Ps_sched.Flowchart.sv_body in
     fun fr ->
       let v = rhs_f fr in
       if v >= lo_f fr && v <= hi_f fr then begin
@@ -371,11 +369,10 @@ and compile_desc st benv ~par ~max_slot (d : Ps_sched.Flowchart.descriptor) :
     let lo_f = Compile.compile_int cctx l.Ps_sched.Flowchart.lp_range.Stypes.sr_lo in
     let hi_f = Compile.compile_int cctx l.Ps_sched.Flowchart.lp_range.Stypes.sr_hi in
     let benv' = (l.Ps_sched.Flowchart.lp_var, slot) :: benv in
-    (* Index order on the calling domain: a DO loop passes [par] on, a
-       parallel loop that does not fork runs its whole nest here. *)
+    (* Index order on the calling domain: a DO loop, or a parallel loop
+       that does not fork. *)
     let in_order () =
-      let par = par && l.Ps_sched.Flowchart.lp_kind = Ps_sched.Flowchart.Iterative in
-      let body = compile_descs st benv' ~par ~max_slot l.Ps_sched.Flowchart.lp_body in
+      let body = compile_descs st benv' ~max_slot l.Ps_sched.Flowchart.lp_body in
       fun fr ->
         let lo = lo_f fr and hi = hi_f fr in
         for v = lo to hi do
@@ -383,7 +380,7 @@ and compile_desc st benv ~par ~max_slot (d : Ps_sched.Flowchart.descriptor) :
           body fr
         done
     in
-    let fk = fork st ~par l in
+    let fk = fork st l in
     let f =
       match (l.Ps_sched.Flowchart.lp_kind, fk) with
       | Ps_sched.Flowchart.Parallel, Some (pool, d) ->
@@ -425,9 +422,7 @@ and compile_grouped st benv' ~max_slot ~slot ~lo_f ~hi_f
       ignore (g_f fr : int);
       run fr
   | Some (pool, d) ->
-    let body =
-      compile_descs st benv' ~par:false ~max_slot l.Ps_sched.Flowchart.lp_body
-    in
+    let body = compile_descs st benv' ~max_slot l.Ps_sched.Flowchart.lp_body in
     fun fr ->
       let g = g_f fr in
       let lo = lo_f fr and hi = hi_f fr in
@@ -450,42 +445,24 @@ and compile_grouped st benv' ~max_slot ~slot ~lo_f ~hi_f
 
 (* Loop-level profiling: a site per compiled loop node (inclusive time,
    so a hot inner equation also surfaces through its enclosing DOALL),
-   named after the loop header and anchored at the first equation the
+   named by [Policy.site_name] and anchored at the first equation the
    loop body schedules. *)
-and first_eq_loc st (descs : Ps_sched.Flowchart.t) : Ps_lang.Loc.span option =
-  List.find_map
-    (fun d ->
-      match d with
-      | Ps_sched.Flowchart.D_eq { er_id; _ } ->
-        Some (Elab.eq_exn st.st_em er_id).Elab.q_loc
-      | Ps_sched.Flowchart.D_loop l -> first_eq_loc st l.Ps_sched.Flowchart.lp_body
-      | Ps_sched.Flowchart.D_solve s -> first_eq_loc st s.Ps_sched.Flowchart.sv_body
-      | Ps_sched.Flowchart.D_data _ -> None)
-    descs
-
 and profile_loop st (l : Ps_sched.Flowchart.loop) (f : Compile.frame -> unit) :
     Compile.frame -> unit =
   if not (Prof.enabled ()) then f
   else begin
-    (* Fork candidates are named by their policy key ("DOALL K.I"), so
-       the tuner can attribute a measured inclusive time to the nest it
-       is deciding; other loops keep their own variable. *)
-    let name =
-      Ps_sched.Flowchart.kind_name l.Ps_sched.Flowchart.lp_kind
-      ^ " "
-      ^
-      match
-        List.find_map
-          (fun (m, k) -> if m == l then Some k else None)
-          st.st_keys
-      with
-      | Some key -> key
+    let label =
+      match candidate st l with
+      | Some (c, _) -> c.Ps_sched.Policy.c_key
       | None -> l.Ps_sched.Flowchart.lp_var
     in
+    let loc =
+      match Ps_sched.Flowchart.equations l.Ps_sched.Flowchart.lp_body with
+      | id :: _ -> Some (Elab.eq_exn st.st_em id).Elab.q_loc
+      | [] -> None
+    in
     let site =
-      Prof.register
-        ?loc:(first_eq_loc st l.Ps_sched.Flowchart.lp_body)
-        ~kind:"loop" name
+      Prof.register ?loc ~kind:"loop" (Ps_sched.Policy.site_name l label)
     in
     fun fr ->
       let t0 = Ps_obs.Metrics.now_ns () in
@@ -568,7 +545,7 @@ and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop)
     let lo_f = Compile.compile_int cctx l.lp_range.Stypes.sr_lo in
     let hi_f = Compile.compile_int cctx l.lp_range.Stypes.sr_hi in
     let benv' = (l.lp_var, slot) :: benv in
-    let body = compile_descs st benv' ~par:false ~max_slot l.lp_body in
+    let body = compile_descs st benv' ~max_slot l.lp_body in
     (* Estimated band total for the fork decision: product of the
        structural nest's extents, inner bounds sampled at the first row
        (the band slots are scratch until the loop runs, so writing the
@@ -603,7 +580,7 @@ and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop)
   | `Rect flat ->
     let bounds, benv_band = compile_bounds benv flat in
     let last = List.nth flat (List.length flat - 1) in
-    let body = compile_descs st benv_band ~par:false ~max_slot last.lp_body in
+    let body = compile_descs st benv_band ~max_slot last.lp_body in
     let bounds = Array.of_list bounds in
     let k = Array.length bounds in
     let slots = Array.map (fun (s, _, _) -> s) bounds in
@@ -654,7 +631,7 @@ and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop)
       end
   | `Tri (l0, l1) ->
     let bounds, benv_band = compile_bounds benv [ l0; l1 ] in
-    let body = compile_descs st benv_band ~par:false ~max_slot l1.lp_body in
+    let body = compile_descs st benv_band ~max_slot l1.lp_body in
     let slot0, lo0_f, hi0_f = List.nth bounds 0 in
     let slot1, lo1_f, hi1_f = List.nth bounds 1 in
     fun fr ->
@@ -866,12 +843,10 @@ and run ?(opts = default_opts) ~(flowchart : Ps_sched.Flowchart.t)
       st_windows = windows;
       st_slabs = Hashtbl.create 16;
       st_evals = Atomic.make 0;
-      st_policy =
-        (if Option.is_some opts.pool then
+      st_forks =
+        (if Option.is_some opts.pool || Prof.enabled () then
            Ps_sched.Policy.resolve opts.policy flowchart
-         else []);
-      st_keys =
-        (if Prof.enabled () then Ps_sched.Policy.index flowchart else []) }
+         else []) }
   in
   seed_inputs st inputs;
   (* Compile and execute each top-level descriptor in turn, so that data
@@ -879,7 +854,7 @@ and run ?(opts = default_opts) ~(flowchart : Ps_sched.Flowchart.t)
   List.iter
     (fun d ->
       let max_slot = ref 0 in
-      let f = compile_desc st [] ~par:(Option.is_some opts.pool) ~max_slot d in
+      let f = compile_desc st [] ~max_slot d in
       let frame = Array.make (max 1 !max_slot) 0 in
       f frame)
     flowchart;

@@ -13,8 +13,6 @@ type t = {
 
 let create src = { src; pos = Loc.start_pos; peeked = None }
 
-let of_string = create
-
 let at_end lx = lx.pos.Loc.offset >= String.length lx.src
 
 let cur lx = lx.src.[lx.pos.Loc.offset]

@@ -13,9 +13,6 @@ type t
 
 val create : string -> t
 
-val of_string : string -> t
-(** Alias of {!create}. *)
-
 val next : t -> Token.t * Loc.span
 (** Consume and return the next token.  Returns {!Token.EOF} forever once
     the input is exhausted. *)

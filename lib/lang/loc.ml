@@ -22,8 +22,6 @@ let advance p c =
   if Char.equal c '\n' then { line = p.line + 1; col = 1; offset = p.offset + 1 }
   else { p with col = p.col + 1; offset = p.offset + 1 }
 
-let pp_pos ppf p = Fmt.pf ppf "%d:%d" p.line p.col
-
 let pp ppf s =
   if s.start_p.line = s.end_p.line then
     Fmt.pf ppf "line %d, characters %d-%d" s.start_p.line s.start_p.col s.end_p.col

@@ -25,8 +25,6 @@ val merge : span -> span -> span
 val advance : pos -> char -> pos
 (** Advance a position over one character, tracking newlines. *)
 
-val pp_pos : pos Fmt.t
-
 val pp : span Fmt.t
 
 val to_string : span -> string

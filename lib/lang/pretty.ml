@@ -132,8 +132,6 @@ let pp_program ppf prog =
 
 let expr_to_string e = Fmt.str "%a" (pp_expr ~prec:0) e
 
-let type_to_string t = Fmt.str "%a" pp_type t
-
 let module_to_string m = Fmt.str "%a" pp_module m
 
 let program_to_string p = Fmt.str "%a" pp_program p

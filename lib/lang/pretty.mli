@@ -20,8 +20,6 @@ val pp_program : Ast.program Fmt.t
 
 val expr_to_string : Ast.expr -> string
 
-val type_to_string : Ast.type_expr -> string
-
 val module_to_string : Ast.pmodule -> string
 
 val program_to_string : Ast.program -> string

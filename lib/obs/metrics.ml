@@ -271,27 +271,6 @@ let counter_value_opt name =
 (* ------------------------------------------------------------------ *)
 (* Renderers *)
 
-let render_text () =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun m ->
-      match m with
-      | C c -> Buffer.add_string b (Printf.sprintf "%-32s %d\n" c.c_name (counter_value c))
-      | G g -> Buffer.add_string b (Printf.sprintf "%-32s %d\n" g.g_name (gauge_value g))
-      | H h ->
-        let s = snapshot h in
-        Buffer.add_string b
-          (Printf.sprintf "%-32s count=%d sum=%d min=%d max=%d mean=%.1f\n"
-             h.h_name s.hs_count s.hs_sum s.hs_min s.hs_max s.hs_mean)
-      | Q q ->
-        let s = sk_quantiles q in
-        Buffer.add_string b
-          (Printf.sprintf "%-32s count=%d p50=%d p90=%d p99=%d max=%d total=%d\n"
-             q.q_name s.qs_count s.qs_p50 s.qs_p90 s.qs_p99 s.qs_max
-             (Atomic.get q.q_count)))
-    (sorted_metrics ());
-  Buffer.contents b
-
 let render_json () =
   let row name kind fields =
     Ps_json.obj

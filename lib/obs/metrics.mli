@@ -88,10 +88,6 @@ val clear : unit -> unit
 val counter_value_opt : string -> int option
 (** Look up a counter by name (None if absent or not a counter). *)
 
-val render_text : unit -> string
-(** One metric per line, sorted by name: [name value] for counters and
-    gauges, [name count=… sum=… min=… max=… mean=…] for histograms. *)
-
 val render_json : unit -> string
 (** A JSON array of [{"name","kind",...}] rows, sorted by name. *)
 

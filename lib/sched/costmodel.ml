@@ -66,9 +66,9 @@ let extent env (l : Flowchart.loop) =
   let hi = eval env l.Flowchart.lp_range.Stypes.sr_hi in
   max 0 (hi - lo + 1)
 
-let midpoint env (l : Flowchart.loop) =
-  let lo = eval env l.Flowchart.lp_range.Stypes.sr_lo in
-  let hi = eval env l.Flowchart.lp_range.Stypes.sr_hi in
+let midpoint env (r : Stypes.subrange) =
+  let lo = eval env r.Stypes.sr_lo in
+  let hi = eval env r.Stypes.sr_hi in
   lo + ((hi - lo) / 2)
 
 (* Estimate one invocation of the nest headed by [l], under [env]
@@ -84,7 +84,9 @@ let estimate env (l : Flowchart.loop) collapse : estimate =
          taken at midpoints of the outer ones for skewed bands. *)
       let rec go env = function
         | [] -> 1
-        | m :: rest -> extent env m * go ((m.Flowchart.lp_var, midpoint env m) :: env) rest
+        | m :: rest ->
+          extent env m
+          * go ((m.Flowchart.lp_var, midpoint env m.Flowchart.lp_range) :: env) rest
       in
       go env chain
     else extent env l
@@ -133,51 +135,30 @@ let decide ~overhead ~cores (l : Flowchart.loop) (est : estimate option) :
         Policy.parallel ~steal:true ~collapse ?chunk_min ?wake ~why ()
       end
 
-(* Walk the flowchart exactly like [Policy.index], carrying midpoint
-   bindings for enclosing DO and SOLVE binders, and decide each fork
-   candidate in order. *)
+(* Decide each fork candidate in order, under the scalar inputs plus
+   the midpoints of its enclosing DO and SOLVE binders (a solved value
+   is data-dependent; its range's midpoint stands in).  A binder whose
+   bounds cannot be evaluated stays unbound. *)
 let static ?(overhead = default_overhead) ~(env : (string * int) list) ~cores
     (fc : Flowchart.t) : Policy.table =
-  let keyed = Policy.index fc in
-  let key_of l =
-    (* Physical identity: [keyed] holds the very loop records of [fc]. *)
-    List.assoc_opt true (List.map (fun (m, k) -> (m == l, k)) keyed)
+  let bind env (b : Flowchart.binder) =
+    let range =
+      match b with
+      | Flowchart.B_loop l -> l.Flowchart.lp_range
+      | Flowchart.B_solve s -> s.Flowchart.sv_range
+    in
+    match midpoint env range with
+    | mid -> (Flowchart.binder_var b, mid) :: env
+    | exception Analysis.Unsupported _ -> env
   in
-  let entries = ref [] in
-  let rec go env (d : Flowchart.descriptor) =
-    match d with
-    | Flowchart.D_data _ | Flowchart.D_eq _ -> ()
-    | Flowchart.D_solve s ->
-      (* The solved value is data-dependent; its midpoint stands in. *)
-      let env =
-        match
-          ( eval env s.Flowchart.sv_range.Stypes.sr_lo,
-            eval env s.Flowchart.sv_range.Stypes.sr_hi )
-        with
-        | lo, hi -> (s.Flowchart.sv_var, lo + ((hi - lo) / 2)) :: env
-        | exception Analysis.Unsupported _ -> env
-      in
-      List.iter (go env) s.Flowchart.sv_body
-    | Flowchart.D_loop l -> (
-      match l.Flowchart.lp_kind with
-      | Flowchart.Iterative ->
-        let env =
-          match midpoint env l with
-          | mid -> (l.Flowchart.lp_var, mid) :: env
-          | exception Analysis.Unsupported _ -> env
-        in
-        List.iter (go env) l.Flowchart.lp_body
-      | Flowchart.Parallel | Flowchart.Grouped _ | Flowchart.Inspected _ -> (
-        match key_of l with
-        | None -> ()  (* inside another parallel nest: not a fork point *)
-        | Some key ->
-          let est =
-            match estimate env l true with
-            | est -> Some est
-            | exception Analysis.Unsupported _ -> None
-          in
-          entries := (key, decide ~overhead ~cores l est) :: !entries))
+  let entry (c : Policy.candidate) =
+    let env = List.fold_left bind env c.Policy.c_binders in
+    let est =
+      match estimate env c.Policy.c_loop true with
+      | est -> Some est
+      | exception Analysis.Unsupported _ -> None
+    in
+    (c.Policy.c_key, decide ~overhead ~cores c.Policy.c_loop est)
   in
-  List.iter (go env) fc;
   { Policy.t_source = Policy.Static; t_host_cores = cores;
-    t_entries = List.rev !entries }
+    t_entries = List.map entry (Policy.index fc) }

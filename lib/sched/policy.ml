@@ -52,41 +52,54 @@ type table = {
 
 (* --- nest keys ------------------------------------------------------ *)
 
-(* A parallelization point is a parallel-kind loop the interpreter would
+(* A fork candidate is a parallel-kind loop the interpreter would
    actually fork: reachable from the top through DO loops and SOLVE
    bodies only.  Loops nested inside another parallel nest run inside
    the workers and are never fork candidates, so they carry no key.
+   This walk is the only place that decides it: the interpreter, the
+   cost model, the C back end and lint W120 all read its list.
 
    The key is the dot-joined path of binder variables from the root,
    with a "#n" ordinal when the same path occurs more than once (e.g.
    fig. 6 has three I.J nests).  The walk is deterministic, so the same
    flowchart yields the same keys at tune time and at run time. *)
-let index (fc : Flowchart.t) : (Flowchart.loop * string) list =
+type candidate = {
+  c_loop : Flowchart.loop;
+  c_key : string;
+  c_binders : Flowchart.binder list;  (* outermost first *)
+}
+
+let index (fc : Flowchart.t) : candidate list =
   let acc = ref [] in
   let counts = Hashtbl.create 8 in
-  let add l path =
-    let base = String.concat "." (List.rev path) in
-    let n = (try Hashtbl.find counts base with Not_found -> 0) + 1 in
-    Hashtbl.replace counts base n;
-    let key = if n = 1 then base else Printf.sprintf "%s#%d" base n in
-    acc := (l, key) :: !acc
-  in
-  let rec go ~par path (d : Flowchart.descriptor) =
+  let rec go binders (d : Flowchart.descriptor) =
     match d with
     | Flowchart.D_data _ | Flowchart.D_eq _ -> ()
     | Flowchart.D_solve s ->
-      List.iter (go ~par (s.Flowchart.sv_var :: path)) s.Flowchart.sv_body
-    | Flowchart.D_loop l ->
-      let path' = l.Flowchart.lp_var :: path in
-      (match l.Flowchart.lp_kind with
+      List.iter (go (Flowchart.B_solve s :: binders)) s.Flowchart.sv_body
+    | Flowchart.D_loop l -> (
+      match l.Flowchart.lp_kind with
       | Flowchart.Iterative ->
-        List.iter (go ~par path') l.Flowchart.lp_body
+        List.iter (go (Flowchart.B_loop l :: binders)) l.Flowchart.lp_body
       | Flowchart.Parallel | Flowchart.Grouped _ | Flowchart.Inspected _ ->
-        if par then add l path';
-        List.iter (go ~par:false path') l.Flowchart.lp_body)
+        let binders = List.rev binders in
+        let base =
+          String.concat "."
+            (List.map Flowchart.binder_var binders @ [ l.Flowchart.lp_var ])
+        in
+        let n = (try Hashtbl.find counts base with Not_found -> 0) + 1 in
+        Hashtbl.replace counts base n;
+        let key = if n = 1 then base else Printf.sprintf "%s#%d" base n in
+        acc := { c_loop = l; c_key = key; c_binders = binders } :: !acc)
   in
-  List.iter (go ~par:true []) fc;
+  List.iter (go []) fc;
   List.rev !acc
+
+(* Profiler sites of loops are named "<kind> <label>": a fork
+   candidate's label is its key, so the tuner can attribute a measured
+   inclusive time to the nest it is deciding. *)
+let site_name (l : Flowchart.loop) label =
+  Flowchart.kind_name l.Flowchart.lp_kind ^ " " ^ label
 
 let find (t : table) key = List.assoc_opt key t.t_entries
 
@@ -101,19 +114,19 @@ let default (l : Flowchart.loop) =
    [fc], so the interpreter can look decisions up by identity while
    compiling. *)
 let resolve (t : table option) (fc : Flowchart.t) :
-    (Flowchart.loop * decision) list =
+    (candidate * decision) list =
   List.map
-    (fun (l, key) ->
-      match Option.bind t (fun t -> find t key) with
-      | Some d -> (l, d)
-      | None -> (l, default l))
+    (fun c ->
+      match Option.bind t (fun t -> find t c.c_key) with
+      | Some d -> (c, d)
+      | None -> (c, default c.c_loop))
     (index fc)
 
 (* One decision shape applied to every fork candidate of [fc]. *)
 let uniform ~source ~cores (fc : Flowchart.t) (mk : Flowchart.loop -> decision)
     =
   { t_source = source; t_host_cores = cores;
-    t_entries = List.map (fun (l, key) -> (key, mk l)) (index fc) }
+    t_entries = List.map (fun c -> (c.c_key, mk c.c_loop)) (index fc) }
 
 let stale (t : table) ~host_cores = t.t_host_cores <> host_cores
 
@@ -216,9 +229,9 @@ let validate (t : table) (fc : Flowchart.t) : string list =
   let keyed = index fc in
   List.concat_map
     (fun (key, d) ->
-      match List.find_opt (fun (_, k) -> String.equal k key) keyed with
+      match List.find_opt (fun c -> String.equal c.c_key key) keyed with
       | None -> [ Printf.sprintf "policy entry %S matches no loop nest" key ]
-      | Some (l, _) when d.d_collapse && not (Collapse.collapsible l) ->
+      | Some c when d.d_collapse && not (Collapse.collapsible c.c_loop) ->
         [ Printf.sprintf
             "policy entry %S requests collapse on a nest that heads no \
              perfect DOALL band"

@@ -43,11 +43,27 @@ type table = {
   t_entries : (string * decision) list;
 }
 
-val index : Flowchart.t -> (Flowchart.loop * string) list
-(** The fork candidates of a flowchart — parallel-kind loops reachable
-    through DO loops and SOLVE bodies only — each with its stable key:
-    the dot-joined binder path from the root plus a ["#n"] ordinal for
-    repeats.  Deterministic, so tune-time and run-time keys agree. *)
+type candidate = {
+  c_loop : Flowchart.loop;  (** physically the flowchart's own record *)
+  c_key : string;
+  c_binders : Flowchart.binder list;
+      (** the enclosing DO loops and SOLVE bodies, outermost first *)
+}
+
+val index : Flowchart.t -> candidate list
+(** The fork candidates of a flowchart, in flowchart order: the
+    parallel-kind loops (DOALL, DOGROUP, DOINSPECT) reachable through DO
+    loops and SOLVE bodies only.  Each carries its stable key: the
+    dot-joined binder path from the root plus a ["#n"] ordinal for
+    repeats.  Deterministic, so tune-time and run-time keys agree.  This
+    is the one definition of a fork point: the interpreter forks, the
+    cost model prices, the C back end marks [omp parallel for] and W120
+    checks exactly these loops. *)
+
+val site_name : Flowchart.loop -> string -> string
+(** [site_name l label]: the loop-profiler site of [l], e.g.
+    ["DOALL K.I"] — its kind and [label], the policy key of a fork
+    candidate, the loop variable of any other loop. *)
 
 val find : table -> string -> decision option
 
@@ -56,7 +72,7 @@ val default : Flowchart.loop -> decision
     fork, work-stealing, the pool's default chunks and wake threshold,
     flatten only where [--collapse] marked the band. *)
 
-val resolve : table option -> Flowchart.t -> (Flowchart.loop * decision) list
+val resolve : table option -> Flowchart.t -> (candidate * decision) list
 (** Every fork candidate with the decision it runs: its table entry,
     else {!default}.  The loops are physically those of the flowchart,
     so callers may look decisions up by identity ([==]). *)

@@ -174,8 +174,6 @@ let builtins : (string * (Stypes.ty list -> Loc.span -> Stypes.ty)) list =
        | [ a ] when Stypes.is_numeric a -> int_ty
        | _ -> err loc "intpart expects one numeric argument") ]
 
-let is_builtin name = List.mem_assoc name builtins
-
 (* ------------------------------------------------------------------ *)
 (* Expression type checking *)
 

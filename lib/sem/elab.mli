@@ -71,10 +71,6 @@ val eq_exn : emodule -> int -> eq
 
 (** {1 Elaboration} *)
 
-val is_builtin : string -> bool
-(** Whether a name denotes one of the builtin scalar functions (sqrt,
-    sin, cos, exp, ln, abs, min, max, intpart). *)
-
 val elab_program : Ps_lang.Ast.program -> eprogram
 (** Elaborate a whole program.  Signatures are collected first, so
     modules may call modules defined later in the file.

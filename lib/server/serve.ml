@@ -37,11 +37,6 @@ type config = {
   cf_metrics_json : string option;  (* dump the registry on clean shutdown *)
 }
 
-let default_config =
-  { cf_socket = None; cf_workers = 4; cf_pool = 0; cf_cache = 64;
-    cf_max_queue = 1024; cf_grace_ms = 5000; cf_access_log = None;
-    cf_slow_ms = None; cf_metrics_json = None }
-
 (* A captured slow request: enough to name the straggler (id, op, the
    client's trace id) and say where the time went (the span subtree
    recorded on the handling thread, folded to durations). *)
@@ -423,8 +418,9 @@ let dispatch sv ~deadline ~info (rq : Proto.request) : string =
         policy }
     in
     let r =
-      Psc.Exec.run ~opts ~flowchart:sc.Psc.sc_flowchart
-        ~windows:sc.Psc.sc_windows ~prog:t.Psc.prog em ~inputs
+      Psc.wrap (fun () ->
+          Psc.Exec.run ~opts ~flowchart:sc.Psc.sc_flowchart
+            ~windows:sc.Psc.sc_windows ~prog:t.Psc.prog em ~inputs)
     in
     Proto.ok_response ~id ~cached:hit
       ([ ("outputs", Json.arr (List.map Proto.output_json r.Psc.Exec.outputs));
@@ -487,13 +483,11 @@ let dispatch sv ~deadline ~info (rq : Proto.request) : string =
     Proto.ok_response ~id ~cached:false [ ("draining", Json.bool true) ]
 
 (* Every error a request can produce, mapped to one answer line (the
-   access log sees the same classification through [info.ri_error]). *)
+   access log sees the same classification through [info.ri_error]): an
+   expired deadline, or a pipeline error, which [Psc.wrap] has already
+   turned into one [Psc.Error]. *)
 let answer sv ~deadline ~info (rq : Proto.request) : string =
   let id = rq.Proto.rq_id in
-  let fail code m =
-    info.ri_error <- Some code;
-    Proto.error_message ~id m
-  in
   try dispatch sv ~deadline ~info rq with
   | Deadline ->
     Psc.Metrics.incr sv.sv_deadline_trips;
@@ -501,10 +495,9 @@ let answer sv ~deadline ~info (rq : Proto.request) : string =
     diag_response ~id Psc.Diag.Deadline_exceeded
       (Printf.sprintf "deadline of %d ms expired"
          (Option.value rq.Proto.rq_deadline_ms ~default:0))
-  | Psc.Error m -> fail "error" m
-  | Psc.Exec.Runtime_error m -> fail "error" ("runtime error: " ^ m)
-  | Psc.Value.Bounds m -> fail "error" ("subscript out of bounds: " ^ m)
-  | Psc.Eval.Runtime_error m -> fail "error" ("runtime error: " ^ m)
+  | Psc.Error m ->
+    info.ri_error <- Some "error";
+    Proto.error_message ~id m
 
 (* One JSON line per request — including rejects, which log with zeroed
    timings.  The channel mutex keeps concurrent connection threads'

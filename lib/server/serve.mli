@@ -41,11 +41,6 @@ type config = {
       (** dump the final metrics registry here on clean shutdown *)
 }
 
-val default_config : config
-(** stdio, 4 workers, no pool, 64 cached artifacts in 8 shards, queue
-    of 1024, 5 s grace, no access log, no slow capture, no metrics
-    dump. *)
-
 val main : config -> unit
 (** Run the server until it drains: SIGTERM or a [shutdown] request,
     or, in stdio mode, the stdio connection closing (end of input once

@@ -47,6 +47,23 @@ let expect_exit rc args needle =
     Alcotest.failf "psc %s: exit %d (want %d), output lacks %S?\n%s" args got
       rc needle text
 
+(* What the emitted main() for [f] prints under [inputs] ("-i N=4"),
+   built with cc. *)
+let c_harness inputs f =
+  let rc, c = run_cli (Printf.sprintf "emit-c --main %s %s" inputs f) in
+  Alcotest.(check int) "emit-c exit" 0 rc;
+  with_source ~suffix:".c" c (fun cfile ->
+      let exe = Filename.remove_extension cfile in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists exe then Sys.remove exe)
+        (fun () ->
+          Alcotest.(check int) "cc" 0
+            (Sys.command (Printf.sprintf "cc -O1 -o %s %s -lm" exe cfile));
+          let ic = Unix.open_process_in exe in
+          let out = In_channel.input_all ic in
+          ignore (Unix.close_process_in ic);
+          out))
+
 let cli_tests =
   [ t "parse round-trips Fig. 1" (fun () ->
         with_source Ps_models.Models.jacobi (fun f ->
@@ -246,20 +263,27 @@ end S;
               (fun req ->
                 expect_ok ("serve --stdio < " ^ req)
                   [ {|"outputs":[{"name":"s","kind":"scalar","elem":"int","value":"0"}]|} ]);
-            if Lazy.force Ps_fuzz.Diff.have_cc then begin
-              let rc, c = run_cli ("emit-c --main -i N=4 " ^ f) in
-              Alcotest.(check int) "emit-c exit" 0 rc;
-              with_source ~suffix:".c" c (fun cfile ->
-                  let exe = Filename.remove_extension cfile in
-                  Fun.protect
-                    ~finally:(fun () -> if Sys.file_exists exe then Sys.remove exe)
-                    (fun () ->
-                      Alcotest.(check int) "cc" 0
-                        (Sys.command (Printf.sprintf "cc -O1 -o %s %s -lm" exe cfile));
-                      let ic = Unix.open_process_in exe in
-                      let out = In_channel.input_all ic in
-                      ignore (Unix.close_process_in ic);
-                      Alcotest.(check string) "C harness" "s 0\n" out))
-            end)) ]
+            if Lazy.force Ps_fuzz.Diff.have_cc then
+              Alcotest.(check string) "C harness" "s 0\n" (c_harness "-i N=4" f)));
+    t "run seeds a bool scalar input as the emitted main() does" (fun () ->
+        (* The C harness declares b an int and tests its truth value;
+           run and the server must seed it the same way, and the server's
+           answer must carry the request's id and trace_id. *)
+        with_source
+          "B: module (b: bool; N: int): [s: int]; define s = if b then N else \
+           0; end B;"
+          (fun f ->
+            expect_ok ("run -i N=3 -i b=1 " ^ f) [ "s = 3" ];
+            with_source ~suffix:".json"
+              (Printf.sprintf
+                 {|{"id":7,"op":"run","source_file":%s,"scalars":{"N":3,"b":1},"trace_id":"tb-7"}|}
+                 (Psc.Json.str f))
+              (fun req ->
+                expect_ok ("serve --stdio < " ^ req)
+                  [ {|"trace_id":"tb-7","id":7,"ok":true|};
+                    {|"outputs":[{"name":"s","kind":"scalar","elem":"int","value":"3"}]|} ]);
+            if Lazy.force Ps_fuzz.Diff.have_cc then
+              Alcotest.(check string) "C harness" "s 3\n"
+                (c_harness "-i N=3 -i b=1" f))) ]
 
 let () = Alcotest.run "cli" [ ("cli", cli_tests) ]

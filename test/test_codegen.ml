@@ -87,6 +87,92 @@ let structure_tests =
         Alcotest.(check bool) "unrotate" true (Util.contains c "solved subscript");
         Alcotest.(check bool) "window 3" true (Util.contains c "window of 3 planes")) ]
 
+(* Every source the back end is checked over: the models, the examples,
+   the fuzz corpus, and each hyperplane transform of their first module
+   (one per local array the transformation accepts). *)
+let kernels () =
+  let corpus =
+    let dir = Filename.dirname (Util.corpus "doall_window.ps") in
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ps")
+    |> List.sort compare
+    |> List.map (fun f -> (f, Util.read_file (Filename.concat dir f)))
+  in
+  List.concat_map
+    (fun (label, src) ->
+      let tp = Util.load src in
+      (label, tp, None)
+      :: List.filter_map
+           (fun (d : Psc.Elab.data) ->
+             let target = d.Psc.Elab.d_name in
+             if Psc.Stypes.dims d.Psc.Elab.d_ty = [] then None
+             else
+               match Psc.hyperplane ~target tp with
+               | tp', tr ->
+                 Some
+                   ( label ^ "/" ^ target,
+                     tp',
+                     Some tr.Psc.Transform.tr_module.Psc.Ast.m_name )
+               | exception Psc.Error _ -> None)
+           (Psc.default_module tp).Psc.Elab.em_locals)
+    (Golden_cases.all () @ corpus)
+
+(* The loops the C marks with an OpenMP pragma, in order, each as its
+   for-loop variable and the first word of its kind annotation. *)
+let pragma_loops c =
+  let rec go = function
+    | pragma :: loop :: rest
+      when Util.contains pragma "#pragma omp parallel for" ->
+      let var = Scanf.sscanf (String.trim loop) "for (int %s " Fun.id in
+      let note = List.nth (String.split_on_char '*' loop) 1 in
+      let kind = String.trim (List.hd (String.split_on_char '(' note)) in
+      (var, kind) :: go rest
+    | _ :: rest -> go rest
+    | [] -> []
+  in
+  go (String.split_on_char '\n' c)
+
+let fork_tests =
+  [ t "pragmas mark exactly the fork candidates" (fun () ->
+        let checked = ref 0 and transformed = ref 0 in
+        List.iter
+          (fun (label, tp, name) ->
+            List.iter
+              (fun passes ->
+                match
+                  Psc.emit_c ?name ~sink:passes ~fuse:passes ~trim:passes
+                    ~collapse:passes tp
+                with
+                | exception Psc.Error _ -> ()  (* module calls, records *)
+                | c ->
+                  let sc =
+                    Psc.schedule ~sink:passes ~fuse:passes ~trim:passes
+                      ~collapse:passes (Psc.the_module ?name tp)
+                  in
+                  let expected =
+                    List.map
+                      (fun (cand : Psc.Policy.candidate) ->
+                        let l = cand.Psc.Policy.c_loop in
+                        let kind = l.Psc.Flowchart.lp_kind in
+                        ( Psc.Emit.c_name l.Psc.Flowchart.lp_var
+                          ^ (if kind = Psc.Flowchart.Parallel then "" else "_grp"),
+                          List.hd
+                            (String.split_on_char '('
+                               (Psc.Flowchart.kind_name kind)) ))
+                      (Psc.Policy.index sc.Psc.sc_flowchart)
+                  in
+                  Alcotest.(check (list (pair string string)))
+                    (label ^ if passes then " (all passes)" else "")
+                    expected (pragma_loops c);
+                  incr checked;
+                  if name <> None then incr transformed)
+              [ false; true ])
+          (kernels ());
+        Alcotest.(check bool)
+          (Printf.sprintf "%d emitted, %d transformed" !checked !transformed)
+          true
+          (!checked >= 60 && !transformed >= 20)) ]
+
 let diagnostic_tests =
   [ t "module calls are diagnosed" (fun () ->
         Util.expect_error ~substring:"C back end" (fun () ->
@@ -184,6 +270,6 @@ let cc_tests =
 
 let () =
   Alcotest.run "codegen"
-    [ ("structure", structure_tests);
+    [ ("structure", structure_tests @ fork_tests);
       ("diagnostics", diagnostic_tests);
       ("compile and run", cc_tests) ]

@@ -349,6 +349,17 @@ let lint_tests =
              array [1 .. N] of real; define A[I] = x; y = A[N]; end T;"
         in
         Alcotest.(check bool) "no W120" false (has Diag.Sequential_doall ds));
+    t "W120 flags fork candidates only, not a DOALL under a DOGROUP" (fun () ->
+        (* DOALL Init (DOALL J); DOGROUP(2) Rest (DOALL J); DOALL Ipos
+           (DOALL J): of the two constant-trip loops, only Init forks. *)
+        let ds = lint (Util.read_file (Util.corpus "dogroup_band.ps")) in
+        Alcotest.(check (list string))
+          "flagged loops" [ "Init" ]
+          (List.filter_map
+             (fun d ->
+               if d.Diag.d_code <> Diag.Sequential_doall then None
+               else Some (Scanf.sscanf d.Diag.d_msg "DOALL %s " Fun.id))
+             ds));
     t "W112 fires on exactly these dimensions, for these rules" (fun () ->
         let rules =
           [ ("at-most-one-window", "one window"); ("read outside", "read outside");

@@ -358,7 +358,22 @@ end Oops;
         let x = Psc.Exec.array_real ~dims:[ (1, n) ] (fun ix -> float_of_int (ix.(0) mod 4)) in
         let y = Psc.Exec.array_int ~dims:[ (1, n) ] (fun ix -> ix.(0) mod 3) in
         Util.expect_error ~substring:"input X" (fun () ->
-            Util.run Ps_models.Models.lcs [ ("X", x); ("Y", y); ("N", Psc.Exec.scalar_int n) ])) ]
+            Util.run Ps_models.Models.lcs [ ("X", x); ("Y", y); ("N", Psc.Exec.scalar_int n) ]));
+    t "a scalar input of the wrong kind or shape is diagnosed" (fun () ->
+        (* b is declared bool: an int given for it is a runtime error that
+           names the input, not an exception from the store. *)
+        let src =
+          "B: module (b: bool; N: int): [s: int]; define s = if b then N else \
+           0; end B;"
+        in
+        let n = Psc.Exec.scalar_int 3 in
+        Util.expect_error ~substring:"input b: 1 given but bool declared" (fun () ->
+            Util.run src [ ("b", Psc.Exec.scalar_int 1); ("N", n) ]);
+        Alcotest.(check int) "bool given" 3
+          (Util.output_int (Util.run src [ ("b", Psc.Exec.scalar_bool true); ("N", n) ]) "s" [||]);
+        Util.expect_error ~substring:"input InitialA: expected" (fun () ->
+            Util.run Ps_models.Models.jacobi
+              (("InitialA", Psc.Exec.scalar_real 1.0) :: List.remove_assoc "InitialA" inputs))) ]
 
 let () =
   Alcotest.run "exec"

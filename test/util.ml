@@ -104,6 +104,8 @@ let psc_exe = built "bin" "psc_main.exe"
 let example name =
   List.find Sys.file_exists [ "../examples/ps/" ^ name; "examples/ps/" ^ name ]
 
+let corpus name = List.find Sys.file_exists [ "corpus/" ^ name; "test/corpus/" ^ name ]
+
 (* A recurrence along J under a DOALL over I, as in
    test/corpus/doall_window.ps: a window on dimension I would be one
    plane shared by every concurrent I. *)
