@@ -678,8 +678,8 @@ let fuzz_cmd =
   let paths_arg =
     let doc =
       "Comma-separated execution paths to differentiate against the \
-       sequential reference: nowin, nocheck, passes, steal, collapse, \
-       group, inspector, hyper, hyper-par, c, server — or 'all' \
+       sequential reference: nowin, passes, steal, collapse, group, \
+       inspector, hyper, hyper-par, auto, c, server — or 'all' \
        (default).  The 'c' path is skipped when no C compiler is \
        installed; 'group' translation-validates the schedule before a \
        pooled run; 'inspector' re-derives every static group partition \

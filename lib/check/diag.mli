@@ -69,7 +69,7 @@ type code =
   | Bad_policy               (** E025: a scheduling-policy table is ill-formed
                                  for this flowchart (unknown nest key, collapse
                                  on a nest heading no perfect DOALL band, or
-                                 bad chunk bounds) *)
+                                 a chunk floor below 1) *)
   (* The compile service (E03x).  Per-request diagnostics from
      [psc serve]: the request is answered with the diagnostic, the
      server itself stays up. *)

@@ -56,7 +56,7 @@ val policy_table :
   Ps_diag.Diag.t list
 (** Verify a scheduling-policy table against the flowchart it will steer:
     structural well-formedness (E025 — unknown nest key, collapse on a
-    nest that heads no perfect DOALL band, bad chunk bounds) plus, when
+    nest that heads no perfect DOALL band, a chunk floor below 1) plus, when
     [host_cores] is given, staleness (W121 — the table was tuned for a
     different core count).  Policies are advisory shape, never legality:
     the interpreter only forks nests the scheduler proved parallel and

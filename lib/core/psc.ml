@@ -206,13 +206,13 @@ let lint t =
 (* Execution *)
 
 let run ?name ?(sink = false) ?(fuse = false) ?(trim = false)
-    ?(collapse = false) ?(use_windows = true) ?pool ?(check = true)
-    ?(stats = false) ?policy t ~inputs =
+    ?(collapse = false) ?(use_windows = true) ?pool ?(stats = false) ?policy t
+    ~inputs =
   wrap (fun () ->
       let em = the_module ?name t in
       let sc = schedule ~sink ~fuse ~trim ~collapse em in
       let opts =
-        { Exec.pool; check; use_windows; collect_stats = stats; policy;
+        { Exec.pool; use_windows; collect_stats = stats; policy;
           sched_flags =
             { Exec.sf_sink = sink; sf_fuse = fuse; sf_trim = trim;
               sf_collapse = collapse } }
@@ -281,15 +281,15 @@ let work_span ?name ?(sink = false) ?(fuse = false) ?(trim = false) t ~env =
 (* The static cost model's table for a module under concrete scalar
    inputs: the model decides per nest whether forking and flattening
    pay. *)
-let static_policy ?name ?(sink = false) ?(fuse = false) ?(trim = false)
-    ?overhead ?cores t ~env =
+let static_policy ?name ?(sink = false) ?(fuse = false) ?(trim = false) ?cores t
+    ~env =
   wrap (fun () ->
       let em = the_module ?name t in
       let sc = schedule ~sink ~fuse ~trim em in
       let cores =
         match cores with Some c -> c | None -> Pool.recommended_size ()
       in
-      Costmodel.static ?overhead ~env ~cores sc.sc_flowchart)
+      Costmodel.static ~env ~cores sc.sc_flowchart)
 
 (* Profile-guided tuning: replay the module under candidate per-nest
    policies with the loop-level profiler on, and keep, per fork
@@ -331,19 +331,30 @@ let tune ?name ?(sink = false) ?(fuse = false) ?(trim = false) ?cores
       in
       (* Inclusive ns per nest key for one candidate table, summed over
          [reps] runs (each run compiles fresh prof sites; sites named by
-         policy key make the rows attributable). *)
+         policy key make the rows attributable).  However the replays
+         end, the profiler is put back as the caller had it, without the
+         replays' sites: a fault in one must not leave every later run
+         of the process profiled. *)
+      let profiling = Prof.enabled () in
       let measure pool table =
+        Prof.reset ();
         Prof.set_enabled true;
-        for _ = 1 to reps do
-          ignore
-            (Exec.run
-               ~opts:
-                 { Exec.default_opts with pool = Some pool; check = false;
-                   policy = Some table; sched_flags }
-               ~flowchart:fc ~windows:sc.sc_windows ~prog:t.prog em ~inputs)
-        done;
-        let rows = Prof.rows () in
-        Prof.set_enabled false;
+        let rows =
+          Fun.protect
+            ~finally:(fun () ->
+              Prof.set_enabled profiling;
+              Prof.reset ())
+          @@ fun () ->
+          for _ = 1 to reps do
+            ignore
+              (Exec.run
+                 ~opts:
+                   { Exec.default_opts with pool = Some pool;
+                     policy = Some table; sched_flags }
+                 ~flowchart:fc ~windows:sc.sc_windows ~prog:t.prog em ~inputs)
+          done;
+          Prof.rows ()
+        in
         List.map
           (fun (c : Policy.candidate) ->
             let name = Policy.site_name c.Policy.c_loop c.Policy.c_key in

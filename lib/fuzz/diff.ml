@@ -20,7 +20,6 @@
 type path =
   | Seq        (* plain sequential interpreter: the reference *)
   | Nowin      (* full storage, no virtual windows *)
-  | Nocheck    (* unchecked subscript fast path *)
   | Passes     (* sink + fuse + trim *)
   | Steal      (* work-stealing pool *)
   | Collapse   (* pooled, DOALL bands collapsed, bounds trimmed *)
@@ -39,7 +38,6 @@ type path =
 let path_name = function
   | Seq -> "seq"
   | Nowin -> "nowin"
-  | Nocheck -> "nocheck"
   | Passes -> "passes"
   | Steal -> "steal"
   | Collapse -> "collapse"
@@ -54,7 +52,6 @@ let path_name = function
 let path_of_name = function
   | "seq" -> Some Seq
   | "nowin" -> Some Nowin
-  | "nocheck" -> Some Nocheck
   | "passes" -> Some Passes
   | "steal" -> Some Steal
   | "collapse" -> Some Collapse
@@ -453,7 +450,6 @@ let run_path ~pool tp ~inputs ~scalars (p : path) : outcome =
   match p with
   | Seq -> interp_outputs (fun () -> Psc.run tp ~inputs)
   | Nowin -> interp_outputs (fun () -> Psc.run ~use_windows:false tp ~inputs)
-  | Nocheck -> interp_outputs (fun () -> Psc.run ~check:false tp ~inputs)
   | Passes -> interp_outputs (fun () -> Psc.run ~sink:true ~fuse:true ~trim:true tp ~inputs)
   | Steal -> interp_outputs (fun () -> Psc.run ~pool tp ~inputs)
   | Collapse -> interp_outputs (fun () -> Psc.run ~pool ~collapse:true ~trim:true tp ~inputs)

@@ -8,7 +8,6 @@
 type path =
   | Seq        (** plain sequential interpreter: the reference *)
   | Nowin      (** full storage, no virtual windows *)
-  | Nocheck    (** unchecked subscript fast path *)
   | Passes     (** sink + fuse + trim *)
   | Steal      (** work-stealing pool *)
   | Collapse   (** pooled, DOALL bands collapsed, bounds trimmed *)

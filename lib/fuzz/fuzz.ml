@@ -32,9 +32,8 @@ type report = {
 }
 
 let default_paths =
-  [ Diff.Seq; Diff.Nowin; Diff.Nocheck; Diff.Passes; Diff.Steal; Diff.Collapse;
-    Diff.Group; Diff.Inspector; Diff.Hyper; Diff.Hyper_par; Diff.Auto;
-    Diff.Cc; Diff.Server ]
+  [ Diff.Seq; Diff.Nowin; Diff.Passes; Diff.Steal; Diff.Collapse; Diff.Group;
+    Diff.Inspector; Diff.Hyper; Diff.Hyper_par; Diff.Auto; Diff.Cc; Diff.Server ]
 
 let is_load_verdict v =
   String.length v >= 5 && String.sub v 0 5 = "load:"

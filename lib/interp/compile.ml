@@ -56,7 +56,6 @@ type cctx = {
   k_slab : string -> slab;          (* resolve/allocate a data slab *)
   k_slot : string -> int option;    (* loop variable -> frame slot *)
   k_call : string -> value list -> value list;
-  k_check : bool;
 }
 
 exception Cannot_compile of string
@@ -106,8 +105,7 @@ let eval_ctx ctx (fr : frame) : Eval.ctx =
     c_index =
       (fun v ->
         match ctx.k_slot v with Some s -> Some fr.(s) | None -> None);
-    c_call = ctx.k_call;
-    c_check = ctx.k_check }
+    c_call = ctx.k_call }
 
 let enum_ordinal ctx name =
   let rec find = function
@@ -244,22 +242,22 @@ let out_of_bounds (s : slab) p v =
        (Printf.sprintf "%s: subscript %d = %d outside %d..%d" s.s_name (p + 1) v
           di.di_lo (di.di_lo + di.di_extent - 1)))
 
-(* Dimension [p]'s share of the flat offset for subscript value [v].  On
-   the unchecked path a relative index outside the declared extent
-   still wraps into the window (the Euclidean remainder), so it cannot
-   address outside the slab through a window. *)
-let[@inline] dim_offset check s p d v =
+(* Dimension [p]'s share of the flat offset for subscript value [v].
+   Every read and write tests the declared range here, which is what
+   lets the readers and writers index payloads with [Array.unsafe_get]
+   and [Array.unsafe_set]. *)
+let[@inline] dim_offset s p d v =
   let r = v - d.d_lo in
-  if check && (r < 0 || r >= d.d_ext) then out_of_bounds s p v;
+  if r < 0 || r >= d.d_ext then out_of_bounds s p v;
   if d.d_window = d.d_ext then r * d.d_stride
-  else if r >= 0 && r < Array.length d.d_plane then Array.unsafe_get d.d_plane r
-  else wrap_window r d.d_window * d.d_stride
+  else if r < Array.length d.d_plane then Array.unsafe_get d.d_plane r
+  else r mod d.d_window * d.d_stride
 
 type sub = Aff of affine | Dyn of (frame -> int)
 
 (* A constant subscript is checked when the read runs, like any other,
    not when it compiles: a read behind a false guard must not trap. *)
-let offset_fn ~check (s : slab) (subs : sub array) : frame -> int =
+let offset_fn (s : slab) (subs : sub array) : frame -> int =
   let n = ndims s in
   if Array.length subs <> n then
     fail "reference to %s has %d subscripts for %d dimensions" s.s_name
@@ -269,23 +267,23 @@ let offset_fn ~check (s : slab) (subs : sub array) : frame -> int =
   | [||] -> fun _ -> 0
   | [| Some (s0, k0, c0) |] ->
     let d0 = ds.(0) in
-    fun fr -> dim_offset check s 0 d0 ((k0 * Array.unsafe_get fr s0) + c0)
+    fun fr -> dim_offset s 0 d0 ((k0 * Array.unsafe_get fr s0) + c0)
   | [| None |] -> (
     let d0 = ds.(0) in
     match subs.(0) with
-    | Aff a -> fun fr -> dim_offset check s 0 d0 (affine_value a fr)
-    | Dyn f -> fun fr -> dim_offset check s 0 d0 (f fr))
+    | Aff a -> fun fr -> dim_offset s 0 d0 (affine_value a fr)
+    | Dyn f -> fun fr -> dim_offset s 0 d0 (f fr))
   | [| Some (s0, k0, c0); Some (s1, k1, c1) |] ->
     let d0 = ds.(0) and d1 = ds.(1) in
     fun fr ->
-      let o0 = dim_offset check s 0 d0 ((k0 * Array.unsafe_get fr s0) + c0) in
-      o0 + dim_offset check s 1 d1 ((k1 * Array.unsafe_get fr s1) + c1)
+      let o0 = dim_offset s 0 d0 ((k0 * Array.unsafe_get fr s0) + c0) in
+      o0 + dim_offset s 1 d1 ((k1 * Array.unsafe_get fr s1) + c1)
   | [| Some (s0, k0, c0); Some (s1, k1, c1); Some (s2, k2, c2) |] ->
     let d0 = ds.(0) and d1 = ds.(1) and d2 = ds.(2) in
     fun fr ->
-      let o0 = dim_offset check s 0 d0 ((k0 * Array.unsafe_get fr s0) + c0) in
-      let o1 = dim_offset check s 1 d1 ((k1 * Array.unsafe_get fr s1) + c1) in
-      o0 + o1 + dim_offset check s 2 d2 ((k2 * Array.unsafe_get fr s2) + c2)
+      let o0 = dim_offset s 0 d0 ((k0 * Array.unsafe_get fr s0) + c0) in
+      let o1 = dim_offset s 1 d1 ((k1 * Array.unsafe_get fr s1) + c1) in
+      o0 + o1 + dim_offset s 2 d2 ((k2 * Array.unsafe_get fr s2) + c2)
   | _ ->
     (* [Eval] computes every subscript before it checks any, and a
        dynamic subscript may itself trap. *)
@@ -301,7 +299,7 @@ let offset_fn ~check (s : slab) (subs : sub array) : frame -> int =
           | Aff a -> affine_value a fr
           | Dyn _ -> Array.unsafe_get vs p
         in
-        off := !off + dim_offset check s p (Array.unsafe_get ds p) v
+        off := !off + dim_offset s p (Array.unsafe_get ds p) v
       done;
       !off
 
@@ -558,7 +556,7 @@ and compile_offset ctx (s : slab) (subs : Ast.expr list) : frame -> int =
     | Some a -> Aff a
     | None -> Dyn (as_int_c (compile ctx e))
   in
-  offset_fn ~check:ctx.k_check s (Array.of_list (List.map sub subs))
+  offset_fn s (Array.of_list (List.map sub subs))
 
 (* A left-deep [+] chain of at least two real reads, optionally divided
    or multiplied by a constant. *)

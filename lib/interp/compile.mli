@@ -32,7 +32,6 @@ type cctx = {
           be seeded, since affine lowering folds their values *)
   k_slot : string -> int option;       (** loop variable -> frame slot *)
   k_call : string -> Value.value list -> Value.value list;
-  k_check : bool;
 }
 
 exception Cannot_compile of string
@@ -49,7 +48,7 @@ val compile_scalar : cctx -> Ps_lang.Ast.expr -> frame -> Value.scalar
 
 val compile_offset : cctx -> Value.slab -> Ps_lang.Ast.expr list -> frame -> int
 (** The flat offset of a full subscript vector into the slab, with the
-    checks (when [k_check]) and window mapping of a read; shared with
+    checks and window mapping of a read; shared with
     the equation writers in {!Exec}. *)
 
 val compile_store_real :

@@ -17,7 +17,6 @@ type ctx = {
   c_slab : string -> slab;               (* resolve (and allocate) data *)
   c_index : string -> int option;        (* current loop-index bindings *)
   c_call : string -> value list -> value list;  (* module invocation *)
-  c_check : bool;                        (* bounds checking *)
 }
 
 let enum_ordinal ctx name =
@@ -109,7 +108,7 @@ let rec eval (ctx : ctx) (e : Ps_lang.Ast.expr) : value =
     match bv with
     | Varray s ->
       if Array.length idx = ndims s then begin
-        if ctx.c_check then check_bounds s idx;
+        check_bounds s idx;
         Vscalar (get_scalar s idx)
       end
       else Varray (slice_slab s idx)

@@ -10,7 +10,6 @@ type ctx = {
   c_slab : string -> Value.slab;          (** resolve (and allocate) data *)
   c_index : string -> int option;         (** current loop-index bindings *)
   c_call : string -> Value.value list -> Value.value list;  (** module invocation *)
-  c_check : bool;                         (** bounds checking *)
 }
 
 val eval : ctx -> Ps_lang.Ast.expr -> Value.value

@@ -51,7 +51,6 @@ let flags_fingerprint f =
 
 type opts = {
   pool : Ps_runtime.Pool.t option;  (* None: fully sequential *)
-  check : bool;                     (* subscript bounds checking *)
   use_windows : bool;               (* honor virtual-dimension windows *)
   collect_stats : bool;             (* count equation evaluations *)
   sched_flags : sched_flags;        (* passes applied to callee schedules *)
@@ -59,7 +58,7 @@ type opts = {
 }
 
 let default_opts =
-  { pool = None; check = true; use_windows = true; collect_stats = false;
+  { pool = None; use_windows = true; collect_stats = false;
     sched_flags = no_sched_flags; policy = None }
 
 (* Smallest point count worth forking: below it a forked nest runs on
@@ -104,8 +103,8 @@ let fork st l =
    steal/chunk/wake settings. *)
 let deal (d : Ps_sched.Policy.decision) pool ~lo ~hi body =
   Ps_runtime.Pool.parallel_for ?chunk:d.Ps_sched.Policy.d_chunk_min
-    ~steal:d.Ps_sched.Policy.d_steal ?chunk_max:d.Ps_sched.Policy.d_chunk_max
-    ?wake:d.Ps_sched.Policy.d_wake pool ~lo ~hi body
+    ~steal:d.Ps_sched.Policy.d_steal ?wake:d.Ps_sched.Policy.d_wake pool ~lo ~hi
+    body
 
 (* ------------------------------------------------------------------ *)
 (* The schedule memo.
@@ -215,8 +214,7 @@ and eval_ctx st index : Eval.ctx =
   { Eval.c_em = st.st_em;
     c_slab = slab_of st;
     c_index = index;
-    c_call = call st;
-    c_check = st.st_opts.check }
+    c_call = call st }
 
 and call st fname (args : value list) : value list =
   match Elab.find_module st.st_prog fname with
@@ -689,8 +687,7 @@ and compile_ctx st (benv : (string * int) list) : Compile.cctx =
   { Compile.k_em = st.st_em;
     k_slab = slab_of st;
     k_slot = (fun v -> List.assoc_opt v benv);
-    k_call = call st;
-    k_check = st.st_opts.check }
+    k_call = call st }
 
 and compile_equation st benv ~aliases er_id : Compile.frame -> unit =
   let q = Elab.eq_exn st.st_em er_id in

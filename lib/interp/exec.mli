@@ -30,7 +30,6 @@ val flags_fingerprint : sched_flags -> string
 
 type opts = {
   pool : Ps_runtime.Pool.t option;  (** [None]: fully sequential *)
-  check : bool;                     (** subscript bounds checking *)
   use_windows : bool;               (** honor virtual-dimension windows *)
   collect_stats : bool;             (** count equation evaluations *)
   sched_flags : sched_flags;        (** passes applied to callee schedules *)
@@ -46,7 +45,7 @@ type opts = {
 }
 
 val default_opts : opts
-(** Sequential, checked, windowed, no statistics, no policy. *)
+(** Sequential, windowed, no statistics, no policy. *)
 
 val sched_cache_stats : unit -> int * int
 (** [(entries, hits)] of the process-wide schedule memo. *)
@@ -72,7 +71,8 @@ val run :
     dimension in full).  [prog] supplies callee modules.  Inputs are
     validated against the declared shapes and element kinds.
     @raise Runtime_error on missing/ill-shaped inputs or evaluation
-    faults; @raise Value.Bounds on a checked subscript violation. *)
+    faults; @raise Value.Bounds on a subscript outside its declared
+    range. *)
 
 (** {1 Input builders and output readers} *)
 

@@ -121,11 +121,10 @@ let iter_box (s : slab) f =
   go 0
 
 (* Always-nonnegative (Euclidean) remainder.  OCaml's [mod] takes the
-   sign of the dividend, so a negative relative index — an [I - c] read
-   below the dimension's lower bound, reachable on the unchecked fast
-   paths — would otherwise produce a negative plane offset and address
-   outside the slab.  Window subscripts must always land inside the
-   allocated window. *)
+   sign of the dividend, so a negative relative index — a subscript
+   below the dimension's lower bound, which [offset] does not test —
+   would otherwise produce a negative plane offset.  Window subscripts
+   must always land inside the allocated window. *)
 let wrap_window rel w =
   let r = rel mod w in
   if r < 0 then r + w else r

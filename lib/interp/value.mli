@@ -60,12 +60,6 @@ val iter_box : slab -> (int array -> unit) -> unit
     is reused between calls.  A rank-0 slab has one point, [[||]]; a box
     with an empty dimension has none. *)
 
-val wrap_window : int -> int -> int
-(** [wrap_window rel w] is the Euclidean (always-nonnegative) remainder
-    of [rel] by window size [w], so negative relative indices — an
-    [I - c] subscript evaluated below the dimension's lower bound on an
-    unchecked fast path — still map inside the allocated window. *)
-
 val offset : slab -> int array -> int
 (** Flat offset of a subscript vector, mapping virtual dimensions through
     their window.  Window dimensions always yield an in-window plane,

@@ -1,4 +1,4 @@
-(* Process-wide metrics registry: counters, gauges, log2 histograms.
+(* Process-wide metrics registry: counters, gauges, quantile sketches.
 
    Like [Trace], the registry is off by default and instrumented call
    sites are expected to guard on [enabled ()] — one atomic load — so
@@ -9,9 +9,9 @@
 
    Values are integers.  Quantities that are naturally fractional
    (utilizations, ratios) are registered in scaled units and named
-   accordingly (…_permille, …_ns); the renderers print raw integers and
-   leave unit interpretation to the name, which keeps both the text and
-   JSON forms trivially parseable. *)
+   accordingly (…_permille, …_ns); the renderer prints raw integers and
+   leaves unit interpretation to the name, which keeps the JSON form
+   trivially parseable. *)
 
 let enabled_flag = Atomic.make false
 
@@ -26,15 +26,6 @@ type gauge = { g_name : string; g_v : int Atomic.t }
 (* Power-of-two buckets: bucket [i] counts samples in [2^i, 2^(i+1)).
    62 buckets cover the non-negative int range. *)
 let nbuckets = 62
-
-type histogram = {
-  h_name : string;
-  h_buckets : int Atomic.t array;
-  h_count : int Atomic.t;
-  h_sum : int Atomic.t;
-  h_min : int Atomic.t;  (* max_int until the first sample *)
-  h_max : int Atomic.t;
-}
 
 (* A mergeable quantile sketch: a *windowed* log2 histogram.  The
    window's buckets answer p50/p90/p99 with one-bucket resolution
@@ -52,7 +43,7 @@ type sketch = {
   q_sum : int Atomic.t;
 }
 
-type metric = C of counter | G of gauge | H of histogram | Q of sketch
+type metric = C of counter | G of gauge | Q of sketch
 
 let mutex = Mutex.create ()
 
@@ -88,20 +79,6 @@ let gauge name =
       (G g, g))
     (function G g -> Some g | _ -> None)
 
-let histogram name =
-  get_or_create name
-    (fun () ->
-      let h =
-        { h_name = name;
-          h_buckets = Array.init nbuckets (fun _ -> Atomic.make 0);
-          h_count = Atomic.make 0;
-          h_sum = Atomic.make 0;
-          h_min = Atomic.make max_int;
-          h_max = Atomic.make 0 }
-      in
-      (H h, h))
-    (function H h -> Some h | _ -> None)
-
 let sketch name =
   get_or_create name
     (fun () ->
@@ -132,22 +109,11 @@ let bucket_of v =
     let rec go i v = if v <= 1 then i else go (i + 1) (v lsr 1) in
     min (nbuckets - 1) (go 0 v)
 
-(* Racy-but-convergent min/max: a lost CAS retries against the fresher
+(* Racy-but-convergent max: a lost CAS retries against the fresher
    bound, so the final value is exact once writers quiesce. *)
-let rec update_min a v =
-  let cur = Atomic.get a in
-  if v < cur && not (Atomic.compare_and_set a cur v) then update_min a v
-
 let rec update_max a v =
   let cur = Atomic.get a in
   if v > cur && not (Atomic.compare_and_set a cur v) then update_max a v
-
-let observe h v =
-  ignore (Atomic.fetch_and_add h.h_buckets.(bucket_of v) 1);
-  ignore (Atomic.fetch_and_add h.h_count 1);
-  ignore (Atomic.fetch_and_add h.h_sum v);
-  update_min h.h_min v;
-  update_max h.h_max v
 
 let sk_observe q v =
   let v = max 0 v in
@@ -213,23 +179,6 @@ let sk_quantiles q =
       qs_max = wmax }
   end
 
-type histogram_snapshot = {
-  hs_count : int;
-  hs_sum : int;
-  hs_min : int;   (* 0 when empty *)
-  hs_max : int;
-  hs_mean : float;
-}
-
-let snapshot h =
-  let count = Atomic.get h.h_count in
-  let sum = Atomic.get h.h_sum in
-  { hs_count = count;
-    hs_sum = sum;
-    hs_min = (if count = 0 then 0 else Atomic.get h.h_min);
-    hs_max = Atomic.get h.h_max;
-    hs_mean = (if count = 0 then 0.0 else float_of_int sum /. float_of_int count) }
-
 let reset () =
   with_registry (fun () ->
       Hashtbl.iter
@@ -237,12 +186,6 @@ let reset () =
           match m with
           | C c -> Atomic.set c.c_v 0
           | G g -> Atomic.set g.g_v 0
-          | H h ->
-            Array.iter (fun b -> Atomic.set b 0) h.h_buckets;
-            Atomic.set h.h_count 0;
-            Atomic.set h.h_sum 0;
-            Atomic.set h.h_min max_int;
-            Atomic.set h.h_max 0
           | Q q ->
             Array.iter (fun b -> Atomic.set b 0) q.q_window;
             Atomic.set q.q_wcount 0;
@@ -258,7 +201,6 @@ let sorted_metrics () =
   let name = function
     | C c -> c.c_name
     | G g -> g.g_name
-    | H h -> h.h_name
     | Q q -> q.q_name
   in
   List.sort (fun a b -> String.compare (name a) (name b)) all
@@ -280,13 +222,6 @@ let render_json () =
   let row = function
     | C c -> row c.c_name "counter" (ints [ ("value", counter_value c) ])
     | G g -> row g.g_name "gauge" (ints [ ("value", gauge_value g) ])
-    | H h ->
-      let s = snapshot h in
-      row h.h_name "histogram"
-        (ints
-           [ ("count", s.hs_count); ("sum", s.hs_sum); ("min", s.hs_min);
-             ("max", s.hs_max) ]
-        @ [ ("mean", Printf.sprintf "%.3f" s.hs_mean) ])
     | Q q ->
       let s = sk_quantiles q in
       row q.q_name "sketch"

@@ -1,4 +1,4 @@
-(** Process-wide metrics registry: counters, gauges, log2 histograms.
+(** Process-wide metrics registry: counters, gauges, quantile sketches.
 
     Off by default; instrumented call sites guard on {!enabled} (one
     atomic load).  Metric updates are lock-free atomics; registration by
@@ -13,15 +13,11 @@ type counter
 
 type gauge
 
-type histogram
-
 val counter : string -> counter
 (** Get or create by name.
     @raise Invalid_argument if the name exists with another kind. *)
 
 val gauge : string -> gauge
-
-val histogram : string -> histogram
 
 val incr : counter -> unit
 
@@ -32,18 +28,6 @@ val counter_value : counter -> int
 val set : gauge -> int -> unit
 
 val gauge_value : gauge -> int
-
-val observe : histogram -> int -> unit
-
-type histogram_snapshot = {
-  hs_count : int;
-  hs_sum : int;
-  hs_min : int;  (** 0 when empty *)
-  hs_max : int;
-  hs_mean : float;
-}
-
-val snapshot : histogram -> histogram_snapshot
 
 type sketch
 (** A mergeable quantile sketch: a windowed log2 histogram.  The window

@@ -308,7 +308,7 @@ let shutdown pool =
   List.iter Domain.join pool.p_domains;
   pool.p_domains <- []
 
-let parallel_for ?chunk ?(steal = true) ?chunk_max ?wake pool ~lo ~hi
+let parallel_for ?chunk ?(steal = true) ?wake pool ~lo ~hi
     (body : int -> int -> unit) =
   if lo > hi then ()
   else if hi = lo then body lo hi
@@ -353,10 +353,7 @@ let parallel_for ?chunk ?(steal = true) ?chunk_max ?wake pool ~lo ~hi
              more often than the fixed baseline does. *)
           j_min_chunk =
             (match chunk with Some c -> max 1 c | None -> max 1 (len / 8));
-          j_max_chunk =
-            (match chunk_max with
-            | Some c -> max 1 c
-            | None -> max slice_grain (len / 4));
+          j_max_chunk = max slice_grain (len / 4);
           j_fixed = 0;
           j_stats = stats;
           j_points = points;

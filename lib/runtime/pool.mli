@@ -27,7 +27,6 @@ val with_pool : int -> (t -> 'a) -> 'a
 val parallel_for :
   ?chunk:int ->
   ?steal:bool ->
-  ?chunk_max:int ->
   ?wake:int ->
   t ->
   lo:int ->
@@ -46,9 +45,8 @@ val parallel_for :
     guided chunks and work stealing; [~steal:false] keeps a single
     shared queue with fixed [span / (4 * size)] chunks — the measurable
     baseline for A/B runs.  [chunk] sets the minimum claim size
-    (stealing) or the fixed chunk size (baseline); at least 1.
-    [chunk_max] caps a guided claim, and [wake] replaces
-    {!wake_threshold} for this job's parked-worker broadcast. *)
+    (stealing) or the fixed chunk size (baseline); at least 1.  [wake]
+    replaces {!wake_threshold} for this job's parked-worker broadcast. *)
 
 val recommended_size : unit -> int
 (** [Domain.recommended_domain_count ()]. *)

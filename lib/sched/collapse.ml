@@ -68,14 +68,3 @@ let rec count (fc : Flowchart.t) =
       | Flowchart.D_solve s -> acc + count s.Flowchart.sv_body
       | Flowchart.D_data _ | Flowchart.D_eq _ -> acc)
     0 fc
-
-let rec clear (fc : Flowchart.t) : Flowchart.t =
-  List.map
-    (function
-      | Flowchart.D_loop l ->
-        Flowchart.D_loop
-          { l with Flowchart.lp_collapse = false; lp_body = clear l.Flowchart.lp_body }
-      | Flowchart.D_solve s ->
-        Flowchart.D_solve { s with Flowchart.sv_body = clear s.Flowchart.sv_body }
-      | (Flowchart.D_data _ | Flowchart.D_eq _) as d -> d)
-    fc

@@ -24,6 +24,3 @@ val mark : Flowchart.t -> Flowchart.t
 
 val count : Flowchart.t -> int
 (** Number of collapse marks present. *)
-
-val clear : Flowchart.t -> Flowchart.t
-(** Remove all collapse marks (the A/B baseline). *)

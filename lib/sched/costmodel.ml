@@ -27,7 +27,7 @@
 
 open Ps_sem
 
-let default_overhead = 256
+let overhead = 256
 (* Equation evaluations per invocation below which forking is a loss:
    roughly the work a worker retires while one pool wake + deal round
    trips (4x the runtime's wake threshold).  Calibrated against the
@@ -94,7 +94,7 @@ let estimate env (l : Flowchart.loop) collapse : estimate =
   { e_work = cost.Analysis.work; e_iters = iters;
     e_depth = List.length chain; e_rect = rect }
 
-let decide ~overhead ~cores (l : Flowchart.loop) (est : estimate option) :
+let decide ~cores (l : Flowchart.loop) (est : estimate option) :
     Policy.decision =
   if cores <= 1 then Policy.sequential ~why:"single-core host"
   else
@@ -139,8 +139,8 @@ let decide ~overhead ~cores (l : Flowchart.loop) (est : estimate option) :
    the midpoints of its enclosing DO and SOLVE binders (a solved value
    is data-dependent; its range's midpoint stands in).  A binder whose
    bounds cannot be evaluated stays unbound. *)
-let static ?(overhead = default_overhead) ~(env : (string * int) list) ~cores
-    (fc : Flowchart.t) : Policy.table =
+let static ~(env : (string * int) list) ~cores (fc : Flowchart.t) :
+    Policy.table =
   let bind env (b : Flowchart.binder) =
     let range =
       match b with
@@ -158,7 +158,7 @@ let static ?(overhead = default_overhead) ~(env : (string * int) list) ~cores
       | est -> Some est
       | exception Analysis.Unsupported _ -> None
     in
-    (c.Policy.c_key, decide ~overhead ~cores c.Policy.c_loop est)
+    (c.Policy.c_key, decide ~cores c.Policy.c_loop est)
   in
   { Policy.t_source = Policy.Static; t_host_cores = cores;
     t_entries = List.map entry (Policy.index fc) }

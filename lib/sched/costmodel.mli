@@ -10,16 +10,8 @@
     by construction); stealing with a chunk floor on big uniform spaces
     and a raised wake threshold on modest ones. *)
 
-val default_overhead : int
-(** Equation evaluations per invocation below which forking is a loss
-    (approximately one pool wake + deal round trip). *)
-
 val static :
-  ?overhead:int ->
-  env:(string * int) list ->
-  cores:int ->
-  Flowchart.t ->
-  Policy.table
+  env:(string * int) list -> cores:int -> Flowchart.t -> Policy.table
 (** The static table for a flowchart under the given scalar inputs and
     host core count.  Total: a nest whose bounds cannot be evaluated is
     assumed wide (forked, collapsed only if provably rectangular). *)

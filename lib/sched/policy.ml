@@ -5,7 +5,7 @@
    *shape* decision: for each parallelization point of a flowchart,
    whether the interpreter should fork at all, whether the perfect DOALL
    band under it ([Collapse.band]) is flattened, whether the forked job
-   work-steals or deals fixed chunks, and optional per-job chunk /
+   work-steals or deals fixed chunks, and optional per-job chunk-floor /
    wake-threshold overrides.  Every fork point of a run executes exactly
    one decision ([resolve]): its table entry, or [default] when the run
    has no table or the table no entry for it.  A policy can never change
@@ -27,20 +27,17 @@ type decision = {
   d_collapse : bool;  (* flatten the DOALL band under this head *)
   d_steal : bool;     (* work-stealing deal vs fixed contiguous chunks *)
   d_chunk_min : int option;  (* per-job floor on a claimed chunk *)
-  d_chunk_max : int option;  (* per-job ceiling on a claimed chunk *)
   d_wake : int option;       (* per-job wake threshold override *)
   d_why : string;            (* one-line rationale, recorded in the trajectory *)
 }
 
 let sequential ~why =
   { d_par = false; d_collapse = false; d_steal = false; d_chunk_min = None;
-    d_chunk_max = None; d_wake = None; d_why = why }
+    d_wake = None; d_why = why }
 
-let parallel ?(steal = true) ?(collapse = false) ?chunk_min ?chunk_max ?wake
-    ~why () =
+let parallel ?(steal = true) ?(collapse = false) ?chunk_min ?wake ~why () =
   { d_par = true; d_collapse = collapse; d_steal = steal;
-    d_chunk_min = chunk_min; d_chunk_max = chunk_max; d_wake = wake;
-    d_why = why }
+    d_chunk_min = chunk_min; d_wake = wake; d_why = why }
 
 type table = {
   t_source : source;
@@ -141,9 +138,6 @@ let summary (d : decision) =
     (match d.d_chunk_min with
     | Some c -> Buffer.add_string b (Printf.sprintf ",chunk>=%d" c)
     | None -> ());
-    (match d.d_chunk_max with
-    | Some c -> Buffer.add_string b (Printf.sprintf ",chunk<=%d" c)
-    | None -> ());
     (match d.d_wake with
     | Some w -> Buffer.add_string b (Printf.sprintf ",wake=%d" w)
     | None -> ());
@@ -167,7 +161,6 @@ let to_json (t : table) =
         ([ ("key", str key); ("par", bool d.d_par);
            ("collapse", bool d.d_collapse); ("steal", bool d.d_steal) ]
         @ opt "chunk_min" int d.d_chunk_min
-        @ opt "chunk_max" int d.d_chunk_max
         @ opt "wake" int d.d_wake
         @ [ ("why", str d.d_why) ]))
   in
@@ -211,7 +204,7 @@ let of_json (s : string) : (table, string) result =
       ( need {|nest entry missing string "key"|} (J.member_str "key" n),
         { d_par = flag "par"; d_collapse = flag "collapse";
           d_steal = flag "steal"; d_chunk_min = opt "chunk_min";
-          d_chunk_max = opt "chunk_max"; d_wake = opt "wake";
+          d_wake = opt "wake";
           d_why = Option.value (J.member_str "why" n) ~default:"" } )
     in
     Ok { t_source = source; t_host_cores = int_of_float host_cores;
@@ -237,21 +230,8 @@ let validate (t : table) (fc : Flowchart.t) : string list =
              perfect DOALL band"
             key ]
       | Some _ -> (
-        let low =
-          List.filter_map
-            (fun c ->
-              match c with
-              | Some c when c < 1 ->
-                Some
-                  (Printf.sprintf "policy entry %S: chunk bound %d < 1" key c)
-              | _ -> None)
-            [ d.d_chunk_min; d.d_chunk_max ]
-        in
-        if low <> [] then low
-        else
-          match (d.d_chunk_min, d.d_chunk_max) with
-          | Some lo, Some hi when lo > hi ->
-            [ Printf.sprintf "policy entry %S: chunk_min %d > chunk_max %d" key
-                lo hi ]
-          | _ -> []))
+        match d.d_chunk_min with
+        | Some c when c < 1 ->
+          [ Printf.sprintf "policy entry %S: chunk_min %d < 1" key c ]
+        | _ -> []))
     t.t_entries

@@ -3,8 +3,8 @@
     Legality (DO vs DOALL vs DOGROUP/DOINSPECT) is the scheduler's and
     the verifier's business; a policy only picks the *shape* of the
     schedule at each fork candidate: sequential vs forked, flattened
-    band vs nested, stealing vs fixed chunks, and per-job chunk / wake
-    overrides.  Every fork point of a run executes exactly one decision
+    band vs nested, stealing vs fixed chunks, and per-job chunk-floor /
+    wake overrides.  Every fork point of a run executes exactly one decision
     ({!resolve}): its table entry, or {!default}.  A policy never
     changes results, which is what makes a tuned table safe to cache
     and replay as a compile artifact. *)
@@ -20,7 +20,6 @@ type decision = {
   d_collapse : bool;  (** flatten the {!Collapse.band} under this head *)
   d_steal : bool;     (** work-stealing deal vs fixed contiguous chunks *)
   d_chunk_min : int option;  (** per-job floor on a claimed chunk *)
-  d_chunk_max : int option;  (** per-job ceiling on a claimed chunk *)
   d_wake : int option;       (** per-job wake-threshold override *)
   d_why : string;            (** one-line rationale for the trajectory *)
 }
@@ -31,7 +30,6 @@ val parallel :
   ?steal:bool ->
   ?collapse:bool ->
   ?chunk_min:int ->
-  ?chunk_max:int ->
   ?wake:int ->
   why:string ->
   unit ->
@@ -103,4 +101,4 @@ val of_json : string -> (table, string) result
 val validate : table -> Flowchart.t -> string list
 (** Structural problems: entries naming no nest, collapse requested on
     a nest that heads no perfect DOALL band ({!Collapse.collapsible}),
-    inverted or non-positive chunk bounds.  Empty means well-formed. *)
+    a chunk floor below 1.  Empty means well-formed. *)

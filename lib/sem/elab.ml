@@ -589,6 +589,21 @@ let elab_module ~signatures (m : Ast.pmodule) : emodule =
       check_dups rest
   in
   check_dups datas;
+  (* Inputs are shaped before any equation runs, so their bounds may
+     name only inputs. *)
+  List.iter
+    (fun d ->
+      List.iter
+        (fun (sr : Stypes.subrange) ->
+          List.iter
+            (fun v ->
+              if not (List.exists (fun p -> String.equal p.d_name v) em_params)
+              then
+                err d.d_loc "the bounds of input %s name %s, which is not an input"
+                  d.d_name v)
+            (Ast.free_vars sr.Stypes.sr_lo @ Ast.free_vars sr.Stypes.sr_hi))
+        (Stypes.dims d.d_ty))
+    em_params;
   let enum_ctors =
     List.concat_map
       (fun (ename, ctors) -> List.map (fun c -> (c, ename)) ctors)

@@ -7,11 +7,11 @@
    same module, same flags, same flowchart — which is what makes the
    artifacts safe to share between connections.
 
-   The store is lock-striped: the key's digest prefix picks one of N
+   The store is lock-striped: the key's digest prefix picks one of 8
    shards, each a mutex-protected hash table with its own LRU tick and
    capacity slice.  Concurrent requests for unrelated sources touch
    different shards and never contend, and eviction scans only the full
-   shard (O(capacity/N)) instead of the whole store under one global
+   shard (O(capacity/8)) instead of the whole store under one global
    lock.  Builds run outside any lock, so a slow schedule never stalls
    unrelated requests; two racing builds of the same key waste one
    build, count one miss, and both return the first-inserted value. *)
@@ -38,22 +38,21 @@ type t = {
   c_evictions : Psc.Metrics.counter;
 }
 
-let create ?(capacity = 64) ?(shards = 8) () =
-  let n = max 1 shards in
-  (* Ceiling split: N shards of ceil(capacity/N) hold at least
+let shards = 8
+
+let create ?(capacity = 64) () =
+  (* Ceiling split: 8 shards of ceil(capacity/8) hold at least
      [capacity] artifacts overall, never fewer. *)
-  let per = max 1 ((max 1 capacity + n - 1) / n) in
+  let per = max 1 ((max 1 capacity + shards - 1) / shards) in
   { c_capacity = per;
     c_shards =
-      Array.init n (fun _ ->
+      Array.init shards (fun _ ->
           { s_table = Hashtbl.create 16;
             s_mutex = Mutex.create ();
             s_tick = 0 });
     c_hits = Psc.Metrics.counter "server.cache.hits";
     c_misses = Psc.Metrics.counter "server.cache.misses";
     c_evictions = Psc.Metrics.counter "server.cache.evictions" }
-
-let shards t = Array.length t.c_shards
 
 (* Key constructors: one letter per artifact kind, then the content
    digest, then the discriminating context. *)
@@ -100,7 +99,7 @@ let shard_of t key =
       if a >= 0 && b >= 0 then (a * 16) + b else Hashtbl.hash key
     else Hashtbl.hash key
   in
-  t.c_shards.(h mod Array.length t.c_shards)
+  t.c_shards.(h mod shards)
 
 let locked sh f =
   Mutex.lock sh.s_mutex;

@@ -4,7 +4,7 @@
     narrows the artifact (module name, transformation-flag fingerprint),
     so two requests with the same source and flags share one schedule no
     matter how the client phrased them.  The store is lock-striped: the
-    key's digest prefix picks one of N shards, each a mutex-protected
+    key's digest prefix picks one of 8 shards, each a mutex-protected
     hash table with its own LRU tick and capacity slice, so unrelated
     requests never contend and eviction scans one shard, not the whole
     store.  Builds run outside any lock, so a slow schedule never stalls
@@ -19,14 +19,14 @@ type artifact =
 
 type t
 
-val create : ?capacity:int -> ?shards:int -> unit -> t
-(** A store of [shards] (default 8, min 1) lock-striped shards holding
-    at least [capacity] (default 64, min 1) artifacts overall — each
-    shard holds up to ceil(capacity/shards) — with its hit/miss/eviction
-    counters registered as [server.cache.*] in {!Psc.Metrics}. *)
+val shards : int
+(** The number of lock stripes: 8. *)
 
-val shards : t -> int
-(** The number of lock stripes the store was created with. *)
+val create : ?capacity:int -> unit -> t
+(** A store holding at least [capacity] (default 64, min 1) artifacts
+    overall — each shard holds up to ceil(capacity/8) — with its
+    hit/miss/eviction counters registered as [server.cache.*] in
+    {!Psc.Metrics}. *)
 
 (** {2 Key constructors}
 

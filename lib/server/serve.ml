@@ -459,7 +459,7 @@ let dispatch sv ~deadline ~info (rq : Proto.request) : string =
       [ ("cache",
          Json.obj
            [ ("entries", Json.int s.Cache.st_entries);
-             ("shards", Json.int (Cache.shards sv.sv_cache));
+             ("shards", Json.int Cache.shards);
              ("hits", Json.int s.Cache.st_hits);
              ("misses", Json.int s.Cache.st_misses);
              ("evictions", Json.int s.Cache.st_evictions) ]);
@@ -484,8 +484,10 @@ let dispatch sv ~deadline ~info (rq : Proto.request) : string =
 
 (* Every error a request can produce, mapped to one answer line (the
    access log sees the same classification through [info.ri_error]): an
-   expired deadline, or a pipeline error, which [Psc.wrap] has already
-   turned into one [Psc.Error]. *)
+   expired deadline, a pipeline error, which [Psc.wrap] has already
+   turned into one [Psc.Error], or any other exception, answered under
+   the request's own id so that a request never takes the service
+   down. *)
 let answer sv ~deadline ~info (rq : Proto.request) : string =
   let id = rq.Proto.rq_id in
   try dispatch sv ~deadline ~info rq with
@@ -498,6 +500,9 @@ let answer sv ~deadline ~info (rq : Proto.request) : string =
   | Psc.Error m ->
     info.ri_error <- Some "error";
     Proto.error_message ~id m
+  | e ->
+    info.ri_error <- Some "internal";
+    Proto.error_message ~id ("internal error: " ^ Printexc.to_string e)
 
 (* One JSON line per request — including rejects, which log with zeroed
    timings.  The channel mutex keeps concurrent connection threads'
@@ -930,21 +935,15 @@ let ev_loop sv cf ev () =
     end
   done
 
-(* Workers: pop, answer, stage the response on the connection.  An
-   unexpected exception is answered on the wire and the worker lives
-   on — a request must never take the service down. *)
+(* Workers: pop, answer, stage the response on the connection.
+   [answer] turns every exception a request raises into its reply. *)
 let worker_loop sv () =
   let running = ref true in
   while !running do
     match Bq.pop sv.sv_queue with
     | None -> running := false
     | Some wk ->
-      (match handle_line sv ~arrival_ns:wk.wk_arrival wk.wk_line with
-      | resp -> conn_send wk.wk_conn resp
-      | exception e ->
-        conn_send wk.wk_conn
-          (Proto.error_message ~id:"null"
-             ("internal error: " ^ Printexc.to_string e)));
+      conn_send wk.wk_conn (handle_line sv ~arrival_ns:wk.wk_arrival wk.wk_line);
       (* Answered (staged) before it leaves the in-flight count that a
          half-closed connection waits on; the owner re-checks after. *)
       Atomic.decr wk.wk_conn.cn_inflight;

@@ -265,6 +265,37 @@ end S;
                   [ {|"outputs":[{"name":"s","kind":"scalar","elem":"int","value":"0"}]|} ]);
             if Lazy.force Ps_fuzz.Diff.have_cc then
               Alcotest.(check string) "C harness" "s 0\n" (c_harness "-i N=4" f)));
+    t "run, tune and run --tune report a subscript out of range" (fun () ->
+        (* The tuner's replays check subscripts as run does; unchecked,
+           this read escaped its array and killed the process. *)
+        with_source Util.out_of_range_src (fun f ->
+            List.iter
+              (fun cmd ->
+                expect_exit 1 (Printf.sprintf "%s -i N=4 %s" cmd f)
+                  Util.out_of_range_error)
+              [ "run"; "tune"; "run --tune" ]));
+    t "an input shaped by a local is a located semantic error" (fun () ->
+        (* Inputs are shaped before any equation runs.  Regression: run
+           died on an uncaught exception, the server answered it under
+           id null without the trace_id, and emit-c printed C that
+           named an undeclared n. *)
+        with_source
+          "S: module (N: int; X: array [I] of real): [s: real]; type I = 1 .. \
+           n; var n: int; define n = N * 2; s = X[1]; end S;"
+          (fun f ->
+            let msg =
+              "semantic error: the bounds of input X name n, which is not an \
+               input (line 1"
+            in
+            expect_exit 1 ("run -i N=3 " ^ f) msg;
+            expect_exit 1 ("emit-c " ^ f) msg;
+            with_source ~suffix:".json"
+              (Printf.sprintf
+                 {|{"id":7,"op":"run","source_file":%s,"scalars":{"N":3},"trace_id":"tb-7"}|}
+                 (Psc.Json.str f))
+              (fun req ->
+                expect_ok ("serve --stdio < " ^ req)
+                  [ {|"trace_id":"tb-7","id":7,"ok":false|}; msg ])));
     t "run seeds a bool scalar input as the emitted main() does" (fun () ->
         (* The C harness declares b an int and tests its truth value;
            run and the server must seed it the same way, and the server's

@@ -40,10 +40,6 @@ let mark_tests =
         Alcotest.(check int) "no bands" 0 sc.Psc.sc_collapsed;
         let s = Psc.Flowchart.to_compact_string em sc.Psc.sc_flowchart in
         Util.check_bool "no stars" true (not (Util.contains s "*")));
-    t "clear removes every mark" (fun () ->
-        let _, sc = jacobi_sc ~collapse:true in
-        let fc = Psc.Collapse.clear sc.Psc.sc_flowchart in
-        Alcotest.(check int) "cleared" 0 (Psc.Collapse.count fc));
     t "mark is idempotent" (fun () ->
         let _, sc = jacobi_sc ~collapse:true in
         let fc = Psc.Collapse.mark sc.Psc.sc_flowchart in

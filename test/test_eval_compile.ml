@@ -49,15 +49,13 @@ let eval_ctx : Eval.ctx =
   { Eval.c_em = em;
     c_slab = Hashtbl.find slabs;
     c_index = (fun v -> if v = "I" then Some 3 else None);
-    c_call = (fun f _ -> Alcotest.failf "unexpected call to %s" f);
-    c_check = true }
+    c_call = (fun f _ -> Alcotest.failf "unexpected call to %s" f) }
 
 let cctx : Compile.cctx =
   { Compile.k_em = em;
     k_slab = Hashtbl.find slabs;
     k_slot = (fun v -> if v = "I" then Some 0 else None);
-    k_call = (fun f _ -> Alcotest.failf "unexpected call to %s" f);
-    k_check = true }
+    k_call = (fun f _ -> Alcotest.failf "unexpected call to %s" f) }
 
 let frame = [| 3 |]
 
@@ -207,14 +205,7 @@ let bounds_tests =
         let f = Compile.compile_real cctx e in
         match f frame with
         | exception Value.Bounds _ -> ()
-        | _ -> Alcotest.fail "expected bounds error");
-    t "unchecked context skips the test" (fun () ->
-        (* V[10] maps one element past the window; with check = false the
-           offset computation is performed anyway.  We only verify no
-           Bounds exception escapes for an in-allocation offset. *)
-        let ctx = { cctx with Compile.k_check = false } in
-        let e = Ps_lang.Parser.expr_of_string "V[9]" in
-        ignore ((Compile.compile_real ctx e) frame)) ]
+        | _ -> Alcotest.fail "expected bounds error") ]
 
 (* qcheck: random expressions evaluate identically in both engines. *)
 let gen_expr : Ps_lang.Ast.expr QCheck.Gen.t =
@@ -311,15 +302,13 @@ let shape_eval fr : Eval.ctx =
   { Eval.c_em = shape_em;
     c_slab = Hashtbl.find shape_slabs;
     c_index = (fun v -> Option.map (fun s -> fr.(s)) (slot v));
-    c_call = (fun f _ -> Alcotest.failf "unexpected call to %s" f);
-    c_check = true }
+    c_call = (fun f _ -> Alcotest.failf "unexpected call to %s" f) }
 
-let shape_cctx check : Compile.cctx =
+let shape_cctx : Compile.cctx =
   { Compile.k_em = shape_em;
     k_slab = Hashtbl.find shape_slabs;
     k_slot = slot;
-    k_call = (fun f _ -> Alcotest.failf "unexpected call to %s" f);
-    k_check = check }
+    k_call = (fun f _ -> Alcotest.failf "unexpected call to %s" f) }
 
 let gen_shape : Ps_lang.Ast.expr QCheck.Gen.t =
   let open QCheck.Gen in
@@ -456,13 +445,13 @@ let shape_print (e, fr) =
 
 (* The fused real store against [Eval]'s value: a real equation's
    writer. *)
-let stored check e fr =
+let stored e fr =
   let dst = [| nan |] in
-  Compile.compile_store_real (shape_cctx check) e dst (fun _ -> 0) fr;
+  Compile.compile_store_real shape_cctx e dst (fun _ -> 0) fr;
   Value.Sc_real dst.(0)
 
 let is_bool e =
-  match Compile.compile (shape_cctx true) e with Compile.CBool _ -> true | _ -> false
+  match Compile.compile shape_cctx e with Compile.CBool _ -> true | _ -> false
 
 let shape_prop =
   QCheck.Test.make ~count:3000 ~name:"compiled shapes agree with eval bit for bit"
@@ -473,17 +462,9 @@ let shape_prop =
         | Ok v -> (match reference with Ok r -> same_bits r v | Error _ -> false)
         | Error m -> reference = Error m
       in
-      let checked = outcome (fun () -> Compile.compile_scalar (shape_cctx true) e fr) in
-      let store = if is_bool e then [] else [ outcome (fun () -> stored true e fr) ] in
-      (* Unchecked, only frames whose reads all land in range. *)
-      let unchecked =
-        match reference with
-        | Error _ -> []
-        | Ok _ ->
-          outcome (fun () -> Compile.compile_scalar (shape_cctx false) e fr)
-          :: (if is_bool e then [] else [ outcome (fun () -> stored false e fr) ])
-      in
-      List.for_all agrees ((checked :: store) @ unchecked))
+      let compiled = outcome (fun () -> Compile.compile_scalar shape_cctx e fr) in
+      let store = if is_bool e then [] else [ outcome (fun () -> stored e fr) ] in
+      List.for_all agrees (compiled :: store))
 
 let misc = [ t "agree on a deep mixed expression" (fun () ->
     agree "if V[I] < a * 2.0 then min(n, 3) + V[I + 2] else abs(m) / 2") ]

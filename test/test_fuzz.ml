@@ -9,7 +9,7 @@ open Ps_fuzz
 let t name f = Alcotest.test_case name `Quick f
 
 let interp_paths =
-  [ Diff.Seq; Diff.Nowin; Diff.Nocheck; Diff.Passes; Diff.Steal; Diff.Collapse ]
+  [ Diff.Seq; Diff.Nowin; Diff.Passes; Diff.Steal; Diff.Collapse ]
 
 let all_interp_paths = interp_paths @ [ Diff.Hyper; Diff.Hyper_par ]
 

@@ -243,7 +243,7 @@ let trace_tests =
 (* The metrics registry. *)
 
 let metrics_tests =
-  [ t "counters, gauges, histograms" (fun () ->
+  [ t "counters and gauges" (fun () ->
         with_flags @@ fun () ->
         Metrics.clear ();
         let c = Metrics.counter "t.count" in
@@ -252,14 +252,7 @@ let metrics_tests =
         Alcotest.(check int) "counter" 5 (Metrics.counter_value c);
         let g = Metrics.gauge "t.gauge" in
         Metrics.set g 17;
-        Alcotest.(check int) "gauge" 17 (Metrics.gauge_value g);
-        let h = Metrics.histogram "t.hist" in
-        List.iter (Metrics.observe h) [ 1; 10; 100 ];
-        let s = Metrics.snapshot h in
-        Alcotest.(check int) "count" 3 s.Metrics.hs_count;
-        Alcotest.(check int) "sum" 111 s.Metrics.hs_sum;
-        Alcotest.(check int) "min" 1 s.Metrics.hs_min;
-        Alcotest.(check int) "max" 100 s.Metrics.hs_max);
+        Alcotest.(check int) "gauge" 17 (Metrics.gauge_value g));
     t "a name cannot change kind" (fun () ->
         with_flags @@ fun () ->
         Metrics.clear ();
@@ -390,12 +383,12 @@ let prof_tests =
         with_flags @@ fun () ->
         Prof.set_enabled false;
         Prof.reset ();
-        ignore (Psc.run ~check:false jacobi ~inputs:jacobi_inputs);
+        ignore (Psc.run jacobi ~inputs:jacobi_inputs);
         Alcotest.(check int) "no rows" 0 (List.length (Prof.rows ())));
     t "an enabled run yields hot loops with source locations" (fun () ->
         with_flags @@ fun () ->
         Prof.set_enabled true;
-        ignore (Psc.run ~check:false jacobi ~inputs:jacobi_inputs);
+        ignore (Psc.run jacobi ~inputs:jacobi_inputs);
         let rows = Prof.rows () in
         Alcotest.(check bool) "rows recorded" true (rows <> []);
         List.iter
@@ -420,7 +413,29 @@ let prof_tests =
                String.length r.Prof.r_name >= 5
                && String.sub r.Prof.r_name 0 5 = "DOALL"
                && r.Prof.r_loc <> None)
-             loops)) ]
+             loops));
+    t "a failing tune leaves the profiler off" (fun () ->
+        with_flags @@ fun () ->
+        let tp =
+          Psc.load_string
+            "S: module (N: int): [s: int]; define s = (N - N) div (N - N); end S;"
+        in
+        (match
+           Psc.tune ~cores:2 tp ~inputs:[ ("N", Psc.Exec.scalar_int 3) ]
+             ~env:[ ("N", 3) ]
+         with
+        | exception Psc.Error m ->
+          Alcotest.(check string) "the fault" "runtime error: division by zero" m
+        | _ -> Alcotest.fail "expected the division by zero");
+        Alcotest.(check bool) "profiler off" false (Prof.enabled ()));
+    t "tune puts an enabled profiler back without its replays" (fun () ->
+        with_flags @@ fun () ->
+        Prof.set_enabled true;
+        ignore
+          (Psc.tune ~cores:2 jacobi ~inputs:jacobi_inputs
+             ~env:[ ("M", 8); ("maxK", 4) ]);
+        Alcotest.(check bool) "profiler on" true (Prof.enabled ());
+        Alcotest.(check int) "no replay rows" 0 (List.length (Prof.rows ()))) ]
 
 (* ------------------------------------------------------------------ *)
 (* Pool counters. *)

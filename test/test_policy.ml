@@ -185,15 +185,12 @@ let verify_tests =
         | [ d ] ->
           Alcotest.(check string) "code" "E025" (Psc.Diag.code_id d.Psc.Diag.d_code)
         | ds -> Alcotest.failf "expected one E025, got %d" (List.length ds));
-    t "inverted chunk bounds are E025" (fun () ->
+    t "a chunk floor below 1 is E025" (fun () ->
         let fc = flowchart jacobi in
         let table =
           { Psc.Policy.t_source = Psc.Policy.Tuned;
             t_host_cores = 4;
-            t_entries =
-              [ ( "K.I",
-                  Psc.Policy.parallel ~chunk_min:64 ~chunk_max:8 ~why:"test" ()
-                ) ] }
+            t_entries = [ ("K.I", Psc.Policy.parallel ~chunk_min:0 ~why:"test" ()) ] }
         in
         let ds = Psc.Verify.policy_table table fc in
         Alcotest.(check bool) "at least one error" true
@@ -340,14 +337,14 @@ let relaxation_families =
       [ family (Printf.sprintf "fig6 M=%d" m)
           ~table:(fun cores -> Psc.static_policy ~cores jacobi ~env)
           (fun ?pool ?policy ~collapse () ->
-            ignore (Psc.run ~check:false ?pool ?policy ~collapse jacobi ~inputs));
+            ignore (Psc.run ?pool ?policy ~collapse jacobi ~inputs));
         family (Printf.sprintf "h3 M=%d" m)
           ~hand_picked:(flowchart ~name:hyper_name ~sink:true ~trim:true hyper_project)
           ~table:(fun cores ->
             Psc.static_policy ~name:hyper_name ~sink:true ~trim:true ~cores hyper_project ~env)
           (fun ?pool ?policy ~collapse () ->
             ignore
-              (Psc.run ~check:false ?pool ?policy ~collapse ~name:hyper_name ~sink:true
+              (Psc.run ?pool ?policy ~collapse ~name:hyper_name ~sink:true
                  ~trim:true hyper_project ~inputs)) ])
     [ (16, 10); (32, 20) ]
 
@@ -366,7 +363,7 @@ let lcs_families =
           Psc.static_policy ~name ~sink:true ~trim:true ~cores lcs ~env:[ ("N", n) ])
         (fun ?pool ?policy ~collapse () ->
           ignore
-            (Psc.run ~check:false ?pool ?policy ~collapse ~name ~sink:true ~trim:true lcs
+            (Psc.run ?pool ?policy ~collapse ~name ~sink:true ~trim:true lcs
                ~inputs)))
     [ 64; 128 ]
 
@@ -384,11 +381,11 @@ let stride_families =
       [ family (Printf.sprintf "grp N=%d" n)
           ~table:(fun cores -> Psc.static_policy ~cores grp ~env:[ ("N", n) ])
           (fun ?pool ?policy ~collapse () ->
-            ignore (Psc.run ~check:false ?pool ?policy ~collapse grp ~inputs:grp_inputs));
+            ignore (Psc.run ?pool ?policy ~collapse grp ~inputs:grp_inputs));
         family (Printf.sprintf "insp N=%d" n)
           ~table:(fun cores -> Psc.static_policy ~cores insp ~env:[ ("N", n); ("K", k) ])
           (fun ?pool ?policy ~collapse () ->
-            ignore (Psc.run ~check:false ?pool ?policy ~collapse insp ~inputs:insp_inputs)) ])
+            ignore (Psc.run ?pool ?policy ~collapse insp ~inputs:insp_inputs)) ])
     [ 4096; 16384 ]
 
 let paired_case (name, hand_picked, table, (run : runner)) =

@@ -277,6 +277,29 @@ let stdio_tests =
             Alcotest.(check bool) "next request served" true
               (jbool "ok" (ask (run_req ~id:4 ()))))) ]
 
+(* --- the tune op ------------------------------------------------------ *)
+
+let tune_req ~id src scalars =
+  Printf.sprintf {|{"id":%d,"op":"tune","source":%s,"scalars":%s}|} id
+    (Json.str src) scalars
+
+let tune_tests =
+  [ t "a subscript out of range answers its tune; the server survives"
+      (fun () ->
+        with_stdio_server (fun ask ->
+            let r = ask (tune_req ~id:5 Util.out_of_range_src {|{"N":4}|}) in
+            Alcotest.(check int) "its id" 5 (jnum "id" r);
+            Alcotest.(check (option string)) "the bounds error"
+              (Some Util.out_of_range_error) (Json.member_str "error" r);
+            Alcotest.(check int) "stats answered" 6
+              (jnum "id" (ask {|{"id":6,"op":"stats"}|}))));
+    t "tune of relaxation answers a policy table" (fun () ->
+        with_stdio_server (fun ask ->
+            let r = ask (tune_req ~id:1 jacobi_src {|{"M":6,"maxK":4}|}) in
+            Alcotest.(check bool) "ok" true (jbool "ok" r);
+            Alcotest.(check int) "policy version" 1
+              (jnum "policy" (Util.field "policy" r)))) ]
+
 (* --- observability over the wire ------------------------------------ *)
 
 let read_file = Util.read_file
@@ -992,7 +1015,7 @@ module Cache = Ps_server.Cache
 
 let cache_tests =
   [ t "two threads racing one key agree on the winning artifact" (fun () ->
-        let c = Cache.create ~capacity:8 ~shards:4 () in
+        let c = Cache.create ~capacity:8 () in
         let before = Cache.stats c in
         let key = Cache.project_key ~src:"race-regression" in
         (* Both builders spin until the other has started, so the build
@@ -1027,9 +1050,8 @@ let cache_tests =
           (after.Cache.st_hits - before.Cache.st_hits);
         Alcotest.(check int) "one entry, not two" 1 after.Cache.st_entries);
     t "striped eviction keeps the cache bounded per shard" (fun () ->
-        let c = Cache.create ~capacity:8 ~shards:4 () in
+        let c = Cache.create ~capacity:8 () in
         let before = Cache.stats c in
-        Alcotest.(check int) "shard count" 4 (Cache.shards c);
         for i = 1 to 64 do
           ignore
             (Cache.find_or_build c
@@ -1244,6 +1266,7 @@ let connections_1024 =
 let () =
   Alcotest.run "server"
     [ ("stdio", stdio_tests @ stdio_pipe_tests);
+      ("tune", tune_tests);
       ("obs", obs_tests);
       ("trace", trace_tests);
       ("socket", socket_tests);

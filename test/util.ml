@@ -67,6 +67,15 @@ let expect_error ?(substring = "") f =
       Alcotest.failf "error %S does not mention %S" m substring
   | _ -> Alcotest.fail "expected Psc.Error"
 
+(* A read far outside its array's declared range, under [-i N=4]: every
+   execution path, the tuner's replays included, must report it. *)
+let out_of_range_src =
+  "S: module (N: int): [s: real]; type I = 1 .. N; var A: array [I] of real; \
+   define A[I] = 1.0; s = A[N + 5000000]; end S;"
+
+let out_of_range_error =
+  "subscript out of bounds: A: subscript 1 = 5000004 outside 1..4"
+
 let check_bool = Alcotest.(check bool)
 
 let check_int = Alcotest.(check int)
