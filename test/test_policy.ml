@@ -185,7 +185,7 @@ let verify_tests =
         | [ d ] ->
           Alcotest.(check string) "code" "E025" (Psc.Diag.code_id d.Psc.Diag.d_code)
         | ds -> Alcotest.failf "expected one E025, got %d" (List.length ds));
-    t "a chunk floor below 1 is E025" (fun () ->
+    t "a chunk floor below one is E025" (fun () ->
         let fc = flowchart jacobi in
         let table =
           { Psc.Policy.t_source = Psc.Policy.Tuned;
