@@ -366,7 +366,6 @@ let wake_check (em : Elab.emodule) (r : Schedule.result) : Diag.t list =
    partition could be decided statically. *)
 
 let opaque_classifiable (em : Elab.emodule) : Diag.t list =
-  let is_data n = Elab.find_data em n <> None in
   let diags = ref [] in
   let check_ref (q : Elab.eq) name (subs : Ast.expr list) =
     let dims = Stypes.dims (Elab.data_exn em name).Elab.d_ty in
@@ -397,27 +396,12 @@ let opaque_classifiable (em : Elab.emodule) : Diag.t list =
           | _ -> ()))
       subs
   in
-  let rec walk q (e : Ast.expr) =
-    match e.Ast.e with
-    | Ast.Int _ | Ast.Real _ | Ast.Bool _ | Ast.Var _ -> ()
-    | Ast.Index ({ Ast.e = Ast.Var x; _ }, subs) when is_data x ->
-      check_ref q x subs;
-      List.iter (walk q) subs
-    | Ast.Index (b, subs) ->
-      walk q b;
-      List.iter (walk q) subs
-    | Ast.Field (b, _) -> walk q b
-    | Ast.Call (_, args) -> List.iter (walk q) args
-    | Ast.Unop (_, a) -> walk q a
-    | Ast.Binop (_, a, b) ->
-      walk q a;
-      walk q b
-    | Ast.If (c, t, f) ->
-      walk q c;
-      walk q t;
-      walk q f
-  in
-  List.iter (fun (q : Elab.eq) -> walk q q.Elab.q_rhs) em.Elab.em_eqs;
+  List.iter
+    (fun (q : Elab.eq) ->
+      List.iter
+        (fun (name, subs) -> check_ref q name subs)
+        (List.rev (Ps_graph.Build.collect_refs em q.Elab.q_rhs [])))
+    em.Elab.em_eqs;
   List.rev !diags
 
 let inspector_static (em : Elab.emodule) (r : Schedule.result) : Diag.t list =

@@ -59,56 +59,14 @@ let scalar_result ctx n =
       String.equal d.Elab.d_name n && Stypes.dims d.Elab.d_ty = [])
     ctx.x_em.Elab.em_results
 
-let enum_ordinal ctx name =
-  List.find_map
-    (fun (_, ctors) ->
-      let rec pos i = function
-        | [] -> None
-        | c :: cs -> if String.equal c name then Some i else pos (i + 1) cs
-      in
-      pos 0 ctors)
-    ctx.x_em.Elab.em_enums
-
-(* Scalar type inference mirroring the elaborator, used to decide between
-   int and floating C operators. *)
-let rec ctype_of_expr ctx (e : Ps_lang.Ast.expr) : ctype =
-  let open Ps_lang.Ast in
-  match e.e with
-  | Int _ -> Cint
-  | Real _ -> Cdouble
-  | Bool _ -> Cbool
-  | Var x ->
-    if List.mem x ctx.x_indices then Cint
-    else if is_data ctx x then
-      (match Elab.find_data ctx.x_em x with
-       | Some d -> ctype_of_ty d.Elab.d_ty
-       | None -> Cint)
-    else Cint (* enum constructor *)
-  | Index ({ e = Var x; _ }, _) when is_data ctx x ->
-    (match Elab.find_data ctx.x_em x with
-     | Some d -> ctype_of_ty d.Elab.d_ty
-     | None -> Cint)
-  | Index _ | Field _ -> fail "unsupported reference shape in C back end"
-  | Call (f, _) -> (
-    match f with
-    | "sqrt" | "sin" | "cos" | "exp" | "ln" -> Cdouble
-    | "intpart" -> Cint
-    | "abs" | "min" | "max" -> Cdouble (* conservative *)
-    | _ -> fail "module call %s cannot be emitted to C" f)
-  | Unop (Neg, a) -> ctype_of_expr ctx a
-  | Unop (Not, _) -> Cbool
-  | Binop ((Add | Sub | Mul), a, b) -> (
-    match ctype_of_expr ctx a, ctype_of_expr ctx b with
-    | Cint, Cint -> Cint
-    | _ -> Cdouble)
-  | Binop (Div, _, _) -> Cdouble
-  | Binop ((Idiv | Imod), _, _) -> Cint
-  | Binop ((Eq | Ne | Lt | Le | Gt | Ge | And | Or), _, _) -> Cbool
-  | If (_, t, f) -> (
-    match ctype_of_expr ctx t, ctype_of_expr ctx f with
-    | Cint, Cint -> Cint
-    | Cbool, Cbool -> Cbool
-    | _ -> Cdouble)
+(* Whether [e] types as int (the elaborator's rule), the loop
+   variables in scope counting as int indices. *)
+let int_typed ctx e =
+  match
+    Elab.type_of_expr ctx.x_em ~is_index:(fun x -> List.mem x ctx.x_indices) e
+  with
+  | Stypes.Scalar Stypes.Sint -> true
+  | _ -> false
 
 let rec emit_expr ctx buf (e : Ps_lang.Ast.expr) =
   let open Ps_lang.Ast in
@@ -125,8 +83,8 @@ let rec emit_expr ctx buf (e : Ps_lang.Ast.expr) =
     else if is_data ctx x then
       if scalar_result ctx x then pf "(*%s)" (c_name x) else pf "%s" (c_name x)
     else (
-      match enum_ordinal ctx x with
-      | Some ord -> pf "%d" ord
+      match Elab.enum_ordinal ctx.x_em x with
+      | Some (_, ord) -> pf "%d" ord
       | None -> fail "unbound identifier %s" x)
   | Index ({ e = Var x; _ }, subs) when is_data ctx x ->
     pf "%s_AT(" (c_name x);
@@ -169,21 +127,25 @@ let rec emit_expr ctx buf (e : Ps_lang.Ast.expr) =
     pf ", ";
     emit_expr ctx buf b;
     pf ")"
+  | Binop (Div, a, b) ->
+    (* Real division must not become C integer division.  The operands
+       are emitted before they are typed, so a module call under '/'
+       fails as unsupported here, not in the elaborator, which knows no
+       module signatures. *)
+    let sa = expr_to_c ctx a in
+    let sb = expr_to_c ctx b in
+    let cast = if int_typed ctx a && int_typed ctx b then "(double)" else "" in
+    pf "(%s%s / %s)" cast sa sb
   | Binop (op, a, b) ->
     let sym =
       match op with
       | Add -> "+" | Sub -> "-" | Mul -> "*"
-      | Div -> "/" | Idiv | Imod -> assert false
+      | Div | Idiv | Imod -> assert false
       | Eq -> "==" | Ne -> "!=" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
       | And -> "&&" | Or -> "||"
     in
     pf "(";
-    (* Real division must not become C integer division. *)
-    (if op = Div && ctype_of_expr ctx a = Cint && ctype_of_expr ctx b = Cint then begin
-       pf "(double)";
-       emit_expr ctx buf a
-     end
-     else emit_expr ctx buf a);
+    emit_expr ctx buf a;
     pf " %s " sym;
     emit_expr ctx buf b;
     pf ")"
@@ -196,6 +158,11 @@ let rec emit_expr ctx buf (e : Ps_lang.Ast.expr) =
     emit_expr ctx buf f;
     pf ")"
 
+and expr_to_c ctx e =
+  let buf = Buffer.create 32 in
+  emit_expr ctx buf e;
+  Buffer.contents buf
+
 (* ------------------------------------------------------------------ *)
 (* Module emission *)
 
@@ -205,11 +172,6 @@ type array_layout = {
   al_dims : (string * string * int option) list;
       (* per dim: (lo C expr, hi C expr, window) *)
 }
-
-let expr_to_c ctx e =
-  let buf = Buffer.create 32 in
-  emit_expr ctx buf e;
-  Buffer.contents buf
 
 let window_of windows name dim =
   List.find_map
@@ -407,8 +369,8 @@ let emit_module ?(windows = []) (em : Elab.emodule)
   let ctx = { x_em = em; x_indices = [] } in
   pf "/* Generated by psc from PS module %s. */\n" em.Elab.em_name;
   pf "#include <stdlib.h>\n#include <stdio.h>\n#include <math.h>\n\n";
-  pf "#define PS_MIN(a, b) ((a) < (b) ? (a) : (b))\n";
-  pf "#define PS_MAX(a, b) ((a) > (b) ? (a) : (b))\n";
+  pf "#define PS_MIN(a, b) ((a) <= (b) ? (a) : (b))\n";
+  pf "#define PS_MAX(a, b) ((a) >= (b) ? (a) : (b))\n";
   pf "/* Integer division with the interpreter's semantics: a zero divisor\n";
   pf "   traps (the raw C operators are undefined there), the quotient\n";
   pf "   truncates toward zero and the remainder takes the dividend's sign\n";

@@ -240,55 +240,59 @@ let run_inspector ~pool tp ~inputs : outcome =
               ~flowchart:(demote sc.Psc.sc_flowchart)
               ~windows:sc.Psc.sc_windows ~prog:tp.Psc.prog em ~inputs))
 
+(* Build an emitted main() with the oracle's flags, run it and read its
+   checksum lines. *)
+let c_checksums csrc : outcome =
+  let dir = Filename.temp_file "ps_fuzz" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let cleanup () = ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))) in
+  Fun.protect ~finally:cleanup @@ fun () ->
+  let src = Filename.concat dir "prog.c" in
+  let exe = Filename.concat dir "prog" in
+  let oc = open_out src in
+  output_string oc csrc;
+  close_out oc;
+  let rc =
+    Sys.command
+      (Printf.sprintf "cc -O1 -ffp-contract=off -o %s %s -lm 2> %s"
+         (Filename.quote exe)
+         (Filename.quote src)
+         (Filename.quote (Filename.concat dir "cc.log")))
+  in
+  if rc <> 0 then Trap (Printf.sprintf "cc failed (exit %d)" rc)
+  else begin
+    let ic = Unix.open_process_in (Filename.quote exe) in
+    let lines = ref [] in
+    (try
+       while true do
+         lines := input_line ic :: !lines
+       done
+     with End_of_file -> ());
+    let status = Unix.close_process_in ic in
+    match status with
+    | Unix.WEXITED 0 ->
+      let parse line =
+        match String.split_on_char ' ' line with
+        | [ name; v ] -> (
+          match float_of_string_opt v with
+          | Some f -> Some (name, f)
+          | None -> None)
+        | _ -> None
+      in
+      let sums = List.filter_map parse (List.rev !lines) in
+      if sums = [] then Trap "C binary produced no checksums" else Checksums sums
+    | Unix.WEXITED n -> Trap (Printf.sprintf "C binary exited with %d" n)
+    | Unix.WSIGNALED n | Unix.WSTOPPED n ->
+      Trap (Printf.sprintf "C binary killed by signal %d" n)
+  end
+
 let run_c tp ~scalars : outcome =
   if not (Lazy.force have_cc) then Skip "no C compiler"
-  else (
-      match Psc.emit_c_main ~scalars tp with
-      | exception Psc.Error m -> Trap ("emit: " ^ m)
-      | csrc ->
-        let dir = Filename.temp_file "ps_fuzz" "" in
-        Sys.remove dir;
-        Unix.mkdir dir 0o700;
-        let cleanup () = ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))) in
-        Fun.protect ~finally:cleanup @@ fun () ->
-        let src = Filename.concat dir "prog.c" in
-        let exe = Filename.concat dir "prog" in
-        let oc = open_out src in
-        output_string oc csrc;
-        close_out oc;
-        let rc =
-          Sys.command
-            (Printf.sprintf "cc -O1 -ffp-contract=off -o %s %s -lm 2> %s"
-               (Filename.quote exe)
-               (Filename.quote src)
-               (Filename.quote (Filename.concat dir "cc.log")))
-        in
-        if rc <> 0 then Trap (Printf.sprintf "cc failed (exit %d)" rc)
-        else begin
-          let ic = Unix.open_process_in (Filename.quote exe) in
-          let lines = ref [] in
-          (try
-             while true do
-               lines := input_line ic :: !lines
-             done
-           with End_of_file -> ());
-          let status = Unix.close_process_in ic in
-          match status with
-          | Unix.WEXITED 0 ->
-            let parse line =
-              match String.split_on_char ' ' line with
-              | [ name; v ] -> (
-                match float_of_string_opt v with
-                | Some f -> Some (name, f)
-                | None -> None)
-              | _ -> None
-            in
-            let sums = List.filter_map parse (List.rev !lines) in
-            if sums = [] then Trap "C binary produced no checksums" else Checksums sums
-          | Unix.WEXITED n -> Trap (Printf.sprintf "C binary exited with %d" n)
-          | Unix.WSIGNALED n | Unix.WSTOPPED n ->
-            Trap (Printf.sprintf "C binary killed by signal %d" n)
-        end)
+  else
+    match Psc.emit_c_main ~scalars tp with
+    | exception Psc.Error m -> Trap ("emit: " ^ m)
+    | csrc -> c_checksums csrc
 
 (* ------------------------------------------------------------------ *)
 (* The server path: run the program through a `psc serve --stdio`

@@ -43,6 +43,12 @@ val default_inputs :
   Psc.Elab.emodule -> scalars:(string * int) list -> (string * Psc.Value.value) list
 (** {!Psc.default_inputs}, under its old name. *)
 
+val c_checksums : string -> outcome
+(** Build the C text of an emitted main() as the C path does (cc -O1
+    -ffp-contract=off, so no multiply-add is contracted), run it and
+    read one checksum per result line ([Trap] when the build or the
+    binary fails).  Guard a call with {!have_cc}. *)
+
 val compare_checksums :
   (string * Psc.Value.value) list -> (string * float) list -> string option
 (** [compare_checksums ref_out sums] judges the C path's checksums

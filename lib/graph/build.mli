@@ -24,4 +24,6 @@ val collect_refs :
   (string * Ps_lang.Ast.expr list) list
 (** Accumulate every data reference in an expression (bare variables are
     references with no subscripts; subscript expressions are searched
-    too). *)
+    too; the latest reference comes first).  The one reading of an
+    expression's references: the graph's Use edges come from it, and
+    [Sink], [Ineq] and lint W115 filter it. *)

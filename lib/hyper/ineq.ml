@@ -37,24 +37,6 @@ let offset_vector (ixs : Elab.index list) (subs : Ps_lang.Ast.expr list) :
       Some (Array.of_list (List.map Option.get offs))
     else None
 
-(* All self-references of [target] in expression [e]. *)
-let rec self_refs target (e : Ps_lang.Ast.expr) acc =
-  let open Ps_lang.Ast in
-  match e.e with
-  | Int _ | Real _ | Bool _ -> acc
-  | Var x -> if String.equal x target then (e, []) :: acc else acc
-  | Index ({ e = Var x; _ }, subs) when String.equal x target ->
-    let acc = List.fold_left (fun acc s -> self_refs target s acc) acc subs in
-    (e, subs) :: acc
-  | Index (b, subs) ->
-    List.fold_left (fun acc s -> self_refs target s acc) (self_refs target b acc) subs
-  | Field (b, _) -> self_refs target b acc
-  | Call (_, args) -> List.fold_left (fun acc a -> self_refs target a acc) acc args
-  | Unop (_, a) -> self_refs target a acc
-  | Binop (_, a, b) -> self_refs target b (self_refs target a acc)
-  | If (c, t, f) ->
-    self_refs target f (self_refs target t (self_refs target c acc))
-
 type dependences = {
   dep_eq : Elab.eq;              (* the recursive equation *)
   dep_indices : Elab.index list; (* its defining indices, in order *)
@@ -74,11 +56,14 @@ let extract (em : Elab.emodule) ~(target : string) : dependences =
         List.exists (fun df -> String.equal df.Elab.df_data target) q.Elab.q_defs)
       em.Elab.em_eqs
   in
-  let recursive =
-    List.filter
-      (fun (q : Elab.eq) -> self_refs target q.Elab.q_rhs [] <> [])
-      defining
+  (* The subscript lists of [target]'s references in [q]'s right-hand
+     side, as the dependence graph reads them. *)
+  let target_refs (q : Elab.eq) =
+    List.filter_map
+      (fun (nm, subs) -> if String.equal nm target then Some subs else None)
+      (Ps_graph.Build.collect_refs em q.Elab.q_rhs [])
   in
+  let recursive = List.filter (fun q -> target_refs q <> []) defining in
   match recursive with
   | [] -> fail "%s has no recursive definition" target
   | _ :: _ :: _ ->
@@ -95,16 +80,19 @@ let extract (em : Elab.emodule) ~(target : string) : dependences =
             fail "the recursive equation for %s fixes one of its subscripts" target)
         df.Elab.df_subs
     in
-    let refs = self_refs target q.Elab.q_rhs [] in
     let vectors =
       List.map
-        (fun ((e : Ps_lang.Ast.expr), subs) ->
+        (fun subs ->
           match offset_vector ixs subs with
           | Some off -> Array.map (fun o -> -o) off
           | None ->
+            let open Ps_lang.Ast in
+            let r =
+              if subs = [] then var_e target else mk (Index (var_e target, subs))
+            in
             fail "reference %s is not of the form A[I1 + c1, ..., In + cn]"
-              (Ps_lang.Pretty.expr_to_string e))
-        refs
+              (Ps_lang.Pretty.expr_to_string r))
+        (target_refs q)
     in
     (* Deduplicate. *)
     let distinct =

@@ -24,12 +24,5 @@ val offset_vector :
 (** Offsets of one reference relative to the defining indices, when every
     subscript has the form [var_p + c]. *)
 
-val self_refs :
-  string ->
-  Ps_lang.Ast.expr ->
-  (Ps_lang.Ast.expr * Ps_lang.Ast.expr list) list ->
-  (Ps_lang.Ast.expr * Ps_lang.Ast.expr list) list
-(** Accumulate the references to the target inside an expression. *)
-
 val pp_inequality : int array Fmt.t
 (** Render a difference vector as the paper writes it: "a - b > 0". *)

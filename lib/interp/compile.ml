@@ -107,18 +107,6 @@ let eval_ctx ctx (fr : frame) : Eval.ctx =
         match ctx.k_slot v with Some s -> Some fr.(s) | None -> None);
     c_call = ctx.k_call }
 
-let enum_ordinal ctx name =
-  let rec find = function
-    | [] -> None
-    | (ename, ctors) :: rest -> (
-      let rec pos i = function
-        | [] -> None
-        | c :: cs -> if String.equal c name then Some (ename, i) else pos (i + 1) cs
-      in
-      match pos 0 ctors with Some r -> Some r | None -> find rest)
-  in
-  find ctx.k_em.Elab.em_enums
-
 (* ------------------------------------------------------------------ *)
 (* Affine forms *)
 
@@ -493,7 +481,7 @@ let rec compile (ctx : cctx) (e : Ast.expr) : comp =
         compile_read ctx (ctx.k_slab x) []
       | Some _ -> fail "whole-array value %s in a scalar position" x
       | None -> (
-        match enum_ordinal ctx x with
+        match Elab.enum_ordinal ctx.k_em x with
         | Some (ename, ord) -> CBoxed (fun _ -> Sc_enum (ename, ord))
         | None -> fail "unbound identifier %s" x))
     | Ast.Index _ -> (

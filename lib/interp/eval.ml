@@ -19,18 +19,6 @@ type ctx = {
   c_call : string -> value list -> value list;  (* module invocation *)
 }
 
-let enum_ordinal ctx name =
-  let rec find = function
-    | [] -> None
-    | (ename, ctors) :: rest -> (
-      let rec pos i = function
-        | [] -> None
-        | c :: cs -> if String.equal c name then Some (ename, i) else pos (i + 1) cs
-      in
-      match pos 0 ctors with Some r -> Some r | None -> find rest)
-  in
-  find ctx.c_em.Elab.em_enums
-
 let is_data ctx name = Elab.find_data ctx.c_em name <> None
 
 (* Copy a slice of a slab (first [k] dimensions fixed) into a fresh
@@ -99,7 +87,7 @@ let rec eval (ctx : ctx) (e : Ps_lang.Ast.expr) : value =
         if ndims s = 0 then Vscalar (get_scalar s [||]) else Varray s
       end
       else (
-        match enum_ordinal ctx x with
+        match Elab.enum_ordinal ctx.c_em x with
         | Some (ename, ord) -> Vscalar (Sc_enum (ename, ord))
         | None -> fail "unbound identifier %s" x))
   | Index (base, subs) -> (

@@ -14,7 +14,13 @@
    it executes, so arrays whose bounds depend on computed scalar locals
    allocate only after those scalars exist — the topological component
    order produced by the scheduler (with the bound edges of §3.1)
-   guarantees this is sound. *)
+   guarantees this is sound.
+
+   A module called from an equation is scheduled on its first call,
+   under the caller's passes, and its schedule is kept in a table that
+   the run creates and its nested runs share.  Nothing outlives the run,
+   so a resident process such as `psc serve` holds no schedule for a
+   module it is not running. *)
 
 open Ps_sem
 open Value
@@ -26,10 +32,7 @@ exception Runtime_error = Eval.Runtime_error
 let fail fmt = Fmt.kstr (fun m -> raise (Runtime_error m)) fmt
 
 (* The transformation passes the run was asked for.  Callee modules are
-   scheduled under the same passes as the caller, and the schedule memo
-   below is keyed by this fingerprint — two runs of one process with
-   different flags must never share a schedule (the flowchart and the
-   storage windows both depend on the passes). *)
+   scheduled under the same passes as the caller. *)
 type sched_flags = {
   sf_sink : bool;
   sf_fuse : bool;
@@ -39,15 +42,6 @@ type sched_flags = {
 
 let no_sched_flags =
   { sf_sink = false; sf_fuse = false; sf_trim = false; sf_collapse = false }
-
-let flags_fingerprint f =
-  let b c v = if v then c else '-' in
-  let s = Bytes.create 4 in
-  Bytes.set s 0 (b 's' f.sf_sink);
-  Bytes.set s 1 (b 'f' f.sf_fuse);
-  Bytes.set s 2 (b 't' f.sf_trim);
-  Bytes.set s 3 (b 'c' f.sf_collapse);
-  Bytes.to_string s
 
 type opts = {
   pool : Ps_runtime.Pool.t option;  (* None: fully sequential *)
@@ -73,7 +67,19 @@ type run_result = {
 
 (* ------------------------------------------------------------------ *)
 
+(* The callee schedules of one run, by module name: the program and the
+   passes are fixed within a run, so the name is a complete key.  A run
+   and its nested runs share one table, which dies with the run.  The
+   mutex is there because module calls can run inside DOALL bodies on
+   pool domains. *)
+type scheds = {
+  sc_table :
+    (string, Ps_sched.Flowchart.t * Ps_sched.Schedule.window list) Hashtbl.t;
+  sc_mutex : Mutex.t;
+}
+
 type state = {
+  st_scheds : scheds;
   st_prog : Elab.eprogram;
   st_em : Elab.emodule;
   st_opts : opts;
@@ -106,67 +112,23 @@ let deal (d : Ps_sched.Policy.decision) pool ~lo ~hi body =
     ~steal:d.Ps_sched.Policy.d_steal ?wake:d.Ps_sched.Policy.d_wake pool ~lo ~hi
     body
 
-(* ------------------------------------------------------------------ *)
-(* The schedule memo.
-
-   Scheduling is pure and deterministic, so a module called many times
-   (or run many times by a resident process such as `psc serve`) pays
-   the Schedule-Graph cost once.  The memo is process-wide and
-   content-addressed: the key is the module's *text* digest plus the
-   pass fingerprint, never the module name alone — the same name can
-   denote different modules across projects, and the same module
-   schedules differently under different passes (`--collapse` marks
-   bands, `--sink` changes the storage windows).  A mutex guards the
-   table because module calls can occur inside DOALL bodies running on
-   pool domains. *)
-
-let sched_memo :
-    (string, Ps_sched.Flowchart.t * Ps_sched.Schedule.window list) Hashtbl.t =
-  Hashtbl.create 16
-
-let sched_memo_mutex = Mutex.create ()
-
-let sched_memo_hits = Atomic.make 0
-
-let sched_key (em : Elab.emodule) (f : sched_flags) =
-  let text = Ps_lang.Pretty.module_to_string em.Elab.em_ast in
-  Printf.sprintf "%s:%s:%s" em.Elab.em_name
-    (Digest.to_hex (Digest.string text))
-    (flags_fingerprint f)
-
-let memo_sched (em : Elab.emodule) (f : sched_flags) =
-  let key = sched_key em f in
-  Mutex.lock sched_memo_mutex;
-  match Hashtbl.find_opt sched_memo key with
-  | Some cs ->
-    Atomic.incr sched_memo_hits;
-    Mutex.unlock sched_memo_mutex;
-    cs
+(* A callee's schedule, made on its first call in the run.  Scheduling
+   under the lock makes concurrent first calls wait for one schedule
+   instead of each making their own. *)
+let callee_schedule st (em : Elab.emodule) =
+  let sc = st.st_scheds in
+  Mutex.protect sc.sc_mutex @@ fun () ->
+  match Hashtbl.find_opt sc.sc_table em.Elab.em_name with
+  | Some cs -> cs
   | None ->
-    Mutex.unlock sched_memo_mutex;
-    (* Schedule outside the lock: scheduling may be slow, and a racing
-       duplicate insert is harmless (both computed the same value). *)
-    let sc =
+    let f = st.st_opts.sched_flags in
+    let r =
       Ps_sched.Passes.schedule ~sink:f.sf_sink ~fuse:f.sf_fuse ~trim:f.sf_trim
         ~collapse:f.sf_collapse em
     in
-    let cs = Ps_sched.Passes.(sc.sc_flowchart, sc.sc_windows) in
-    Mutex.lock sched_memo_mutex;
-    if not (Hashtbl.mem sched_memo key) then Hashtbl.add sched_memo key cs;
-    Mutex.unlock sched_memo_mutex;
+    let cs = Ps_sched.Passes.(r.sc_flowchart, r.sc_windows) in
+    Hashtbl.add sc.sc_table em.Elab.em_name cs;
     cs
-
-let sched_cache_stats () =
-  Mutex.lock sched_memo_mutex;
-  let n = Hashtbl.length sched_memo in
-  Mutex.unlock sched_memo_mutex;
-  (n, Atomic.get sched_memo_hits)
-
-let sched_cache_clear () =
-  Mutex.lock sched_memo_mutex;
-  Hashtbl.reset sched_memo;
-  Atomic.set sched_memo_hits 0;
-  Mutex.unlock sched_memo_mutex
 
 let window_of st name dim =
   if not st.st_opts.use_windows then None
@@ -220,7 +182,7 @@ and call st fname (args : value list) : value list =
   match Elab.find_module st.st_prog fname with
   | None -> fail "call to unknown module %s" fname
   | Some callee ->
-    let flowchart, windows = memo_sched callee st.st_opts.sched_flags in
+    let flowchart, windows = callee_schedule st callee in
     let inputs =
       try
         List.map2
@@ -236,7 +198,10 @@ and call st fname (args : value list) : value list =
     (* Callees run sequentially inside the caller's iterations; a policy
        is resolved against the caller's flowchart and does not follow. *)
     let opts = { st.st_opts with pool = None; policy = None } in
-    let r = run ~opts ~prog:st.st_prog callee ~flowchart ~windows ~inputs in
+    let r =
+      execute st.st_scheds ~opts ~prog:st.st_prog callee ~flowchart ~windows
+        ~inputs
+    in
     List.map snd r.outputs
 
 (* ------------------------------------------------------------------ *)
@@ -829,12 +794,13 @@ and copy_into ~src ~dst =
 
 (* ------------------------------------------------------------------ *)
 
-and run ?(opts = default_opts) ~(flowchart : Ps_sched.Flowchart.t)
+and execute scheds ~opts ~(flowchart : Ps_sched.Flowchart.t)
     ~(windows : Ps_sched.Schedule.window list) ~prog (em : Elab.emodule) ~inputs
     : run_result =
   Trace.with_span ~args:[ ("module", em.Elab.em_name) ] "run" @@ fun () ->
   let st =
-    { st_prog = prog;
+    { st_scheds = scheds;
+      st_prog = prog;
       st_em = em;
       st_opts = opts;
       st_windows = windows;
@@ -871,6 +837,11 @@ and run ?(opts = default_opts) ~(flowchart : Ps_sched.Flowchart.t)
     allocated;
     evaluations =
       (if opts.collect_stats then Some (Atomic.get st.st_evals) else None) }
+
+let run ?(opts = default_opts) ~flowchart ~windows ~prog em ~inputs =
+  execute
+    { sc_table = Hashtbl.create 4; sc_mutex = Mutex.create () }
+    ~opts ~flowchart ~windows ~prog em ~inputs
 
 (* Convenience input builders. *)
 

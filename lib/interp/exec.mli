@@ -19,14 +19,9 @@ type sched_flags = {
 }
 (** The transformation passes the run was asked for.  Callee modules
     reached through module-call equations are scheduled under the same
-    passes, and the process-wide schedule memo is keyed by this
-    fingerprint together with the module's content digest — never by the
-    module name alone. *)
+    passes. *)
 
 val no_sched_flags : sched_flags
-
-val flags_fingerprint : sched_flags -> string
-(** Four stable characters, one per pass (e.g. ["s-t-"] for sink+trim). *)
 
 type opts = {
   pool : Ps_runtime.Pool.t option;  (** [None]: fully sequential *)
@@ -47,11 +42,6 @@ type opts = {
 val default_opts : opts
 (** Sequential, windowed, no statistics, no policy. *)
 
-val sched_cache_stats : unit -> int * int
-(** [(entries, hits)] of the process-wide schedule memo. *)
-
-val sched_cache_clear : unit -> unit
-
 type run_result = {
   outputs : (string * Value.value) list;  (** module results, in order *)
   allocated : (string * int) list;        (** words per data item, sorted *)
@@ -68,7 +58,9 @@ val run :
   run_result
 (** Execute a module's [flowchart] with the storage [windows] (both as
     {!Ps_sched.Passes.schedule} produced them; [[]] allocates every
-    dimension in full).  [prog] supplies callee modules.  Inputs are
+    dimension in full).  [prog] supplies callee modules; each callee is
+    scheduled on its first call and its schedule kept until the run
+    returns, shared with the run's nested calls.  Inputs are
     validated against the declared shapes and element kinds.
     @raise Runtime_error on missing/ill-shaped inputs or evaluation
     faults; @raise Value.Bounds on a subscript outside its declared

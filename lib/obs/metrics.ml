@@ -27,20 +27,13 @@ type gauge = { g_name : string; g_v : int Atomic.t }
    62 buckets cover the non-negative int range. *)
 let nbuckets = 62
 
-(* A mergeable quantile sketch: a *windowed* log2 histogram.  The
-   window's buckets answer p50/p90/p99 with one-bucket resolution
-   (relative error < 2x, plenty for latency SLOs), [sk_rotate] starts a
-   fresh window while the all-time count/sum keep accumulating, and
-   [sk_merge_into] folds one sketch into another bucket-wise — the
-   property that lets per-op sketches roll up into an end-to-end one,
-   or per-process sketches into a fleet view. *)
+(* A quantile sketch: a log2 histogram of every sample since the last
+   [reset].  Its buckets answer p50/p90/p99 with one-bucket resolution
+   (relative error < 2x, plenty for latency SLOs). *)
 type sketch = {
   q_name : string;
-  q_window : int Atomic.t array;  (* current window, log2 buckets *)
-  q_wcount : int Atomic.t;        (* window sample count *)
-  q_wmax : int Atomic.t;          (* window max, exact *)
-  q_count : int Atomic.t;         (* all-time *)
-  q_sum : int Atomic.t;
+  q_buckets : int Atomic.t array;  (* log2 buckets *)
+  q_max : int Atomic.t;            (* exact *)
 }
 
 type metric = C of counter | G of gauge | Q of sketch
@@ -84,11 +77,8 @@ let sketch name =
     (fun () ->
       let q =
         { q_name = name;
-          q_window = Array.init nbuckets (fun _ -> Atomic.make 0);
-          q_wcount = Atomic.make 0;
-          q_wmax = Atomic.make 0;
-          q_count = Atomic.make 0;
-          q_sum = Atomic.make 0 }
+          q_buckets = Array.init nbuckets (fun _ -> Atomic.make 0);
+          q_max = Atomic.make 0 }
       in
       (Q q, q))
     (function Q q -> Some q | _ -> None)
@@ -117,27 +107,8 @@ let rec update_max a v =
 
 let sk_observe q v =
   let v = max 0 v in
-  ignore (Atomic.fetch_and_add q.q_window.(bucket_of v) 1);
-  ignore (Atomic.fetch_and_add q.q_wcount 1);
-  update_max q.q_wmax v;
-  ignore (Atomic.fetch_and_add q.q_count 1);
-  ignore (Atomic.fetch_and_add q.q_sum v)
-
-let sk_rotate q =
-  Array.iter (fun b -> Atomic.set b 0) q.q_window;
-  Atomic.set q.q_wcount 0;
-  Atomic.set q.q_wmax 0
-
-let sk_merge_into ~into src =
-  Array.iteri
-    (fun i b ->
-      let n = Atomic.get b in
-      if n > 0 then ignore (Atomic.fetch_and_add into.q_window.(i) n))
-    src.q_window;
-  ignore (Atomic.fetch_and_add into.q_wcount (Atomic.get src.q_wcount));
-  update_max into.q_wmax (Atomic.get src.q_wmax);
-  ignore (Atomic.fetch_and_add into.q_count (Atomic.get src.q_count));
-  ignore (Atomic.fetch_and_add into.q_sum (Atomic.get src.q_sum))
+  ignore (Atomic.fetch_and_add q.q_buckets.(bucket_of v) 1);
+  update_max q.q_max v
 
 type quantiles = {
   qs_count : int;
@@ -147,27 +118,26 @@ type quantiles = {
   qs_max : int;
 }
 
-(* One coherent pass over a point-in-time copy of the window.  A
+(* One coherent pass over a point-in-time copy of the buckets.  A
    quantile estimate is the upper bound of the bucket holding the
    ceil(q * count)-th sample (bucket i covers [2^i, 2^(i+1)), bucket 0
-   covers 0..1), clamped to the exact window max — which both tightens
-   the top bucket and makes p50 <= p90 <= p99 <= max hold by
-   construction. *)
+   covers 0..1), clamped to the exact max — which both tightens the top
+   bucket and makes p50 <= p90 <= p99 <= max hold by construction. *)
 let sk_quantiles q =
-  let window = Array.map Atomic.get q.q_window in
-  let total = Array.fold_left ( + ) 0 window in
-  let wmax = Atomic.get q.q_wmax in
+  let buckets = Array.map Atomic.get q.q_buckets in
+  let total = Array.fold_left ( + ) 0 buckets in
+  let qmax = Atomic.get q.q_max in
   if total = 0 then { qs_count = 0; qs_p50 = 0; qs_p90 = 0; qs_p99 = 0; qs_max = 0 }
   else begin
     let at quantile =
       let rank = max 1 (int_of_float (ceil (quantile *. float_of_int total))) in
       let rec walk i cum =
-        if i >= nbuckets then wmax
+        if i >= nbuckets then qmax
         else
-          let cum = cum + window.(i) in
+          let cum = cum + buckets.(i) in
           if cum >= rank then
             let upper = if i = 0 then 1 else (1 lsl (i + 1)) - 1 in
-            min upper wmax
+            min upper qmax
           else walk (i + 1) cum
       in
       walk 0 0
@@ -176,7 +146,7 @@ let sk_quantiles q =
       qs_p50 = at 0.50;
       qs_p90 = at 0.90;
       qs_p99 = at 0.99;
-      qs_max = wmax }
+      qs_max = qmax }
   end
 
 let reset () =
@@ -187,11 +157,8 @@ let reset () =
           | C c -> Atomic.set c.c_v 0
           | G g -> Atomic.set g.g_v 0
           | Q q ->
-            Array.iter (fun b -> Atomic.set b 0) q.q_window;
-            Atomic.set q.q_wcount 0;
-            Atomic.set q.q_wmax 0;
-            Atomic.set q.q_count 0;
-            Atomic.set q.q_sum 0)
+            Array.iter (fun b -> Atomic.set b 0) q.q_buckets;
+            Atomic.set q.q_max 0)
         registry)
 
 let clear () = with_registry (fun () -> Hashtbl.reset registry)
@@ -228,7 +195,7 @@ let render_json () =
         (ints
            [ ("count", s.qs_count); ("p50", s.qs_p50); ("p90", s.qs_p90);
              ("p99", s.qs_p99); ("max", s.qs_max);
-             ("total", Atomic.get q.q_count) ])
+             ("total", s.qs_count) ])
   in
   Ps_json.arr (List.map row (sorted_metrics ()))
 

@@ -30,11 +30,9 @@ val set : gauge -> int -> unit
 val gauge_value : gauge -> int
 
 type sketch
-(** A mergeable quantile sketch: a windowed log2 histogram.  The window
-    answers p50/p90/p99/max with one-bucket resolution (relative error
-    below 2x); {!sk_rotate} starts a fresh window while all-time totals
-    keep accumulating; {!sk_merge_into} folds sketches bucket-wise so
-    per-op (or per-process) sketches roll up losslessly. *)
+(** A quantile sketch: a log2 histogram of every sample since the last
+    {!reset}, answering p50/p90/p99/max with one-bucket resolution
+    (relative error below 2x). *)
 
 val sketch : string -> sketch
 (** Get or create by name, like {!counter}. *)
@@ -42,25 +40,17 @@ val sketch : string -> sketch
 val sk_observe : sketch -> int -> unit
 (** Record a sample (negative values clamp to 0).  Lock-free. *)
 
-val sk_rotate : sketch -> unit
-(** Clear the current window (all-time count/sum are kept). *)
-
-val sk_merge_into : into:sketch -> sketch -> unit
-(** [sk_merge_into ~into src] adds [src]'s window buckets, window max
-    and all-time totals into [into].  [src] is unchanged. *)
-
 type quantiles = {
-  qs_count : int;  (** samples in the window; 0 means all else is 0 *)
+  qs_count : int;  (** samples recorded; 0 means all else is 0 *)
   qs_p50 : int;
   qs_p90 : int;
   qs_p99 : int;
-  qs_max : int;  (** exact window max *)
+  qs_max : int;  (** exact max *)
 }
 
 val sk_quantiles : sketch -> quantiles
-(** Window quantiles.  Each estimate is the holding bucket's upper
-    bound clamped to the exact max, so p50 <= p90 <= p99 <= max always
-    holds. *)
+(** Each estimate is the holding bucket's upper bound clamped to the
+    exact max, so p50 <= p90 <= p99 <= max always holds. *)
 
 val reset : unit -> unit
 (** Zero every registered metric (registrations are kept). *)

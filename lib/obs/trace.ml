@@ -112,9 +112,6 @@ let record ?(args = []) ph name =
 
 let events () = List.rev !store
 
-let instant ?args name =
-  if Atomic.get state <> 0 then record ?args Instant name
-
 (* The workhorse: one atomic load when disabled; Begin/End around [f]
    (End also on exception) when enabled or collected. *)
 let with_span ?args name f =

@@ -45,9 +45,6 @@ val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
     End is recorded even when [f] raises).  Otherwise this is [f ()]
     after a single atomic load. *)
 
-val instant : ?args:(string * string) list -> string -> unit
-(** A zero-duration marker event. *)
-
 val collect : (unit -> 'a) -> 'a * event list
 (** [collect f] runs [f] and returns the events recorded on this thread
     during the call, in record order — even when the global store is

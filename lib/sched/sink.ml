@@ -22,7 +22,6 @@
    the subrange non-emptiness facts (a bounded Farkas certificate). *)
 
 open Ps_sem
-open Ps_lang
 
 type sunk = {
   sk_eq : int;               (* the extraction equation *)
@@ -40,35 +39,6 @@ type result = {
 }
 
 (* ---------------------------------------------------------------- *)
-
-(* All references to [data] in an expression, as subscript lists. *)
-let rec refs_to data (e : Ast.expr) acc =
-  match e.Ast.e with
-  | Ast.Int _ | Ast.Real _ | Ast.Bool _ -> acc
-  | Ast.Var x -> if String.equal x data then ([] : Ast.expr list) :: acc else acc
-  | Ast.Index ({ e = Ast.Var x; _ }, subs) when String.equal x data ->
-    let acc = List.fold_left (fun acc s -> refs_to data s acc) acc subs in
-    subs :: acc
-  | Ast.Index (b, subs) ->
-    List.fold_left (fun acc s -> refs_to data s acc) (refs_to data b acc) subs
-  | Ast.Field (b, _) -> refs_to data b acc
-  | Ast.Call (_, args) -> List.fold_left (fun acc a -> refs_to data a acc) acc args
-  | Ast.Unop (_, a) -> refs_to data a acc
-  | Ast.Binop (_, a, b) -> refs_to data b (refs_to data a acc)
-  | Ast.If (c, t, f) -> refs_to data f (refs_to data t (refs_to data c acc))
-
-(* Data names referenced in an expression. *)
-let rec data_used em (e : Ast.expr) acc =
-  match e.Ast.e with
-  | Ast.Int _ | Ast.Real _ | Ast.Bool _ -> acc
-  | Ast.Var x -> if Elab.find_data em x <> None then x :: acc else acc
-  | Ast.Index (b, subs) ->
-    List.fold_left (fun acc s -> data_used em s acc) (data_used em b acc) subs
-  | Ast.Field (b, _) -> data_used em b acc
-  | Ast.Call (_, args) -> List.fold_left (fun acc a -> data_used em a acc) acc args
-  | Ast.Unop (_, a) -> data_used em a acc
-  | Ast.Binop (_, a, b) -> data_used em b (data_used em a acc)
-  | Ast.If (c, t, f) -> data_used em f (data_used em t (data_used em c acc))
 
 (* The descriptor shape we can sink: a nest of parallel loops around a
    single equation.  Returns (loop vars outermost-first, the equation). *)
@@ -116,7 +86,8 @@ let apply (em : Elab.emodule) (sched : Schedule.result) : result =
     let q = Elab.eq_exn em er.Flowchart.er_id in
     let body_eq_ids = Flowchart.equations l.Flowchart.lp_body in
     (* Candidate arrays: local data read by q and defined only inside l. *)
-    let used = List.sort_uniq String.compare (data_used em q.Elab.q_rhs []) in
+    let q_refs = Ps_graph.Build.collect_refs em q.Elab.q_rhs [] in
+    let used = List.sort_uniq String.compare (List.map fst q_refs) in
     let candidate data =
       match Elab.find_data em data with
       | Some d when d.Elab.d_kind = Elab.Local -> (
@@ -153,7 +124,11 @@ let apply (em : Elab.emodule) (sched : Schedule.result) : result =
     | Some (data, p) -> (
       (* Every reference of q to data must agree on a single linear f at
          dimension p, involving at least one of q's index variables. *)
-      let refs = refs_to data q.Elab.q_rhs [] in
+      let refs =
+        List.filter_map
+          (fun (nm, subs) -> if String.equal nm data then Some subs else None)
+          q_refs
+      in
       let q_index_vars = List.map (fun ix -> ix.Elab.ix_var) q.Elab.q_indices in
       let f_of subs =
         if List.length subs <= p then None

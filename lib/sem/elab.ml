@@ -79,6 +79,12 @@ let eq_exn em id =
   | Some q -> q
   | None -> invalid_arg (Printf.sprintf "Elab.eq_exn: no equation %d" id)
 
+let enum_ordinal em name =
+  List.find_map
+    (fun (ename, ctors) ->
+      Option.map (fun i -> (ename, i)) (List.find_index (String.equal name) ctors))
+    em.em_enums
+
 (* ------------------------------------------------------------------ *)
 (* Type elaboration *)
 
@@ -651,8 +657,8 @@ let elab_program (prog : Ast.program) : eprogram =
   check_dup_modules prog;
   { ep_modules = List.map (elab_module ~signatures) prog }
 
-(* The type of an expression inside a module, for the evaluator; no
-   module signatures are in scope. *)
+(* The type of an expression inside a module, for the evaluator and the
+   C back end; no module signatures are in scope. *)
 let type_of_expr em ~is_index expr =
   let env =
     { ce_module = em.em_name;

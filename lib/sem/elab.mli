@@ -69,6 +69,11 @@ val find_eq : emodule -> int -> eq option
 
 val eq_exn : emodule -> int -> eq
 
+val enum_ordinal : emodule -> string -> (string * int) option
+(** The enumeration a constructor belongs to and its 0-based position
+    there: the value the interpreter computes with and the integer the
+    C back end emits for the constructor. *)
+
 (** {1 Elaboration} *)
 
 val elab_program : Ps_lang.Ast.program -> eprogram
@@ -79,6 +84,7 @@ val elab_program : Ps_lang.Ast.program -> eprogram
 val type_of_expr :
   emodule -> is_index:(string -> bool) -> Ps_lang.Ast.expr -> Stypes.ty
 (** Type of an expression inside a module, [is_index] naming the bound
-    index variables; the evaluator uses it to give an [if] its static
-    type.  No module signatures are in scope.
+    index variables: the evaluator uses it to give an [if] its static
+    type, the C back end to tell a real division of two ints.  No module
+    signatures are in scope.
     @raise Error on a call to a module, or an ill-typed expression. *)

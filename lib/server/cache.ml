@@ -59,17 +59,28 @@ let create ?(capacity = 64) () =
 
 let digest src = Digest.to_hex (Digest.string src)
 
+(* Four stable characters, one per pass (e.g. "s-t-" for sink+trim):
+   the same module schedules differently under different passes. *)
+let flags_fingerprint (f : Psc.Exec.sched_flags) =
+  let b c v = if v then c else '-' in
+  let s = Bytes.create 4 in
+  Bytes.set s 0 (b 's' f.Psc.Exec.sf_sink);
+  Bytes.set s 1 (b 'f' f.Psc.Exec.sf_fuse);
+  Bytes.set s 2 (b 't' f.Psc.Exec.sf_trim);
+  Bytes.set s 3 (b 'c' f.Psc.Exec.sf_collapse);
+  Bytes.to_string s
+
 let project_key ~src = "P:" ^ digest src
 
 let sched_key ~src ~module_ ~flags =
   Printf.sprintf "S:%s:%s:%s" (digest src)
     (match module_ with Some m -> m | None -> "")
-    (Psc.Exec.flags_fingerprint flags)
+    (flags_fingerprint flags)
 
 let emit_key ~src ~module_ ~flags ~main =
   Printf.sprintf "C:%s:%s:%s:%s" (digest src)
     (match module_ with Some m -> m | None -> "")
-    (Psc.Exec.flags_fingerprint flags)
+    (flags_fingerprint flags)
     (if main then "main" else "mod")
 
 (* Tuned policy tables additionally depend on the host that measured
@@ -79,7 +90,7 @@ let emit_key ~src ~module_ ~flags ~main =
 let policy_key ~src ~module_ ~flags ~host_cores =
   Printf.sprintf "T:%s:%s:%s:%d" (digest src)
     (match module_ with Some m -> m | None -> "")
-    (Psc.Exec.flags_fingerprint flags)
+    (flags_fingerprint flags)
     host_cores
 
 (* The two hex digits right after the "X:" kind prefix are the head of

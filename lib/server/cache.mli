@@ -1,14 +1,17 @@
 (** Content-addressed artifact store for the compile service.
 
     Keys are built from the MD5 digest of the source text plus whatever
-    narrows the artifact (module name, transformation-flag fingerprint),
-    so two requests with the same source and flags share one schedule no
-    matter how the client phrased them.  The store is lock-striped: the
-    key's digest prefix picks one of 8 shards, each a mutex-protected
-    hash table with its own LRU tick and capacity slice, so unrelated
-    requests never contend and eviction scans one shard, not the whole
-    store.  Builds run outside any lock, so a slow schedule never stalls
-    unrelated requests. *)
+    narrows the artifact (module name, transformation-flag fingerprint:
+    four characters, one per pass, e.g. ["s-t-"] for sink+trim), so two
+    requests with the same source and flags share one schedule no matter
+    how the client phrased them.  It is the only place where a schedule
+    outlives the request that made it (a run's callee schedules die with
+    the run), and it is bounded: the least recently used artifacts go
+    first.  The store is lock-striped: the key's digest prefix picks one
+    of 8 shards, each a mutex-protected hash table with its own LRU tick
+    and capacity slice, so unrelated requests never contend and eviction
+    scans one shard, not the whole store.  Builds run outside any lock,
+    so a slow schedule never stalls unrelated requests. *)
 
 type artifact =
   | A_project of Psc.t          (** a loaded + elaborated source *)

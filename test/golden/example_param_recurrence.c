@@ -3,8 +3,8 @@
 #include <stdio.h>
 #include <math.h>
 
-#define PS_MIN(a, b) ((a) < (b) ? (a) : (b))
-#define PS_MAX(a, b) ((a) > (b) ? (a) : (b))
+#define PS_MIN(a, b) ((a) <= (b) ? (a) : (b))
+#define PS_MAX(a, b) ((a) >= (b) ? (a) : (b))
 /* Integer division with the interpreter's semantics: a zero divisor
    traps (the raw C operators are undefined there), the quotient
    truncates toward zero and the remainder takes the dividend's sign

@@ -48,7 +48,7 @@ let expect_exit rc args needle =
       rc needle text
 
 (* What the emitted main() for [f] prints under [inputs] ("-i N=4"),
-   built with cc. *)
+   built with cc and the fuzzer's C-oracle flags. *)
 let c_harness inputs f =
   let rc, c = run_cli (Printf.sprintf "emit-c --main %s %s" inputs f) in
   Alcotest.(check int) "emit-c exit" 0 rc;
@@ -58,7 +58,8 @@ let c_harness inputs f =
         ~finally:(fun () -> if Sys.file_exists exe then Sys.remove exe)
         (fun () ->
           Alcotest.(check int) "cc" 0
-            (Sys.command (Printf.sprintf "cc -O1 -o %s %s -lm" exe cfile));
+            (Sys.command
+               (Printf.sprintf "cc -O1 -ffp-contract=off -o %s %s -lm" exe cfile));
           let ic = Unix.open_process_in exe in
           let out = In_channel.input_all ic in
           ignore (Unix.close_process_in ic);

@@ -176,7 +176,15 @@ let fork_tests =
 let diagnostic_tests =
   [ t "module calls are diagnosed" (fun () ->
         Util.expect_error ~substring:"C back end" (fun () ->
-            Psc.emit_c ~name:"Driver" (Util.load Ps_models.Models.two_module)));
+            Psc.emit_c ~name:"Driver" (Util.load Ps_models.Models.two_module));
+        (* Under '/' too, where the operands' types decide the cast. *)
+        Util.expect_error ~substring:"C back end" (fun () ->
+            Psc.emit_c ~name:"D"
+              (Util.load
+                 "Callee: module (x: int): [y: int]; define y = x + 1; end \
+                  Callee;\n\
+                  D: module (a: int): [r: real]; define r = Callee(a) / 2; \
+                  end D;")));
     t "record types are diagnosed" (fun () ->
         Util.expect_error ~substring:"record" (fun () ->
             emit
@@ -185,32 +193,15 @@ let diagnostic_tests =
 
 (* --- compile and run, when cc is available ------------------------ *)
 
-let have_cc = Sys.command "command -v cc > /dev/null 2>&1" = 0
+let have_cc = Lazy.force Ps_fuzz.Diff.have_cc
 
+(* The checksums of an emitted main(), built as the fuzzer's C oracle
+   builds it. *)
 let run_c source =
-  let dir = Filename.temp_file "psc_test" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let src = Filename.concat dir "prog.c" in
-  let exe = Filename.concat dir "prog" in
-  let oc = open_out src in
-  output_string oc source;
-  close_out oc;
-  let rc = Sys.command (Printf.sprintf "cc -O1 -o %s %s -lm 2> %s/cc.log" exe src dir) in
-  if rc <> 0 then Alcotest.failf "cc failed (see %s)" dir;
-  let ic = Unix.open_process_in exe in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  ignore (Unix.close_process_in ic);
-  List.rev !lines
-  |> List.map (fun line ->
-         match String.split_on_char ' ' line with
-         | [ name; v ] -> (name, float_of_string v)
-         | _ -> Alcotest.failf "bad C output line %S" line)
+  match Ps_fuzz.Diff.c_checksums source with
+  | Ps_fuzz.Diff.Checksums sums -> sums
+  | Ps_fuzz.Diff.Trap m -> Alcotest.failf "C: %s" m
+  | Ps_fuzz.Diff.Outputs _ | Ps_fuzz.Diff.Skip _ -> Alcotest.fail "C: no checksums"
 
 (* The interpreter-side checksums, from the inputs the generated main()
    builds. *)

@@ -181,7 +181,10 @@ let corpus_tests =
         List.iter
           (fun f ->
             let path = Filename.concat dir f in
-            match Fuzz.replay_file ~pool_size:3 ~paths:all_interp_paths path with
+            match
+              Fuzz.replay_file ~pool_size:3 ~paths:(all_interp_paths @ [ Diff.Cc ])
+                path
+            with
             | Ok () -> ()
             | Error v -> Alcotest.failf "%s: %s" f v)
           files) ]

@@ -61,7 +61,6 @@ let trace_tests =
         Trace.set_enabled false;
         Trace.reset ();
         let r = Trace.with_span "quiet" (fun () -> 41 + 1) in
-        Trace.instant "quiet-marker";
         Alcotest.(check int) "value" 42 r;
         Alcotest.(check int) "no events" 0 (List.length (Trace.events ())));
     t "spans bracket and nest" (fun () ->
@@ -334,45 +333,6 @@ let sketch_tests =
           [ 1; 100; 100; 100; 100 ]
           (let c, a, b, d, m = qs q in
            [ c; a; b; d; m ]));
-    t "merging disjoint windows spans both ranges" (fun () ->
-        with_flags @@ fun () ->
-        Metrics.clear ();
-        let low = Metrics.sketch "t.low" and high = Metrics.sketch "t.high" in
-        List.iter (Metrics.sk_observe low) [ 1; 2; 3 ];
-        List.iter (Metrics.sk_observe high) [ 1000; 2000 ];
-        Metrics.sk_merge_into ~into:low high;
-        let c, p50, _, p99, m = qs low in
-        Alcotest.(check int) "counts add" 5 c;
-        (* Rank 3 of 5 lands in the low range (a log2 bucket wide). *)
-        Alcotest.(check bool) "p50 from the low range" true (p50 <= 3);
-        Alcotest.(check int) "p99 clamps to the exact max" 2000 p99;
-        Alcotest.(check int) "max is exact" 2000 m;
-        (* The source sketch is unchanged. *)
-        let ch, _, _, _, mh = qs high in
-        Alcotest.(check int) "src count" 2 ch;
-        Alcotest.(check int) "src max" 2000 mh);
-    t "rotate clears the window but keeps the all-time totals" (fun () ->
-        with_flags @@ fun () ->
-        Metrics.clear ();
-        let q = Metrics.sketch "t.rot" in
-        List.iter (Metrics.sk_observe q) [ 5; 6; 7 ];
-        Metrics.sk_rotate q;
-        let c, _, _, _, m = qs q in
-        Alcotest.(check int) "window empty" 0 c;
-        Alcotest.(check int) "window max cleared" 0 m;
-        let j = Psc.Json.parse (Metrics.render_json ()) in
-        match j with
-        | Psc.Json.Arr [ row ] ->
-          Alcotest.(check (option string)) "kind" (Some "sketch")
-            (match Psc.Json.member "kind" row with
-            | Some (Psc.Json.Str s) -> Some s
-            | _ -> None);
-          Alcotest.(check (option (float 0.001))) "all-time total survives"
-            (Some 3.0)
-            (match Psc.Json.member "total" row with
-            | Some (Psc.Json.Num n) -> Some n
-            | _ -> None)
-        | _ -> Alcotest.fail "expected exactly one metrics row");
     QCheck_alcotest.to_alcotest sketch_monotone ]
 
 (* ------------------------------------------------------------------ *)

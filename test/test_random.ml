@@ -68,13 +68,11 @@ end R;
     (String.concat " + " terms)
     s.bias
 
-let inputs_of (s : stencil) =
-  [ ("Init",
-     Psc.Exec.array_real
-       ~dims:[ (0, s.n + 1) ]
-       (fun ix -> Ps_models.Models.fill_value ix.(0)));
-    ("N", Psc.Exec.scalar_int s.n);
-    ("T", Psc.Exec.scalar_int s.steps) ]
+let scalars_of (s : stencil) = [ ("N", s.n); ("T", s.steps) ]
+
+(* The inputs the emitted main() builds. *)
+let inputs_of tp (s : stencil) =
+  Psc.default_inputs (Psc.default_module tp) ~scalars:(scalars_of s)
 
 let out_box (s : stencil) = [ (0, s.n + 1) ]
 
@@ -104,7 +102,7 @@ let window_prop =
   QCheck.Test.make ~count:120 ~name:"windowed equals full allocation"
     arb_stencil (fun s ->
       let tp = Psc.load_string (source_of s) in
-      let inputs = inputs_of s in
+      let inputs = inputs_of tp s in
       let r1 = Psc.run ~use_windows:true tp ~inputs in
       let r2 = Psc.run ~use_windows:false tp ~inputs in
       List.assoc "A" r1.Psc.Exec.allocated = 2 * (s.n + 2)
@@ -114,7 +112,7 @@ let parallel_prop =
   QCheck.Test.make ~count:40 ~name:"pool execution equals sequential"
     arb_stencil (fun s ->
       let tp = Psc.load_string (source_of s) in
-      let inputs = inputs_of s in
+      let inputs = inputs_of tp s in
       let r1 = Psc.run tp ~inputs in
       let r2 = Psc.Pool.with_pool 3 (fun pool -> Psc.run ~pool tp ~inputs) in
       bit_equal s r1 r2)
@@ -123,7 +121,7 @@ let fuse_prop =
   QCheck.Test.make ~count:120 ~name:"fused schedule equals plain"
     arb_stencil (fun s ->
       let tp = Psc.load_string (source_of s) in
-      let inputs = inputs_of s in
+      let inputs = inputs_of tp s in
       let r1 = Psc.run tp ~inputs in
       let r2 = Psc.run ~fuse:true tp ~inputs in
       bit_equal s r1 r2)
@@ -132,8 +130,8 @@ let work_prop =
   QCheck.Test.make ~count:120 ~name:"runtime evaluations equal analytic work"
     arb_stencil (fun s ->
       let tp = Psc.load_string (source_of s) in
-      let r = Psc.run ~stats:true tp ~inputs:(inputs_of s) in
-      let c = Psc.work_span tp ~env:[ ("N", s.n); ("T", s.steps) ] in
+      let r = Psc.run ~stats:true tp ~inputs:(inputs_of tp s) in
+      let c = Psc.work_span tp ~env:(scalars_of s) in
       Option.get r.Psc.Exec.evaluations = int_of_float c.Psc.Analysis.work)
 
 let hyperplane_prop =
@@ -143,7 +141,7 @@ let hyperplane_prop =
       (* Force a same-sweep reference so the transform is meaningful. *)
       let s = { s with west = Some (Option.value s.west ~default:0.25) } in
       let tp = Psc.load_string (source_of s) in
-      let inputs = inputs_of s in
+      let inputs = inputs_of tp s in
       match Psc.hyperplane ~target:"A" tp with
       | exception Psc.Error _ -> QCheck.assume_fail ()
       | tp', tr ->
@@ -152,51 +150,17 @@ let hyperplane_prop =
         let r2 = Psc.run ~name ~sink:true ~trim:true tp' ~inputs in
         bit_equal s r1 r2)
 
-let have_cc = Sys.command "command -v cc > /dev/null 2>&1" = 0
-
 (* Generated C vs interpreter, on random programs (small count: each case
-   costs a compiler invocation). *)
+   costs a compiler invocation).  Without a C compiler the C path skips. *)
 let c_differential_prop =
   QCheck.Test.make ~count:8 ~name:"generated C equals the interpreter"
     arb_stencil (fun s ->
-      if not have_cc then true
-      else begin
-        let tp = Psc.load_string (source_of s) in
-        let scalars = [ ("N", s.n); ("T", s.steps) ] in
-        let c = Psc.emit_c_main ~scalars tp in
-        let dir = Filename.temp_file "psc_rand" "" in
-        Sys.remove dir;
-        Unix.mkdir dir 0o755;
-        let src = Filename.concat dir "p.c" in
-        let exe = Filename.concat dir "p" in
-        let oc = open_out src in
-        output_string oc c;
-        close_out oc;
-        if Sys.command (Printf.sprintf "cc -O1 -o %s %s -lm 2>/dev/null" exe src) <> 0
-        then false
-        else begin
-          let ic = Unix.open_process_in exe in
-          let line = input_line ic in
-          ignore (Unix.close_process_in ic);
-          let c_sum =
-            match String.split_on_char ' ' line with
-            | [ _; v ] -> float_of_string v
-            | _ -> nan
-          in
-          (* Interpreter with the same deterministic fill. *)
-          let inputs =
-            [ ("Init",
-               Psc.Exec.array_real
-                 ~dims:[ (0, s.n + 1) ]
-                 (fun ix -> Ps_models.Models.fill_value ix.(0)));
-              ("N", Psc.Exec.scalar_int s.n);
-              ("T", Psc.Exec.scalar_int s.steps) ]
-          in
-          let r = Psc.run tp ~inputs in
-          let i_sum = Psc.checksum (List.assoc "Out" r.Psc.Exec.outputs) in
-          Float.equal c_sum i_sum
-        end
-      end)
+      let r =
+        Ps_fuzz.Diff.check_source ~pool_size:1
+          ~paths:[ Ps_fuzz.Diff.Seq; Ps_fuzz.Diff.Cc ]
+          ~scalars:(scalars_of s) (source_of s)
+      in
+      r.Ps_fuzz.Diff.cr_verdict = None)
 
 (* A couple of deterministic deep cases kept out of qcheck so failures
    stay reproducible in CI logs. *)
@@ -207,7 +171,7 @@ let pinned_cases =
             bias = 0.05; n = 12; steps = 8 }
         in
         let tp = Psc.load_string (source_of s) in
-        let inputs = inputs_of s in
+        let inputs = inputs_of tp s in
         let r1 = Psc.run tp ~inputs in
         let tp', tr = Psc.hyperplane ~target:"A" tp in
         let name = tr.Psc.Transform.tr_module.Psc.Ast.m_name in
@@ -219,7 +183,7 @@ let pinned_cases =
             bias = -0.1; n = 20; steps = 10 }
         in
         let tp = Psc.load_string (source_of s) in
-        let inputs = inputs_of s in
+        let inputs = inputs_of tp s in
         let r1 = Psc.run ~use_windows:true tp ~inputs in
         let r2 = Psc.run ~use_windows:false ~fuse:true tp ~inputs in
         Alcotest.(check bool) "equal" true (bit_equal s r1 r2)) ]
