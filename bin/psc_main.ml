@@ -718,21 +718,27 @@ let fuzz_cmd =
                  exit 2)
     in
     if replay <> [] then begin
+      (* A missing path is reported as [psc run] reports a missing
+         file, before anything replays. *)
       let files =
         List.concat_map
           (fun p ->
-            if Sys.is_directory p then
+            match Sys.is_directory p with
+            | true ->
               Sys.readdir p |> Array.to_list
               |> List.filter (fun f -> Filename.check_suffix f ".ps")
               |> List.sort compare
               |> List.map (Filename.concat p)
-            else [ p ])
+            | false -> [ p ]
+            | exception Sys_error m ->
+              Fmt.epr "psc: %s@." m;
+              exit 1)
           replay
       in
       let bad = ref 0 in
       List.iter
         (fun f ->
-          match Ps_fuzz.Fuzz.replay_file ~pool_size:par ~paths f with
+          match Ps_fuzz.Fuzz.replay_source ~pool_size:par ~paths (read_source f) with
           | Ok () -> Fmt.pr "replay %s: ok@." f
           | Error v ->
             incr bad;

@@ -177,10 +177,3 @@ let replay_source ?(pool_size = 4) ~paths (src : string) : (unit, string) result
     | inputs -> (
       let r = Diff.check ~pool_size ~paths tp ~inputs ~scalars in
       match r.Diff.cr_verdict with None -> Ok () | Some v -> Error v))
-
-let replay_file ?pool_size ~paths path : (unit, string) result =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  replay_source ?pool_size ~paths src

@@ -42,5 +42,3 @@ val replay_source : ?pool_size:int -> paths:Diff.path list -> string -> (unit, s
 (** Differentiate one corpus source.  Scalars come from its directive;
     any scalar input not named there defaults to 6.  [Error] carries the
     verdict. *)
-
-val replay_file : ?pool_size:int -> paths:Diff.path list -> string -> (unit, string) result

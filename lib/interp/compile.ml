@@ -23,11 +23,18 @@
      comparisons between affine ints each become one closure.
      [compile_store_real] fuses an equation's store with its [if] and
      chain nodes, so a real equation stores without boxing.
+   - Rows: the same walk builds the row form of a real equation that an
+     innermost loop runs ("Rows" below).  A row is cut where a guard
+     test compares differently, each segment decides its guards once,
+     checks its leaf's references at its two ends, and runs the leaf
+     (a real constant, or a [+] chain of one or more reads, scaled or
+     not) as a tight loop over flat offsets.  A segment whose check
+     fails, and any other leaf, run the checked per-point closure.
 
    Every node evaluates its operands left to right, as [Eval] does, so a
    read that traps raises the same [Value.Bounds] message; no float
    operation is reassociated.  Run sequentially at the benchmark's sizes,
-   fig6, h3 and lcs allocate 0.03, 0.05 and 0.02 minor words per
+   fig6, h3 and lcs allocate 0.05, 0.07 and 0.02 minor words per
    evaluation, set-up included; test_exec's "allocation" cases pin
    bounds of 1, 0.25 and 0.1.
 
@@ -230,27 +237,32 @@ let out_of_bounds (s : slab) p v =
        (Printf.sprintf "%s: subscript %d = %d outside %d..%d" s.s_name (p + 1) v
           di.di_lo (di.di_lo + di.di_extent - 1)))
 
-(* Dimension [p]'s share of the flat offset for subscript value [v].
-   Every read and write tests the declared range here, which is what
-   lets the readers and writers index payloads with [Array.unsafe_get]
-   and [Array.unsafe_set]. *)
-let[@inline] dim_offset s p d v =
-  let r = v - d.d_lo in
-  if r < 0 || r >= d.d_ext then out_of_bounds s p v;
+(* A dimension's share of the flat offset for [r], the subscript less
+   the lower bound, once [r] is known to be in range. *)
+let[@inline] dim_share d r =
   if d.d_window = d.d_ext then r * d.d_stride
   else if r < Array.length d.d_plane then Array.unsafe_get d.d_plane r
   else r mod d.d_window * d.d_stride
+
+(* Dimension [p]'s share of the flat offset for subscript value [v].
+   Every read and write tests the declared range here (a row tests it
+   once per segment, [row_base]), which is what lets the readers and
+   writers index payloads with [Array.unsafe_get] and
+   [Array.unsafe_set]. *)
+let[@inline] dim_offset s p d v =
+  let r = v - d.d_lo in
+  if r < 0 || r >= d.d_ext then out_of_bounds s p v;
+  dim_share d r
 
 type sub = Aff of affine | Dyn of (frame -> int)
 
 (* A constant subscript is checked when the read runs, like any other,
    not when it compiles: a read behind a false guard must not trap. *)
-let offset_fn (s : slab) (subs : sub array) : frame -> int =
+let offset_fn (s : slab) ds (subs : sub array) : frame -> int =
   let n = ndims s in
   if Array.length subs <> n then
     fail "reference to %s has %d subscripts for %d dimensions" s.s_name
       (Array.length subs) n;
-  let ds = dims_of s in
   match Array.map (function Aff a -> short_form a | Dyn _ -> None) subs with
   | [||] -> fun _ -> 0
   | [| Some (s0, k0, c0) |] ->
@@ -444,16 +456,219 @@ type chain = {
   ch_scale : (Ast.binop * float) option;  (* then [/ k] or [* k] *)
 }
 
+let[@inline] scaled scale s =
+  match scale with
+  | None -> s
+  | Some (Ast.Div, k) -> s /. k
+  | Some (_, k) -> s *. k
+
 let[@inline] chain_value ch fr =
   let arrs = ch.ch_arrs and offs = ch.ch_offs in
   let s = ref (Array.unsafe_get (Array.unsafe_get arrs 0) ((Array.unsafe_get offs 0) fr)) in
   for i = 1 to Array.length arrs - 1 do
     s := !s +. Array.unsafe_get (Array.unsafe_get arrs i) ((Array.unsafe_get offs i) fr)
   done;
-  match ch.ch_scale with
-  | None -> !s
-  | Some (Ast.Div, k) -> !s /. k
-  | Some (_, k) -> !s *. k
+  scaled ch.ch_scale !s
+
+(* ------------------------------------------------------------------ *)
+(* Rows *)
+
+(* A row runs an innermost loop's real equation over [lo .. hi] of the
+   loop variable, whose frame slot is the row slot.  The other slots are
+   fixed for the row, so each affine form is [c + k * v] in the row
+   variable [v].  The row is cut at every point where a guard test may
+   change value; each segment then decides its guards once, checks its
+   leaf's references at its two ends, and runs the leaf as a tight loop
+   over flat offsets [base + i * step].
+
+   The arithmetic stays exact, never wrapping: a row runs only while
+   [|lo|], [|hi|] and every coefficient of the row slot are under
+   [row_index_max], each test side at [v = 0] under [row_const_max]
+   (else the row runs point by point), and a reference's declared bounds
+   under [row_const_max] (else it has no row form). *)
+let row_index_max = 1 lsl 29
+
+let row_const_max = 1 lsl 60
+
+let[@inline] within bound x = x > -bound && x < bound
+
+(* Segments shorter than this run point by point: setting up a strided
+   segment costs more than its points save. *)
+let row_min = 2
+
+(* [f] at each point of [a .. b], checked: a segment whose ends fail a
+   check, or a leaf with no row form. *)
+let points ~slot f fr a b =
+  for v = a to b do
+    fr.(slot) <- v;
+    f fr
+  done
+
+let coeff_of slot a =
+  let k = ref 0 in
+  for i = 0 to Array.length a.a_slots - 1 do
+    if a.a_slots.(i) = slot then k := a.a_coeffs.(i)
+  done;
+  !k
+
+(* A reference as a row walks it: every subscript affine, and no
+   windowed dimension indexed by the row variable, so the flat offset
+   moves by [rr_step] per point. *)
+type rref = {
+  rr_subs : affine array;
+  rr_ks : int array;  (* each subscript's coefficient of the row slot *)
+  rr_dims : dim array;
+  rr_step : int;
+}
+
+let row_ref ~slot ds (subs : sub array) : rref option =
+  let forms = List.filter_map (function Aff a -> Some a | Dyn _ -> None) (Array.to_list subs) in
+  if List.length forms <> Array.length subs then None
+  else
+    let forms = Array.of_list forms in
+    let ks = Array.map (coeff_of slot) forms in
+    let fits k d =
+      within row_index_max k
+      && (k = 0 || d.d_window = d.d_ext)
+      && within row_const_max d.d_lo
+      && within row_const_max (d.d_lo + d.d_ext)
+    in
+    if not (Array.for_all2 fits ks ds) then None
+    else
+      let step = Array.fold_left ( + ) 0 (Array.map2 (fun k d -> k * d.d_stride) ks ds) in
+      Some { rr_subs = forms; rr_ks = ks; rr_dims = ds; rr_step = step }
+
+(* [r]'s flat offset at the frame's point, or -1 when a subscript is out
+   of range there or [n] points on.  An affine subscript is monotone in
+   the row variable, so its two ends cover every point between. *)
+let row_base r fr n =
+  let base = ref 0 and p = ref 0 in
+  let nd = Array.length r.rr_dims in
+  while !p < nd do
+    let d = Array.unsafe_get r.rr_dims !p in
+    let ra = affine_value (Array.unsafe_get r.rr_subs !p) fr - d.d_lo in
+    let rb = ra + (Array.unsafe_get r.rr_ks !p * n) in
+    if ra < 0 || ra >= d.d_ext || rb < 0 || rb >= d.d_ext then begin
+      base := -1;
+      p := nd
+    end
+    else begin
+      base := !base + dim_share d ra;
+      incr p
+    end
+  done;
+  !base
+
+(* A row's decision tree: [if] nodes whose guards hold one value over a
+   segment, over leaves that run a segment [a .. b] from a frame at
+   [a]. *)
+type rnode =
+  | RIf of (frame -> bool) * rnode * rnode
+  | RLeaf of (frame -> int -> int -> unit)
+
+let rec run_node n fr a b =
+  match n with
+  | RIf (g, t, f) -> if g fr then run_node t fr a b else run_node f fr a b
+  | RLeaf run -> run fr a b
+
+let const_leaf ~slot ~point dst rd (x : float) =
+  let step = rd.rr_step in
+  fun fr a b ->
+    let n = b - a in
+    let db = if n + 1 < row_min then -1 else row_base rd fr n in
+    if db < 0 then points ~slot point fr a b
+    else
+      for i = 0 to n do
+        Array.unsafe_set dst (db + (i * step)) x
+      done
+
+(* A chain of reads, scaled and stored.  Read [j]'s base offset sits in
+   frame slot [bases + j], so a chain of any length runs without
+   allocating; the reads are checked left to right, then the
+   destination, the order a point evaluates them in. *)
+let chain_leaf ~slot ~bases ~point dst rd (arrs : float array array) (refs : rref array)
+    scale =
+  let nr = Array.length arrs in
+  let steps = Array.map (fun r -> r.rr_step) refs in
+  let a0 = arrs.(0) and step0 = steps.(0) and dstep = rd.rr_step in
+  fun fr a b ->
+    let n = b - a in
+    let ok = ref (n + 1 >= row_min) and j = ref 0 in
+    while !ok && !j < nr do
+      let bj = row_base (Array.unsafe_get refs !j) fr n in
+      fr.(bases + !j) <- bj;
+      ok := bj >= 0;
+      incr j
+    done;
+    let db = if !ok then row_base rd fr n else -1 in
+    if db < 0 then points ~slot point fr a b
+    else
+      let b0 = Array.unsafe_get fr bases in
+      for i = 0 to n do
+        let s = ref (Array.unsafe_get a0 (b0 + (i * step0))) in
+        for j = 1 to nr - 1 do
+          s :=
+            !s
+            +. Array.unsafe_get (Array.unsafe_get arrs j)
+                 (Array.unsafe_get fr (bases + j) + (i * Array.unsafe_get steps j))
+        done;
+        Array.unsafe_set dst (db + (i * dstep)) (scaled scale !s)
+      done
+
+(* A guard test whose sides move with the row variable: with [rt_d] the
+   difference of their coefficients of the row slot and [c] that of
+   their values at [v = 0], it compares [rt_d * v + c] with 0. *)
+type rtest = { rt_test : test; rt_d : int }
+
+(* [floor (n / d)] for [d > 0]. *)
+let fdiv n d = if n >= 0 then n / d else -((d - 1 - n) / d)
+
+(* [rw_run fr lo hi] for a decision tree over the tests that move along
+   the row.  Each test stores two cut points in the frame from slot
+   [cuts] on: [d * v + c] keeps its sign below [ceil (-c / d)], between
+   it and [floor (-c / d) + 1], and from there on, so every test keeps
+   its value between consecutive cuts. *)
+let row_fn ~slot ~cuts ~point tree (tests : rtest array) =
+  let nt = Array.length tests in
+  fun fr lo hi ->
+    if lo > hi then ()
+    else if not (within row_index_max lo && within row_index_max hi) then
+      points ~slot point fr lo hi
+    else begin
+      fr.(slot) <- 0;
+      let safe = ref true in
+      for i = 0 to nt - 1 do
+        let rt = Array.unsafe_get tests i in
+        let c0 = cuts + (2 * i) in
+        let l0 = affine_value rt.rt_test.t_l fr in
+        let r0 = affine_value rt.rt_test.t_r fr in
+        if not (within row_const_max l0 && within row_const_max r0) then safe := false
+        else if rt.rt_d = 0 then begin
+          fr.(c0) <- lo;
+          fr.(c0 + 1) <- lo
+        end
+        else begin
+          let c = l0 - r0 and d = abs rt.rt_d in
+          let q = if rt.rt_d > 0 then -c else c in
+          fr.(c0) <- -fdiv (-q) d;
+          fr.(c0 + 1) <- fdiv q d + 1
+        end
+      done;
+      if not !safe then points ~slot point fr lo hi
+      else begin
+        let a = ref lo in
+        while !a <= hi do
+          let next = ref (hi + 1) in
+          for j = cuts to cuts + (2 * nt) - 1 do
+            let c = Array.unsafe_get fr j in
+            if c > !a && c < !next then next := c
+          done;
+          fr.(slot) <- !a;
+          run_node tree fr !a (!next - 1);
+          a := !next
+        done
+      end
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Expressions *)
@@ -463,6 +678,32 @@ let data_ref ctx (e : Ast.expr) =
   | Ast.Index ({ Ast.e = Ast.Var x; _ }, subs) when Elab.find_data ctx.k_em x <> None ->
     Some (ctx.k_slab x, subs)
   | _ -> None
+
+(* The reads of a left-deep [+] chain of at least [min] full real reads,
+   and the constant it is then divided or multiplied by. *)
+let chain_reads ctx ~min (e : Ast.expr) =
+  let float_read (e : Ast.expr) =
+    match data_ref ctx e with
+    | Some (({ s_data = PFloat a; _ } as s), subs) when List.length subs = ndims s ->
+      Some (a, s, subs)
+    | _ -> None
+  in
+  let rec spine (e : Ast.expr) acc =
+    match e.Ast.e with
+    | Ast.Binop (Ast.Add, l, r) -> spine l (r :: acc)
+    | _ -> e :: acc
+  in
+  let body, scale =
+    match e.Ast.e with
+    | Ast.Binop (((Ast.Div | Ast.Mul) as op), l, k) -> (
+      match real_const ctx k with Some f -> (l, Some (op, f)) | None -> (e, None))
+    | _ -> (e, None)
+  in
+  let leaves = spine body [] in
+  if List.length leaves < min then None
+  else
+    let rs = List.map float_read leaves in
+    if List.for_all Option.is_some rs then Some (List.map Option.get rs, scale) else None
 
 let rec compile (ctx : cctx) (e : Ast.expr) : comp =
   match affine_of ctx e with
@@ -539,43 +780,22 @@ and compile_read ctx (s : slab) subs : comp =
         | Bnone -> Sc_record [])
 
 and compile_offset ctx (s : slab) (subs : Ast.expr list) : frame -> int =
+  offset_fn s (dims_of s) (subs_of ctx subs)
+
+and subs_of ctx (subs : Ast.expr list) : sub array =
   let sub e =
     match affine_of ctx e with
     | Some a -> Aff a
     | None -> Dyn (as_int_c (compile ctx e))
   in
-  offset_fn s (Array.of_list (List.map sub subs))
+  Array.of_list (List.map sub subs)
 
 (* A left-deep [+] chain of at least two real reads, optionally divided
    or multiplied by a constant. *)
 and sum_chain ctx (e : Ast.expr) : chain option =
-  let float_read (e : Ast.expr) =
-    match data_ref ctx e with
-    | Some (({ s_data = PFloat a; _ } as s), subs) when List.length subs = ndims s ->
-      Some (a, s, subs)
-    | _ -> None
-  in
-  let rec spine (e : Ast.expr) acc =
-    match e.Ast.e with
-    | Ast.Binop (Ast.Add, l, r) -> spine l (r :: acc)
-    | _ -> e :: acc
-  in
-  let reads e =
-    match spine e [] with
-    | _ :: _ :: _ as leaves ->
-      let rs = List.map float_read leaves in
-      if List.for_all Option.is_some rs then Some (List.map Option.get rs) else None
-    | _ -> None
-  in
-  let body, scale =
-    match e.Ast.e with
-    | Ast.Binop (((Ast.Div | Ast.Mul) as op), l, k) -> (
-      match real_const ctx k with Some f -> (l, Some (op, f)) | None -> (e, None))
-    | _ -> (e, None)
-  in
-  match reads body with
+  match chain_reads ctx ~min:2 e with
   | None -> None
-  | Some rs ->
+  | Some (rs, scale) ->
     let offs = List.map (fun (_, s, subs) -> compile_offset ctx s subs) rs in
     Some
       { ch_arrs = Array.of_list (List.map (fun (a, _, _) -> a) rs);
@@ -718,37 +938,144 @@ let compile_bool ctx e = as_bool_c (compile ctx e)
 
 let compile_scalar ctx e = as_scalar_c (compile ctx e)
 
+(* One reference compiled once: the offset closure every point calls
+   and, for a row over [slot], the row form built from the same
+   subscript forms. *)
+let reference ?row ctx (s : slab) subs =
+  let ds = dims_of s and forms = subs_of ctx subs in
+  ( offset_fn s ds forms,
+    match row with Some slot -> row_ref ~slot ds forms | None -> None )
+
+(* [c] as a guard closure, the one [compile] makes, with its tests when
+   it is an affine test or an [and]/[or] chain of them. *)
+let guard ctx (c : Ast.expr) =
+  match c.Ast.e with
+  | Ast.Binop (((Ast.And | Ast.Or) as op), _, _) -> (
+    match guard_tests ctx op c with
+    | Some ts -> (guard_fn ~is_or:(op = Ast.Or) ts, Some ts)
+    | None -> (compile_bool ctx c, None))
+  | _ -> (
+    match affine_test ctx c with
+    | Some t -> ((fun fr -> run_test t fr), Some [| t |])
+    | None -> (compile_bool ctx c, None))
+
+type row = { rw_run : frame -> int -> int -> unit; rw_scratch : int }
+
 (* The store of a real equation, fused with its [if] and chain nodes:
    the value is computed and stored inside one closure, never boxed, and
-   before the destination offset, as every equation writer does. *)
-let rec compile_store_real ctx (e : Ast.expr) (dst : float array)
-    (off : frame -> int) : frame -> unit =
-  match e.Ast.e with
-  | Ast.If (c, t, f) ->
-    let g = compile_bool ctx c in
-    let st = compile_store_real ctx t dst off in
-    let sf = compile_store_real ctx f dst off in
-    fun fr -> if g fr then st fr else sf fr
-  | Ast.Real x -> fun fr -> Array.unsafe_set dst (off fr) x
-  | _ -> (
-    match sum_chain ctx e with
-    | Some ch ->
-      fun fr ->
-        let v = chain_value ch fr in
-        Array.unsafe_set dst (off fr) v
-    | None -> (
-      match compile ctx e with
-      | CFRead (a, o) ->
-        fun fr ->
-          let v = Array.unsafe_get a (o fr) in
-          Array.unsafe_set dst (off fr) v
-      | (CInt _ | CIRead _) as c ->
-        let f = as_int_c c in
-        fun fr ->
-          let v = float_of_int (f fr) in
-          Array.unsafe_set dst (off fr) v
-      | c ->
-        let f = as_real c in
-        fun fr ->
-          let v = f fr in
-          Array.unsafe_set dst (off fr) v))
+   before the destination offset, as every equation writer does.  With
+   [~row:slot], the same walk builds the equation's row over that slot
+   (see "Rows"): an [if] whose guard is affine tests that move along the
+   row by bounded steps becomes a decision node, and a real constant or a
+   chain of reads whose references all have row forms becomes a strided
+   leaf; any other subtree runs point by point.  There is no row when
+   the destination has no row form or no leaf is strided. *)
+let compile_store_real ?row ctx (s : slab) (subs : Ast.expr list) (e : Ast.expr) :
+    (frame -> unit) * row option =
+  let dst = match s.s_data with PFloat a -> a | _ -> fail "real store into %s" s.s_name in
+  let off, rd = reference ?row ctx s subs in
+  let tests = ref [] and reads = ref 0 and strided = ref false in
+  (* Whether a guard's tests can be decided once per segment; if so,
+     those that move along the row join the cut tests. *)
+  let decide slot ts =
+    let moving =
+      List.filter_map
+        (fun t ->
+          let lk = coeff_of slot t.t_l and rk = coeff_of slot t.t_r in
+          if lk = 0 && rk = 0 then None else Some (t, lk, rk))
+        (Array.to_list ts)
+    in
+    let ok =
+      List.for_all (fun (_, lk, rk) -> within row_index_max lk && within row_index_max rk) moving
+    in
+    if ok then
+      List.iter
+        (fun (t, lk, rk) ->
+          (* Tests that differ only in their comparison share their cuts. *)
+          let same rt = rt.rt_test.t_l = t.t_l && rt.rt_test.t_r = t.t_r in
+          if not (List.exists same !tests) then
+            tests := { rt_test = t; rt_d = lk - rk } :: !tests)
+        moving;
+    ok
+  in
+  let node slot point = function Some n -> n | None -> RLeaf (points ~slot point) in
+  let rec go rw (e : Ast.expr) : (frame -> unit) * rnode option =
+    match e.Ast.e with
+    | Ast.If (c, t, f) ->
+      let g, ts = guard ctx c in
+      let rw =
+        match rw, ts with Some (slot, _), Some ts when decide slot ts -> rw | _ -> None
+      in
+      let st, rt = go rw t in
+      let sf, rf = go rw f in
+      let point fr = if g fr then st fr else sf fr in
+      ( point,
+        Option.map (fun (slot, _) -> RIf (g, node slot st rt, node slot sf rf)) rw )
+    | Ast.Real x ->
+      let point fr = Array.unsafe_set dst (off fr) x in
+      ( point,
+        Option.map
+          (fun (slot, rd) ->
+            strided := true;
+            RLeaf (const_leaf ~slot ~point dst rd x))
+          rw )
+    | _ -> (
+      match chain_reads ctx ~min:1 e with
+      | Some (rs, scale) ->
+        let row = Option.map fst rw in
+        let refs = List.map (fun (a, s, subs) -> (a, reference ?row ctx s subs)) rs in
+        let arrs = Array.of_list (List.map fst refs) in
+        let offs = Array.of_list (List.map (fun (_, (o, _)) -> o) refs) in
+        let point =
+          match arrs, offs, scale with
+          | [| a |], [| o |], None ->
+            fun fr ->
+              let v = Array.unsafe_get a (o fr) in
+              Array.unsafe_set dst (off fr) v
+          | _ ->
+            let ch = { ch_arrs = arrs; ch_offs = offs; ch_scale = scale } in
+            fun fr ->
+              let v = chain_value ch fr in
+              Array.unsafe_set dst (off fr) v
+        in
+        let rrefs = List.filter_map (fun (_, (_, r)) -> r) refs in
+        ( point,
+          match rw with
+          | Some (slot, rd) when List.length rrefs = Array.length arrs ->
+            strided := true;
+            reads := max !reads (Array.length arrs);
+            Some
+              (RLeaf
+                 (chain_leaf ~slot ~bases:(slot + 1) ~point dst rd arrs
+                    (Array.of_list rrefs) scale))
+          | _ -> None )
+      | None ->
+        let point =
+          match compile ctx e with
+          | CFRead (a, o) ->
+            fun fr ->
+              let v = Array.unsafe_get a (o fr) in
+              Array.unsafe_set dst (off fr) v
+          | (CInt _ | CIRead _) as c ->
+            let f = as_int_c c in
+            fun fr ->
+              let v = float_of_int (f fr) in
+              Array.unsafe_set dst (off fr) v
+          | c ->
+            let f = as_real c in
+            fun fr ->
+              let v = f fr in
+              Array.unsafe_set dst (off fr) v
+        in
+        (point, None))
+  in
+  let rw = match row, rd with Some slot, Some rd -> Some (slot, rd) | _ -> None in
+  let point, tree = go rw e in
+  match rw, tree with
+  | Some (slot, _), Some tree when !strided ->
+    let tests = Array.of_list !tests in
+    ( point,
+      Some
+        { rw_run = row_fn ~slot ~cuts:(slot + 1 + !reads) ~point tree tests;
+          rw_scratch = !reads + (2 * Array.length tests) } )
+  | _ -> (point, None)

@@ -5,9 +5,10 @@
     long — with the scalar type resolved at compile time.  Affine
     subscripts compile to one offset closure per array reference, reads
     are typed nodes their parents read inline, and sum chains, guard
-    chains and real stores fuse into single closures.  Run sequentially
-    at the benchmark's sizes, fig6, h3 and lcs allocate 0.03, 0.05 and
-    0.02 minor words per evaluation, set-up included (test_exec's
+    chains and real stores fuse into single closures; a real store in an
+    innermost loop also gets a row form ({!row}).  Run sequentially at
+    the benchmark's sizes, fig6, h3 and lcs allocate 0.05, 0.07 and 0.02
+    minor words per evaluation, set-up included (test_exec's
     "allocation" cases pin bounds of 1, 0.25 and 0.1).
     Anything exotic (records, module calls, slices) falls back to the
     tree-walk evaluator; the test suite checks agreement with {!Eval} on
@@ -51,9 +52,28 @@ val compile_offset : cctx -> Value.slab -> Ps_lang.Ast.expr list -> frame -> int
     checks and window mapping of a read; shared with
     the equation writers in {!Exec}. *)
 
+type row = {
+  rw_run : frame -> int -> int -> unit;
+      (** [rw_run fr lo hi] evaluates the equation at row slot = [lo],
+          ..., [hi], in that order, with the checks, traps and bits of
+          one evaluation per point *)
+  rw_scratch : int;
+      (** frame slots above the row slot that [rw_run] writes *)
+}
+
 val compile_store_real :
-  cctx -> Ps_lang.Ast.expr -> float array -> (frame -> int) -> frame -> unit
-(** [compile_store_real ctx rhs dst off] evaluates [rhs] and stores it
-    at [dst.(off fr)], fused with [rhs]'s [if] and sum-chain nodes so
-    the value is never boxed.  The value is computed before the
-    offset. *)
+  ?row:int ->
+  cctx ->
+  Value.slab ->
+  Ps_lang.Ast.expr list ->
+  Ps_lang.Ast.expr ->
+  (frame -> unit) * row option
+(** [compile_store_real ctx dst subs rhs] evaluates [rhs] and stores it
+    at [dst[subs]], a real slab, fused with [rhs]'s [if] and sum-chain
+    nodes so the value is never boxed.  The value is computed before the
+    offset.  With [~row:slot], the same walk also builds the equation's
+    row over the loop variable in frame slot [slot], when it has one:
+    the row cuts [lo .. hi] where a guard may change value, decides the
+    guards once per segment, checks each reference at the segment's two
+    ends and runs the rest unchecked.  A segment that fails its check
+    runs point by point, so it traps where a point would. *)

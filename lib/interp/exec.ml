@@ -8,7 +8,10 @@
    decision flattens, the whole perfect DOALL band ([Collapse.band])
    becomes one combined iteration space first (see
    [compile_parallel_band]), otherwise inner DOALLs run sequentially
-   inside each worker.
+   inside each worker.  Wherever a loop's points run in index order —
+   a loop on the calling domain, a forked chunk, a row piece of a
+   flattened chunk — an innermost body of one real equation runs a row
+   at a time ([compile_span], [Compile.compile_store_real]).
 
    Compilation of each top-level component is deferred until the moment
    it executes, so arrays whose bounds depend on computed scalar locals
@@ -287,27 +290,7 @@ and compile_desc st benv ~max_slot (d : Ps_sched.Flowchart.descriptor) :
     (* Ensure allocation at the scheduled point. *)
     fun _ -> ignore (slab_of st name)
   | Ps_sched.Flowchart.D_eq { er_id; er_aliases } ->
-    let w = compile_equation st benv ~aliases:er_aliases er_id in
-    let w =
-      (* Profiler sites are created at compile time (once per node) so
-         the execution wrapper is just clock-read + two atomic adds; a
-         disabled profiler leaves the closure untouched. *)
-      if Prof.enabled () then begin
-        let q = Elab.eq_exn st.st_em er_id in
-        let site = Prof.register ~kind:"eq" ~loc:q.Elab.q_loc q.Elab.q_name in
-        fun fr ->
-          let t0 = Ps_obs.Metrics.now_ns () in
-          w fr;
-          Prof.hit site ~ns:(Ps_obs.Metrics.now_ns () - t0)
-      end
-      else w
-    in
-    if st.st_opts.collect_stats then (
-      let c = st.st_evals in
-      fun fr ->
-        Atomic.incr c;
-        w fr)
-    else w
+    count_point st er_id (fst (compile_equation st benv ~aliases:er_aliases er_id))
   | Ps_sched.Flowchart.D_solve s ->
     (* A solved subscript: compute the index value from the enclosing
        loop variables; run the body only when it lands in range. *)
@@ -335,13 +318,10 @@ and compile_desc st benv ~max_slot (d : Ps_sched.Flowchart.descriptor) :
     (* Index order on the calling domain: a DO loop, or a parallel loop
        that does not fork. *)
     let in_order () =
-      let body = compile_descs st benv' ~max_slot l.Ps_sched.Flowchart.lp_body in
+      let span = compile_span st benv' ~max_slot ~slot l.Ps_sched.Flowchart.lp_body in
       fun fr ->
         let lo = lo_f fr and hi = hi_f fr in
-        for v = lo to hi do
-          fr.(slot) <- v;
-          body fr
-        done
+        span fr lo hi
     in
     let fk = fork st l in
     let f =
@@ -368,6 +348,77 @@ and compile_desc st benv ~max_slot (d : Ps_sched.Flowchart.descriptor) :
             d)
     in
     profile_loop st l f
+
+(* The profiler site of an equation, when profiling.  Sites are created
+   at compile time (once per node) so the execution wrapper is just
+   clock-read + two atomic adds; a disabled profiler leaves the closure
+   untouched. *)
+and eq_site st er_id =
+  if Prof.enabled () then begin
+    let q = Elab.eq_exn st.st_em er_id in
+    Some (Prof.register ~kind:"eq" ~loc:q.Elab.q_loc q.Elab.q_name)
+  end
+  else None
+
+(* One evaluation of an equation, counted and profiled. *)
+and count_point st er_id w =
+  let w =
+    match eq_site st er_id with
+    | Some site ->
+      fun fr ->
+        let t0 = Ps_obs.Metrics.now_ns () in
+        w fr;
+        Prof.hit site ~count:1 ~ns:(Ps_obs.Metrics.now_ns () - t0)
+    | None -> w
+  in
+  if st.st_opts.collect_stats then (
+    let c = st.st_evals in
+    fun fr ->
+      Atomic.incr c;
+      w fr)
+  else w
+
+(* A row of evaluations, counted and profiled once with its point
+   count. *)
+and count_row st er_id run =
+  let run =
+    match eq_site st er_id with
+    | Some site ->
+      fun fr lo hi ->
+        let t0 = Ps_obs.Metrics.now_ns () in
+        run fr lo hi;
+        if hi >= lo then
+          Prof.hit site ~count:(hi - lo + 1) ~ns:(Ps_obs.Metrics.now_ns () - t0)
+    | None -> run
+  in
+  if st.st_opts.collect_stats then (
+    let c = st.st_evals in
+    fun fr lo hi ->
+      if hi >= lo then ignore (Atomic.fetch_and_add c (hi - lo + 1));
+      run fr lo hi)
+  else run
+
+(* A loop body over its loop variable's slot: [span fr lo hi] runs it at
+   slot = [lo], ..., [hi] in index order.  A body that is one real
+   equation with a row form runs a row at a time ([Compile.row]); it
+   counts its evaluations, and records its profiler time, once per row
+   with the row's point count. *)
+and compile_span st benv' ~max_slot ~slot (body : Ps_sched.Flowchart.t) :
+    Compile.frame -> int -> int -> unit =
+  let per_point w fr lo hi =
+    for v = lo to hi do
+      fr.(slot) <- v;
+      w fr
+    done
+  in
+  match body with
+  | [ Ps_sched.Flowchart.D_eq { er_id; er_aliases } ] -> (
+    match compile_equation st benv' ~row:slot ~aliases:er_aliases er_id with
+    | _, Some { Compile.rw_run; rw_scratch } ->
+      if slot + 1 + rw_scratch > !max_slot then max_slot := slot + 1 + rw_scratch;
+      count_row st er_id rw_run
+    | w, None -> per_point (count_point st er_id w))
+  | _ -> per_point (compile_descs st benv' ~max_slot body)
 
 (* Group-partitioned execution: the residue classes mod [g] (a static
    modulus for DOGROUP, the inspected runtime distance for DOINSPECT)
@@ -430,7 +481,7 @@ and profile_loop st (l : Ps_sched.Flowchart.loop) (f : Compile.frame -> unit) :
     fun fr ->
       let t0 = Ps_obs.Metrics.now_ns () in
       f fr;
-      Prof.hit site ~ns:(Ps_obs.Metrics.now_ns () - t0)
+      Prof.hit site ~count:1 ~ns:(Ps_obs.Metrics.now_ns () - t0)
   end
 
 (* Parallel execution of a DOALL, possibly as the head of a collapsed
@@ -447,8 +498,9 @@ and profile_loop st (l : Ps_sched.Flowchart.loop) (f : Compile.frame -> unit) :
 
    Either way the decode cost is per *chunk*, not per point; inside a
    chunk the band variables advance incrementally exactly as the nested
-   loops would.  Whatever is not flattened (deeper chain members, the
-   real body) compiles sequentially inside.
+   loops would, the innermost one a row piece at a time.  Whatever is
+   not flattened (deeper chain members, the real body) compiles
+   sequentially inside.
 
    The fork heuristic compares [min_par] against the *total* point count
    of the band: exact for a flattened band, and estimated (inner extents
@@ -508,7 +560,7 @@ and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop)
     let lo_f = Compile.compile_int cctx l.lp_range.Stypes.sr_lo in
     let hi_f = Compile.compile_int cctx l.lp_range.Stypes.sr_hi in
     let benv' = (l.lp_var, slot) :: benv in
-    let body = compile_descs st benv' ~max_slot l.lp_body in
+    let span = compile_span st benv' ~max_slot ~slot l.lp_body in
     (* Estimated band total for the fork decision: product of the
        structural nest's extents, inner bounds sampled at the first row
        (the band slots are scratch until the loop runs, so writing the
@@ -528,25 +580,18 @@ and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop)
     fun fr ->
       let total = est_total fr in
       let lo = lo_f fr and hi = hi_f fr in
-      if total < min_par then
-        for v = lo to hi do
-          fr.(slot) <- v;
-          body fr
-        done
+      if total < min_par then span fr lo hi
       else
         pfor pool ~lo ~hi (fun clo chi ->
             let fr' = Array.copy fr in
-            for v = clo to chi do
-              fr'.(slot) <- v;
-              body fr'
-            done)
+            span fr' clo chi)
   | `Rect flat ->
     let bounds, benv_band = compile_bounds benv flat in
     let last = List.nth flat (List.length flat - 1) in
-    let body = compile_descs st benv_band ~max_slot last.lp_body in
     let bounds = Array.of_list bounds in
     let k = Array.length bounds in
     let slots = Array.map (fun (s, _, _) -> s) bounds in
+    let span = compile_span st benv_band ~max_slot ~slot:slots.(k - 1) last.lp_body in
     fun fr ->
       let los = Array.make k 0 and his = Array.make k 0 in
       let total = ref 1 in
@@ -560,7 +605,8 @@ and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop)
       let total = !total in
       if total > 0 then begin
         (* Run flattened points [g_lo..g_hi]: div/mod decode of the
-           first point, then an odometer walk. *)
+           first point, then an odometer walk a row of the innermost
+           variable at a time. *)
         let run fr g_lo g_hi =
           let g = ref g_lo in
           for i = k - 1 downto 0 do
@@ -568,9 +614,15 @@ and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop)
             fr.(slots.(i)) <- los.(i) + (!g mod e);
             g := !g / e
           done;
-          for _ = g_lo to g_hi do
-            body fr;
-            let i = ref (k - 1) in
+          let inner = slots.(k - 1) in
+          let left = ref (g_hi - g_lo + 1) in
+          while !left > 0 do
+            let v = fr.(inner) in
+            let last = min his.(k - 1) (v + !left - 1) in
+            span fr v last;
+            left := !left - (last - v + 1);
+            fr.(inner) <- los.(k - 1);
+            let i = ref (k - 2) in
             let carrying = ref true in
             while !carrying && !i >= 0 do
               let s = slots.(!i) in
@@ -594,9 +646,9 @@ and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop)
       end
   | `Tri (l0, l1) ->
     let bounds, benv_band = compile_bounds benv [ l0; l1 ] in
-    let body = compile_descs st benv_band ~max_slot l1.lp_body in
     let slot0, lo0_f, hi0_f = List.nth bounds 0 in
     let slot1, lo1_f, hi1_f = List.nth bounds 1 in
+    let span = compile_span st benv_band ~max_slot ~slot:slot1 l1.lp_body in
     fun fr ->
       let lo0 = lo0_f fr and hi0 = hi0_f fr in
       let n = hi0 - lo0 + 1 in
@@ -624,19 +676,18 @@ and compile_parallel_band st benv ~max_slot pool (l : Ps_sched.Flowchart.loop)
             done;
             let r = ref !a in
             let v1 = ref (row_lo.(!r) + (g_lo - psum.(!r))) in
-            let remaining = ref (g_hi - g_lo + 1) in
-            while !remaining > 0 do
+            let left = ref (g_hi - g_lo + 1) in
+            while !left > 0 do
+              (* The rest of row r, or of the chunk. *)
+              let last = min row_hi.(!r) (!v1 + !left - 1) in
               fr.(slot0) <- lo0 + !r;
-              fr.(slot1) <- !v1;
-              body fr;
-              decr remaining;
-              if !remaining > 0 then begin
-                incr v1;
-                while !v1 > row_hi.(!r) do
-                  (* remaining > 0 guarantees a later non-empty row. *)
-                  incr r;
-                  v1 := row_lo.(!r)
-                done
+              span fr !v1 last;
+              left := !left - (last - !v1 + 1);
+              if !left > 0 then begin
+                (* left > 0 guarantees a later non-empty row. *)
+                incr r;
+                while row_lo.(!r) > row_hi.(!r) do incr r done;
+                v1 := row_lo.(!r)
               end
             done
           in
@@ -654,7 +705,8 @@ and compile_ctx st (benv : (string * int) list) : Compile.cctx =
     k_slot = (fun v -> List.assoc_opt v benv);
     k_call = call st }
 
-and compile_equation st benv ~aliases er_id : Compile.frame -> unit =
+and compile_equation ?row st benv ~aliases er_id :
+    (Compile.frame -> unit) * Compile.row option =
   let q = Elab.eq_exn st.st_em er_id in
   (* Resolve the frame slot of an equation index variable, following the
      scheduler's renamings. *)
@@ -671,14 +723,15 @@ and compile_equation st benv ~aliases er_id : Compile.frame -> unit =
           ix.Elab.ix_var)
     q.Elab.q_indices;
   let cctx = { (compile_ctx st benv) with Compile.k_slot = slot_of } in
-  let compile_subs (df : Elab.def) (s : slab) =
-    Compile.compile_offset cctx s
-      (List.map
-         (function
-           | Elab.Sub_index ix -> Ps_lang.Ast.var_e ix.Elab.ix_var
-           | Elab.Sub_fixed e -> e)
-         df.Elab.df_subs)
+  let sub_exprs (df : Elab.def) =
+    List.map
+      (function
+        | Elab.Sub_index ix -> Ps_lang.Ast.var_e ix.Elab.ix_var
+        | Elab.Sub_fixed e -> e)
+      df.Elab.df_subs
   in
+  let compile_subs df (s : slab) = Compile.compile_offset cctx s (sub_exprs df) in
+  let point w = (w, None) in
   match q.Elab.q_defs, q.Elab.q_rhs.Ps_lang.Ast.e with
   | [ df ], _
     when df.Elab.df_path <> []
@@ -705,41 +758,43 @@ and compile_equation st benv ~aliases er_id : Compile.frame -> unit =
     in
     (match s.s_data with
      | PBox arr ->
-       fun fr ->
-         let off = off_f fr in
-         let current =
-           match Array.unsafe_get arr off with
-           | Brecord fields -> fields
-           | Bnone -> []
-         in
-         Array.unsafe_set arr off
-           (Brecord (update current df.Elab.df_path (rhs fr)))
+       point (fun fr ->
+           let off = off_f fr in
+           let current =
+             match Array.unsafe_get arr off with
+             | Brecord fields -> fields
+             | Bnone -> []
+           in
+           Array.unsafe_set arr off
+             (Brecord (update current df.Elab.df_path (rhs fr))))
      | _ -> fail "field definition on a non-record %s" df.Elab.df_data)
   | [ df ], _
     when List.length df.Elab.df_subs
          = List.length (Stypes.dims (Elab.data_exn st.st_em df.Elab.df_data).Elab.d_ty)
     -> (
     let s = slab_of st df.Elab.df_data in
-    let off_f = compile_subs df s in
     (* Each writer computes the value before the destination offset. *)
     match s.s_data with
-    | PFloat a -> Compile.compile_store_real cctx q.Elab.q_rhs a off_f
+    | PFloat _ -> Compile.compile_store_real ?row cctx s (sub_exprs df) q.Elab.q_rhs
     | PInt arr ->
+      let off_f = compile_subs df s in
       let rhs = Compile.compile_int cctx q.Elab.q_rhs in
-      fun fr ->
-        let v = rhs fr in
-        Array.unsafe_set arr (off_f fr) v
+      point (fun fr ->
+          let v = rhs fr in
+          Array.unsafe_set arr (off_f fr) v)
     | PBool b ->
+      let off_f = compile_subs df s in
       let rhs = Compile.compile_bool cctx q.Elab.q_rhs in
-      fun fr ->
-        let v = rhs fr in
-        Bytes.unsafe_set b (off_f fr) (if v then '\001' else '\000')
+      point (fun fr ->
+          let v = rhs fr in
+          Bytes.unsafe_set b (off_f fr) (if v then '\001' else '\000'))
     | PBox arr ->
+      let off_f = compile_subs df s in
       let rhs = Compile.compile_scalar cctx q.Elab.q_rhs in
-      fun fr ->
-        (match rhs fr with
-         | Sc_record fields -> Array.unsafe_set arr (off_f fr) (Brecord fields)
-         | _ -> fail "record equation produced a non-record"))
+      point (fun fr ->
+          match rhs fr with
+          | Sc_record fields -> Array.unsafe_set arr (off_f fr) (Brecord fields)
+          | _ -> fail "record equation produced a non-record"))
   | defs, Ps_lang.Ast.Call (fname, args) ->
     (* Module call: multi-result, or whole-array assignment. *)
     let writers =
@@ -753,7 +808,7 @@ and compile_equation st benv ~aliases er_id : Compile.frame -> unit =
           (s, off_f))
         defs
     in
-    fun fr ->
+    point @@ fun fr ->
       let ectx =
         eval_ctx st (fun v ->
             match slot_of v with Some s -> Some fr.(s) | None -> None)

@@ -46,8 +46,8 @@ let register ?loc ~kind name =
   Mutex.unlock mutex;
   s
 
-let hit s ~ns =
-  ignore (Atomic.fetch_and_add s.s_count 1);
+let hit s ~count ~ns =
+  ignore (Atomic.fetch_and_add s.s_count count);
   ignore (Atomic.fetch_and_add s.s_ns ns)
 
 type row = {

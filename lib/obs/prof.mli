@@ -16,8 +16,10 @@ type site
 val register : ?loc:Ps_lang.Loc.span -> kind:string -> string -> site
 (** One site per flowchart node; call once at compile time. *)
 
-val hit : site -> ns:int -> unit
-(** Record one execution taking [ns] nanoseconds (lock-free). *)
+val hit : site -> count:int -> ns:int -> unit
+(** Record [count] executions taking [ns] nanoseconds in all
+    (lock-free): a loop hits its site once per run, an equation once
+    per evaluation or once per row with the row's point count. *)
 
 type row = {
   r_kind : string;

@@ -316,6 +316,15 @@ end S;
                     {|"outputs":[{"name":"s","kind":"scalar","elem":"int","value":"3"}]|} ]);
             if Lazy.force Ps_fuzz.Diff.have_cc then
               Alcotest.(check string) "C harness" "s 3\n"
-                (c_harness "-i N=3 -i b=1" f))) ]
+                (c_harness "-i N=3 -i b=1" f)));
+    t "fuzz --replay of a missing directory reports it as run does" (fun () ->
+        (* Regression: an uncaught Sys_error from the directory test,
+           exit 125. *)
+        let dir = Filename.concat (Filename.get_temp_dir_name ()) "psc_no_such_corpus" in
+        expect_exit 1 ("fuzz --replay " ^ dir) ("psc: " ^ dir ^ ": No such file or directory"));
+    t "fuzz --replay of a missing file reports it as run does" (fun () ->
+        let f = Filename.concat (Filename.get_temp_dir_name ()) "psc_no_such_entry.ps" in
+        expect_exit 1 ("fuzz --replay " ^ f) ("psc: " ^ f ^ ": No such file or directory");
+        expect_exit 1 ("run " ^ f) ("psc: " ^ f ^ ": No such file or directory")) ]
 
 let () = Alcotest.run "cli" [ ("cli", cli_tests) ]

@@ -131,6 +131,26 @@ let exec_tests =
             let r = run ~pool ~collapse:true () in
             Util.check_bool "collapsed wavefront = seq" true
               (bit_equal "newA" (rel_box m) r_seq r)));
+    t "a collapsed chunk evaluates each point of its rows once" (fun () ->
+        (* Chunks walk the flattened band a row of the innermost
+           variable at a time; a piece that ran past its chunk would
+           recompute the same values, so only the count shows it. *)
+        let m = 12 and maxk = 7 in
+        let inputs = Models.relaxation_inputs ~m ~maxk in
+        let tp6 = Util.load Models.jacobi and tp3, name = h3 () in
+        let evals r = Option.get r.Psc.Exec.evaluations in
+        let r6 = Psc.run ~stats:true tp6 ~inputs in
+        let r3 = Psc.run ~stats:true ~name ~sink:true ~trim:true tp3 ~inputs in
+        Psc.Pool.with_pool 3 (fun pool ->
+            List.iter
+              (fun policy ->
+                Alcotest.(check int) "fig6 rect band" (evals r6)
+                  (evals (Psc.run ~pool ~stats:true ~collapse:true ?policy tp6 ~inputs)))
+              [ None; Some (fixed_collapsed tp6) ];
+            Alcotest.(check int) "h3 triangular band" (evals r3)
+              (evals
+                 (Psc.run ~pool ~stats:true ~collapse:true ~name ~sink:true ~trim:true tp3
+                    ~inputs))));
     t "lcs: the pool protocol preserves the wavefront result" (fun () ->
         let n = 40 in
         let inputs =

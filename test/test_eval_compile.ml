@@ -443,12 +443,15 @@ let shape_print (e, fr) =
   Printf.sprintf "%s at I,J,K = %d,%d,%d" (Ps_lang.Pretty.expr_to_string e) fr.(0)
     fr.(1) fr.(2)
 
+let real_slab name dims =
+  Value.make_slab ~name ~elem:(Stypes.Scalar Stypes.Sreal) ~dims
+
 (* The fused real store against [Eval]'s value: a real equation's
    writer. *)
 let stored e fr =
-  let dst = [| nan |] in
-  Compile.compile_store_real shape_cctx e dst (fun _ -> 0) fr;
-  Value.Sc_real dst.(0)
+  let d = real_slab "D" [] in
+  fst (Compile.compile_store_real shape_cctx d [] e) fr;
+  Value.get_scalar d [||]
 
 let is_bool e =
   match Compile.compile shape_cctx e with Compile.CBool _ -> true | _ -> false
@@ -466,6 +469,121 @@ let shape_prop =
       let store = if is_bool e then [] else [ outcome (fun () -> stored e fr) ] in
       List.for_all agrees (compiled :: store))
 
+(* [D[K] = e] over a row K = lo .. hi at the frame's I and J, against
+   [Eval] point by point: the same bits at every point before the first
+   trap, and the same trap.  Row ends past D's range 0..4 make the
+   destination check fail too; R's first dimension is windowed, so a
+   read that K indexes there has no row form.  K has the last slot, so
+   the row's scratch slots follow it. *)
+let row_print (e, fr, (lo, hi)) = Printf.sprintf "%s, K = %d .. %d" (shape_print (e, fr)) lo hi
+
+(* Row-shaped right-hand sides: [if] trees over tests of [k * K + I]
+   against a constant (a few near [max_int], whose sides wrap), and
+   leaves that are constants, int reads, or chains of real reads that K
+   walks forwards, backwards, or along R's windowed first dimension. *)
+let gen_row_rhs : Ps_lang.Ast.expr QCheck.Gen.t =
+  let open QCheck.Gen in
+  let open Ps_lang.Ast in
+  let bin op x y = mk (Binop (op, x, y)) in
+  let v x c = add_offset (var_e x) c in
+  let r subs = mk (Index (var_e "R", subs)) in
+  let read =
+    frequency
+      [ (3, map2 (fun c d -> r [ v "I" 0; v "K" c; v "J" d ]) (int_range 0 2) (int_range (-1) 1));
+        (2, map2 (fun c d -> r [ v "J" 0; bin Sub (int_e c) (var_e "K"); v "I" d ])
+             (int_range 3 6) (int_range (-1) 1));
+        (2, map (fun c -> r [ v "I" 0; v "J" 1; v "K" c ]) (int_range (-1) 1));
+        (1, map (fun c -> r [ v "K" c; v "I" 1; v "J" 0 ]) (int_range (-1) 1)) ]
+  in
+  let chain =
+    map2
+      (fun reads scale ->
+        let sum = List.fold_left (bin Add) (List.hd reads) (List.tl reads) in
+        match scale with 0 -> sum | 1 -> bin Div sum (int_e 4) | _ -> bin Mul sum (mk (Real 0.5)))
+      (list_size (int_range 1 4) read)
+      (int_range 0 2)
+  in
+  let leaf =
+    frequency
+      [ (4, chain); (1, float_range (-2.0) 2.0 >|= fun f -> mk (Real f));
+        (1, return (mk (Index (var_e "Z", [ v "I" 0; v "K" 0 ])))) ]
+  in
+  let side =
+    frequency
+      [ (4, map2 (fun k c -> bin Add (bin Mul (int_e k) (var_e "K")) (v "I" c))
+             (int_range (-2) 2) (int_range (-1) 3));
+        (1, map (fun c -> bin Add (var_e "K") (int_e (max_int - c))) (int_range 0 3)) ]
+  in
+  let test =
+    map3 (fun op l c -> bin op l (int_e c)) (oneofl [ Eq; Ne; Lt; Le; Gt; Ge ]) side
+      (frequency [ (4, int_range (-2) 6); (1, return max_int) ])
+  in
+  let guard =
+    map2
+      (fun op tests -> List.fold_left (bin op) (List.hd tests) (List.tl tests))
+      (oneofl [ And; Or ]) (list_size (int_range 1 3) test)
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else
+        frequency
+          [ (1, leaf); (2, map3 (fun c x y -> mk (If (c, x, y))) guard (self (depth - 1)) (self (depth - 1))) ])
+    2
+
+let row_prop =
+  QCheck.Test.make ~count:5000 ~name:"compiled rows agree with eval point by point"
+    (QCheck.make
+       QCheck.Gen.(
+         triple (frequency [ (3, gen_row_rhs); (1, gen_shape) ]) gen_frame
+           (frequency
+              [ (1, pair (int_range (-1) 4) (int_range (-1) 5));
+                (2, pair (int_range 0 2) (int_range 2 4)) ]))
+       ~print:row_print)
+    (fun (e, fr, (lo, hi)) ->
+      is_bool e
+      ||
+      let values = ref [] in
+      let rec reference j =
+        if j > hi then Ok ()
+        else begin
+          fr.(2) <- j;
+          match Eval.eval_scalar (shape_eval fr) e with
+          | exception Value.Bounds m -> Error m
+          | _ when j < 0 || j > 4 -> Error (Printf.sprintf "D: subscript 1 = %d outside 0..4" j)
+          | v ->
+            values := (j, Value.as_float v) :: !values;
+            reference (j + 1)
+        end
+      in
+      let reference = reference lo in
+      let dst = real_slab "D" [ (0, 5, 5) ] in
+      let point, row =
+        Compile.compile_store_real ~row:2 shape_cctx dst [ Ps_lang.Ast.var_e "K" ] e
+      in
+      let scratch = match row with Some r -> r.Compile.rw_scratch | None -> 0 in
+      let frame = Array.append fr (Array.make scratch 0) in
+      let run () =
+        match row with
+        | Some r -> r.Compile.rw_run frame lo hi
+        | None ->
+          for j = lo to hi do
+            frame.(2) <- j;
+            point frame
+          done
+      in
+      let bits x = Int64.bits_of_float x in
+      let got = outcome run in
+      let show = function Ok () -> "ok" | Error m -> m in
+      if got <> reference then
+        QCheck.Test.fail_reportf "row: %s, points: %s" (show got) (show reference);
+      List.for_all
+        (fun (j, v) ->
+          Int64.equal (bits v) (bits (Value.as_float (Value.get_scalar dst [| j |])))
+          || QCheck.Test.fail_reportf "K = %d: row %h, point %h" j
+               (Value.as_float (Value.get_scalar dst [| j |])) v)
+        !values)
+
 let misc = [ t "agree on a deep mixed expression" (fun () ->
     agree "if V[I] < a * 2.0 then min(n, 3) + V[I + 2] else abs(m) / 2") ]
 
@@ -476,4 +594,5 @@ let () =
       ("agreement",
        QCheck_alcotest.to_alcotest agreement_prop
        :: QCheck_alcotest.to_alcotest shape_prop
+       :: QCheck_alcotest.to_alcotest row_prop
        :: misc) ]

@@ -310,6 +310,117 @@ let alloc_tests =
     alloc_case "lcs" ~target:"L" ~sink_trim:true Ps_models.Models.lcs lcs_inputs
       ~evaluations:263170 ~max_words:0.1 ]
 
+(* Rows: an innermost loop over one real equation runs a row at a time,
+   cut where a guard may change and checked at each segment's two ends
+   ([Compile.compile_store_real]).  Each case is a row's edge, checked
+   against closed-form values, against the emitted C where a compiler
+   is installed, or, for a trap, against the message a point-by-point
+   run raised, pinned as text. *)
+let c_agrees ~scalars src =
+  let r =
+    Ps_fuzz.Diff.check_source ~paths:[ Ps_fuzz.Diff.Seq; Ps_fuzz.Diff.Cc ] ~scalars src
+  in
+  Alcotest.(check (option string)) "C oracle" None r.Ps_fuzz.Diff.cr_verdict
+
+let same_bits msg x y =
+  if Int64.bits_of_float x <> Int64.bits_of_float y then
+    Alcotest.failf "%s: %h <> %h" msg x y
+
+let grid n = Psc.Exec.array_real ~dims:[ (0, n); (0, n) ] (fun ix -> fill ((ix.(0) * (n + 1)) + ix.(1)))
+
+let row_tests =
+  [ t "a read leaving its range at a row's last point traps with that point's message"
+      (fun () ->
+        (* Row I = 0 is the first to leave: its second read reaches
+           X[0, 6] at J = 5, while the first and third stay in range. *)
+        let src =
+          {|
+Edge: module (X: array [0 .. N, 0 .. N] of real; N: int): [Y: array [0 .. N, 0 .. N] of real];
+type I, J = 0 .. N;
+define
+  Y[I, J] = (X[I, J] + X[I, J + I + 1] + X[I + 1, J]) / 3;
+end Edge;
+|}
+        in
+        match Util.run src [ ("X", grid 5); ("N", Psc.Exec.scalar_int 5) ] with
+        | exception Psc.Error m ->
+          Alcotest.(check string) "message"
+            "subscript out of bounds: X: subscript 2 = 6 outside 0..5" m
+        | _ -> Alcotest.fail "expected a trap");
+    t "an = guard that holds at one interior point takes its branch there only" (fun () ->
+        let src =
+          {|
+Spike: module (X: array [0 .. N, 0 .. N] of real; N: int): [Y: array [0 .. N, 0 .. N] of real];
+type I, J = 0 .. N;
+define
+  Y[I, J] = if J = I + 1 then 1.0 else X[I, J] / 2;
+end Spike;
+|}
+        in
+        let n = 9 in
+        let r = Util.run src [ ("X", grid n); ("N", Psc.Exec.scalar_int n) ] in
+        for i = 0 to n do
+          for j = 0 to n do
+            let expected = if j = i + 1 then 1.0 else fill ((i * (n + 1)) + j) /. 2. in
+            same_bits (Printf.sprintf "Y[%d, %d]" i j) expected (Util.output_real r "Y" [| i; j |])
+          done
+        done;
+        c_agrees ~scalars:[ ("N", n) ] src);
+    t "a windowed dimension indexed by the innermost loop runs point by point" (fun () ->
+        (* S keeps a 2-plane window along I, its only dimension, so its
+           store has no row form. *)
+        let src =
+          {|
+WinRow: module (X: array [1 .. N] of real; N: int): [s: real];
+type I = 2 .. N;
+var S: array [1 .. N] of real;
+define
+  S[1] = X[1];
+  S[I] = S[I - 1] + X[I];
+  s = S[N];
+end WinRow;
+|}
+        in
+        let n = 40 in
+        let x = Psc.Exec.array_real ~dims:[ (1, n) ] (fun ix -> fill ix.(0)) in
+        let r = Util.run src [ ("X", x); ("N", Psc.Exec.scalar_int n) ] in
+        Alcotest.(check int) "window" 2 (List.assoc "S" r.Psc.Exec.allocated);
+        let sum = ref (fill 1) in
+        for i = 2 to n do
+          sum := !sum +. fill i
+        done;
+        same_bits "s" !sum (Util.output_real r "s" [||]);
+        c_agrees ~scalars:[ ("N", n) ] src);
+    t "a read stepping backwards, and empty rows" (fun () ->
+        let src =
+          {|
+Rev: module (V: array [0 .. N] of real; N: int; L: int):
+  [Y: array [0 .. N] of real; Z: array [0 .. N, 1 .. L] of real];
+type I = 0 .. N; J = 1 .. L;
+define
+  Y[I] = V[N - I] * 2.0;
+  Z[I, J] = V[I] + V[J];
+end Rev;
+|}
+        in
+        let n = 6 in
+        let v = Psc.Exec.array_real ~dims:[ (0, n) ] (fun ix -> fill ix.(0)) in
+        List.iter
+          (fun l ->
+            let r =
+              Util.run src
+                [ ("V", v); ("N", Psc.Exec.scalar_int n); ("L", Psc.Exec.scalar_int l) ]
+            in
+            for i = 0 to n do
+              same_bits "Y" (fill (n - i) *. 2.0) (Util.output_real r "Y" [| i |]);
+              for j = 1 to l do
+                same_bits "Z" (fill i +. fill j) (Util.output_real r "Z" [| i; j |])
+              done
+            done;
+            Alcotest.(check int) "Z words" ((n + 1) * l) (List.assoc "Z" r.Psc.Exec.allocated);
+            c_agrees ~scalars:[ ("N", n); ("L", l) ] src)
+          [ 0; 3 ]) ]
+
 let validation_tests =
   [ t "missing input is diagnosed" (fun () ->
         Util.expect_error ~substring:"missing input" (fun () ->
@@ -371,4 +482,5 @@ let () =
       ("windows", window_tests);
       ("parallel", parallel_tests);
       ("allocation", alloc_tests);
+      ("rows", row_tests);
       ("validation", validation_tests) ]

@@ -182,8 +182,8 @@ let corpus_tests =
           (fun f ->
             let path = Filename.concat dir f in
             match
-              Fuzz.replay_file ~pool_size:3 ~paths:(all_interp_paths @ [ Diff.Cc ])
-                path
+              Fuzz.replay_source ~pool_size:3 ~paths:(all_interp_paths @ [ Diff.Cc ])
+                (Util.read_file path)
             with
             | Ok () -> ()
             | Error v -> Alcotest.failf "%s: %s" f v)

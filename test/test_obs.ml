@@ -374,6 +374,23 @@ let prof_tests =
                && String.sub r.Prof.r_name 0 5 = "DOALL"
                && r.Prof.r_loc <> None)
              loops));
+    t "equation sites count evaluations, also when a row records them" (fun () ->
+        (* An innermost loop over one real equation records its site once
+           per row, with the row's point count: the counts are still
+           evaluation counts, sequential and pooled. *)
+        with_flags @@ fun () ->
+        let counted pool =
+          Prof.set_enabled true;
+          let r = Psc.run ?pool ~stats:true jacobi ~inputs:jacobi_inputs in
+          let eqs = List.filter (fun r -> r.Prof.r_kind = "eq") (Prof.rows ()) in
+          Prof.set_enabled false;
+          Alcotest.(check int) "eq.3" (3 * 10 * 10)
+            (List.find (fun r -> r.Prof.r_name = "eq.3") eqs).Prof.r_count;
+          Alcotest.(check (option int)) "sum of eq counts" r.Psc.Exec.evaluations
+            (Some (List.fold_left (fun n r -> n + r.Prof.r_count) 0 eqs))
+        in
+        counted None;
+        Pool.with_pool 2 (fun pool -> counted (Some pool)));
     t "a failing tune leaves the profiler off" (fun () ->
         with_flags @@ fun () ->
         let tp =
