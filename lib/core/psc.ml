@@ -228,9 +228,10 @@ let run ?name ?(sink = false) ?(fuse = false) ?(trim = false)
 (* The inputs the emitted main() ([Emit.emit_main]) builds: scalars from
    [scalars] (a bool scalar is the truth value of the int the harness
    declares), real arrays filled in row-major order from
-   [Models.fill_value], int arrays zero (the harness's cast of that
-   fill).  Every scalar is checked first: array bounds are evaluated
-   over them. *)
+   [Models.fill_value], and int, bool and enum arrays zero, false and
+   ordinal 0: the harness casts that fill, which lies in [0, 1), to
+   their C types.  Every scalar is checked first: array bounds are
+   evaluated over them. *)
 let default_inputs (em : Elab.emodule) ~scalars =
   List.iter
     (fun (d : Elab.data) ->
@@ -250,12 +251,15 @@ let default_inputs (em : Elab.emodule) ~scalars =
           (fun (sr : Stypes.subrange) -> (bound sr.Stypes.sr_lo, bound sr.Stypes.sr_hi))
           (Stypes.dims d.Elab.d_ty)
       in
-      match (dims, Value.kind_of_ty (Stypes.elem_ty d.Elab.d_ty)) with
-      | [], Value.KBool -> (name, Exec.scalar_bool (List.assoc name scalars <> 0))
+      match (dims, Stypes.elem_ty d.Elab.d_ty) with
+      | [], Stypes.Scalar Stypes.Sbool ->
+        (name, Exec.scalar_bool (List.assoc name scalars <> 0))
       | [], _ -> (name, Exec.scalar_int (List.assoc name scalars))
-      | _, Value.KReal ->
+      | _, Stypes.Scalar Stypes.Sreal ->
         (name, Ps_models.Models.(numbered Exec.array_real ~dims fill_value))
-      | _, Value.KInt -> (name, Exec.array_int ~dims (fun _ -> 0))
+      | _, (Stypes.Scalar (Stypes.Sint | Stypes.Sbool | Stypes.Senum _) as elem) ->
+        let dims = List.map (fun (lo, hi) -> (lo, hi - lo + 1, hi - lo + 1)) dims in
+        (name, Value.Varray (Value.make_slab ~name ~elem ~dims))
       | _ -> error "unsupported input element type for %s" name)
     em.Elab.em_params
 

@@ -21,20 +21,24 @@
    - Superinstructions: a left-deep [+] chain of real reads, optionally
      divided or multiplied by a constant, and an [and]/[or] chain of
      comparisons between affine ints each become one closure.
-     [compile_store_real] fuses an equation's store with its [if] and
-     chain nodes, so a real equation stores without boxing.
-   - Rows: the same walk builds the row form of a real equation that an
-     innermost loop runs ("Rows" below).  A row is cut where a guard
-     test compares differently, each segment decides its guards once,
-     checks its leaf's references at its two ends, and runs the leaf
-     (a real constant, or a [+] chain of one or more reads, scaled or
-     not) as a tight loop over flat offsets.  A segment whose check
-     fails, and any other leaf, run the checked per-point closure.
+     [compile_store], the one store compiler for real and int slabs,
+     fuses an equation's store with its [if] nodes, and a real one's
+     with its chain nodes, so a real read, sum or int conversion is
+     stored without boxing.
+   - Rows: the same walk builds the row form of the equation that an
+     innermost loop runs ("Rows" below).  A row is cut where an affine
+     guard test compares differently, and each segment decides its
+     guards once and checks its leaf's references at its two ends.  A
+     real [+] chain of reads, scaled or not, then runs as a tight loop
+     over flat offsets; any other leaf runs [compile]'s own closure with
+     its references lowered to row offsets.  A segment whose check
+     fails, and a leaf the lowering refuses, run the checked per-point
+     closure.
 
    Every node evaluates its operands left to right, as [Eval] does, so a
    read that traps raises the same [Value.Bounds] message; no float
    operation is reassociated.  Run sequentially at the benchmark's sizes,
-   fig6, h3 and lcs allocate 0.05, 0.07 and 0.02 minor words per
+   fig6, h3 and lcs allocate 0.05, 0.07 and 0.03 minor words per
    evaluation, set-up included; test_exec's "allocation" cases pin
    bounds of 1, 0.25 and 0.1.
 
@@ -473,19 +477,22 @@ let[@inline] chain_value ch fr =
 (* ------------------------------------------------------------------ *)
 (* Rows *)
 
-(* A row runs an innermost loop's real equation over [lo .. hi] of the
-   loop variable, whose frame slot is the row slot.  The other slots are
-   fixed for the row, so each affine form is [c + k * v] in the row
-   variable [v].  The row is cut at every point where a guard test may
-   change value; each segment then decides its guards once, checks its
-   leaf's references at its two ends, and runs the leaf as a tight loop
-   over flat offsets [base + i * step].
+(* A row runs an innermost loop's equation, real or int, over [lo .. hi]
+   of the loop variable, whose frame slot is the row slot.  The other
+   slots are fixed for the row, so each affine form is [c + k * v] in the
+   row variable [v].  The row is cut at every point where a guard test
+   may change value; each segment then decides its guards once, checks
+   its leaf's references at its two ends, and runs the leaf as a tight
+   loop over flat offsets [base + v * step].
 
-   The arithmetic stays exact, never wrapping: a row runs only while
-   [|lo|], [|hi|] and every coefficient of the row slot are under
+   The checks stay exact, never wrapping: a row runs only while [|lo|],
+   [|hi|] and every coefficient of the row slot are under
    [row_index_max], each test side at [v = 0] under [row_const_max]
    (else the row runs point by point), and a reference's declared bounds
-   under [row_const_max] (else it has no row form). *)
+   under [row_const_max] (else it has no row form).  A base is kept less
+   [a * step], [a] the segment's first point, which may wrap; int
+   arithmetic is a ring, so [base + v * step] is still the checked
+   offset at every point. *)
 let row_index_max = 1 lsl 29
 
 let row_const_max = 1 lsl 60
@@ -571,48 +578,127 @@ let rec run_node n fr a b =
   | RIf (g, t, f) -> if g fr then run_node t fr a b else run_node f fr a b
   | RLeaf run -> run fr a b
 
-let const_leaf ~slot ~point dst rd (x : float) =
-  let step = rd.rr_step in
-  fun fr a b ->
-    let n = b - a in
-    let db = if n + 1 < row_min then -1 else row_base rd fr n in
-    if db < 0 then points ~slot point fr a b
-    else
-      for i = 0 to n do
-        Array.unsafe_set dst (db + (i * step)) x
-      done
+(* A row leaf's references, lowered to row offsets as [compile] meets
+   them ([lowered_offset]): reference [j]'s base sits in frame slot
+   [lw_bases + j], so a leaf with any number of references runs without
+   allocating. *)
+type lowering = { lw_slot : int; lw_bases : int; mutable lw_refs : rref list }
 
-(* A chain of reads, scaled and stored.  Read [j]'s base offset sits in
-   frame slot [bases + j], so a chain of any length runs without
-   allocating; the reads are checked left to right, then the
-   destination, the order a point evaluates them in. *)
-let chain_leaf ~slot ~bases ~point dst rd (arrs : float array array) (refs : rref array)
-    scale =
+(* Raised while lowering a leaf that has no row form. *)
+exception No_row
+
+(* A lowered reference's offset: [fr.(b) + v * step] for the row
+   variable [v], once [check_segment] has set slot [b]. *)
+let row_offset ~slot b step : frame -> int =
+ fun fr -> Array.unsafe_get fr b + (Array.unsafe_get fr slot * step)
+
+(* The offset closure [compile] gives a reference while lowering: the
+   reference joins those each segment checks, and reads unchecked.  A
+   scalar needs no check; a dynamic subscript, or a windowed dimension
+   the row variable indexes, leaves the leaf with no row form. *)
+let lowered_offset lw ds (forms : sub array) : frame -> int =
+  if Array.length forms = 0 then fun _ -> 0
+  else
+    match row_ref ~slot:lw.lw_slot ds forms with
+    | None -> raise No_row
+    | Some r ->
+      let b = lw.lw_bases + List.length lw.lw_refs in
+      lw.lw_refs <- r :: lw.lw_refs;
+      row_offset ~slot:lw.lw_slot b r.rr_step
+
+(* Checks a segment [a .. a + n], from a frame at [a]: each of [refs],
+   left to right, at both ends.  Reference [j]'s base, less [a] steps,
+   goes to frame slot [bases + j].  A segment shorter than [row_min]
+   fails. *)
+let[@inline] check_segment (refs : rref array) ~bases fr a n =
+  let nr = Array.length refs in
+  let ok = ref (n + 1 >= row_min) and j = ref 0 in
+  while !ok && !j < nr do
+    let r = Array.unsafe_get refs !j in
+    let bj = row_base r fr n in
+    fr.(bases + !j) <- bj - (a * r.rr_step);
+    ok := bj >= 0;
+    incr j
+  done;
+  !ok
+
+(* A leaf over [a .. b]: [run] when the segment passes its checks, else
+   [point] at each point, which traps where a point-by-point run
+   would. *)
+let strided ~slot ~bases ~point refs run =
+  fun fr a b ->
+    if check_segment refs ~bases fr a (b - a) then run fr a b
+    else points ~slot point fr a b
+
+(* A chain leaf's loop: a chain of [nr] reads, scaled and stored, with
+   the reads inline; the destination's base follows the reads'. *)
+let chain_loop ~bases dst dstep (arrs : float array array) (refs : rref array) scale =
   let nr = Array.length arrs in
   let steps = Array.map (fun r -> r.rr_step) refs in
-  let a0 = arrs.(0) and step0 = steps.(0) and dstep = rd.rr_step in
+  let a0 = arrs.(0) and step0 = steps.(0) in
   fun fr a b ->
-    let n = b - a in
-    let ok = ref (n + 1 >= row_min) and j = ref 0 in
-    while !ok && !j < nr do
-      let bj = row_base (Array.unsafe_get refs !j) fr n in
-      fr.(bases + !j) <- bj;
-      ok := bj >= 0;
-      incr j
-    done;
-    let db = if !ok then row_base rd fr n else -1 in
-    if db < 0 then points ~slot point fr a b
-    else
-      let b0 = Array.unsafe_get fr bases in
-      for i = 0 to n do
-        let s = ref (Array.unsafe_get a0 (b0 + (i * step0))) in
-        for j = 1 to nr - 1 do
-          s :=
-            !s
-            +. Array.unsafe_get (Array.unsafe_get arrs j)
-                 (Array.unsafe_get fr (bases + j) + (i * Array.unsafe_get steps j))
-        done;
-        Array.unsafe_set dst (db + (i * dstep)) (scaled scale !s)
+    let b0 = Array.unsafe_get fr bases and db = Array.unsafe_get fr (bases + nr) in
+    for v = a to b do
+      let s = ref (Array.unsafe_get a0 (b0 + (v * step0))) in
+      for j = 1 to nr - 1 do
+        s :=
+          !s
+          +. Array.unsafe_get (Array.unsafe_get arrs j)
+               (Array.unsafe_get fr (bases + j) + (v * Array.unsafe_get steps j))
+      done;
+      Array.unsafe_set dst (db + (v * dstep)) (scaled scale !s)
+    done
+
+(* An equation's destination payload. *)
+type dest = Real_dst of float array | Int_dst of int array
+
+(* [c]'s value stored at [off fr]: the value first, then the offset, as
+   every equation writer does, and a real never boxed between them when
+   [c] is a real read or an int. *)
+let store_at dst c (off : frame -> int) : frame -> unit =
+  match dst, c with
+  | Real_dst d, CFRead (a, o) ->
+    fun fr ->
+      let v = Array.unsafe_get a (o fr) in
+      Array.unsafe_set d (off fr) v
+  | Real_dst d, (CInt _ | CIRead _) ->
+    let f = as_int_c c in
+    fun fr ->
+      let v = float_of_int (f fr) in
+      Array.unsafe_set d (off fr) v
+  | Real_dst d, _ ->
+    let f = as_real c in
+    fun fr ->
+      let v = f fr in
+      Array.unsafe_set d (off fr) v
+  | Int_dst d, _ ->
+    let f = as_int_c c in
+    fun fr ->
+      let v = f fr in
+      Array.unsafe_set d (off fr) v
+
+(* A general leaf's loop: [value], [compile]'s closure over lowered
+   references, stored at each point with the store inline, the
+   destination's base in frame slot [db]. *)
+let store_loop ~slot ~db dst dstep value =
+  match dst with
+  | Int_dst d ->
+    let f = as_int_c value in
+    fun fr a b ->
+      let db = Array.unsafe_get fr db in
+      for v = a to b do
+        fr.(slot) <- v;
+        let x = f fr in
+        Array.unsafe_set d (db + (v * dstep)) x
+      done
+  | Real_dst d ->
+    let f = as_real value in
+    fun fr a b ->
+      let db = Array.unsafe_get fr db in
+      for v = a to b do
+        fr.(slot) <- v;
+        let x = f fr in
+        Array.unsafe_set d (db + (v * dstep)) x
       done
 
 (* A guard test whose sides move with the row variable: with [rt_d] the
@@ -705,7 +791,12 @@ let chain_reads ctx ~min (e : Ast.expr) =
     let rs = List.map float_read leaves in
     if List.for_all Option.is_some rs then Some (List.map Option.get rs, scale) else None
 
-let rec compile (ctx : cctx) (e : Ast.expr) : comp =
+(* A walk of [compile]: the caller's context and, while a row leaf
+   compiles, the lowering of its references. *)
+type walk = { w_ctx : cctx; w_lower : lowering option }
+
+let rec compile_walk (w : walk) (e : Ast.expr) : comp =
+  let ctx = w.w_ctx in
   match affine_of ctx e with
   | Some a -> CInt (affine_fn a)
   | None -> (
@@ -719,7 +810,7 @@ let rec compile (ctx : cctx) (e : Ast.expr) : comp =
       | Some d when Stypes.dims d.Elab.d_ty = [] ->
         (* Scalar data: read its 0-dimensional slab at run time (it may
            not be computed yet at compile time). *)
-        compile_read ctx (ctx.k_slab x) []
+        compile_read w (ctx.k_slab x) []
       | Some _ -> fail "whole-array value %s in a scalar position" x
       | None -> (
         match Elab.enum_ordinal ctx.k_em x with
@@ -727,14 +818,14 @@ let rec compile (ctx : cctx) (e : Ast.expr) : comp =
         | None -> fail "unbound identifier %s" x))
     | Ast.Index _ -> (
       match data_ref ctx e with
-      | Some (s, subs) when List.length subs = ndims s -> compile_read ctx s subs
+      | Some (s, subs) when List.length subs = ndims s -> compile_read w s subs
       | _ ->
         (* Slice value: cold path. *)
-        boxed_fallback ctx e)
-    | Ast.Field _ -> boxed_fallback ctx e
-    | Ast.Call (f, args) -> compile_call ctx e f args
+        boxed_fallback w e)
+    | Ast.Field _ -> boxed_fallback w e
+    | Ast.Call (f, args) -> compile_call w e f args
     | Ast.Unop (Ast.Neg, a) -> (
-      match compile ctx a with
+      match compile_walk w a with
       | c when is_int c ->
         let f = as_int_c c in
         CInt (fun fr -> -f fr)
@@ -742,13 +833,13 @@ let rec compile (ctx : cctx) (e : Ast.expr) : comp =
         let f = as_real c in
         CReal (fun fr -> -.f fr))
     | Ast.Unop (Ast.Not, a) ->
-      let f = as_bool_c (compile ctx a) in
+      let f = as_bool_c (compile_walk w a) in
       CBool (fun fr -> not (f fr))
-    | Ast.Binop (op, a, b) -> compile_binop ctx e op a b
+    | Ast.Binop (op, a, b) -> compile_binop w e op a b
     | Ast.If (c, t, f) -> (
-      let cf = as_bool_c (compile ctx c) in
-      let tc = compile ctx t in
-      let fc = compile ctx f in
+      let cf = as_bool_c (compile_walk w c) in
+      let tc = compile_walk w t in
+      let fc = compile_walk w f in
       match tc, fc with
       | _ when is_int tc && is_int fc ->
         let tf = as_int_c tc and ff = as_int_c fc in
@@ -763,8 +854,8 @@ let rec compile (ctx : cctx) (e : Ast.expr) : comp =
 
 (* Compile an array read: resolve the slab now, compile the subscripts
    into one offset closure, and emit a kind-specialized node. *)
-and compile_read ctx (s : slab) subs : comp =
-  let off = compile_offset ctx s subs in
+and compile_read w (s : slab) subs : comp =
+  let off = compile_offset w s subs in
   match s.s_data with
   | PFloat a -> CFRead (a, off)
   | PInt a -> (
@@ -779,46 +870,51 @@ and compile_read ctx (s : slab) subs : comp =
         | Brecord fields -> Sc_record fields
         | Bnone -> Sc_record [])
 
-and compile_offset ctx (s : slab) (subs : Ast.expr list) : frame -> int =
-  offset_fn s (dims_of s) (subs_of ctx subs)
+(* The checked offset closure, or the row offset while lowering. *)
+and compile_offset w (s : slab) (subs : Ast.expr list) : frame -> int =
+  let ds = dims_of s and forms = subs_of w subs in
+  match w.w_lower with
+  | None -> offset_fn s ds forms
+  | Some lw -> lowered_offset lw ds forms
 
-and subs_of ctx (subs : Ast.expr list) : sub array =
+and subs_of w (subs : Ast.expr list) : sub array =
   let sub e =
-    match affine_of ctx e with
+    match affine_of w.w_ctx e with
     | Some a -> Aff a
-    | None -> Dyn (as_int_c (compile ctx e))
+    | None -> Dyn (as_int_c (compile_walk w e))
   in
   Array.of_list (List.map sub subs)
 
 (* A left-deep [+] chain of at least two real reads, optionally divided
    or multiplied by a constant. *)
-and sum_chain ctx (e : Ast.expr) : chain option =
-  match chain_reads ctx ~min:2 e with
+and sum_chain w (e : Ast.expr) : chain option =
+  match chain_reads w.w_ctx ~min:2 e with
   | None -> None
   | Some (rs, scale) ->
-    let offs = List.map (fun (_, s, subs) -> compile_offset ctx s subs) rs in
+    let offs = List.map (fun (_, s, subs) -> compile_offset w s subs) rs in
     Some
       { ch_arrs = Array.of_list (List.map (fun (a, _, _) -> a) rs);
         ch_offs = Array.of_list offs;
         ch_scale = scale }
 
-and compile_binop ctx e op a b =
+and compile_binop w e op a b =
+  let ctx = w.w_ctx in
   match op with
   | Ast.And | Ast.Or -> (
     let is_or = op = Ast.Or in
     match guard_tests ctx op e with
     | Some tests -> CBool (guard_fn ~is_or tests)
     | None ->
-      let fa = as_bool_c (compile ctx a) in
-      let fb = as_bool_c (compile ctx b) in
+      let fa = as_bool_c (compile_walk w a) in
+      let fb = as_bool_c (compile_walk w b) in
       if is_or then CBool (fun fr -> fa fr || fb fr)
       else CBool (fun fr -> fa fr && fb fr))
   | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div -> (
-    match sum_chain ctx e with
+    match sum_chain w e with
     | Some ch -> CReal (fun fr -> chain_value ch fr)
     | None ->
-      let ca = compile ctx a in
-      let cb = compile ctx b in
+      let ca = compile_walk w a in
+      let cb = compile_walk w b in
       if op <> Ast.Div && is_int ca && is_int cb then
         let x = iop ctx a ca and y = iop ctx b cb in
         CInt (fun fr -> let u = iget x fr in iarith op u (iget y fr))
@@ -830,8 +926,8 @@ and compile_binop ctx e op a b =
      cold tree-walk path fail identically instead of leaking a bare
      [Division_by_zero]. *)
   | Ast.Idiv ->
-    let fa = as_int_c (compile ctx a) in
-    let fb = as_int_c (compile ctx b) in
+    let fa = as_int_c (compile_walk w a) in
+    let fb = as_int_c (compile_walk w b) in
     CInt
       (fun fr ->
         let x = fa fr in
@@ -839,8 +935,8 @@ and compile_binop ctx e op a b =
         if y = 0 then raise (Eval.Runtime_error "division by zero");
         x / y)
   | Ast.Imod ->
-    let fa = as_int_c (compile ctx a) in
-    let fb = as_int_c (compile ctx b) in
+    let fa = as_int_c (compile_walk w a) in
+    let fb = as_int_c (compile_walk w b) in
     CInt
       (fun fr ->
         let x = fa fr in
@@ -850,11 +946,12 @@ and compile_binop ctx e op a b =
   | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
     match affine_test ctx e with
     | Some t -> CBool (fun fr -> run_test t fr)
-    | None -> compile_compare ctx op a b)
+    | None -> compile_compare w op a b)
 
-and compile_compare ctx op a b =
-  let ca = compile ctx a in
-  let cb = compile ctx b in
+and compile_compare w op a b =
+  let ctx = w.w_ctx in
+  let ca = compile_walk w a in
+  let cb = compile_walk w b in
   match ca, cb with
   | _ when is_int ca && is_int cb ->
     let x = iop ctx a ca and y = iop ctx b cb in
@@ -881,15 +978,15 @@ and compile_compare ctx op a b =
     let x = fop ctx a ca and y = fop ctx b cb in
     CBool (fun fr -> let u = fget x fr in fcmp op u (fget y fr))
 
-and compile_call ctx e f args =
+and compile_call w e f args =
   match f, args with
-  | "sqrt", [ a ] -> un_real ctx sqrt a
-  | "sin", [ a ] -> un_real ctx sin a
-  | "cos", [ a ] -> un_real ctx cos a
-  | "exp", [ a ] -> un_real ctx exp a
-  | "ln", [ a ] -> un_real ctx log a
+  | "sqrt", [ a ] -> un_real w sqrt a
+  | "sin", [ a ] -> un_real w sin a
+  | "cos", [ a ] -> un_real w cos a
+  | "exp", [ a ] -> un_real w exp a
+  | "ln", [ a ] -> un_real w log a
   | "abs", [ a ] -> (
-    match compile ctx a with
+    match compile_walk w a with
     | c when is_int c ->
       let fa = as_int_c c in
       CInt (fun fr -> abs (fa fr))
@@ -897,22 +994,23 @@ and compile_call ctx e f args =
       let fa = as_real c in
       CReal (fun fr -> abs_float (fa fr)))
   | "intpart", [ a ] ->
-    let fa = as_real (compile ctx a) in
+    let fa = as_real (compile_walk w a) in
     CInt (fun fr -> int_of_float (fa fr))
-  | "min", [ a; b ] -> minmax ctx ~is_min:true a b
-  | "max", [ a; b ] -> minmax ctx ~is_min:false a b
-  | _ -> boxed_fallback ctx e
+  | "min", [ a; b ] -> minmax w ~is_min:true a b
+  | "max", [ a; b ] -> minmax w ~is_min:false a b
+  | _ -> boxed_fallback w e
 
-and un_real ctx g a =
-  let fa = as_real (compile ctx a) in
+and un_real w g a =
+  let fa = as_real (compile_walk w a) in
   CReal (fun fr -> g (fa fr))
 
 (* Stdlib's [min]/[max] semantics, monomorphic: [if a <= b then a else
    b] and [if a >= b then a else b], so NaN and signed-zero results match
    [Eval]'s polymorphic calls without going through [caml_lessequal]. *)
-and minmax ctx ~is_min a b =
-  let ca = compile ctx a in
-  let cb = compile ctx b in
+and minmax w ~is_min a b =
+  let ctx = w.w_ctx in
+  let ca = compile_walk w a in
+  let cb = compile_walk w b in
   if is_int ca && is_int cb then
     let x = iop ctx a ca and y = iop ctx b cb in
     if is_min then
@@ -924,11 +1022,16 @@ and minmax ctx ~is_min a b =
       CReal (fun fr -> let u = fget x fr in let v = fget y fr in if u <= v then u else v)
     else CReal (fun fr -> let u = fget x fr in let v = fget y fr in if u >= v then u else v)
 
-and boxed_fallback ctx e =
+(* The tree-walk evaluator, which a row leaf does not lower. *)
+and boxed_fallback w e =
+  if Option.is_some w.w_lower then raise No_row;
+  let ctx = w.w_ctx in
   CBoxed (fun fr -> Eval.eval_scalar (eval_ctx ctx fr) e)
 
 (* ------------------------------------------------------------------ *)
 (* Public entry points. *)
+
+let compile ctx e = compile_walk { w_ctx = ctx; w_lower = None } e
 
 let compile_int ctx e = as_int_c (compile ctx e)
 
@@ -938,11 +1041,13 @@ let compile_bool ctx e = as_bool_c (compile ctx e)
 
 let compile_scalar ctx e = as_scalar_c (compile ctx e)
 
+let compile_offset ctx s subs = compile_offset { w_ctx = ctx; w_lower = None } s subs
+
 (* One reference compiled once: the offset closure every point calls
    and, for a row over [slot], the row form built from the same
    subscript forms. *)
 let reference ?row ctx (s : slab) subs =
-  let ds = dims_of s and forms = subs_of ctx subs in
+  let ds = dims_of s and forms = subs_of { w_ctx = ctx; w_lower = None } subs in
   ( offset_fn s ds forms,
     match row with Some slot -> row_ref ~slot ds forms | None -> None )
 
@@ -961,20 +1066,29 @@ let guard ctx (c : Ast.expr) =
 
 type row = { rw_run : frame -> int -> int -> unit; rw_scratch : int }
 
-(* The store of a real equation, fused with its [if] and chain nodes:
-   the value is computed and stored inside one closure, never boxed, and
-   before the destination offset, as every equation writer does.  With
-   [~row:slot], the same walk builds the equation's row over that slot
-   (see "Rows"): an [if] whose guard is affine tests that move along the
-   row by bounded steps becomes a decision node, and a real constant or a
-   chain of reads whose references all have row forms becomes a strided
-   leaf; any other subtree runs point by point.  There is no row when
-   the destination has no row form or no leaf is strided. *)
-let compile_store_real ?row ctx (s : slab) (subs : Ast.expr list) (e : Ast.expr) :
+(* The store of a real or int equation, fused with its [if] nodes and,
+   for a real one, its chain nodes: the value is computed and stored
+   inside one closure, a real never boxed when its leaf is a chain, a
+   read or an int, and before the destination offset, as every equation
+   writer does.  With [~row:slot], the same walk builds the equation's
+   row over that slot (see "Rows"): an [if] whose guard is affine tests
+   that move along the row by bounded steps becomes a decision node, and
+   any other subtree becomes a leaf.  A real chain of reads runs as
+   [chain_loop]; any other leaf compiles again with its references
+   lowered to row offsets and runs as [store_loop], unless one has no
+   row form or the subtree takes the tree-walk fallback, and then runs
+   point by point.  There is no row when the destination has no row form
+   or no leaf is strided. *)
+let compile_store ?row ctx (s : slab) (subs : Ast.expr list) (e : Ast.expr) :
     (frame -> unit) * row option =
-  let dst = match s.s_data with PFloat a -> a | _ -> fail "real store into %s" s.s_name in
+  let dst =
+    match s.s_data with
+    | PFloat a -> Real_dst a
+    | PInt a -> Int_dst a
+    | PBool _ | PBox _ -> fail "store into %s, which is neither real nor int" s.s_name
+  in
   let off, rd = reference ?row ctx s subs in
-  let tests = ref [] and reads = ref 0 and strided = ref false in
+  let tests = ref [] and reads = ref 0 and strided_leaf = ref false in
   (* Whether a guard's tests can be decided once per segment; if so,
      those that move along the row join the cut tests. *)
   let decide slot ts =
@@ -999,27 +1113,39 @@ let compile_store_real ?row ctx (s : slab) (subs : Ast.expr list) (e : Ast.expr)
     ok
   in
   let node slot point = function Some n -> n | None -> RLeaf (points ~slot point) in
+  (* A strided leaf over [refs], the destination last. *)
+  let leaf slot ~point refs run =
+    strided_leaf := true;
+    reads := max !reads (Array.length refs);
+    Some (RLeaf (strided ~slot ~bases:(slot + 1) ~point refs run))
+  in
+  (* [e] as a general leaf whose checked per-point store is [point]. *)
+  let general (slot, rd) ~point e =
+    let lw = { lw_slot = slot; lw_bases = slot + 1; lw_refs = [] } in
+    match compile_walk { w_ctx = ctx; w_lower = Some lw } e with
+    | exception No_row -> None
+    | value ->
+      let nr = List.length lw.lw_refs in
+      leaf slot ~point
+        (Array.of_list (List.rev (rd :: lw.lw_refs)))
+        (store_loop ~slot ~db:(slot + 1 + nr) dst rd.rr_step value)
+  in
   let rec go rw (e : Ast.expr) : (frame -> unit) * rnode option =
-    match e.Ast.e with
-    | Ast.If (c, t, f) ->
+    match e.Ast.e, dst with
+    | Ast.If (c, t, f), _ ->
       let g, ts = guard ctx c in
-      let rw =
+      let split =
         match rw, ts with Some (slot, _), Some ts when decide slot ts -> rw | _ -> None
       in
-      let st, rt = go rw t in
-      let sf, rf = go rw f in
+      let st, rt = go split t in
+      let sf, rf = go split f in
       let point fr = if g fr then st fr else sf fr in
       ( point,
-        Option.map (fun (slot, _) -> RIf (g, node slot st rt, node slot sf rf)) rw )
-    | Ast.Real x ->
-      let point fr = Array.unsafe_set dst (off fr) x in
-      ( point,
-        Option.map
-          (fun (slot, rd) ->
-            strided := true;
-            RLeaf (const_leaf ~slot ~point dst rd x))
-          rw )
-    | _ -> (
+        match split, rw with
+        | Some (slot, _), _ -> Some (RIf (g, node slot st rt, node slot sf rf))
+        | None, Some rw -> general rw ~point e
+        | None, None -> None )
+    | _, Real_dst d -> (
       match chain_reads ctx ~min:1 e with
       | Some (rs, scale) ->
         let row = Option.map fst rw in
@@ -1031,48 +1157,30 @@ let compile_store_real ?row ctx (s : slab) (subs : Ast.expr list) (e : Ast.expr)
           | [| a |], [| o |], None ->
             fun fr ->
               let v = Array.unsafe_get a (o fr) in
-              Array.unsafe_set dst (off fr) v
+              Array.unsafe_set d (off fr) v
           | _ ->
             let ch = { ch_arrs = arrs; ch_offs = offs; ch_scale = scale } in
             fun fr ->
               let v = chain_value ch fr in
-              Array.unsafe_set dst (off fr) v
+              Array.unsafe_set d (off fr) v
         in
-        let rrefs = List.filter_map (fun (_, (_, r)) -> r) refs in
+        let rrefs = Array.of_list (List.filter_map (fun (_, (_, r)) -> r) refs) in
         ( point,
           match rw with
-          | Some (slot, rd) when List.length rrefs = Array.length arrs ->
-            strided := true;
-            reads := max !reads (Array.length arrs);
-            Some
-              (RLeaf
-                 (chain_leaf ~slot ~bases:(slot + 1) ~point dst rd arrs
-                    (Array.of_list rrefs) scale))
+          | Some (slot, rd) when Array.length rrefs = Array.length arrs ->
+            leaf slot ~point (Array.append rrefs [| rd |])
+              (chain_loop ~bases:(slot + 1) d rd.rr_step arrs rrefs scale)
           | _ -> None )
-      | None ->
-        let point =
-          match compile ctx e with
-          | CFRead (a, o) ->
-            fun fr ->
-              let v = Array.unsafe_get a (o fr) in
-              Array.unsafe_set dst (off fr) v
-          | (CInt _ | CIRead _) as c ->
-            let f = as_int_c c in
-            fun fr ->
-              let v = float_of_int (f fr) in
-              Array.unsafe_set dst (off fr) v
-          | c ->
-            let f = as_real c in
-            fun fr ->
-              let v = f fr in
-              Array.unsafe_set dst (off fr) v
-        in
-        (point, None))
+      | None -> plain rw e)
+    | _, Int_dst _ -> plain rw e
+  and plain rw e =
+    let point = store_at dst (compile ctx e) off in
+    (point, Option.bind rw (fun rw -> general rw ~point e))
   in
   let rw = match row, rd with Some slot, Some rd -> Some (slot, rd) | _ -> None in
   let point, tree = go rw e in
   match rw, tree with
-  | Some (slot, _), Some tree when !strided ->
+  | Some (slot, _), Some tree when !strided_leaf ->
     let tests = Array.of_list !tests in
     ( point,
       Some

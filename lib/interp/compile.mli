@@ -5,11 +5,11 @@
     long — with the scalar type resolved at compile time.  Affine
     subscripts compile to one offset closure per array reference, reads
     are typed nodes their parents read inline, and sum chains, guard
-    chains and real stores fuse into single closures; a real store in an
-    innermost loop also gets a row form ({!row}).  Run sequentially at
-    the benchmark's sizes, fig6, h3 and lcs allocate 0.05, 0.07 and 0.02
-    minor words per evaluation, set-up included (test_exec's
-    "allocation" cases pin bounds of 1, 0.25 and 0.1).
+    chains and stores fuse into single closures; an equation in an
+    innermost loop, real or int, also gets a row form ({!row}).  Run
+    sequentially at the benchmark's sizes, fig6, h3 and lcs allocate
+    0.05, 0.07 and 0.03 minor words per evaluation, set-up included
+    (test_exec's "allocation" cases pin bounds of 1, 0.25 and 0.1).
     Anything exotic (records, module calls, slices) falls back to the
     tree-walk evaluator; the test suite checks agreement with {!Eval} on
     random expressions. *)
@@ -61,19 +61,26 @@ type row = {
       (** frame slots above the row slot that [rw_run] writes *)
 }
 
-val compile_store_real :
+val compile_store :
   ?row:int ->
   cctx ->
   Value.slab ->
   Ps_lang.Ast.expr list ->
   Ps_lang.Ast.expr ->
   (frame -> unit) * row option
-(** [compile_store_real ctx dst subs rhs] evaluates [rhs] and stores it
-    at [dst[subs]], a real slab, fused with [rhs]'s [if] and sum-chain
-    nodes so the value is never boxed.  The value is computed before the
-    offset.  With [~row:slot], the same walk also builds the equation's
-    row over the loop variable in frame slot [slot], when it has one:
-    the row cuts [lo .. hi] where a guard may change value, decides the
-    guards once per segment, checks each reference at the segment's two
-    ends and runs the rest unchecked.  A segment that fails its check
-    runs point by point, so it traps where a point would. *)
+(** [compile_store ctx dst subs rhs] evaluates [rhs] and stores it at
+    [dst[subs]], a real or int slab, fused with [rhs]'s [if] nodes (and,
+    into a real slab, its sum-chain nodes) so a real value read from an
+    array, a chain or an int is never boxed.  The value is computed
+    before the offset.  With [~row:slot], the same walk also builds the
+    equation's row over the loop variable in frame slot [slot], when it
+    has one: the row cuts [lo .. hi] where an affine guard may change
+    value and decides those guards once per segment.  Each leaf below
+    them runs strided over a segment that passes its checks, every
+    reference it may read, then the destination, at the segment's two
+    ends: a real [+] chain of reads with its reads inline, any other
+    leaf as [compile]'s closure with each reference lowered to its row
+    offset.  A segment that fails its check, a leaf with a dynamic
+    subscript, a windowed dimension the row variable indexes, a module
+    call or the tree-walk fallback runs the checked closure point by
+    point, so it traps where a point would, with the same message. *)

@@ -10,8 +10,8 @@
    [compile_parallel_band]), otherwise inner DOALLs run sequentially
    inside each worker.  Wherever a loop's points run in index order —
    a loop on the calling domain, a forked chunk, a row piece of a
-   flattened chunk — an innermost body of one real equation runs a row
-   at a time ([compile_span], [Compile.compile_store_real]).
+   flattened chunk — an innermost body of one real or int equation runs
+   a row at a time ([compile_span], [Compile.compile_store]).
 
    Compilation of each top-level component is deferred until the moment
    it executes, so arrays whose bounds depend on computed scalar locals
@@ -66,6 +66,7 @@ type run_result = {
   outputs : (string * value) list;
   allocated : (string * int) list;  (* words allocated per data item *)
   evaluations : int option;         (* equation evaluations, if counted *)
+  row_evaluations : int option;     (* those run a row at a time *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -89,6 +90,7 @@ type state = {
   st_windows : Ps_sched.Schedule.window list;
   st_slabs : (string, slab) Hashtbl.t;
   st_evals : int Atomic.t;
+  st_row_evals : int Atomic.t;
   st_forks : (Ps_sched.Policy.candidate * Ps_sched.Policy.decision) list;
       (* Every fork candidate with its decision, resolved against this
          flowchart's own loop records (only with a pool or while
@@ -392,15 +394,18 @@ and count_row st er_id run =
     | None -> run
   in
   if st.st_opts.collect_stats then (
-    let c = st.st_evals in
+    let c = st.st_evals and r = st.st_row_evals in
     fun fr lo hi ->
-      if hi >= lo then ignore (Atomic.fetch_and_add c (hi - lo + 1));
+      if hi >= lo then begin
+        ignore (Atomic.fetch_and_add c (hi - lo + 1));
+        ignore (Atomic.fetch_and_add r (hi - lo + 1))
+      end;
       run fr lo hi)
   else run
 
 (* A loop body over its loop variable's slot: [span fr lo hi] runs it at
-   slot = [lo], ..., [hi] in index order.  A body that is one real
-   equation with a row form runs a row at a time ([Compile.row]); it
+   slot = [lo], ..., [hi] in index order.  A body that is one equation
+   with a row form runs a row at a time ([Compile.row]); it
    counts its evaluations, and records its profiler time, once per row
    with the row's point count. *)
 and compile_span st benv' ~max_slot ~slot (body : Ps_sched.Flowchart.t) :
@@ -775,13 +780,7 @@ and compile_equation ?row st benv ~aliases er_id :
     let s = slab_of st df.Elab.df_data in
     (* Each writer computes the value before the destination offset. *)
     match s.s_data with
-    | PFloat _ -> Compile.compile_store_real ?row cctx s (sub_exprs df) q.Elab.q_rhs
-    | PInt arr ->
-      let off_f = compile_subs df s in
-      let rhs = Compile.compile_int cctx q.Elab.q_rhs in
-      point (fun fr ->
-          let v = rhs fr in
-          Array.unsafe_set arr (off_f fr) v)
+    | PFloat _ | PInt _ -> Compile.compile_store ?row cctx s (sub_exprs df) q.Elab.q_rhs
     | PBool b ->
       let off_f = compile_subs df s in
       let rhs = Compile.compile_bool cctx q.Elab.q_rhs in
@@ -861,6 +860,7 @@ and execute scheds ~opts ~(flowchart : Ps_sched.Flowchart.t)
       st_windows = windows;
       st_slabs = Hashtbl.create 16;
       st_evals = Atomic.make 0;
+      st_row_evals = Atomic.make 0;
       st_forks =
         (if Option.is_some opts.pool || Prof.enabled () then
            Ps_sched.Policy.resolve opts.policy flowchart
@@ -888,10 +888,11 @@ and execute scheds ~opts ~(flowchart : Ps_sched.Flowchart.t)
     Hashtbl.fold (fun name s acc -> (name, allocated_words s) :: acc) st.st_slabs []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
+  let counted c = if opts.collect_stats then Some (Atomic.get c) else None in
   { outputs;
     allocated;
-    evaluations =
-      (if opts.collect_stats then Some (Atomic.get st.st_evals) else None) }
+    evaluations = counted st.st_evals;
+    row_evaluations = counted st.st_row_evals }
 
 let run ?(opts = default_opts) ~flowchart ~windows ~prog em ~inputs =
   execute

@@ -46,6 +46,8 @@ type run_result = {
   outputs : (string * Value.value) list;  (** module results, in order *)
   allocated : (string * int) list;        (** words per data item, sorted *)
   evaluations : int option;               (** equation evaluations, if counted *)
+  row_evaluations : int option;
+      (** those run a row at a time ({!Compile.row}), if counted *)
 }
 
 val run :

@@ -437,7 +437,12 @@ let same_bits (x : Value.scalar) (y : Value.scalar) =
       (Int64.bits_of_float (Value.as_float y))
   | _ -> false
 
-let outcome f = match f () with v -> Ok v | exception Value.Bounds m -> Error m
+(* Either engine's trap: a read out of range or a zero divisor. *)
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Value.Bounds m -> Error m
+  | exception Eval.Runtime_error m -> Error m
 
 let shape_print (e, fr) =
   Printf.sprintf "%s at I,J,K = %d,%d,%d" (Ps_lang.Pretty.expr_to_string e) fr.(0)
@@ -450,7 +455,7 @@ let real_slab name dims =
    writer. *)
 let stored e fr =
   let d = real_slab "D" [] in
-  fst (Compile.compile_store_real shape_cctx d [] e) fr;
+  fst (Compile.compile_store shape_cctx d [] e) fr;
   Value.get_scalar d [||]
 
 let is_bool e =
@@ -470,23 +475,35 @@ let shape_prop =
       List.for_all agrees (compiled :: store))
 
 (* [D[K] = e] over a row K = lo .. hi at the frame's I and J, against
-   [Eval] point by point: the same bits at every point before the first
-   trap, and the same trap.  Row ends past D's range 0..4 make the
-   destination check fail too; R's first dimension is windowed, so a
-   read that K indexes there has no row form.  K has the last slot, so
-   the row's scratch slots follow it. *)
+   [Eval] point by point: the same value at every point before the
+   first trap, bit for bit, and the same trap.  D is real or int as [e]
+   is.  Row ends past D's range 0..4 make the destination check fail
+   too; R's first dimension is windowed, so a read that K indexes there
+   has no row form.  K has the last slot, so the row's scratch slots
+   follow it. *)
 let row_print (e, fr, (lo, hi)) = Printf.sprintf "%s, K = %d .. %d" (shape_print (e, fr)) lo hi
 
-(* Row-shaped right-hand sides: [if] trees over tests of [k * K + I]
-   against a constant (a few near [max_int], whose sides wrap), and
-   leaves that are constants, int reads, or chains of real reads that K
-   walks forwards, backwards, or along R's windowed first dimension. *)
-let gen_row_rhs : Ps_lang.Ast.expr QCheck.Gen.t =
+(* Row-shaped right-hand sides: [if] trees over affine tests of
+   [k * K + I] against a constant (a few near [max_int], whose sides
+   wrap), over leaves of either type.
+
+   - Real leaves are constants, int reads, chains of real reads that K
+     walks forwards, backwards, or along R's windowed first dimension,
+     and leaves that are not [+] chains: products, [sqrt], [min]/[max],
+     mixed int and real arithmetic, and [if]s on data.
+   - Int leaves combine int reads and affine forms with [+ - *],
+     [min]/[max]/[abs], [div]/[mod] by divisors that reach 0 mid-row,
+     and [if]s on data, one of whose arms reads far out of range but is
+     never taken; some are wrapped [(...) mod 1000], as the fuzzer wraps
+     every int right-hand side. *)
+let gen_row_rhs ~int_valued : Ps_lang.Ast.expr QCheck.Gen.t =
   let open QCheck.Gen in
   let open Ps_lang.Ast in
   let bin op x y = mk (Binop (op, x, y)) in
+  let call f args = mk (Call (f, args)) in
   let v x c = add_offset (var_e x) c in
   let r subs = mk (Index (var_e "R", subs)) in
+  let z subs = mk (Index (var_e "Z", subs)) in
   let read =
     frequency
       [ (3, map2 (fun c d -> r [ v "I" 0; v "K" c; v "J" d ]) (int_range 0 2) (int_range (-1) 1));
@@ -494,6 +511,13 @@ let gen_row_rhs : Ps_lang.Ast.expr QCheck.Gen.t =
              (int_range 3 6) (int_range (-1) 1));
         (2, map (fun c -> r [ v "I" 0; v "J" 1; v "K" c ]) (int_range (-1) 1));
         (1, map (fun c -> r [ v "K" c; v "I" 1; v "J" 0 ]) (int_range (-1) 1)) ]
+  in
+  (* Z is 0..3 by 0..4, its values -5..5. *)
+  let zread =
+    frequency
+      [ (3, map2 (fun d c -> z [ v "I" d; v "K" c ]) (int_range (-1) 0) (int_range (-1) 1));
+        (1, map (fun c -> z [ bin Sub (int_e c) (var_e "K"); v "J" 0 ]) (int_range 2 4));
+        (1, return (z [ v "J" 0; v "I" 0 ])) ]
   in
   let chain =
     map2
@@ -503,19 +527,15 @@ let gen_row_rhs : Ps_lang.Ast.expr QCheck.Gen.t =
       (list_size (int_range 1 4) read)
       (int_range 0 2)
   in
-  let leaf =
-    frequency
-      [ (4, chain); (1, float_range (-2.0) 2.0 >|= fun f -> mk (Real f));
-        (1, return (mk (Index (var_e "Z", [ v "I" 0; v "K" 0 ])))) ]
-  in
   let side =
     frequency
       [ (4, map2 (fun k c -> bin Add (bin Mul (int_e k) (var_e "K")) (v "I" c))
              (int_range (-2) 2) (int_range (-1) 3));
         (1, map (fun c -> bin Add (var_e "K") (int_e (max_int - c))) (int_range 0 3)) ]
   in
+  let cmp = oneofl [ Eq; Ne; Lt; Le; Gt; Ge ] in
   let test =
-    map3 (fun op l c -> bin op l (int_e c)) (oneofl [ Eq; Ne; Lt; Le; Gt; Ge ]) side
+    map3 (fun op l c -> bin op l (int_e c)) cmp side
       (frequency [ (4, int_range (-2) 6); (1, return max_int) ])
   in
   let guard =
@@ -523,19 +543,76 @@ let gen_row_rhs : Ps_lang.Ast.expr QCheck.Gen.t =
       (fun op tests -> List.fold_left (bin op) (List.hd tests) (List.tl tests))
       (oneofl [ And; Or ]) (list_size (int_range 1 3) test)
   in
-  fix
-    (fun self depth ->
-      if depth = 0 then leaf
-      else
-        frequency
-          [ (1, leaf); (2, map3 (fun c x y -> mk (If (c, x, y))) guard (self (depth - 1)) (self (depth - 1))) ])
-    2
+  let aff =
+    map2 (fun k c -> bin Add (bin Mul (int_e k) (var_e "K")) (v "I" c)) (int_range (-2) 2)
+      (int_range (-2) 2)
+  in
+  let zk = z [ v "I" 0; v "K" 0 ] in
+  (* K - c is 0 at one point of most rows. *)
+  let divisor =
+    frequency
+      [ (2, map (fun c -> bin Sub (var_e "K") (int_e c)) (int_range 0 4)); (1, zread);
+        (1, map (fun c -> bin Sub zk (int_e c)) (int_range (-1) 1)) ]
+  in
+  let ints =
+    fix
+      (fun self depth ->
+        let leaf = frequency [ (3, zread); (2, aff); (1, map int_e (int_range (-3) 3)) ] in
+        if depth = 0 then leaf
+        else
+          let sub = self (depth - 1) in
+          frequency
+            [ (2, leaf);
+              (2, map3 bin (oneofl [ Add; Sub; Mul ]) sub sub);
+              (1, map3 (fun f x y -> call f [ x; y ]) (oneofl [ "min"; "max" ]) sub sub);
+              (1, map (fun x -> call "abs" [ x ]) sub);
+              (2, map3 bin (oneofl [ Idiv; Imod ]) sub divisor);
+              (2, map3 (fun c x y -> mk (If (c, x, y))) (map3 bin cmp sub sub) sub sub);
+              (1, map2 (fun far x -> mk (If (bin Eq zk (int_e 99), far, x)))
+                   (map (fun c -> z [ v "I" 0; v "K" c ]) (int_range 9 12)) sub);
+              (2, map3 (fun c x y -> mk (If (c, x, y))) guard sub sub) ])
+      2
+  in
+  let general =
+    frequency
+      [ (2, map2 (bin Mul) read read);
+        (1, map (fun x -> bin Sub x (var_e "a")) read);
+        (1, map (fun x -> call "sqrt" [ x ]) read);
+        (1, map3 (fun f x y -> call f [ x; y ]) (oneofl [ "min"; "max" ]) read chain);
+        (1, map2 (bin Mul) read zread);
+        (1, map2 (bin Div) zread zread);
+        (2, map3 (fun c x y -> mk (If (c, x, y))) (map3 bin cmp read read) chain read) ]
+  in
+  let reals =
+    frequency
+      [ (4, chain); (1, float_range (-2.0) 2.0 >|= fun f -> mk (Real f));
+        (1, return zk); (2, general) ]
+  in
+  let tree =
+    fix
+      (fun self depth ->
+        let leaf = if int_valued then ints else reals in
+        if depth = 0 then leaf
+        else
+          frequency
+            [ (1, leaf); (2, map3 (fun c x y -> mk (If (c, x, y))) guard (self (depth - 1)) (self (depth - 1))) ])
+      2
+  in
+  if int_valued then
+    frequency [ (3, tree); (1, map (fun e -> bin Imod e (int_e 1000)) tree) ]
+  else tree
+
+let is_int_valued e =
+  match Compile.compile shape_cctx e with Compile.CInt _ | Compile.CIRead _ -> true | _ -> false
 
 let row_prop =
-  QCheck.Test.make ~count:5000 ~name:"compiled rows agree with eval point by point"
+  QCheck.Test.make ~count:6000 ~name:"compiled rows agree with eval point by point"
     (QCheck.make
        QCheck.Gen.(
-         triple (frequency [ (3, gen_row_rhs); (1, gen_shape) ]) gen_frame
+         triple
+           (frequency
+              [ (3, gen_row_rhs ~int_valued:false); (3, gen_row_rhs ~int_valued:true); (1, gen_shape) ])
+           gen_frame
            (frequency
               [ (1, pair (int_range (-1) 4) (int_range (-1) 5));
                 (2, pair (int_range 0 2) (int_range 2 4)) ]))
@@ -543,23 +620,25 @@ let row_prop =
     (fun (e, fr, (lo, hi)) ->
       is_bool e
       ||
+      let int = is_int_valued e in
       let values = ref [] in
       let rec reference j =
         if j > hi then Ok ()
         else begin
           fr.(2) <- j;
-          match Eval.eval_scalar (shape_eval fr) e with
-          | exception Value.Bounds m -> Error m
-          | _ when j < 0 || j > 4 -> Error (Printf.sprintf "D: subscript 1 = %d outside 0..4" j)
-          | v ->
-            values := (j, Value.as_float v) :: !values;
+          match outcome (fun () -> Eval.eval_scalar (shape_eval fr) e) with
+          | Error m -> Error m
+          | Ok _ when j < 0 || j > 4 -> Error (Printf.sprintf "D: subscript 1 = %d outside 0..4" j)
+          | Ok v ->
+            values := (j, v) :: !values;
             reference (j + 1)
         end
       in
       let reference = reference lo in
-      let dst = real_slab "D" [ (0, 5, 5) ] in
+      let elem = Stypes.Scalar (if int then Stypes.Sint else Stypes.Sreal) in
+      let dst = Value.make_slab ~name:"D" ~elem ~dims:[ (0, 5, 5) ] in
       let point, row =
-        Compile.compile_store_real ~row:2 shape_cctx dst [ Ps_lang.Ast.var_e "K" ] e
+        Compile.compile_store ~row:2 shape_cctx dst [ Ps_lang.Ast.var_e "K" ] e
       in
       let scratch = match row with Some r -> r.Compile.rw_scratch | None -> 0 in
       let frame = Array.append fr (Array.make scratch 0) in
@@ -572,16 +651,16 @@ let row_prop =
             point frame
           done
       in
-      let bits x = Int64.bits_of_float x in
       let got = outcome run in
       let show = function Ok () -> "ok" | Error m -> m in
       if got <> reference then
         QCheck.Test.fail_reportf "row: %s, points: %s" (show got) (show reference);
       List.for_all
         (fun (j, v) ->
-          Int64.equal (bits v) (bits (Value.as_float (Value.get_scalar dst [| j |])))
-          || QCheck.Test.fail_reportf "K = %d: row %h, point %h" j
-               (Value.as_float (Value.get_scalar dst [| j |])) v)
+          let stored = Value.get_scalar dst [| j |] in
+          same_bits v stored
+          || QCheck.Test.fail_reportf "K = %d: row %a, point %a" j Value.pp_scalar stored
+               Value.pp_scalar v)
         !values)
 
 let misc = [ t "agree on a deep mixed expression" (fun () ->

@@ -261,34 +261,50 @@ let parallel_tests =
 
 (* The paper's three executed kernels at the benchmark's sizes (Jacobi
    and the transformed Seidel at M = 64, maxK = 40; the transformed LCS at
-   N = 512), sequential with bounds checks on, as `psc run` runs them.
-   The closure compiler must keep an evaluation free of allocation: the
+   N = 512), sequential with bounds checks on, as `psc run` runs them:
+   [kernel_run] schedules one and returns its run, with or without
+   statistics. *)
+let kernel_run ?target ~sink_trim src inputs =
+  let tp = Psc.load_string src in
+  let tp, mname =
+    match target with
+    | None -> (tp, None)
+    | Some target ->
+      let tp, tr = Psc.hyperplane ~target tp in
+      (tp, Some tr.Psc.Transform.tr_module.Psc.Ast.m_name)
+  in
+  let em = Psc.the_module ?name:mname tp in
+  let sc = Psc.schedule ~sink:sink_trim ~trim:sink_trim em in
+  fun stats ->
+    Psc.Exec.run
+      ~opts:
+        { Psc.Exec.default_opts with
+          collect_stats = stats;
+          sched_flags =
+            { Psc.Exec.no_sched_flags with sf_sink = sink_trim; sf_trim = sink_trim } }
+      ~flowchart:sc.Psc.sc_flowchart ~windows:sc.Psc.sc_windows ~prog:tp.Psc.prog em ~inputs
+
+let relax = Ps_models.Models.relaxation_inputs ~m:64 ~maxk:40
+
+let lcs_inputs =
+  let n = 512 in
+  let str k = Psc.Exec.array_int ~dims:[ (1, n) ] (fun ix -> (ix.(0) * k) mod 4) in
+  [ ("X", str 7); ("Y", str 5); ("N", Psc.Exec.scalar_int n) ]
+
+let fig6 = lazy (kernel_run ~sink_trim:false Ps_models.Models.jacobi relax)
+
+let h3 = lazy (kernel_run ~target:"A" ~sink_trim:true Ps_models.Models.seidel relax)
+
+let lcs = lazy (kernel_run ~target:"L" ~sink_trim:true Ps_models.Models.lcs lcs_inputs)
+
+(* The closure compiler must keep an evaluation free of allocation: the
    bound covers the whole run, set-up (compilation, slab allocation)
    included, which is a few hundredths of a word per evaluation here.
    The evaluation counts pin the schedules: the work is unchanged. *)
-let alloc_case name ?target ~sink_trim src inputs ~evaluations ~max_words =
+let alloc_case name kernel ~evaluations ~max_words =
   t (Printf.sprintf "%s allocates under %g words per evaluation" name max_words)
     (fun () ->
-      let tp = Psc.load_string src in
-      let tp, mname =
-        match target with
-        | None -> (tp, None)
-        | Some target ->
-          let tp, tr = Psc.hyperplane ~target tp in
-          (tp, Some tr.Psc.Transform.tr_module.Psc.Ast.m_name)
-      in
-      let em = Psc.the_module ?name:mname tp in
-      let sc = Psc.schedule ~sink:sink_trim ~trim:sink_trim em in
-      let run stats =
-        Psc.Exec.run
-          ~opts:
-            { Psc.Exec.default_opts with
-              collect_stats = stats;
-              sched_flags =
-                { Psc.Exec.no_sched_flags with sf_sink = sink_trim; sf_trim = sink_trim } }
-          ~flowchart:sc.Psc.sc_flowchart ~windows:sc.Psc.sc_windows ~prog:tp.Psc.prog em
-          ~inputs
-      in
+      let run = Lazy.force kernel in
       let evals = Option.get (run true).Psc.Exec.evaluations in
       Alcotest.(check int) "evaluations" evaluations evals;
       let w0 = Gc.minor_words () in
@@ -299,20 +315,13 @@ let alloc_case name ?target ~sink_trim src inputs ~evaluations ~max_words =
           max_words)
 
 let alloc_tests =
-  let relax = Ps_models.Models.relaxation_inputs ~m:64 ~maxk:40 in
-  let n = 512 in
-  let str k = Psc.Exec.array_int ~dims:[ (1, n) ] (fun ix -> (ix.(0) * k) mod 4) in
-  let lcs_inputs = [ ("X", str 7); ("Y", str 5); ("N", Psc.Exec.scalar_int n) ] in
-  [ alloc_case "fig6" ~sink_trim:false Ps_models.Models.jacobi relax ~evaluations:178596
-      ~max_words:1.0;
-    alloc_case "h3" ~target:"A" ~sink_trim:true Ps_models.Models.seidel relax
-      ~evaluations:178596 ~max_words:0.25;
-    alloc_case "lcs" ~target:"L" ~sink_trim:true Ps_models.Models.lcs lcs_inputs
-      ~evaluations:263170 ~max_words:0.1 ]
+  [ alloc_case "fig6" fig6 ~evaluations:178596 ~max_words:1.0;
+    alloc_case "h3" h3 ~evaluations:178596 ~max_words:0.25;
+    alloc_case "lcs" lcs ~evaluations:263170 ~max_words:0.1 ]
 
-(* Rows: an innermost loop over one real equation runs a row at a time,
-   cut where a guard may change and checked at each segment's two ends
-   ([Compile.compile_store_real]).  Each case is a row's edge, checked
+(* Rows: an innermost loop over one real or int equation runs a row at a
+   time, cut where a guard may change and checked at each segment's two
+   ends ([Compile.compile_store]).  Each case is a row's edge, checked
    against closed-form values, against the emitted C where a compiler
    is installed, or, for a trap, against the message a point-by-point
    run raised, pinned as text. *)
@@ -327,6 +336,33 @@ let same_bits msg x y =
     Alcotest.failf "%s: %h <> %h" msg x y
 
 let grid n = Psc.Exec.array_real ~dims:[ (0, n); (0, n) ] (fun ix -> fill ((ix.(0) * (n + 1)) + ix.(1)))
+
+(* Each paper kernel's innermost equation gets a row form from
+   [Compile.compile_store ~row], so every evaluation it makes runs inside
+   a row; so does an int equation in the fuzzer's shape, which wraps
+   every int right-hand side [(...) mod 1000].  The evaluations left out
+   are h3's SOLVE body ([newA], 66 x 66 points) and lcs's [len]. *)
+let row_pin title kernel ~evaluations ~rows =
+  t title (fun () ->
+      let r = Lazy.force kernel true in
+      Alcotest.(check (option int)) "evaluations" (Some evaluations) r.Psc.Exec.evaluations;
+      Alcotest.(check (option int)) "in rows" (Some rows) r.Psc.Exec.row_evaluations)
+
+let fuzz_int =
+  lazy
+    (let src =
+       {|
+FzInt: module (Inp: array[D] of real; N: int): [Out: array [I, J] of int];
+type D = 0 .. N; I, J = 1 .. N;
+define
+  Out[I, J] = ((intpart((Inp[J] * 7.0000)) + (if Inp[I] < 0.5000 then (I * J) else (0 - J))) mod 1000);
+end FzInt;
+|}
+     in
+     let tp = Psc.load_string src in
+     let em = Psc.the_module tp in
+     let inputs = Psc.default_inputs em ~scalars:[ ("N", 6) ] in
+     fun stats -> Psc.run ~stats tp ~inputs)
 
 let row_tests =
   [ t "a read leaving its range at a row's last point traps with that point's message"
@@ -419,7 +455,15 @@ end Rev;
             done;
             Alcotest.(check int) "Z words" ((n + 1) * l) (List.assoc "Z" r.Psc.Exec.allocated);
             c_agrees ~scalars:[ ("N", n); ("L", l) ] src)
-          [ 0; 3 ]) ]
+          [ 0; 3 ]);
+    row_pin "fig6's innermost equation runs a row at a time" fig6 ~evaluations:178596
+      ~rows:178596;
+    row_pin "h3's innermost equation runs a row at a time" h3 ~evaluations:178596
+      ~rows:174240;
+    row_pin "lcs's innermost int equation runs a row at a time" lcs ~evaluations:263170
+      ~rows:263169;
+    row_pin "an int equation in the fuzzer's shape runs a row at a time" fuzz_int
+      ~evaluations:36 ~rows:36 ]
 
 let validation_tests =
   [ t "missing input is diagnosed" (fun () ->
@@ -473,7 +517,30 @@ end Oops;
           (Util.output_int (Util.run src [ ("b", Psc.Exec.scalar_bool true); ("N", n) ]) "s" [||]);
         Util.expect_error ~substring:"input InitialA: expected" (fun () ->
             Util.run Ps_models.Models.jacobi
-              (("InitialA", Psc.Exec.scalar_real 1.0) :: List.remove_assoc "InitialA" inputs))) ]
+              (("InitialA", Psc.Exec.scalar_real 1.0) :: List.remove_assoc "InitialA" inputs)));
+    t "bool and enum array inputs are filled as the C harness fills them" (fun () ->
+        (* The harness casts ps_fill(q), which lies in [0, 1): to a bool
+           that is false, to an enum ordinal 0.  A record array is
+           refused. *)
+        let src =
+          {|
+B: module (F: array [I] of bool; G: array [I] of Color; N: int): [s: int];
+type I = 1 .. N; Color = (red, green, blue);
+define
+  s = if F[N] then 1 else if G[1] = red then 2 else 3;
+end B;
+|}
+        in
+        let tp = Psc.load_string src in
+        let inputs = Psc.default_inputs (Psc.the_module tp) ~scalars:[ ("N", 4) ] in
+        Alcotest.(check int) "s" 2 (Util.output_int (Psc.run tp ~inputs) "s" [||]);
+        let records =
+          Psc.load_string
+            "R: module (F: array [1 .. N] of P; N: int): [s: int]; type P = record x : \
+             real end; define s = N; end R;"
+        in
+        Util.expect_error ~substring:"unsupported input element type for F" (fun () ->
+            Psc.default_inputs (Psc.the_module records) ~scalars:[ ("N", 4) ])) ]
 
 let () =
   Alcotest.run "exec"
