@@ -18,15 +18,21 @@ fuzz-smoke: build
 # The compile server in stdio mode: a malformed number and a run
 # without its scalars must each be answered, not kill the server, so
 # the schedule request behind them (id 3) still gets its ok answer.
-# Part of `make test`; the full protocol suite is test/test_server.ml.
+# Two emit-c harnesses of one source with different scalars (ids 4
+# and 5) must each print their own.  Part of `make test`; the full
+# protocol suite is test/test_server.ml.
 serve-smoke: build
-	printf '%s\n%s\n%s\n%s\n' \
+	out=$$(printf '%s\n' \
 	  '{"id":1,"op":"stats","x":-}' \
 	  '{"id":2,"op":"run","source_file":"examples/ps/relaxation.ps"}' \
 	  '{"id":3,"op":"schedule","source_file":"examples/ps/relaxation.ps"}' \
-	  '{"id":4,"op":"shutdown"}' \
-	  | _build/default/bin/psc_main.exe serve --stdio \
-	  | grep -q '"id":3,"ok":true'
+	  '{"id":4,"op":"emit-c","source_file":"examples/ps/relaxation.ps","main":true,"scalars":{"M":4,"maxK":2}}' \
+	  '{"id":5,"op":"emit-c","source_file":"examples/ps/relaxation.ps","main":true,"scalars":{"M":9,"maxK":7}}' \
+	  '{"id":6,"op":"shutdown"}' \
+	  | _build/default/bin/psc_main.exe serve --stdio) \
+	  && printf '%s\n' "$$out" | grep -q '"id":3,"ok":true' \
+	  && printf '%s\n' "$$out" | grep -q '"id":4,"ok":true,.*int M = 4;' \
+	  && printf '%s\n' "$$out" | grep -q '"id":5,"ok":true,.*int M = 9;'
 	@echo "serve-smoke: ok"
 
 # The overload/churn smoke: 500 connection open/close cycles leave no

@@ -30,23 +30,38 @@ let escape_letter =
       | c when c < ' ' -> 'u'
       | _ -> '\000')
 
+let letter c = String.unsafe_get escape_letter (Char.code c)
+
+(* The index of the first byte at or after [i] that needs an escape,
+   or [n]. *)
+let rec next_escape s i n =
+  if i < n && letter (String.unsafe_get s i) = '\000' then next_escape s (i + 1) n
+  else i
+
+let hex = "0123456789abcdef"
+
 (* [s] quoted and escaped onto [b], runs of verbatim bytes copied
    whole. *)
 let add_quoted b s =
+  let n = String.length s in
   Buffer.add_char b '"';
-  let run = ref 0 in
-  String.iteri
-    (fun i c ->
-      match String.unsafe_get escape_letter (Char.code c) with
-      | '\000' -> ()
-      | e ->
-        Buffer.add_substring b s !run (i - !run);
-        run := i + 1;
-        Buffer.add_char b '\\';
-        Buffer.add_char b e;
-        if e = 'u' then Printf.bprintf b "00%02x" (Char.code c))
-    s;
-  Buffer.add_substring b s !run (String.length s - !run);
+  let rec run start =
+    let i = next_escape s start n in
+    Buffer.add_substring b s start (i - start);
+    if i < n then begin
+      let c = String.unsafe_get s i in
+      let e = letter c in
+      Buffer.add_char b '\\';
+      Buffer.add_char b e;
+      if e = 'u' then begin
+        Buffer.add_string b "00";
+        Buffer.add_char b hex.[Char.code c lsr 4];
+        Buffer.add_char b hex.[Char.code c land 15]
+      end;
+      run (i + 1)
+    end
+  in
+  run 0;
   Buffer.add_char b '"'
 
 let str s =

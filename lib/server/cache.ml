@@ -7,6 +7,10 @@
    same module, same flags, same flowchart — which is what makes the
    artifacts safe to share between connections.
 
+   A schedule or C artifact holds its answer's fields already rendered,
+   so a hit prints and escapes nothing: it answers the bytes its miss
+   rendered.
+
    The store is lock-striped: the key's digest prefix picks one of 8
    shards, each a mutex-protected hash table with its own LRU tick and
    capacity slice.  Concurrent requests for unrelated sources touch
@@ -18,9 +22,15 @@
 
 type artifact =
   | A_project of Psc.t
-  | A_sched of Psc.scheduled
-  | A_emit of string  (* generated C text *)
+  | A_sched of sched
+  | A_emit of string  (* generated C, as a JSON string literal *)
   | A_policy of Psc.Policy.table  (* tuned per-nest scheduling policies *)
+
+and sched = {
+  sa_project : Psc.t;  (* what it was scheduled from; [run] reads its program *)
+  sa_sched : Psc.scheduled;
+  sa_fields : (string * string) list;  (* the schedule answer's fields, rendered *)
+}
 
 type entry = { e_art : artifact; mutable e_tick : int }
 
@@ -70,28 +80,41 @@ let flags_fingerprint (f : Psc.Exec.sched_flags) =
   Bytes.set s 3 (b 'c' f.Psc.Exec.sf_collapse);
   Bytes.to_string s
 
-let project_key ~src = "P:" ^ digest src
+let project_key ~digest = "P:" ^ digest
 
-let sched_key ~src ~module_ ~flags =
-  Printf.sprintf "S:%s:%s:%s" (digest src)
-    (match module_ with Some m -> m | None -> "")
-    (flags_fingerprint flags)
+let module_part = function Some m -> m | None -> ""
 
-let emit_key ~src ~module_ ~flags ~main =
-  Printf.sprintf "C:%s:%s:%s:%s" (digest src)
-    (match module_ with Some m -> m | None -> "")
-    (flags_fingerprint flags)
-    (if main then "main" else "mod")
+let schedule_key ~digest ~module_ ~flags =
+  String.concat ":"
+    [ "S"; digest; module_part module_; flags_fingerprint flags ]
+
+let sched_key ~src = schedule_key ~digest:(digest src)
+
+(* A main() harness bakes its scalars into the C, so they are part of
+   its key: sorted by name (stably, so that of two bindings of one name
+   the first, which the harness uses, stays first), each name as a JSON
+   string so that no two lists render alike. *)
+let emit_key ~digest ~module_ ~flags ~main =
+  let harness =
+    match main with
+    | None -> "mod"
+    | Some scalars ->
+      let sorted = List.stable_sort (fun (a, _) (b, _) -> String.compare a b) scalars in
+      "main="
+      ^ String.concat ","
+          (List.map (fun (n, v) -> Psc.Json.str n ^ "=" ^ string_of_int v) sorted)
+  in
+  String.concat ":"
+    [ "C"; digest; module_part module_; flags_fingerprint flags; harness ]
 
 (* Tuned policy tables additionally depend on the host that measured
    them: a table tuned on a 16-core box is advice, not ground truth, on
    a 2-core one, so it gets its own slot and the reader decides whether
    to trust it (see W121). *)
-let policy_key ~src ~module_ ~flags ~host_cores =
-  Printf.sprintf "T:%s:%s:%s:%d" (digest src)
-    (match module_ with Some m -> m | None -> "")
-    (flags_fingerprint flags)
-    host_cores
+let policy_key ~digest ~module_ ~flags ~host_cores =
+  String.concat ":"
+    [ "T"; digest; module_part module_; flags_fingerprint flags;
+      string_of_int host_cores ]
 
 (* The two hex digits right after the "X:" kind prefix are the head of
    an MD5 digest — uniformly distributed, so they stripe keys evenly.

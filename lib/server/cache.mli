@@ -15,10 +15,25 @@
 
 type artifact =
   | A_project of Psc.t          (** a loaded + elaborated source *)
-  | A_sched of Psc.scheduled    (** a scheduled module *)
-  | A_emit of string            (** generated C text *)
+  | A_sched of sched            (** a scheduled module and its answer *)
+  | A_emit of string
+      (** generated C, already escaped as a JSON string literal: the
+          ["c"] field of its answer *)
   | A_policy of Psc.Policy.table
       (** a tuned per-nest scheduling-policy table *)
+
+(** A schedule artifact.  Its answer's fields are rendered once, when
+    the artifact is built, so a hit answers those bytes and prints
+    nothing. *)
+and sched = {
+  sa_project : Psc.t;
+      (** the project it was scheduled from; a [run] executes in its
+          program *)
+  sa_sched : Psc.scheduled;
+  sa_fields : (string * string) list;
+      (** the rendered ["flowchart"], ["windows"], ["merged"],
+          ["trimmed"] and ["collapsed"] fields of a [schedule] answer *)
+}
 
 type t
 
@@ -41,20 +56,29 @@ val digest : string -> string
     access log reports as a request's ["digest"] field, and whose two
     leading hex digits pick the shard. *)
 
-val project_key : src:string -> string
+val project_key : digest:string -> string
+
+val schedule_key :
+  digest:string -> module_:string option -> flags:Psc.Exec.sched_flags -> string
 
 val sched_key :
   src:string -> module_:string option -> flags:Psc.Exec.sched_flags -> string
+(** [schedule_key] of [digest src], for a caller that holds the text
+    rather than its digest. *)
 
 val emit_key :
-  src:string ->
+  digest:string ->
   module_:string option ->
   flags:Psc.Exec.sched_flags ->
-  main:bool ->
+  main:(string * int) list option ->
   string
+(** [main] is [None] for the module's C alone and [Some scalars] for C
+    with the [main()] harness, which bakes those scalars in: they are
+    part of the key, sorted by name, so two harnesses share an artifact
+    only when they print the same C. *)
 
 val policy_key :
-  src:string ->
+  digest:string ->
   module_:string option ->
   flags:Psc.Exec.sched_flags ->
   host_cores:int ->

@@ -163,23 +163,43 @@ let reject_fields (line : string) : string * string * string option =
 (* ------------------------------------------------------------------ *)
 (* Output values *)
 
+(* The "%.17g" text of a real: the primitive Printf itself calls for
+   that conversion, without interpreting the format on every call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let real_text v = format_float "%.17g" v
+
 let scalar_fields (s : Psc.Value.scalar) =
   match s with
   | Psc.Value.Sc_int n -> [ ("elem", Json.str "int"); ("value", Json.str (string_of_int n)) ]
-  | Psc.Value.Sc_real v ->
-    [ ("elem", Json.str "real"); ("value", Json.str (Printf.sprintf "%.17g" v)) ]
+  | Psc.Value.Sc_real v -> [ ("elem", Json.str "real"); ("value", Json.str (real_text v)) ]
   | Psc.Value.Sc_bool b -> [ ("elem", Json.str "bool"); ("value", Json.str (Json.bool b)) ]
   | Psc.Value.Sc_enum (ty, o) ->
     [ ("elem", Json.str "enum"); ("ty", Json.str ty); ("value", Json.str (string_of_int o)) ]
   | Psc.Value.Sc_record _ -> [ ("elem", Json.str "record"); ("value", Json.str "<record>") ]
 
-let scalar_text (s : Psc.Value.scalar) =
-  match s with
-  | Psc.Value.Sc_int n -> string_of_int n
-  | Psc.Value.Sc_real v -> Printf.sprintf "%.17g" v
-  | Psc.Value.Sc_bool b -> Json.bool b
-  | Psc.Value.Sc_enum (_, o) -> string_of_int o
-  | Psc.Value.Sc_record _ -> "<record>"
+(* The box's elements as a JSON array of strings, rendered into one
+   buffer straight from the payload.  No element text needs an escape:
+   it is a number, "nan", "inf", "true", "false" or "<record>". *)
+let values_json (sl : Psc.Value.slab) =
+  let b = Buffer.create 1024 in
+  Buffer.add_char b '[';
+  let add text =
+    if Buffer.length b > 1 then Buffer.add_char b ',';
+    Buffer.add_char b '"';
+    Buffer.add_string b text;
+    Buffer.add_char b '"'
+  in
+  let at =
+    match sl.Psc.Value.s_data with
+    | Psc.Value.PFloat a -> fun off -> add (real_text a.(off))
+    | Psc.Value.PInt a -> fun off -> add (string_of_int a.(off))
+    | Psc.Value.PBool a -> fun off -> add (Json.bool (Bytes.get a off <> '\000'))
+    | Psc.Value.PBox _ -> fun _ -> add "<record>"
+  in
+  Psc.Value.iter_box sl (fun ix -> at (Psc.Value.offset sl ix));
+  Buffer.add_char b ']';
+  Buffer.contents b
 
 let output_json (name, (v : Psc.Value.value)) =
   match v with
@@ -193,16 +213,13 @@ let output_json (name, (v : Psc.Value.value)) =
                [ Json.int di.Psc.Value.di_lo;
                  Json.int (di.Psc.Value.di_lo + di.Psc.Value.di_extent - 1) ])
     in
-    let values = ref [] in
-    Psc.Value.iter_box sl (fun ix ->
-        values := Json.str (scalar_text (Psc.Value.get_scalar sl ix)) :: !values);
     let ty = match sl.Psc.Value.s_kind with Psc.Value.KEnum ty -> Some ty | _ -> None in
     Json.obj
       ([ ("name", Json.str name);
          ("kind", Json.str "array");
          ("elem", Json.str (Psc.Value.kind_name sl.Psc.Value.s_kind)) ]
       @ Json.opt "ty" Json.str ty
-      @ [ ("dims", Json.arr dims); ("values", Json.arr (List.rev !values)) ])
+      @ [ ("dims", Json.arr dims); ("values", values_json sl) ])
 
 (* ------------------------------------------------------------------ *)
 (* Responses *)

@@ -66,7 +66,8 @@ val output_json : string * Psc.Value.value -> string
     [{name;kind:"scalar";elem;value}], arrays as
     [{name;kind:"array";elem;ty?;dims:[[lo,hi],...];values:[...]}] with
     the values in row-major declared-box order, each rendered as a
-    string ({!scalar_text}). *)
+    string: a real as ["%.17g"], an int or enum ordinal in decimal, a
+    bool as [true] or [false]. *)
 
 val ok_response : id:string -> cached:bool -> (string * string) list -> string
 (** [{"id":…,"ok":true,"cached":…,<fields>}]. *)

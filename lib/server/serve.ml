@@ -235,8 +235,12 @@ type req_info = {
 
 let fresh_info () = { ri_cached = false; ri_digest = None; ri_error = None }
 
+(* A request's source text and its digest, which is hashed once: every
+   cache key of the request and its access-log line share it. *)
+type source = { text : string; digest : string }
+
 let request_source info (rq : Proto.request) =
-  let src =
+  let text =
     match rq.Proto.rq_source with
     | None -> Psc.error "missing required field: source (or source_file)"
     | Some (Proto.Inline s) -> s
@@ -248,56 +252,88 @@ let request_source info (rq : Proto.request) =
         s
       with Sys_error m -> Psc.error "cannot read source_file: %s" m)
   in
-  info.ri_digest <- Some (Cache.digest src);
-  src
+  let digest = Cache.digest text in
+  info.ri_digest <- Some digest;
+  { text; digest }
 
 let project sv ~deadline src =
   check_deadline deadline;
   match
-    Cache.find_or_build sv.sv_cache (Cache.project_key ~src) (fun () ->
-        Cache.A_project (Psc.load_string src))
+    Cache.find_or_build sv.sv_cache (Cache.project_key ~digest:src.digest)
+      (fun () -> Cache.A_project (Psc.load_string src.text))
   with
   | Cache.A_project t, hit -> (t, hit)
   | _ -> assert false
 
-let scheduled sv ~deadline src (rq : Proto.request) =
-  let t, _ = project sv ~deadline src in
+(* An artifact built from the request's project.  Its own key is looked
+   up first, so a hit costs one lookup; the project is fetched, or
+   built, only when the artifact must be. *)
+let from_project sv ~deadline src key build =
   check_deadline deadline;
-  let key =
-    Cache.sched_key ~src ~module_:rq.Proto.rq_module ~flags:rq.Proto.rq_flags
-  in
+  Cache.find_or_build sv.sv_cache key (fun () ->
+      let t, _ = project sv ~deadline src in
+      check_deadline deadline;
+      build t)
+
+let windows_json (sc : Psc.scheduled) =
+  Json.arr
+    (List.map
+       (fun (w : Psc.Schedule.window) ->
+         Json.obj
+           [ ("data", Json.str w.Psc.Schedule.w_data);
+             ("dim", Json.int w.Psc.Schedule.w_dim);
+             ("window", Json.int w.Psc.Schedule.w_size) ])
+       sc.Psc.sc_windows)
+
+let scheduled sv ~deadline src (rq : Proto.request) =
+  let f = rq.Proto.rq_flags in
+  let key = Cache.schedule_key ~digest:src.digest ~module_:rq.Proto.rq_module ~flags:f in
   match
-    Cache.find_or_build sv.sv_cache key (fun () ->
+    from_project sv ~deadline src key (fun t ->
         let em = Psc.the_module ?name:rq.Proto.rq_module t in
-        let f = rq.Proto.rq_flags in
+        let sc =
+          Psc.schedule ~sink:f.Psc.Exec.sf_sink ~fuse:f.Psc.Exec.sf_fuse
+            ~trim:f.Psc.Exec.sf_trim ~collapse:f.Psc.Exec.sf_collapse em
+        in
         Cache.A_sched
-          (Psc.schedule ~sink:f.Psc.Exec.sf_sink ~fuse:f.Psc.Exec.sf_fuse
-             ~trim:f.Psc.Exec.sf_trim ~collapse:f.Psc.Exec.sf_collapse em))
+          { Cache.sa_project = t;
+            sa_sched = sc;
+            sa_fields =
+              [ ("flowchart", Json.str (Psc.flowchart_string sc));
+                ("windows", windows_json sc);
+                ("merged", Json.int sc.Psc.sc_merged);
+                ("trimmed", Json.int sc.Psc.sc_trimmed);
+                ("collapsed", Json.int sc.Psc.sc_collapsed) ] })
   with
-  | Cache.A_sched sc, hit -> (t, sc, hit)
+  | Cache.A_sched a, hit -> (a, hit)
   | _ -> assert false
 
 let emitted sv ~deadline src (rq : Proto.request) =
-  let t, _ = project sv ~deadline src in
-  check_deadline deadline;
+  let main = if rq.Proto.rq_main then Some rq.Proto.rq_scalars else None in
   let key =
-    Cache.emit_key ~src ~module_:rq.Proto.rq_module ~flags:rq.Proto.rq_flags
-      ~main:rq.Proto.rq_main
+    Cache.emit_key ~digest:src.digest ~module_:rq.Proto.rq_module
+      ~flags:rq.Proto.rq_flags ~main
   in
   match
-    Cache.find_or_build sv.sv_cache key (fun () ->
+    from_project sv ~deadline src key (fun t ->
         let f = rq.Proto.rq_flags in
         let sink = f.Psc.Exec.sf_sink and fuse = f.Psc.Exec.sf_fuse in
         let trim = f.Psc.Exec.sf_trim and collapse = f.Psc.Exec.sf_collapse in
         Cache.A_emit
-          (if rq.Proto.rq_main then
-             Psc.emit_c_main ?name:rq.Proto.rq_module ~sink ~fuse ~trim
-               ~collapse ~scalars:rq.Proto.rq_scalars t
-           else
-             Psc.emit_c ?name:rq.Proto.rq_module ~sink ~fuse ~trim ~collapse t))
+          (Json.str
+             (match main with
+              | Some scalars ->
+                Psc.emit_c_main ?name:rq.Proto.rq_module ~sink ~fuse ~trim
+                  ~collapse ~scalars t
+              | None ->
+                Psc.emit_c ?name:rq.Proto.rq_module ~sink ~fuse ~trim ~collapse t)))
   with
   | Cache.A_emit c, hit -> (c, hit)
   | _ -> assert false
+
+let policy_key src (rq : Proto.request) ~host_cores =
+  Cache.policy_key ~digest:src.digest ~module_:rq.Proto.rq_module
+    ~flags:rq.Proto.rq_flags ~host_cores
 
 (* Tuned policy tables are measured once per (source, module, flags,
    host core count) and then served from the artifact cache like any
@@ -305,15 +341,9 @@ let emitted sv ~deadline src (rq : Proto.request) =
    a miss, it just means the static model (or nothing) steers the
    nests. *)
 let tuned sv ~deadline src (rq : Proto.request) =
-  let t, _ = project sv ~deadline src in
-  check_deadline deadline;
   let host_cores = Psc.Pool.recommended_size () in
-  let key =
-    Cache.policy_key ~src ~module_:rq.Proto.rq_module ~flags:rq.Proto.rq_flags
-      ~host_cores
-  in
   match
-    Cache.find_or_build sv.sv_cache key (fun () ->
+    from_project sv ~deadline src (policy_key src rq ~host_cores) (fun t ->
         let f = rq.Proto.rq_flags in
         let em = Psc.the_module ?name:rq.Proto.rq_module t in
         let inputs =
@@ -329,11 +359,7 @@ let tuned sv ~deadline src (rq : Proto.request) =
 
 let cached_policy sv src (rq : Proto.request) =
   let host_cores = Psc.Pool.recommended_size () in
-  let key =
-    Cache.policy_key ~src ~module_:rq.Proto.rq_module ~flags:rq.Proto.rq_flags
-      ~host_cores
-  in
-  match Cache.peek sv.sv_cache key with
+  match Cache.peek sv.sv_cache (policy_key src rq ~host_cores) with
   | Some (Cache.A_policy tp) ->
     if Psc.Policy.stale tp ~host_cores then None else Some tp
   | Some _ | None -> None
@@ -344,16 +370,6 @@ let cached_policy sv src (rq : Proto.request) =
 let diag_response ~id code msg =
   Proto.error_response ~id
     [ Psc.Diag.diag code Ps_lang.Loc.dummy "%s" msg ]
-
-let windows_json (sc : Psc.scheduled) =
-  Json.arr
-    (List.map
-       (fun (w : Psc.Schedule.window) ->
-         Json.obj
-           [ ("data", Json.str w.Psc.Schedule.w_data);
-             ("dim", Json.int w.Psc.Schedule.w_dim);
-             ("window", Json.int w.Psc.Schedule.w_size) ])
-       sc.Psc.sc_windows)
 
 let quantiles_json q =
   let s = Psc.Metrics.sk_quantiles q in
@@ -391,19 +407,15 @@ let dispatch sv ~deadline ~info (rq : Proto.request) : string =
         ("warnings", Json.int (List.length (Psc.warnings t))) ]
   | Proto.Schedule ->
     let src = request_source info rq in
-    let _, sc, hit = scheduled sv ~deadline src rq in
+    let a, hit = scheduled sv ~deadline src rq in
     info.ri_cached <- hit;
-    Proto.ok_response ~id ~cached:hit
-      [ ("flowchart", Json.str (Psc.flowchart_string sc));
-        ("windows", windows_json sc);
-        ("merged", Json.int sc.Psc.sc_merged);
-        ("trimmed", Json.int sc.Psc.sc_trimmed);
-        ("collapsed", Json.int sc.Psc.sc_collapsed) ]
+    Proto.ok_response ~id ~cached:hit a.Cache.sa_fields
   | Proto.Run ->
     let src = request_source info rq in
-    let t, sc, hit = scheduled sv ~deadline src rq in
+    let a, hit = scheduled sv ~deadline src rq in
     info.ri_cached <- hit;
     check_deadline deadline;
+    let t = a.Cache.sa_project and sc = a.Cache.sa_sched in
     let em = sc.Psc.sc_module in
     let inputs = Psc.default_inputs em ~scalars:rq.Proto.rq_scalars in
     (* A tuned policy table cached by a prior [tune] of the same
@@ -434,13 +446,13 @@ let dispatch sv ~deadline ~info (rq : Proto.request) : string =
     let src = request_source info rq in
     let c, hit = emitted sv ~deadline src rq in
     info.ri_cached <- hit;
-    Proto.ok_response ~id ~cached:hit [ ("c", Json.str c) ]
+    Proto.ok_response ~id ~cached:hit [ ("c", c) ]
   | Proto.Lint ->
     let src = request_source info rq in
     check_deadline deadline;
     (* Lenient load: single-assignment errors become diagnostics in the
        answer rather than a failed request. *)
-    let t = Psc.load_string_lenient src in
+    let t = Psc.load_string_lenient src.text in
     let diags = Psc.lint t in
     Proto.ok_response ~id ~cached:false
       [ ("diagnostics", Psc.Diag.render Psc.Diag.Json diags);

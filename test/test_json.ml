@@ -50,6 +50,29 @@ let parser_tests =
         List.iter rejects
           [ ""; "{"; "[1,]"; {|{"a"}|}; {|"open|}; "tru"; "{} x"; {|"\q"|} ]) ]
 
+(* The escape table, one byte at a time: the two-character escapes,
+   \u00XX for the other control characters, every other byte
+   verbatim. *)
+let escaped s =
+  let b = Buffer.create 16 in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b {|\"|}
+      | '\\' -> Buffer.add_string b {|\\|}
+      | '\n' -> Buffer.add_string b {|\n|}
+      | '\t' -> Buffer.add_string b {|\t|}
+      | '\r' -> Buffer.add_string b {|\r|}
+      | c when c < ' ' -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* Strings of up to 64 bytes drawn from all 256 byte values. *)
+let any_bytes =
+  QCheck.Gen.(string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 64))
+
 let writer_tests =
   [ t "writers render the exact shapes" (fun () ->
         check_str "empty" "{}[]" (Json.obj [] ^ Json.arr []);
@@ -59,7 +82,13 @@ let writer_tests =
                ("c", Json.str "") ]);
         check_str "escapes" "\"q\\\"\\\\\\n\\t\\r\\u0001\\u001f\\u0008/\xc3\xa9\""
           (Json.str "q\"\\\n\t\r\001\031\b/\xc3\xa9");
-        check_str "escaped key" {|{"k\"":null}|} (Json.obj [ ("k\"", "null") ]));
+        check_str "escaped key" {|{"k\"":null}|} (Json.obj [ ("k\"", "null") ]);
+        let all = String.init 256 Char.chr in
+        check_str "bytes 0-255" (escaped all) (Json.str all));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:1000 ~name:"str escapes any bytes as the table says"
+         (QCheck.make ~print:String.escaped any_bytes)
+         (fun s -> Json.str s = escaped s));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:500 ~name:"any string reads back through str"
          QCheck.(small_list (pair string string))
@@ -84,6 +113,45 @@ let pinned_diags =
   [ Psc.Diag.diag Psc.Diag.Out_of_bounds (Psc.Loc.span (p 3 5 40) (p 3 12 47))
       "subscript I+1 of A[%s] may exceed its upper bound %s" "I" "M";
     Psc.Diag.diag Psc.Diag.Unused_data Psc.Loc.dummy "data %s is never used" "T" ]
+
+(* One output of every kind: reals at the edges of "%.17g" (signed
+   zero, NaN, infinities, the least subnormal), a windowed dimension
+   whose box wraps onto its planes, an int, bool and enum array, an
+   empty box, and each kind of scalar. *)
+let pinned_outputs =
+  let open Psc.Value in
+  let slab elem dims = make_slab ~name:"x" ~elem:(Psc.Stypes.Scalar elem) ~dims in
+  let r = slab Psc.Stypes.Sreal [ (0, 2, 2); (1, 4, 4) ] in
+  List.iteri (set_float r)
+    [ 0.1; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 5e-324; 1e300;
+      1.0 /. 3.0 ];
+  let w = slab Psc.Stypes.Sreal [ (1, 3, 2) ] in
+  set_float w 0 2.5;
+  set_float w 1 (-7.0);
+  let i = slab Psc.Stypes.Sint [ (-1, 3, 3) ] in
+  List.iteri (set_int i) [ -3; 0; max_int ];
+  let b = slab Psc.Stypes.Sbool [ (0, 2, 2) ] in
+  set_bool b 0 true;
+  let e = slab (Psc.Stypes.Senum "colour") [ (0, 2, 2) ] in
+  set_int e 1 2;
+  let z = slab Psc.Stypes.Sreal [ (1, 0, 0) ] in
+  [ ("R", Varray r); ("W", Varray w); ("I", Varray i); ("B", Varray b);
+    ("E", Varray e); ("Z", Varray z); ("s", Vscalar (Sc_real Float.nan));
+    ("t", Vscalar (Sc_int (-4))); ("u", Vscalar (Sc_bool false));
+    ("v", Vscalar (Sc_enum ("colour", 1))) ]
+
+(* Any 64 bits as a double: NaNs of either sign and any payload,
+   subnormals and infinities included, with the edges drawn often. *)
+let any_bits =
+  QCheck.Gen.(
+    frequency
+      [ (8, map2 (fun hi lo -> Int64.(logor (shift_left (of_int hi) 32) (of_int lo)))
+               (int_bound 0xFFFFFFFF) (int_bound 0xFFFFFFFF));
+        (1, oneofl
+              (List.map Int64.bits_of_float
+                 [ 0.0; -0.0; Float.nan; -.Float.nan; Float.infinity;
+                   Float.neg_infinity; 5e-324; Float.min_float; Float.max_float;
+                   0.1; 1e21; 1e-7 ])) ])
 
 let tree_writer_tests =
   [ t "Diag.render Json" (fun () ->
@@ -143,7 +211,44 @@ let tree_writer_tests =
         let j = Json.parse (Ps_server.Proto.output_json (awkward, arr)) in
         Alcotest.(check bool) "values" true
           (Json.member "values" j
-          = Some (Json.Arr [ Json.Str "0"; Json.Str "0.10000000000000001" ])));
+          = Some (Json.Arr [ Json.Str "0"; Json.Str "0.10000000000000001" ]));
+        List.iter2
+          (fun out want -> check_str (fst out) want (Ps_server.Proto.output_json out))
+          pinned_outputs
+          [ {|{"name":"R","kind":"array","elem":"real","dims":[[0,1],[1,4]],"values":["0.10000000000000001","-0","nan","inf","-inf","4.9406564584124654e-324","1.0000000000000001e+300","0.33333333333333331"]}|};
+            {|{"name":"W","kind":"array","elem":"real","dims":[[1,3]],"values":["2.5","-7","2.5"]}|};
+            {|{"name":"I","kind":"array","elem":"int","dims":[[-1,1]],"values":["-3","0","4611686018427387903"]}|};
+            {|{"name":"B","kind":"array","elem":"bool","dims":[[0,1]],"values":["true","false"]}|};
+            {|{"name":"E","kind":"array","elem":"enum","ty":"colour","dims":[[0,1]],"values":["0","2"]}|};
+            {|{"name":"Z","kind":"array","elem":"real","dims":[[1,0]],"values":[]}|};
+            {|{"name":"s","kind":"scalar","elem":"real","value":"nan"}|};
+            {|{"name":"t","kind":"scalar","elem":"int","value":"-4"}|};
+            {|{"name":"u","kind":"scalar","elem":"bool","value":"false"}|};
+            {|{"name":"v","kind":"scalar","elem":"enum","ty":"colour","value":"1"}|} ]);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200 ~name:"Proto.output_json renders any real as %.17g"
+         QCheck.(list_of_size Gen.(int_range 0 40) (make ~print:Int64.to_string any_bits))
+         (fun bits ->
+           let xs = Array.of_list (List.map Int64.float_of_bits bits) in
+           let out =
+             Psc.Exec.array_real ~dims:[ (1, Array.length xs) ] (fun ix -> xs.(ix.(0) - 1))
+           in
+           let printed =
+             List.map (fun x -> Json.str (Printf.sprintf "%.17g" x)) (Array.to_list xs)
+           in
+           Ps_server.Proto.output_json ("A", out)
+           = Json.obj
+               [ ("name", Json.str "A"); ("kind", Json.str "array");
+                 ("elem", Json.str "real");
+                 ("dims", Json.arr [ Json.arr [ "1"; Json.int (Array.length xs) ] ]);
+                 ("values", Json.arr printed) ]
+           && List.for_all2
+                (fun x p ->
+                  Ps_server.Proto.output_json ("x", Psc.Value.Vscalar (Psc.Value.Sc_real x))
+                  = Json.obj
+                      [ ("name", Json.str "x"); ("kind", Json.str "scalar");
+                        ("elem", Json.str "real"); ("value", p) ])
+                (Array.to_list xs) printed));
     t "Proto.ok_response" (fun () ->
         let j =
           Json.parse

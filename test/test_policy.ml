@@ -130,10 +130,10 @@ let roundtrip_tests =
         | Ok _ -> Alcotest.fail "accepted non-JSON");
     t "the server cache stores and replays a policy table" (fun () ->
         let cache = Ps_server.Cache.create ~capacity:4 () in
-        let src = Ps_models.Models.jacobi in
+        let digest = Ps_server.Cache.digest Ps_models.Models.jacobi in
         let flags = Psc.Exec.default_opts.Psc.Exec.sched_flags in
         let key =
-          Ps_server.Cache.policy_key ~src ~module_:None ~flags ~host_cores:4
+          Ps_server.Cache.policy_key ~digest ~module_:None ~flags ~host_cores:4
         in
         let table =
           Psc.static_policy ~cores:4 jacobi ~env:[ ("M", 64); ("maxK", 40) ]
@@ -156,7 +156,7 @@ let roundtrip_tests =
         | _ -> Alcotest.fail "wrong artifact kind");
         (* A different host core count is a different artifact. *)
         let key8 =
-          Ps_server.Cache.policy_key ~src ~module_:None ~flags ~host_cores:8
+          Ps_server.Cache.policy_key ~digest ~module_:None ~flags ~host_cores:8
         in
         Alcotest.(check bool) "keys differ by host_cores" true (key <> key8);
         Alcotest.(check bool) "peek hits the stored key" true

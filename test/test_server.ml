@@ -156,8 +156,9 @@ let stdio_tests =
               Alcotest.(check string) "same flowchart" a b
             | _ -> Alcotest.fail "schedule response has no flowchart");
             let s = ask "{\"id\":3,\"op\":\"stats\"}" in
-            (* The repeat hit both stages; the first populated them. *)
-            Alcotest.(check bool) "hits counted" true (cache_stat "hits" s >= 2);
+            (* The first populated both stages; the repeat is one lookup
+               of its schedule, not of the project behind it. *)
+            Alcotest.(check int) "one hit" 1 (cache_stat "hits" s);
             Alcotest.(check int) "one miss per stage" 2 (cache_stat "misses" s)));
     t "malformed JSON is rejected per-request, server stays up" (fun () ->
         with_stdio_server (fun ask ->
@@ -677,6 +678,86 @@ let stdio_pipe_tests =
           Alcotest.failf "the server took %.2f s to exit after end of input"
             elapsed) ]
 
+(* --- a hit answers what its miss rendered ------------------------------ *)
+
+let emit_req ~id ?main src =
+  Json.obj
+    ([ ("id", Json.int id); ("op", Json.str "emit-c"); ("source", Json.str src) ]
+    @
+    match main with
+    | None -> []
+    | Some scalars ->
+      [ ("main", "true");
+        ("scalars", Json.obj (List.map (fun (n, v) -> (n, Json.int v)) scalars)) ])
+
+(* A stdio session over raw answer lines: [f] gets [ask], which sends
+   one request line and returns the answer line unparsed. *)
+let with_raw_stdio f =
+  let result, status = with_stdio_pipes (fun ic oc -> f (ask_fd ic oc)) in
+  check_exit status;
+  result
+
+let example_sources () =
+  let dir = Filename.dirname (Util.example "relaxation.ps") in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".ps")
+  |> List.sort compare
+  |> List.map (fun f -> (f, Util.read_file (Filename.concat dir f)))
+
+(* Every scalar input of the source's default module, at [v]. *)
+let scalar_inputs src v =
+  let em = Psc.default_module (Psc.load_string src) in
+  List.filter_map
+    (fun (d : Psc.Elab.data) ->
+      match Psc.Stypes.dims d.Psc.Elab.d_ty with
+      | [] -> Some (d.Psc.Elab.d_name, v)
+      | _ -> None)
+    em.Psc.Elab.em_params
+
+let hit_tests =
+  [ t "each emit-c harness carries its own scalars, and a repeat is a hit"
+      (fun () ->
+        let src = Util.read_file (Util.example "relaxation.ps") in
+        with_raw_stdio (fun ask ->
+            let expect ~id ~cached ~m scalars =
+              let j = parse (ask (emit_req ~id ~main:scalars src)) in
+              let what = Printf.sprintf "id %d" id in
+              Alcotest.(check bool) (what ^ " ok") true (jbool "ok" j);
+              Alcotest.(check bool) (what ^ " cached") cached (jbool "cached" j);
+              Alcotest.(check bool) (what ^ " has its own M") true
+                (Util.contains (Util.str (Util.field "c" j))
+                   (Printf.sprintf "int M = %d;" m))
+            in
+            expect ~id:1 ~cached:false ~m:4 [ ("M", 4); ("maxK", 2) ];
+            expect ~id:2 ~cached:false ~m:9 [ ("M", 9); ("maxK", 7) ];
+            (* The key sorts the scalars by name: the order a client
+               lists them in does not matter. *)
+            expect ~id:3 ~cached:true ~m:4 [ ("maxK", 2); ("M", 4) ];
+            expect ~id:4 ~cached:true ~m:9 [ ("M", 9); ("maxK", 7) ]));
+    t "on every example, a hit's answer is its miss's, byte for byte" (fun () ->
+        with_raw_stdio (fun ask ->
+            List.iter
+              (fun (name, src) ->
+                List.iter
+                  (fun (what, line) ->
+                    let miss = ask line in
+                    let hit = ask line in
+                    let what = Printf.sprintf "%s %s" name what in
+                    let miss_head = {|{"id":1,"ok":true,"cached":false|} in
+                    let n = String.length miss_head in
+                    Alcotest.(check string) (what ^ ": the first is an ok miss")
+                      miss_head (String.sub miss 0 (min n (String.length miss)));
+                    Alcotest.(check string) (what ^ ": the hit is the miss's bytes")
+                      ({|{"id":1,"ok":true,"cached":true|}
+                      ^ String.sub miss n (String.length miss - n))
+                      hit)
+                  [ ("schedule",
+                     Printf.sprintf {|{"id":1,"op":"schedule","source":%s}|}
+                       (Json.str src));
+                    ("emit-c", emit_req ~id:1 src);
+                    ("emit-c main", emit_req ~id:1 ~main:(scalar_inputs src 5) src) ])
+              (example_sources ()))) ]
+
 (* --- stress over both transports -------------------------------------- *)
 
 (* The fixed mix of the transport-agreement case: well-formed requests
@@ -886,13 +967,12 @@ let socket_tests =
             if outputs_of line <> reference then
               Alcotest.failf "client %d saw a different answer" i)
           answers;
-        (* The warm-up populated both stages (one miss each); all 32
-           concurrent runs then hit both. *)
+        (* The warm-up populated both stages (one miss each); each of
+           the 32 concurrent runs then hits its schedule, one lookup. *)
         let fd, ic, oc = connect path in
         let s = parse (ask_fd ic oc "{\"id\":1,\"op\":\"stats\"}") in
         Unix.close fd;
-        Alcotest.(check bool) "hits cover the wave" true
-          (cache_stat "hits" s >= 2 * n);
+        Alcotest.(check int) "one hit per run" n (cache_stat "hits" s);
         Alcotest.(check int) "one miss per stage" 2 (cache_stat "misses" s));
     t "32 concurrent clients each land one JSON access-log line" (fun () ->
         let log_file = Filename.temp_file "psc_access" ".log" in
@@ -1017,7 +1097,7 @@ let cache_tests =
   [ t "two threads racing one key agree on the winning artifact" (fun () ->
         let c = Cache.create ~capacity:8 () in
         let before = Cache.stats c in
-        let key = Cache.project_key ~src:"race-regression" in
+        let key = Cache.project_key ~digest:(Cache.digest "race-regression") in
         (* Both builders spin until the other has started, so the build
            window genuinely overlaps: both threads miss, both build, and
            the insert race is decided under the shard lock. *)
@@ -1055,7 +1135,7 @@ let cache_tests =
         for i = 1 to 64 do
           ignore
             (Cache.find_or_build c
-               (Cache.project_key ~src:(Printf.sprintf "evict-%d" i))
+               (Cache.project_key ~digest:(Cache.digest (Printf.sprintf "evict-%d" i)))
                (fun () -> Cache.A_emit (string_of_int i)))
         done;
         let after = Cache.stats c in
@@ -1271,4 +1351,5 @@ let () =
       ("trace", trace_tests);
       ("socket", socket_tests);
       ("cache", cache_tests);
+      ("hits", hit_tests);
       ("stress", stress_tests @ transport_tests @ [ connections_1024 ]) ]
