@@ -46,7 +46,7 @@ serve-stress: build
 	@echo "serve-stress: ok"
 
 # Tune the headline relaxation nests and replay the tuned tables
-# bit-identically through `run --policy cached`.  Part of `make test`;
+# bit-identically through `run --policy-file`.  Part of `make test`;
 # the unit coverage, and the static table's paired timing against
 # sequential runs, are in test/test_policy.ml.
 tune-smoke: build

@@ -327,7 +327,7 @@ let inputs_for em scalars =
 (* Measure candidate per-nest scheduling policies with the loop-level
    profiler and print the winning table as JSON — the same table `psc
    serve` caches per (source, module, flags, host cores), here written
-   to a file the `run --policy cached` path can load back. *)
+   to a file `run --policy-file` can load back. *)
 let tune_cmd =
   let cores_arg =
     Arg.(
@@ -380,7 +380,7 @@ let tune_cmd =
           under candidate policies (sequential, fixed chunks, work \
           stealing, collapsed bands, the static cost model) on the \
           loop-level profiler, pick the fastest per nest, and print the \
-          winning policy table as JSON for $(b,run --policy cached).")
+          winning policy table as JSON for $(b,run --policy-file).")
     Term.(const run $ file_arg $ module_arg $ sink_arg $ fuse_arg $ trim_arg
           $ inputs_arg $ cores_arg $ reps_arg $ out_arg $ trace_arg)
 
@@ -411,26 +411,25 @@ let run_cmd =
   let policy_mode =
     Arg.(
       value
-      & opt (enum [ ("static", `Static); ("cached", `Cached); ("off", `Off) ])
-          `Off
+      & opt (enum [ ("static", `Static); ("off", `Off) ]) `Off
       & info [ "policy" ] ~docv:"MODE"
           ~doc:
             "Per-nest scheduling policy: $(b,static) decides each nest \
              from the cost model (work, span, trip counts — tiny nests \
-             run sequentially), $(b,cached) loads a tuned table from \
-             $(b,--policy-file) (stale tables warn W121 and fall back \
-             to the static model), $(b,off) (default) runs every nest \
-             with the no-table default: fork with work stealing, and \
-             flatten only the bands $(b,--collapse) marks.")
+             run sequentially), $(b,off) (default) runs every nest with \
+             the no-table default: fork with work stealing, and flatten \
+             only the bands $(b,--collapse) marks.  A tuned table comes \
+             from $(b,--policy-file) instead.")
   in
   let policy_file =
     Arg.(
       value
       & opt (some string) None
       & info [ "policy-file" ] ~docv:"FILE"
-          ~doc:"Tuned policy table (JSON, as printed by $(b,psc tune)) \
-                for $(b,--policy cached); passing the file alone \
-                implies the mode.")
+          ~doc:"Run each nest by this tuned policy table (JSON, as \
+                printed by $(b,psc tune)); a stale table warns W121 and \
+                falls back to the static model.  Refused with \
+                $(b,--policy static).")
   in
   let tune_flag =
     Arg.(
@@ -479,10 +478,10 @@ let run_cmd =
           else
             match (policy_mode, policy_file) with
             | `Off, None -> None
-            | `Static, _ -> Some (static_table ())
-            | (`Cached | `Off), Some f -> Some (load_table f)
-            | `Cached, None ->
-              Fmt.epr "psc run: --policy cached requires --policy-file FILE@.";
+            | `Off, Some f -> Some (load_table f)
+            | `Static, None -> Some (static_table ())
+            | `Static, Some _ ->
+              Fmt.epr "psc run: --policy static and --policy-file exclude each other@.";
               exit 2
         in
         let exec pool =

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Profile-guided tuning smoke: tune the two headline relaxation nests
 # (fig6, the Jacobi form, and the Gauss-Seidel wavefront revision) and
-# replay each tuned table through `run --policy cached`, asserting the
+# replay each tuned table through `run --policy-file`, asserting the
 # outputs stay bit-identical to the untuned run.  Part of `make test`.
 #
 # Usage: tune_smoke.sh [PSC_EXE]
@@ -18,7 +18,7 @@ for ex in relaxation gauss_seidel; do
   "$psc" run "examples/ps/$ex.ps" -i M=12 -i maxK=6 \
     >"$tmp/$ex.base.out"
   "$psc" run "examples/ps/$ex.ps" -i M=12 -i maxK=6 \
-    --policy cached --policy-file "$tmp/$ex.policy" >"$tmp/$ex.tuned.out"
+    --policy-file "$tmp/$ex.policy" >"$tmp/$ex.tuned.out"
   cmp -s "$tmp/$ex.base.out" "$tmp/$ex.tuned.out" || {
     echo "tune-smoke: $ex: tuned outputs differ from untuned run"; exit 1; }
   echo "tune-smoke: $ex: tuned table replays bit-identically"

@@ -98,8 +98,6 @@ type t = {
 val diag : code -> Ps_lang.Loc.span -> ('a, Format.formatter, unit, t) format4 -> 'a
 (** [diag code span fmt ...] builds a diagnostic with a formatted message. *)
 
-val severity : t -> severity
-
 val is_error : t -> bool
 
 val errors : t list -> t list

@@ -27,30 +27,6 @@
 
     All lints are advisory except [E020]; none alter the pipeline. *)
 
-val usage : Ps_graph.Dgraph.t -> Ps_diag.Diag.t list
-(** Unused data items ([W110]) and dead equations ([W111]). *)
-
-val subscripts : Ps_sem.Elab.emodule -> Ps_diag.Diag.t list
-(** Symbolically out-of-bounds subscripts ([E020]). *)
-
-val virtualization : Ps_sched.Schedule.result -> Ps_diag.Diag.t list
-(** The scheduler's window refusals ({!Ps_sched.Schedule.refused}),
-    each with the §3.4 rule it acted on ([W112]). *)
-
-val wake_check :
-  Ps_sem.Elab.emodule -> Ps_sched.Schedule.result -> Ps_diag.Diag.t list
-(** DOALL fork candidates ({!Ps_sched.Policy.index}) whose constant trip
-    count is below {!Ps_runtime.Pool.wake_threshold} ([W120]). *)
-
-val opaque_classifiable : Ps_sem.Elab.emodule -> Ps_diag.Diag.t list
-(** Subscripts labelled [Opaque] that are linear in exactly one equation
-    index, the class the distance solver handles ([W115]). *)
-
-val inspector_static :
-  Ps_sem.Elab.emodule -> Ps_sched.Schedule.result -> Ps_diag.Diag.t list
-(** Inspector loops whose distance the declared ranges already prove
-    positive ([W116]). *)
-
 val module_ : Ps_sem.Elab.emodule -> Ps_diag.Diag.t list
 (** Every lint over one module: builds the graph, and schedules the
     module for the virtualization lint — an unschedulable module yields

@@ -534,10 +534,6 @@ let flowchart ?(windows = []) (g : Dgraph.t) (fc : Fc.t) : Diag.t list =
     windows;
   Diag.sort !diags
 
-let result (r : Schedule.result) =
-  flowchart ~windows:r.Schedule.r_windows r.Schedule.r_graph
-    r.Schedule.r_flowchart
-
 (* ------------------------------------------------------------------ *)
 (* Scheduling-policy tables.
 

@@ -39,10 +39,6 @@ val flowchart :
     graph it was scheduled from.  Returns the violations; an empty list
     means the schedule is proved legal. *)
 
-val result : Ps_sched.Schedule.result -> Ps_diag.Diag.t list
-(** [flowchart] applied to a scheduler result's own graph, flowchart and
-    windows. *)
-
 val transform : Ps_hyper.Transform.t -> Ps_diag.Diag.t list
 (** Verify a hyperplane derivation: the time vector must satisfy every
     Lamport dependence inequality strictly ([a . d >= 1] edge-by-edge),

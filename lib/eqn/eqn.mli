@@ -25,35 +25,7 @@ newA_{i,j} = A_{maxK,i,j}
 
 exception Error of string * Ps_lang.Loc.span
 
-type range = {
-  r_names : string list;
-  r_lo : Ps_lang.Ast.expr;
-  r_hi : Ps_lang.Ast.expr;
-}
-
-type io = { io_name : string; io_subs : string list }
-
-type eqn = {
-  eqn_name : string;
-  eqn_subs : Ps_lang.Ast.expr list;
-  eqn_rhs : Ps_lang.Ast.expr;
-  eqn_loc : Ps_lang.Loc.span;
-}
-
-type document = {
-  doc_name : string;
-  doc_inputs : io list;
-  doc_outputs : io list;
-  doc_ranges : range list;
-  doc_eqns : eqn list;
-}
-
-val parse_document : string -> document
-(** @raise Error on malformed notation. *)
-
-val to_module : document -> Ps_lang.Ast.pmodule
-(** @raise Error when ranges are missing or array extents cannot be
-    ordered symbolically. *)
-
 val translate : string -> Ps_lang.Ast.pmodule
-(** [parse_document] followed by [to_module]. *)
+(** Parse the notation and build the PS module it denotes.
+    @raise Error on malformed notation, a missing range, or array
+    extents that cannot be ordered symbolically. *)

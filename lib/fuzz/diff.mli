@@ -23,7 +23,6 @@ type path =
   | Cc         (** emitted C, compiled and executed *)
   | Server     (** a `psc serve --stdio` subprocess, outputs over the wire *)
 
-val path_name : path -> string
 val path_of_name : string -> path option
 
 type outcome =

@@ -23,9 +23,6 @@ module Rng : sig
 
   val bool : t -> bool
 
-  val chance : t -> int -> bool
-  (** [chance t pct] is true [pct]%% of the time. *)
-
   val pick : t -> 'a list -> 'a
 
   val split : int -> int -> t

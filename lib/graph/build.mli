@@ -8,15 +8,6 @@ val build : Ps_sem.Elab.emodule -> Dgraph.t
     equations whose extents depend on it.  Scalar Use edges and Bound
     edges are deduplicated. *)
 
-val classify_ref :
-  Ps_sem.Elab.emodule ->
-  Ps_sem.Elab.eq ->
-  string ->
-  Ps_lang.Ast.expr list ->
-  Label.sub_exp array
-(** Classify a reference [name[subs]] made inside an equation; missing
-    trailing subscripts become {!Label.Slice}. *)
-
 val collect_refs :
   Ps_sem.Elab.emodule ->
   Ps_lang.Ast.expr ->

@@ -119,5 +119,3 @@ let pp ppf = function
   | Form l -> Linexpr.pp ppf l
   | Independent -> Fmt.string ppf "independent"
   | Unknown -> Fmt.string ppf "unknown"
-
-let to_string d = Fmt.str "%a" pp d

@@ -43,5 +43,3 @@ val group_modulus : t list -> int option
     unknown. *)
 
 val pp : t Fmt.t
-
-val to_string : t -> string

@@ -85,8 +85,6 @@ let classify (q : Elab.eq) (sr : Stypes.subrange) (e : Ps_lang.Ast.expr) : sub_e
         | _ -> Opaque))
     | _ -> Opaque)
 
-let offset = function Affine { offset; _ } -> Some offset | _ -> None
-
 (* The symbolic affine view of an aligned subscript: [a*var + (params, const)].
    The Affine class is the [a = 1], no-parameter special case. *)
 let linear_parts = function

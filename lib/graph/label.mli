@@ -35,17 +35,11 @@ val classify :
 (** Classify one subscript appearing at a dimension with the given
     subrange, inside the given equation. *)
 
-val offset : sub_exp -> int option
-(** The affine offset, when there is one. *)
-
 val linear_parts :
   sub_exp -> (string * int * int * Ps_sem.Linexpr.t) option
 (** [(var, coeff, target_pos, rest)] for the aligned classes [Affine]
     (coeff 1, constant rest) and [Linear]; [rest] collects the
     parameter terms and the constant. *)
-
-val to_linexpr : sub_exp -> Ps_sem.Linexpr.t option
-(** The full symbolic form [coeff*var + rest] of an aligned subscript. *)
 
 val pp : sub_exp Fmt.t
 

@@ -1,10 +1,6 @@
 (** Renderers for dependency graphs: an ASCII listing (the textual
     equivalent of Fig. 3) and Graphviz DOT. *)
 
-val pp_edge : Dgraph.t -> Dgraph.edge Fmt.t
-
-val pp_listing : Dgraph.t Fmt.t
-
 val listing : Dgraph.t -> string
 (** Nodes with their dimensions, edges with their labels. *)
 

@@ -19,8 +19,6 @@ let of_rows rows : t =
 
 let row (m : t) i = Array.copy m.(i)
 
-let copy (m : t) = Array.map Array.copy m
-
 (* Minor of m with row i and column j removed. *)
 let minor (m : t) i j =
   let n = dim m in

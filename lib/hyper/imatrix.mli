@@ -16,11 +16,6 @@ val of_rows : int list list -> t
 val row : t -> int -> int array
 (** A copy of row [i]. *)
 
-val copy : t -> t
-
-val minor : t -> int -> int -> t
-(** Matrix with row [i] and column [j] removed. *)
-
 val det : t -> int
 
 val inverse : t -> t

@@ -19,10 +19,5 @@ type dependences = {
 val extract : Ps_sem.Elab.emodule -> target:string -> dependences
 (** @raise Not_applicable when the preconditions fail. *)
 
-val offset_vector :
-  Ps_sem.Elab.index list -> Ps_lang.Ast.expr list -> int array option
-(** Offsets of one reference relative to the defining indices, when every
-    subscript has the form [var_p + c]. *)
-
 val pp_inequality : int array Fmt.t
 (** Render a difference vector as the paper writes it: "a - b > 0". *)

@@ -13,13 +13,11 @@ val solve : ?limit:int -> int array list -> int array
     from the vectors).
     @raise No_schedule when the search space is exhausted. *)
 
-val satisfies : int array -> int array list -> bool
-(** Does a candidate satisfy every inequality strictly? *)
-
 val violations : int array -> int array list -> int array list
 (** The difference vectors a candidate fails to order strictly
-    ([a . d <= 0]); empty exactly when {!satisfies} holds.  Used by the
-    legality verifier to report Lamport inequalities edge-by-edge. *)
+    ([a . d <= 0]); empty exactly when it satisfies every inequality.
+    Used by the legality verifier to report Lamport inequalities
+    edge-by-edge. *)
 
 val complete : int array -> Imatrix.t
 (** A unimodular matrix whose first row is the given time vector.  Unit

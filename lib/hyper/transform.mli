@@ -30,8 +30,4 @@ val apply : Ps_sem.Elab.emodule -> target:string -> t
     @raise Not_applicable when a precondition fails.
     @raise Solve.No_schedule when the dependences are cyclic. *)
 
-val pp_derivation : t Fmt.t
-(** The §4 narrative: inequalities, least solution, time equation, T,
-    and the inverse coordinate equations. *)
-
 val derivation_to_string : t -> string

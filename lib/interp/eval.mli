@@ -18,8 +18,6 @@ val eval_scalar : ctx -> Ps_lang.Ast.expr -> Value.scalar
 
 val eval_int : ctx -> Ps_lang.Ast.expr -> int
 
-val eval_bool : ctx -> Ps_lang.Ast.expr -> bool
-
 val slice_slab : Value.slab -> int array -> Value.slab
 (** Copy a slice (first [k] dimensions fixed) into a fresh slab; used for
     partial references passed as module arguments. *)

@@ -31,8 +31,8 @@ type opts = {
   policy : Ps_sched.Policy.table option;
       (** Per-nest schedule shapes.  With a pool, every fork point runs
           one {!Ps_sched.Policy.decision}: its entry in this table, else
-          {!Ps_sched.Policy.default} (fork, steal, flatten only a band
-          marked by [--collapse]).  A decision with [d_par = false]
+          the no-table default (fork, steal, flatten only a band marked
+          by [--collapse]).  A decision with [d_par = false]
           compiles the nest sequentially, [d_collapse] flattens the
           {!Ps_sched.Collapse.band} under the fork, and the
           chunk/steal/wake settings go to the pool per job.  Policies

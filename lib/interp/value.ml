@@ -159,23 +159,6 @@ let check_bounds (s : slab) (idx : int array) =
               idx.(p) di.di_lo (di.di_lo + di.di_extent - 1)))
   done
 
-let get_float (s : slab) off =
-  match s.s_data with
-  | PFloat a -> Array.unsafe_get a off
-  | PInt a -> float_of_int (Array.unsafe_get a off)
-  | PBool _ | PBox _ -> invalid_arg "get_float"
-
-let get_int (s : slab) off =
-  match s.s_data with
-  | PInt a -> Array.unsafe_get a off
-  | PFloat a -> int_of_float (Array.unsafe_get a off)
-  | PBool _ | PBox _ -> invalid_arg "get_int"
-
-let get_bool (s : slab) off =
-  match s.s_data with
-  | PBool b -> Bytes.unsafe_get b off <> '\000'
-  | PFloat _ | PInt _ | PBox _ -> invalid_arg "get_bool"
-
 let set_float (s : slab) off v =
   match s.s_data with
   | PFloat a -> Array.unsafe_set a off v

@@ -74,12 +74,6 @@ val set_scalar : slab -> int array -> scalar -> unit
 
 (** {1 Typed raw access (no bounds checks)} *)
 
-val get_float : slab -> int -> float
-
-val get_int : slab -> int -> int
-
-val get_bool : slab -> int -> bool
-
 val set_float : slab -> int -> float -> unit
 
 val set_int : slab -> int -> int -> unit
@@ -103,5 +97,3 @@ val equal_scalar : scalar -> scalar -> bool
 (** Numeric kinds compare by value ([Sc_int 3] equals [Sc_real 3.0]). *)
 
 val pp_scalar : scalar Fmt.t
-
-val alloc_payload : elem_kind -> bool -> int -> payload

@@ -123,24 +123,6 @@ let rec equal_expr a b =
 and equal_exprs a b =
   List.length a = List.length b && List.for_all2 equal_expr a b
 
-let rec equal_type a b =
-  match a.t, b.t with
-  | Tint, Tint | Treal, Treal | Tbool, Tbool -> true
-  | Tname x, Tname y -> String.equal x y
-  | Tsubrange (l1, h1), Tsubrange (l2, h2) -> equal_expr l1 l2 && equal_expr h1 h2
-  | Tarray (d1, t1), Tarray (d2, t2) ->
-    List.length d1 = List.length d2
-    && List.for_all2 equal_type d1 d2
-    && equal_type t1 t2
-  | Trecord f1, Trecord f2 ->
-    List.length f1 = List.length f2
-    && List.for_all2
-         (fun (n1, t1) (n2, t2) -> String.equal n1 n2 && equal_type t1 t2)
-         f1 f2
-  | Tenum c1, Tenum c2 -> List.length c1 = List.length c2 && List.for_all2 String.equal c1 c2
-  | (Tint | Treal | Tbool | Tname _ | Tsubrange _ | Tarray _ | Trecord _ | Tenum _), _
-    -> false
-
 (* Free variables of an expression (no binders exist inside PS expressions). *)
 let free_vars e =
   let rec go acc e =

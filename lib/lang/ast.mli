@@ -96,10 +96,6 @@ val add_offset : expr -> int -> expr
 val equal_expr : expr -> expr -> bool
 (** Structural equality, ignoring locations. *)
 
-val equal_exprs : expr list -> expr list -> bool
-
-val equal_type : type_expr -> type_expr -> bool
-
 val free_vars : expr -> ident list
 (** Variables occurring in an expression, sorted, without duplicates
     (PS expressions have no binders). *)

@@ -10,9 +10,6 @@ type span = { start_p : pos; end_p : pos }
 val start_pos : pos
 (** Position of the first character of a file. *)
 
-val dummy_pos : pos
-(** Placeholder position for synthesized nodes. *)
-
 val dummy : span
 (** Placeholder span for synthesized nodes. *)
 

@@ -5,15 +5,6 @@ exception Error of string * Loc.span
 
 type t
 
-val create : string -> t
-(** Parser over an in-memory source string. *)
-
-val parse_expr : t -> Ast.expr
-
-val parse_module : t -> Ast.pmodule
-
-val parse_program : t -> Ast.program
-
 val program_of_string : string -> Ast.program
 (** Parse a complete program (one or more modules). *)
 

@@ -22,11 +22,6 @@ type event = {
   ev_args : (string * string) list;
 }
 
-val enabled : unit -> bool
-(** Whether the global store is recording.  Call sites guard via
-    {!with_span}, which is free (one atomic load) when neither the
-    global flag nor any {!collect} is active. *)
-
 val set_enabled : bool -> unit
 (** Enabling also {!reset}s the store and restarts the clock. *)
 

@@ -22,7 +22,9 @@ val shutdown : t -> unit
 
 val with_pool : int -> (t -> 'a) -> 'a
 (** Run with a temporary pool, shutting it down on exit (also on
-    exceptions). *)
+    exceptions).  While {!Ps_obs.Metrics} is enabled, the pool's
+    counters are flushed into the registry ([pool.steals],
+    [pool.busy_ns], [pool.utilization_permille], …) on the way out. *)
 
 val parallel_for :
   ?chunk:int ->
@@ -63,16 +65,6 @@ val wake_threshold : int
     given job is measured is captured when it is published, so flipping
     the flag mid-job cannot half-count work. *)
 
-type worker_stats = {
-  ws_chunks : int;          (** chunks claimed *)
-  ws_points : int;          (** iteration points executed *)
-  ws_steal_attempts : int;  (** claim attempts on foreign slices *)
-  ws_steals : int;          (** chunks claimed from foreign slices *)
-  ws_parks : int;           (** times this worker went to sleep *)
-  ws_wakes : int;           (** times it was woken from a park *)
-  ws_busy_ns : int;         (** wall time spent executing job chunks *)
-}
-
 type summary = {
   sm_jobs : int;            (** measured [parallel_for] invocations *)
   sm_elapsed_ns : int;      (** wall time inside those invocations *)
@@ -88,21 +80,12 @@ type summary = {
   sm_wakes : int;
 }
 
-val stats : t -> worker_stats array
-(** Cumulative per-worker counters since creation or {!reset_stats};
-    index 0 is the calling domain.  Call between jobs for exact values. *)
-
 val summary : t -> summary
-(** Pool-wide rollup of {!stats} plus per-job imbalance/elapsed data. *)
+(** Pool-wide rollup of the per-worker counters plus per-job
+    imbalance/elapsed data. *)
 
 val reset_stats : t -> unit
 (** Zero all counters.  Call between jobs, not while one is in flight. *)
-
-val drain_stats : t -> unit
-(** Flush the counters into the {!Ps_obs.Metrics} registry
-    ([pool.steals], [pool.busy_ns], [pool.utilization_permille], …) and
-    zero them.  {!with_pool} does this automatically on the way out when
-    the registry is enabled. *)
 
 val render_stats : t -> string
 (** Human-readable per-worker table plus the {!summary} header line. *)

@@ -18,11 +18,6 @@ val eval_bound : (string -> int option) -> Ps_lang.Ast.expr -> int
 
 type cost = { work : float; span : float }
 
-val zero : cost
-
-val seq : cost -> cost -> cost
-(** Sequential composition. *)
-
 val parallelism : cost -> float
 (** work/span; 1.0 for empty schedules. *)
 

@@ -138,6 +138,22 @@ let rec equations (fc : t) =
       | D_data _ -> [])
     fc
 
+let aligned_dim em eq_ids ~data ~var =
+  List.find_map
+    (fun id ->
+      List.find_map
+        (fun (df : Elab.def) ->
+          if not (String.equal df.Elab.df_data data) then None
+          else
+            let rec find p = function
+              | [] -> None
+              | Elab.Sub_index ix :: _ when String.equal ix.Elab.ix_var var -> Some p
+              | _ :: rest -> find (p + 1) rest
+            in
+            find 0 df.Elab.df_subs)
+        (Elab.eq_exn em id).Elab.q_defs)
+    eq_ids
+
 type binder = B_loop of loop | B_solve of solve
 
 let binder_var = function B_loop l -> l.lp_var | B_solve s -> s.sv_var

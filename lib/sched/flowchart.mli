@@ -57,13 +57,7 @@ type t = descriptor list
 val kind_name : loop_kind -> string
 (** "DO", "DOALL", "DOGROUP(g)", or "DOINSPECT(d)". *)
 
-val pp_compact : Ps_sem.Elab.emodule -> t Fmt.t
-(** One-line form, as in Fig. 5: "DO K (DOALL I (DOALL J (eq.3)))". *)
-
 val to_compact_string : Ps_sem.Elab.emodule -> t -> string
-
-val pp_tree : Ps_sem.Elab.emodule -> t Fmt.t
-(** Indented multi-line form, as in Figs. 6-7. *)
 
 val to_tree_string : Ps_sem.Elab.emodule -> t -> string
 
@@ -71,6 +65,12 @@ val count_loops : ?kind:loop_kind -> t -> int
 
 val equations : t -> int list
 (** Equation ids, in emission order. *)
+
+val aligned_dim :
+  Ps_sem.Elab.emodule -> int list -> data:string -> var:string -> int option
+(** The dimension of [data] that the index [var] scans: its position in
+    the first definition of [data], among the equations [eq_ids], that
+    subscripts a dimension by [var]. *)
 
 val map_loops : (loop -> loop) -> t -> t
 (** Bottom-up rewriting of every loop descriptor. *)

@@ -42,25 +42,6 @@ let same_range (a : Stypes.subrange) (b : Stypes.subrange) =
   Ps_lang.Ast.equal_expr a.Stypes.sr_lo b.Stypes.sr_lo
   && Ps_lang.Ast.equal_expr a.Stypes.sr_hi b.Stypes.sr_hi
 
-(* The dimension position of [data] aligned with [var] in the defining
-   equations among [eq_ids]. *)
-let aligned_dim em eq_ids data var =
-  List.find_map
-    (fun id ->
-      let q = Elab.eq_exn em id in
-      List.find_map
-        (fun (df : Elab.def) ->
-          if not (String.equal df.Elab.df_data data) then None
-          else
-            let rec find p = function
-              | [] -> None
-              | Elab.Sub_index ix :: _ when String.equal ix.Elab.ix_var var -> Some p
-              | _ :: rest -> find (p + 1) rest
-            in
-            find 0 df.Elab.df_subs)
-        q.Elab.q_defs)
-    eq_ids
-
 (* Cross-dependence check: every use by [later_eqs] of data defined by
    [earlier_eqs] must be "I" or "I - c" in the fused dimension.  Returns
    [None] if illegal, [Some exact] where [exact] says all offsets were 0. *)
@@ -73,7 +54,7 @@ let cross_deps_ok g em ~earlier_eqs ~later_eqs ~var1 ~var2 =
         match e.Dgraph.e_kind, e.Dgraph.e_src, e.Dgraph.e_dst with
         | Dgraph.Use, Dgraph.Data d, Dgraph.Eq tgt
           when List.mem d earlier_out && List.mem tgt later_eqs -> (
-          match aligned_dim em earlier_eqs d var1 with
+          match Flowchart.aligned_dim em earlier_eqs ~data:d ~var:var1 with
           | None -> false (* the merged dim does not index this data *)
           | Some p -> (
             match e.Dgraph.e_subs.(p) with

@@ -5,15 +5,11 @@
     schedule at each fork candidate: sequential vs forked, flattened
     band vs nested, stealing vs fixed chunks, and per-job chunk-floor /
     wake overrides.  Every fork point of a run executes exactly one decision
-    ({!resolve}): its table entry, or {!default}.  A policy never
+    ({!resolve}): its table entry, or the no-table default.  A policy never
     changes results, which is what makes a tuned table safe to cache
     and replay as a compile artifact. *)
 
 type source = Static | Tuned
-
-val source_name : source -> string
-
-val source_of_name : string -> source option
 
 type decision = {
   d_par : bool;       (** false: run the whole nest sequentially *)
@@ -65,15 +61,12 @@ val site_name : Flowchart.loop -> string -> string
 
 val find : table -> string -> decision option
 
-val default : Flowchart.loop -> decision
-(** A fork point's decision without a table entry, as without a table:
-    fork, work-stealing, the pool's default chunks and wake threshold,
-    flatten only where [--collapse] marked the band. *)
-
 val resolve : table option -> Flowchart.t -> (candidate * decision) list
 (** Every fork candidate with the decision it runs: its table entry,
-    else {!default}.  The loops are physically those of the flowchart,
-    so callers may look decisions up by identity ([==]). *)
+    else the no-table default — fork, work-stealing, the pool's default
+    chunks and wake threshold, flatten only where [--collapse] marked
+    the band.  The loops are physically those of the flowchart, so
+    callers may look decisions up by identity ([==]). *)
 
 val uniform :
   source:source -> cores:int -> Flowchart.t -> (Flowchart.loop -> decision) ->
@@ -83,10 +76,6 @@ val uniform :
 val stale : table -> host_cores:int -> bool
 (** Chunk and wake choices do not transfer across hosts: a table tuned
     for a different core count is stale (diagnostic W121). *)
-
-val summary : decision -> string
-(** Compact form, e.g. ["seq"], ["steal+collapse"],
-    ["fixed,chunk>=8,wake=64"]. *)
 
 val table_summary : table -> string
 (** E.g. ["static[K.I=steal+collapse;I.J=seq]"]: a run response's

@@ -109,7 +109,7 @@ type chosen = {
    index variables, using the intra-component Def edges.  The symbolic
    path ([~symbolic:true]) also aligns on [Label.Linear] defs — strided
    or parameter-shifted writes the distance analyzer can solve over. *)
-let aligned_position ?(symbolic = false) (c : Scc.component) eq_vars d =
+let aligned_position ~symbolic (c : Scc.component) eq_vars d =
   let positions =
     List.filter_map
       (fun e ->
@@ -146,10 +146,11 @@ let aligned_position ?(symbolic = false) (c : Scc.component) eq_vars d =
   | Some (Some p) -> Some p
   | Some None | None -> None
 
-(* Try to choose subrange [s] for component [c]; [None] if the paper's
-   step-3 conditions fail. *)
-let try_candidate st (c : Scc.component) (s : string) : chosen option =
-  let eqs = eq_ids_of_component c in
+(* Subrange [s] for component [c] before any use is checked: each
+   equation's one unscheduled index over [s], and the aligned dimension
+   of every data node in the component; [None] if an equation has no
+   such index or several, or a data node does not align. *)
+let align_candidate ~symbolic st (c : Scc.component) (s : string) : chosen option =
   let eq_vars =
     List.map
       (fun id ->
@@ -160,61 +161,60 @@ let try_candidate st (c : Scc.component) (s : string) : chosen option =
             (unscheduled_indices st q)
         in
         (id, matching))
-      eqs
+      (eq_ids_of_component c)
   in
   if List.exists (fun (_, m) -> List.length m <> 1) eq_vars then None
   else
     let eq_vars = List.map (fun (id, m) -> (id, (List.hd m).Elab.ix_var)) eq_vars in
+    let id0, v0 = List.hd eq_vars in
     let range =
-      let id0, _ = List.hd eq_vars in
-      let q0 = Elab.eq_exn st.st_em id0 in
       (List.find
          (fun ix -> String.equal ix.Elab.ix_range.Stypes.sr_name s)
-         q0.Elab.q_indices)
+         (Elab.eq_exn st.st_em id0).Elab.q_indices)
         .Elab.ix_range
     in
-    (* Alignment of every data node in the component. *)
-    let datas = data_of_component c in
     let rec align acc = function
-      | [] -> Some (List.rev acc)
-      | d :: rest -> (
-        match aligned_position c eq_vars d with
-        | Some p -> align ((d, p) :: acc) rest
-        | None -> None)
-    in
-    match align [] datas with
-    | None -> None
-    | Some ch_data_pos ->
-      (* Step 3: every intra-component use must be "I" or "I - constant"
-         in this dimension. *)
-      let ok =
-        List.for_all
-          (fun e ->
-            match e.e_kind, e.e_src, e.e_dst with
-            | Use, Data d, Eq q -> (
-              match List.assoc_opt d ch_data_pos with
-              | None -> true (* data without the dimension: not constrained *)
-              | Some p -> (
-                let v = List.assoc q eq_vars in
-                match e.e_subs.(p) with
-                | Label.Affine { var; offset; _ } ->
-                  String.equal var v && offset <= 0
-                | Label.Linear _ (* the symbolic fallback's class *)
-                | Label.Const_low | Label.Const_mid _ | Label.Const_high
-                | Label.Slice | Label.Opaque -> false))
-            | _ -> true)
-          c.Scc.c_edges
-      in
-      if not ok then None
-      else
-        let id0, v0 = List.hd eq_vars in
-        ignore id0;
+      | [] ->
         Some
           { ch_subrange = s;
             ch_loop_var = v0;
-            ch_range = { range with Stypes.sr_name = s };
+            ch_range = range;
             ch_eq_vars = eq_vars;
-            ch_data_pos }
+            ch_data_pos = List.rev acc }
+      | d :: rest -> (
+        match aligned_position ~symbolic c eq_vars d with
+        | Some p -> align ((d, p) :: acc) rest
+        | None -> None)
+    in
+    align [] (data_of_component c)
+
+(* Try to choose subrange [s] for component [c]; [None] if the paper's
+   step-3 conditions fail. *)
+let try_candidate st (c : Scc.component) (s : string) : chosen option =
+  match align_candidate ~symbolic:false st c s with
+  | None -> None
+  | Some ch ->
+    (* Step 3: every intra-component use must be "I" or "I - constant"
+       in this dimension. *)
+    let ok =
+      List.for_all
+        (fun e ->
+          match e.e_kind, e.e_src, e.e_dst with
+          | Use, Data d, Eq q -> (
+            match List.assoc_opt d ch.ch_data_pos with
+            | None -> true (* data without the dimension: not constrained *)
+            | Some p -> (
+              let v = List.assoc q ch.ch_eq_vars in
+              match e.e_subs.(p) with
+              | Label.Affine { var; offset; _ } ->
+                String.equal var v && offset <= 0
+              | Label.Linear _ (* the symbolic fallback's class *)
+              | Label.Const_low | Label.Const_mid _ | Label.Const_high
+              | Label.Slice | Label.Opaque -> false))
+          | _ -> true)
+        c.Scc.c_edges
+    in
+    if ok then Some ch else None
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic candidate validation: the distance-analysis fallback tried
@@ -256,115 +256,73 @@ let input_scalar_form st (l : Linexpr.t) =
 
 let try_candidate_symbolic st (c : Scc.component) (s : string) :
     (chosen * Flowchart.loop_kind * Dgraph.edge list) option =
-  let eqs = eq_ids_of_component c in
-  let eq_vars =
-    List.map
-      (fun id ->
-        let q = Elab.eq_exn st.st_em id in
-        let matching =
-          List.filter
-            (fun ix -> String.equal ix.Elab.ix_range.Stypes.sr_name s)
-            (unscheduled_indices st q)
-        in
-        (id, matching))
-      eqs
-  in
-  if List.exists (fun (_, m) -> List.length m <> 1) eq_vars then None
-  else
-    let eq_vars = List.map (fun (id, m) -> (id, (List.hd m).Elab.ix_var)) eq_vars in
-    let range =
-      let id0, _ = List.hd eq_vars in
-      let q0 = Elab.eq_exn st.st_em id0 in
-      (List.find
-         (fun ix -> String.equal ix.Elab.ix_range.Stypes.sr_name s)
-         q0.Elab.q_indices)
-        .Elab.ix_range
+  match align_candidate ~symbolic:true st c s with
+  | None -> None
+  | Some ch -> (
+    let bounds = Distance.bounds_of_subrange ch.ch_range in
+    let assumptions =
+      Distance.facts (List.map snd st.st_em.Elab.em_subranges)
     in
-    let datas = data_of_component c in
-    let rec align acc = function
-      | [] -> Some (List.rev acc)
-      | d :: rest -> (
-        match aligned_position ~symbolic:true c eq_vars d with
-        | Some p -> align ((d, p) :: acc) rest
-        | None -> None)
-    in
-    match align [] datas with
-    | None -> None
-    | Some ch_data_pos -> (
-      let bounds = Distance.bounds_of_subrange range in
-      let assumptions =
-        Distance.facts (List.map snd st.st_em.Elab.em_subranges)
+    let exception Reject in
+    try
+      let all = ref [] in
+      let deleted = ref [] in
+      List.iter
+        (fun e ->
+          match e.e_kind, e.e_src, e.e_dst with
+          | Use, Data d, Eq q -> (
+            match List.assoc_opt d ch.ch_data_pos with
+            | None -> () (* data without the dimension: not constrained *)
+            | Some p ->
+              let v = List.assoc q ch.ch_eq_vars in
+              let use = e.e_subs.(p) in
+              (match Label.linear_parts use with
+               | Some (uv, _, _, _) when String.equal uv v -> ()
+               | _ -> raise Reject);
+              let ds =
+                List.map
+                  (fun def -> Distance.solve ?bounds ~assumptions ~def ~use ())
+                  (defs_at c d p)
+              in
+              if ds = [] then raise Reject;
+              List.iter
+                (function
+                  | Distance.Exact k when k < 0 -> raise Reject
+                  | Distance.Unknown -> raise Reject
+                  | _ -> ())
+                ds;
+              all := ds @ !all;
+              (* Carried (deletable) iff no same-iteration dependence
+                 remains on this edge. *)
+              if not (List.mem (Distance.Exact 0) ds) then
+                deleted := e :: !deleted)
+          | _ -> ())
+        c.Scc.c_edges;
+      let exacts =
+        List.filter_map
+          (function Distance.Exact k when k <> 0 -> Some k | _ -> None)
+          !all
       in
-      let exception Reject in
-      try
-        let all = ref [] in
-        let deleted = ref [] in
-        List.iter
-          (fun e ->
-            match e.e_kind, e.e_src, e.e_dst with
-            | Use, Data d, Eq q -> (
-              match List.assoc_opt d ch_data_pos with
-              | None -> () (* data without the dimension: not constrained *)
-              | Some p ->
-                let v = List.assoc q eq_vars in
-                let use = e.e_subs.(p) in
-                (match Label.linear_parts use with
-                 | Some (uv, _, _, _) when String.equal uv v -> ()
-                 | _ -> raise Reject);
-                let ds =
-                  List.map
-                    (fun def -> Distance.solve ?bounds ~assumptions ~def ~use ())
-                    (defs_at c d p)
-                in
-                if ds = [] then raise Reject;
-                List.iter
-                  (function
-                    | Distance.Exact k when k < 0 -> raise Reject
-                    | Distance.Unknown -> raise Reject
-                    | _ -> ())
-                  ds;
-                all := ds @ !all;
-                (* Carried (deletable) iff no same-iteration dependence
-                   remains on this edge. *)
-                if not (List.mem (Distance.Exact 0) ds) then
-                  deleted := e :: !deleted)
-            | _ -> ())
-          c.Scc.c_edges;
-        let exacts =
-          List.filter_map
-            (function Distance.Exact k when k <> 0 -> Some k | _ -> None)
-            !all
-        in
-        let forms =
-          List.filter_map (function Distance.Form l -> Some l | _ -> None) !all
-        in
-        let kind =
-          match forms, exacts with
-          | [], [] -> Flowchart.Parallel
-          | [], ks ->
-            let g = List.fold_left Distance.gcd 0 ks in
-            if g >= 2 then Flowchart.Grouped g else Flowchart.Iterative
-          | f0 :: rest, [] ->
-            if
-              List.for_all (Linexpr.equal f0) rest && input_scalar_form st f0
-            then Flowchart.Inspected (Linexpr.to_expr f0)
-            else raise Reject
-          | _ :: _, _ :: _ ->
-            (* Mixing constant and parameter distances: no single runtime
-               modulus makes both partitions line up. *)
-            raise Reject
-        in
-        let id0, v0 = List.hd eq_vars in
-        ignore id0;
-        Some
-          ( { ch_subrange = s;
-              ch_loop_var = v0;
-              ch_range = { range with Stypes.sr_name = s };
-              ch_eq_vars = eq_vars;
-              ch_data_pos },
-            kind,
-            !deleted )
-      with Reject -> None)
+      let forms =
+        List.filter_map (function Distance.Form l -> Some l | _ -> None) !all
+      in
+      let kind =
+        match forms, exacts with
+        | [], [] -> Flowchart.Parallel
+        | [], ks ->
+          let g = List.fold_left Distance.gcd 0 ks in
+          if g >= 2 then Flowchart.Grouped g else Flowchart.Iterative
+        | f0 :: rest, [] ->
+          if List.for_all (Linexpr.equal f0) rest && input_scalar_form st f0
+          then Flowchart.Inspected (Linexpr.to_expr f0)
+          else raise Reject
+        | _ :: _, _ :: _ ->
+          (* Mixing constant and parameter distances: no single runtime
+             modulus makes both partitions line up. *)
+          raise Reject
+      in
+      Some (ch, kind, !deleted)
+    with Reject -> None)
 
 (* When the basic path schedules an iterative loop, the gcd of the
    carried (deleted-edge) distances may still partition the iterations:

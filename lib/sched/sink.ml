@@ -51,26 +51,6 @@ let rec extraction_shape (d : Flowchart.descriptor) =
     | None -> None)
   | Flowchart.D_loop _ | Flowchart.D_data _ | Flowchart.D_solve _ -> None
 
-(* Locate the dimension of [data] that the loop variable [lp_var] scans,
-   from a defining equation's subscripts. *)
-let loop_dim_of em body_eq_ids ~data ~lp_var =
-  List.find_map
-    (fun id ->
-      let q = Elab.eq_exn em id in
-      List.find_map
-        (fun (df : Elab.def) ->
-          if not (String.equal df.Elab.df_data data) then None
-          else
-            let rec find p = function
-              | [] -> None
-              | Elab.Sub_index ix :: _ when String.equal ix.Elab.ix_var lp_var ->
-                Some p
-              | _ :: rest -> find (p + 1) rest
-            in
-            find 0 df.Elab.df_subs)
-        q.Elab.q_defs)
-    body_eq_ids
-
 (* ---------------------------------------------------------------- *)
 
 let apply (em : Elab.emodule) (sched : Schedule.result) : result =
@@ -114,7 +94,7 @@ let apply (em : Elab.emodule) (sched : Schedule.result) : result =
           in
           if others <> [] then None
           else (
-            match loop_dim_of em body_eq_ids ~data ~lp_var:l.Flowchart.lp_var with
+            match Flowchart.aligned_dim em body_eq_ids ~data ~var:l.Flowchart.lp_var with
             | None -> None
             | Some p -> Some (data, p)))
       | _ -> None

@@ -29,8 +29,6 @@ val add_const : int -> t -> t
 
 val equal : t -> t -> bool
 
-val is_const : t -> bool
-
 val const_value : t -> int option
 
 val diff_const : t -> t -> int option

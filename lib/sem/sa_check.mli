@@ -12,8 +12,6 @@
 
 type diagnostic = Ps_diag.Diag.t
 
-val check_module : Elab.emodule -> diagnostic list
-
 val check_program : Elab.eprogram -> diagnostic list
 
 val errors : diagnostic list -> diagnostic list
@@ -30,8 +28,6 @@ type slice_pos =
   | Range of Linexpr.t * Linexpr.t   (** an index variable over [lo, hi] *)
   | Unknown                          (** a non-linear fixed subscript *)
 (** The symbolic extent of one subscript position of one definition. *)
-
-val pos_of_sub : Elab.lhs_sub -> slice_pos
 
 val provably_disjoint : slice_pos -> slice_pos -> bool
 (** Whether two subscript sets cannot intersect for any input values

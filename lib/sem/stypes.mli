@@ -34,8 +34,4 @@ val dims : ty -> subrange list
 val elem_ty : ty -> ty
 (** Element type of an array; the type itself otherwise. *)
 
-val pp : ty Fmt.t
-
-val pp_subrange : subrange Fmt.t
-
 val to_string : ty -> string

@@ -11,14 +11,14 @@
    so a hit prints and escapes nothing: it answers the bytes its miss
    rendered.
 
-   The store is lock-striped: the key's digest prefix picks one of 8
-   shards, each a mutex-protected hash table with its own LRU tick and
-   capacity slice.  Concurrent requests for unrelated sources touch
-   different shards and never contend, and eviction scans only the full
-   shard (O(capacity/8)) instead of the whole store under one global
-   lock.  Builds run outside any lock, so a slow schedule never stalls
-   unrelated requests; two racing builds of the same key waste one
-   build, count one miss, and both return the first-inserted value. *)
+   The store is one hash table under one mutex with one LRU tick: it
+   holds at most [capacity] artifacts, and an insert into a full store
+   evicts the least recently used.  The server's threads share one
+   OCaml runtime lock, so striping the store over several locks would
+   buy no parallelism.  Builds run outside the lock, so a slow schedule
+   never stalls unrelated requests; two racing builds of the same key
+   waste one build, count one miss, and both return the first-inserted
+   value. *)
 
 type artifact =
   | A_project of Psc.t
@@ -34,32 +34,21 @@ and sched = {
 
 type entry = { e_art : artifact; mutable e_tick : int }
 
-type shard = {
-  s_table : (string, entry) Hashtbl.t;
-  s_mutex : Mutex.t;
-  mutable s_tick : int;
-}
-
 type t = {
-  c_capacity : int;  (* per shard *)
-  c_shards : shard array;
+  c_capacity : int;
+  c_table : (string, entry) Hashtbl.t;
+  c_mutex : Mutex.t;
+  mutable c_tick : int;
   c_hits : Psc.Metrics.counter;
   c_misses : Psc.Metrics.counter;
   c_evictions : Psc.Metrics.counter;
 }
 
-let shards = 8
-
 let create ?(capacity = 64) () =
-  (* Ceiling split: 8 shards of ceil(capacity/8) hold at least
-     [capacity] artifacts overall, never fewer. *)
-  let per = max 1 ((max 1 capacity + shards - 1) / shards) in
-  { c_capacity = per;
-    c_shards =
-      Array.init shards (fun _ ->
-          { s_table = Hashtbl.create 16;
-            s_mutex = Mutex.create ();
-            s_tick = 0 });
+  { c_capacity = max 1 capacity;
+    c_table = Hashtbl.create 16;
+    c_mutex = Mutex.create ();
+    c_tick = 0;
     c_hits = Psc.Metrics.counter "server.cache.hits";
     c_misses = Psc.Metrics.counter "server.cache.misses";
     c_evictions = Psc.Metrics.counter "server.cache.evictions" }
@@ -116,44 +105,21 @@ let policy_key ~digest ~module_ ~flags ~host_cores =
     [ "T"; digest; module_part module_; flags_fingerprint flags;
       string_of_int host_cores ]
 
-(* The two hex digits right after the "X:" kind prefix are the head of
-   an MD5 digest — uniformly distributed, so they stripe keys evenly.
-   Anything that doesn't look like a key falls back to a generic hash. *)
-let hex_val c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-  | _ -> -1
+let touch t e =
+  t.c_tick <- t.c_tick + 1;
+  e.e_tick <- t.c_tick
 
-let shard_of t key =
-  let h =
-    if String.length key >= 4 && key.[1] = ':' then
-      let a = hex_val key.[2] and b = hex_val key.[3] in
-      if a >= 0 && b >= 0 then (a * 16) + b else Hashtbl.hash key
-    else Hashtbl.hash key
-  in
-  t.c_shards.(h mod shards)
-
-let locked sh f =
-  Mutex.lock sh.s_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sh.s_mutex) f
-
-let touch sh e =
-  sh.s_tick <- sh.s_tick + 1;
-  e.e_tick <- sh.s_tick
-
-let evict_stalest t sh =
+let evict_stalest t =
   let victim = ref None in
   Hashtbl.iter
     (fun k e ->
       match !victim with
       | Some (_, tick) when tick <= e.e_tick -> ()
       | _ -> victim := Some (k, e.e_tick))
-    sh.s_table;
+    t.c_table;
   match !victim with
   | Some (k, _) ->
-    Hashtbl.remove sh.s_table k;
+    Hashtbl.remove t.c_table k;
     Psc.Metrics.incr t.c_evictions
   | None -> ()
 
@@ -165,12 +131,11 @@ let evict_stalest t sh =
    hit — exactly one miss per key actually built.  [build] may raise;
    nothing is inserted or counted then. *)
 let find_or_build t key build =
-  let sh = shard_of t key in
   let hit =
-    locked sh (fun () ->
-        match Hashtbl.find_opt sh.s_table key with
+    Mutex.protect t.c_mutex (fun () ->
+        match Hashtbl.find_opt t.c_table key with
         | Some e ->
-          touch sh e;
+          touch t e;
           Psc.Metrics.incr t.c_hits;
           Some e.e_art
         | None -> None)
@@ -179,43 +144,37 @@ let find_or_build t key build =
   | Some art -> (art, true)
   | None ->
     let art = build () in
-    locked sh (fun () ->
-        match Hashtbl.find_opt sh.s_table key with
+    Mutex.protect t.c_mutex (fun () ->
+        match Hashtbl.find_opt t.c_table key with
         | Some e ->
           (* Lost the insert race: the first-inserted artifact wins. *)
-          touch sh e;
+          touch t e;
           Psc.Metrics.incr t.c_hits;
           (e.e_art, true)
         | None ->
           Psc.Metrics.incr t.c_misses;
-          while Hashtbl.length sh.s_table >= t.c_capacity do
-            evict_stalest t sh
+          while Hashtbl.length t.c_table >= t.c_capacity do
+            evict_stalest t
           done;
-          sh.s_tick <- sh.s_tick + 1;
-          Hashtbl.add sh.s_table key { e_art = art; e_tick = sh.s_tick };
+          t.c_tick <- t.c_tick + 1;
+          Hashtbl.add t.c_table key { e_art = art; e_tick = t.c_tick };
           (art, false))
 
 (* [peek t key] looks up without building and without touching the
    hit/miss counters: the caller treats absence as "no opinion", not a
    miss worth recording (Run probing for a tuned policy table). *)
 let peek t key =
-  let sh = shard_of t key in
-  locked sh (fun () ->
-      match Hashtbl.find_opt sh.s_table key with
+  Mutex.protect t.c_mutex (fun () ->
+      match Hashtbl.find_opt t.c_table key with
       | Some e ->
-        touch sh e;
+        touch t e;
         Some e.e_art
       | None -> None)
 
 type stats = { st_entries : int; st_hits : int; st_misses : int; st_evictions : int }
 
 let stats t =
-  let entries =
-    Array.fold_left
-      (fun acc sh -> acc + locked sh (fun () -> Hashtbl.length sh.s_table))
-      0 t.c_shards
-  in
-  { st_entries = entries;
+  { st_entries = Mutex.protect t.c_mutex (fun () -> Hashtbl.length t.c_table);
     st_hits = Psc.Metrics.counter_value t.c_hits;
     st_misses = Psc.Metrics.counter_value t.c_misses;
     st_evictions = Psc.Metrics.counter_value t.c_evictions }

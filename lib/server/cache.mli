@@ -6,12 +6,10 @@
     requests with the same source and flags share one schedule no matter
     how the client phrased them.  It is the only place where a schedule
     outlives the request that made it (a run's callee schedules die with
-    the run), and it is bounded: the least recently used artifacts go
-    first.  The store is lock-striped: the key's digest prefix picks one
-    of 8 shards, each a mutex-protected hash table with its own LRU tick
-    and capacity slice, so unrelated requests never contend and eviction
-    scans one shard, not the whole store.  Builds run outside any lock,
-    so a slow schedule never stalls unrelated requests. *)
+    the run), and it is bounded: one hash table under one mutex, holding
+    at most its capacity, from which the least recently used artifact
+    goes first.  Builds run outside the lock, so a slow schedule never
+    stalls unrelated requests. *)
 
 type artifact =
   | A_project of Psc.t          (** a loaded + elaborated source *)
@@ -37,14 +35,10 @@ and sched = {
 
 type t
 
-val shards : int
-(** The number of lock stripes: 8. *)
-
 val create : ?capacity:int -> unit -> t
-(** A store holding at least [capacity] (default 64, min 1) artifacts
-    overall — each shard holds up to ceil(capacity/8) — with its
-    hit/miss/eviction counters registered as [server.cache.*] in
-    {!Psc.Metrics}. *)
+(** A store holding at most [capacity] (default 64, min 1) artifacts,
+    with its hit/miss/eviction counters registered as [server.cache.*]
+    in {!Psc.Metrics}. *)
 
 (** {2 Key constructors}
 
@@ -53,8 +47,7 @@ val create : ?capacity:int -> unit -> t
 
 val digest : string -> string
 (** The hex MD5 content digest that prefixes every key — also what the
-    access log reports as a request's ["digest"] field, and whose two
-    leading hex digits pick the shard. *)
+    access log reports as a request's ["digest"] field. *)
 
 val project_key : digest:string -> string
 
@@ -90,8 +83,8 @@ val policy_key :
 val find_or_build : t -> string -> (unit -> artifact) -> artifact * bool
 (** [find_or_build t key build] returns the artifact and whether it came
     from the store.  A hit stamps the entry most-recently-used; a miss
-    runs [build] outside the lock and inserts the result, evicting the
-    shard's stalest entries while over its capacity slice.  When two
+    runs [build] outside the lock and inserts the result, first evicting
+    the least recently used entries while the store is full.  When two
     builds of one key race, the loser wastes its build but returns the
     {e winner's} (first-inserted) artifact flagged as a hit — identical
     concurrent requests observably converge, and exactly one miss is

@@ -1,11 +1,11 @@
-(* Readiness multiplexing for the compile service's event threads.
+(* Readiness multiplexing for the compile service's event loop.
 
    A thin wrapper over poll(2) (see psc_poll_stubs.c).  Unix.select
    cannot watch descriptors numbered past FD_SETSIZE (1024 on Linux),
    and a server may hold 1024 client sockets at once (a stress case
    does), so the event loop polls instead.  The stub releases the OCaml
    runtime lock for the duration of the wait, so worker threads keep
-   draining the request queue while an event thread sleeps.
+   draining the request queue while the event loop sleeps.
 
    Results are reported by index into the watch array: the caller built
    that array this iteration and maps indices straight back to its

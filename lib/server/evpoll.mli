@@ -1,11 +1,11 @@
-(** Readiness multiplexing for the compile service's event threads.
+(** Readiness multiplexing for the compile service's event loop.
 
     A thin wrapper over poll(2).  Unix.select cannot watch descriptors
     numbered past FD_SETSIZE (1024 on Linux), and a server may hold
     1024 client sockets at once (a stress case does), so the event loop
     polls instead.  The underlying stub releases the OCaml runtime lock for
     the duration of the wait, so worker threads keep draining the
-    request queue while an event thread sleeps. *)
+    request queue while the event loop sleeps. *)
 
 type interest = { want_read : bool; want_write : bool }
 

@@ -22,8 +22,6 @@ val op_name : op -> string
 (** The wire name: ["compile"], ["schedule"], ["run"], ["emit-c"],
     ["lint"], ["tune"], ["stats"], ["shutdown"]. *)
 
-val op_of_name : string -> op option
-
 type source =
   | Inline of string     (** the ["source"] member: program text *)
   | From_file of string  (** the ["source_file"] member: a path the server reads *)

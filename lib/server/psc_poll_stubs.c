@@ -1,8 +1,8 @@
 /* poll(2) binding for the compile service's event loop.
 
    Unix.select is fd_set-based: any descriptor numbered >= FD_SETSIZE
-   (1024 on Linux) is out of reach, and `bench serve` holds 1024 client
-   sockets at once.  poll has no such ceiling, so the event threads use
+   (1024 on Linux) is out of reach, and a server may hold 1024 client
+   sockets at once.  poll has no such ceiling, so the event loop uses
    this stub instead.
 
    Interface (see evpoll.ml):
@@ -13,7 +13,7 @@
               writable, bit 2 = error/invalid.
 
    The runtime lock is released around the poll call so worker threads
-   keep running while an event thread sleeps; EINTR reports "no events"
+   keep running while the event loop sleeps; EINTR reports "no events"
    rather than failing, letting the caller notice signal-driven state
    (the draining flag) on its normal path. */
 

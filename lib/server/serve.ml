@@ -2,15 +2,17 @@
    newline-delimited JSON requests over a Unix-domain socket, or over
    stdin/stdout as the single connection of a server with no listener.
 
-   One event-driven transport serves both: a small fixed pool of event
-   threads multiplexes every connection with poll(2) (Evpoll), framing
-   request lines and feeding a *bounded* queue drained by a fixed pool
-   of worker threads.  When the queue is full the server sheds load —
-   the request is answered E033 immediately instead of being buffered
-   unboundedly (stats and shutdown bypass the bound: they are cheap,
-   and they are how operators observe and stop an overload).  Responses
-   are staged in per-connection write buffers flushed by the event
-   threads as the descriptors accept them, so one slow reader never
+   One event-driven transport serves both: the serving thread runs one
+   poll(2) event loop (Evpoll) over the listener and every connection,
+   accepting clients and framing request lines into a *bounded* queue
+   drained by a fixed pool of worker threads.  Threads share one OCaml
+   runtime lock, so a second event loop could overlap only system
+   calls, never OCaml work.  When the queue is full the server sheds
+   load — the request is answered E033 immediately instead of being
+   buffered unboundedly (stats and shutdown bypass the bound: they are
+   cheap, and they are how operators observe and stop an overload).
+   Responses are staged in per-connection write buffers flushed by the
+   event loop as the descriptors accept them, so one slow reader never
    stalls the loop, and connections are pipelined: multiple requests
    may be in flight per connection, with responses correlated by id
    rather than by order.
@@ -19,9 +21,10 @@
    operations, compile errors, runtime traps and expired deadlines are
    all answered on the wire (the E03x codes come from the unified
    diagnostics engine).  SIGTERM, a shutdown request, or the end of the
-   stdio connection flips the draining flag — lines framed from then on
-   get E032, in-flight requests finish and are answered, and every
-   service thread is joined before the domain pool is shut down. *)
+   stdio connection flips the draining flag — the listener closes,
+   lines framed from then on get E032, in-flight requests finish and
+   are answered, and every worker thread is joined before the domain
+   pool is shut down. *)
 
 module Json = Psc.Json
 
@@ -54,11 +57,12 @@ let slow_capacity = 32
 (* ------------------------------------------------------------------ *)
 (* The bounded request queue.
 
-   Event threads push framed lines, worker threads pop them; [active]
-   counts items popped but not yet answered, so the drain logic can ask
-   "is every admitted request finished?" ([idle]) without a separate
-   in-flight gauge.  [push] refuses rather than blocks when the
-   queue is full — refusal is what becomes an E033 on the wire. *)
+   The event loop pushes framed lines, worker threads pop them;
+   [active] counts items popped but not yet answered, so the drain
+   logic can ask "is every admitted request finished?" ([idle]) and
+   [stats] reads the in-flight count and its high-water mark [peak]
+   without a separate gauge.  [push] refuses rather than blocks when
+   the queue is full — refusal is what becomes an E033 on the wire. *)
 module Bq = struct
   type 'a t = {
     items : 'a Queue.t;
@@ -66,6 +70,7 @@ module Bq = struct
     mu : Mutex.t;
     nonempty : Condition.t;
     mutable active : int;
+    mutable peak : int;
     mutable stopped : bool;
   }
 
@@ -75,6 +80,7 @@ module Bq = struct
       mu = Mutex.create ();
       nonempty = Condition.create ();
       active = 0;
+      peak = 0;
       stopped = false }
 
   (* [~force] pushes past the bound, for the two ops that must survive
@@ -92,6 +98,7 @@ module Bq = struct
   let rec pop_unlocked q =
     if not (Queue.is_empty q.items) then begin
       q.active <- q.active + 1;
+      q.peak <- max q.peak q.active;
       Some (Queue.pop q.items)
     end
     else if q.stopped then None
@@ -109,6 +116,8 @@ module Bq = struct
 
   let depth q = Mutex.protect q.mu (fun () -> Queue.length q.items)
 
+  let inflight q = Mutex.protect q.mu (fun () -> (q.active, q.peak))
+
   let stop q =
     Mutex.protect q.mu (fun () ->
         q.stopped <- true;
@@ -121,14 +130,11 @@ type server = {
   sv_pool : Psc.Pool.t option;
   sv_queue : work Bq.t;
   sv_draining : bool Atomic.t;
-  sv_inflight_n : int Atomic.t;
-  sv_inflight_peak : int Atomic.t;
   sv_connections : int Atomic.t;
   sv_start_ns : int;
   sv_access : (out_channel * Mutex.t) option;
   sv_slow : slow_entry list ref;  (* most recent first, <= slow_capacity *)
   sv_slow_mu : Mutex.t;
-  sv_inflight : Psc.Metrics.gauge;
   sv_requests : Psc.Metrics.counter;
   sv_deadline_trips : Psc.Metrics.counter;
   sv_shed : Psc.Metrics.counter;
@@ -141,7 +147,7 @@ type server = {
 }
 
 (* One admitted request: the connection to answer on, the raw line, and
-   when the event thread framed it (so queue wait is measured from
+   when the event loop framed it (so queue wait is measured from
    admission, not from when a worker got around to parsing). *)
 and work = {
   wk_conn : conn;
@@ -149,11 +155,11 @@ and work = {
   wk_arrival : int;  (* ns *)
 }
 
-(* One client connection, owned by exactly one event thread: an input
-   and an output descriptor, both the same socket unless it is stdio.
-   All fd I/O happens on the owner; workers only append to [cn_out]
-   (under [cn_mu]) and wake it.  [cn_rbuf]/[cn_eof]/[cn_wpend]/[cn_woff]
-   are event-thread-private. *)
+(* One client connection: an input and an output descriptor, both the
+   same socket unless it is stdio.  All fd I/O happens on the event
+   loop; workers only append to [cn_out] (under [cn_mu]) and ring the
+   server's doorbell.  [cn_rbuf]/[cn_eof]/[cn_wpend]/[cn_woff] are the
+   event loop's alone. *)
 and conn = {
   cn_rfd : Unix.file_descr;
   cn_wfd : Unix.file_descr;
@@ -165,7 +171,6 @@ and conn = {
   mutable cn_eof : bool;     (* the client half-closed: read no more *)
   mutable cn_wpend : string; (* in-progress write chunk *)
   mutable cn_woff : int;
-  cn_wake : unit -> unit;    (* wake the owning event thread *)
 }
 
 let all_ops =
@@ -178,8 +183,6 @@ let make_server cf =
     sv_pool = (if cf.cf_pool > 0 then Some (Psc.Pool.create cf.cf_pool) else None);
     sv_queue = Bq.create (max 1 cf.cf_max_queue);
     sv_draining = Atomic.make false;
-    sv_inflight_n = Atomic.make 0;
-    sv_inflight_peak = Atomic.make 0;
     sv_connections = Atomic.make 0;
     sv_start_ns = Psc.Metrics.now_ns ();
     sv_access =
@@ -188,7 +191,6 @@ let make_server cf =
        | Some path -> Some (open_out path, Mutex.create ()));
     sv_slow = ref [];
     sv_slow_mu = Mutex.create ();
-    sv_inflight = Psc.Metrics.gauge "server.inflight";
     sv_requests = Psc.Metrics.counter "server.requests";
     sv_deadline_trips = Psc.Metrics.counter "server.deadline.trips";
     sv_shed = Psc.Metrics.counter "server.shed";
@@ -200,10 +202,6 @@ let make_server cf =
         all_ops;
     sv_lat_all = Psc.Metrics.sketch "server.latency_ns.all";
     sv_queue_lat = Psc.Metrics.sketch "server.queue_ns" }
-
-let rec update_peak a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then update_peak a v
 
 (* ------------------------------------------------------------------ *)
 (* Deadlines: cooperative checks between pipeline stages.  A request
@@ -466,17 +464,17 @@ let dispatch sv ~deadline ~info (rq : Proto.request) : string =
         ("summary", Json.str (Psc.Policy.table_summary tp)) ]
   | Proto.Stats ->
     let s = Cache.stats sv.sv_cache in
+    let inflight, inflight_peak = Bq.inflight sv.sv_queue in
     let slow = Mutex.protect sv.sv_slow_mu (fun () -> !(sv.sv_slow)) in
     Proto.ok_response ~id ~cached:false
       [ ("cache",
          Json.obj
            [ ("entries", Json.int s.Cache.st_entries);
-             ("shards", Json.int Cache.shards);
              ("hits", Json.int s.Cache.st_hits);
              ("misses", Json.int s.Cache.st_misses);
              ("evictions", Json.int s.Cache.st_evictions) ]);
-        ("inflight", Json.int (Atomic.get sv.sv_inflight_n));
-        ("inflight_peak", Json.int (Atomic.get sv.sv_inflight_peak));
+        ("inflight", Json.int inflight);
+        ("inflight_peak", Json.int inflight_peak);
         ("connections", Json.int (Atomic.get sv.sv_connections));
         ("queue_depth", Json.int (Bq.depth sv.sv_queue));
         ("queue_max", Json.int sv.sv_queue.Bq.max);
@@ -573,8 +571,8 @@ let reject sv (id, op, trace_id) code msg =
    context on the reply.  Draining and overload are refused before a
    line is queued ([admit]), so only a parse failure is rejected here.
    Concurrency needs no gate: only the [cf_workers] worker threads ever
-   call this.  [arrival_ns] is when the event thread framed the line,
-   so queue_ns measures real queue wait. *)
+   call this.  [arrival_ns] is when the event loop framed the line, so
+   queue_ns measures real queue wait. *)
 let handle_line sv ~arrival_ns (line : string) : string =
   match Proto.parse_request line with
   | Error (id, msg) -> reject sv (id, "invalid", None) Psc.Diag.Bad_request msg
@@ -586,76 +584,64 @@ let handle_line sv ~arrival_ns (line : string) : string =
     let deadline = deadline_of rq in
     let info = fresh_info () in
     let t_start = Psc.Metrics.now_ns () in
-    let n = Atomic.fetch_and_add sv.sv_inflight_n 1 + 1 in
-    update_peak sv.sv_inflight_peak n;
-    Psc.Metrics.set sv.sv_inflight (Atomic.get sv.sv_inflight_n);
-    let finally () =
-      ignore (Atomic.fetch_and_add sv.sv_inflight_n (-1));
-      Psc.Metrics.set sv.sv_inflight (Atomic.get sv.sv_inflight_n)
+    let run_answer () =
+      let span_args =
+        [ ("op", op); ("sid", Psc.Trace.fresh_span_id ()) ]
+        @ (match trace_id with
+           | Some t -> [ ("trace_id", t) ]
+           | None -> [])
+        @ (match rq.Proto.rq_parent_span with
+           | Some p -> [ ("parent", p) ]
+           | None -> [])
+      in
+      Psc.Trace.with_span "request" ~args:span_args (fun () ->
+          answer sv ~deadline ~info rq)
     in
-    Fun.protect ~finally (fun () ->
-        let run_answer () =
-          let span_args =
-            [ ("op", op); ("sid", Psc.Trace.fresh_span_id ()) ]
-            @ (match trace_id with
-               | Some t -> [ ("trace_id", t) ]
-               | None -> [])
-            @ (match rq.Proto.rq_parent_span with
-               | Some p -> [ ("parent", p) ]
-               | None -> [])
-          in
-          Psc.Trace.with_span "request" ~args:span_args (fun () ->
-              answer sv ~deadline ~info rq)
-        in
-        let resp, spans =
-          (* [collect] flips the global not-off switch, so only pay
-             for it when slow-capture is on. *)
-          match sv.sv_cf.cf_slow_ms with
-          | None -> (run_answer (), [])
-          | Some _ -> Psc.Trace.collect run_answer
-        in
-        let resp = Proto.with_trace_id ~trace_id resp in
-        let t_end = Psc.Metrics.now_ns () in
-        let queue_ns = t_start - arrival_ns in
-        let handler_ns = t_end - t_start in
-        let total_ns = t_end - arrival_ns in
-        (match List.assoc_opt op sv.sv_lat_ops with
-         | Some q -> Psc.Metrics.sk_observe q handler_ns
-         | None -> ());
-        Psc.Metrics.sk_observe sv.sv_lat_all total_ns;
-        Psc.Metrics.sk_observe sv.sv_queue_lat queue_ns;
-        (match sv.sv_cf.cf_slow_ms with
-         | Some thresh when total_ns >= thresh * 1_000_000 ->
-           push_slow sv
-             { se_id = id;
-               se_op = op;
-               se_trace_id = trace_id;
-               se_total_us = total_ns / 1000;
-               se_queue_us = queue_ns / 1000;
-               se_spans = Psc.Trace.span_durations spans }
-         | _ -> ());
-        log_access sv ~id ~op ~trace_id ~info ~queue_ns ~handler_ns ~total_ns
-          ~bytes:(String.length resp)
-          ~deadline_margin_us:
-            (Option.map (fun d -> (d - t_end) / 1000) deadline);
-        resp)
+    let resp, spans =
+      (* [collect] flips the global not-off switch, so only pay for it
+         when slow-capture is on. *)
+      match sv.sv_cf.cf_slow_ms with
+      | None -> (run_answer (), [])
+      | Some _ -> Psc.Trace.collect run_answer
+    in
+    let resp = Proto.with_trace_id ~trace_id resp in
+    let t_end = Psc.Metrics.now_ns () in
+    let queue_ns = t_start - arrival_ns in
+    let handler_ns = t_end - t_start in
+    let total_ns = t_end - arrival_ns in
+    (match List.assoc_opt op sv.sv_lat_ops with
+     | Some q -> Psc.Metrics.sk_observe q handler_ns
+     | None -> ());
+    Psc.Metrics.sk_observe sv.sv_lat_all total_ns;
+    Psc.Metrics.sk_observe sv.sv_queue_lat queue_ns;
+    (match sv.sv_cf.cf_slow_ms with
+     | Some thresh when total_ns >= thresh * 1_000_000 ->
+       push_slow sv
+         { se_id = id;
+           se_op = op;
+           se_trace_id = trace_id;
+           se_total_us = total_ns / 1000;
+           se_queue_us = queue_ns / 1000;
+           se_spans = Psc.Trace.span_durations spans }
+     | _ -> ());
+    log_access sv ~id ~op ~trace_id ~info ~queue_ns ~handler_ns ~total_ns
+      ~bytes:(String.length resp)
+      ~deadline_margin_us:(Option.map (fun d -> (d - t_end) / 1000) deadline);
+    resp
 
 (* ------------------------------------------------------------------ *)
-(* The transport: event threads + bounded queue + workers. *)
+(* The transport: one event loop + bounded queue + workers. *)
 
-(* An event thread: owns a subset of the connections, multiplexed with
-   poll(2).  The self-pipe is its doorbell — workers ring it after
-   staging a response, the accept loop after assigning a connection.
-   [ev_wake_flag] coalesces rings so the pipe never fills. *)
+(* The event loop's state, owned by the serving thread.  The self-pipe
+   is the server's one doorbell: workers ring it after staging a
+   response, and [ev_wake_flag] coalesces rings so the pipe never
+   fills. *)
 type ev = {
   ev_wake_r : Unix.file_descr;
   ev_wake_w : Unix.file_descr;
   ev_wake_flag : bool Atomic.t;
-  ev_incoming : (Unix.file_descr * Unix.file_descr) Queue.t;
-      (* (input, output) pairs assigned, not yet adopted *)
-  ev_inc_mu : Mutex.t;
-  mutable ev_conns : conn list;  (* owned by this thread only *)
-  ev_scratch : Bytes.t;          (* read buffer, thread-private *)
+  mutable ev_conns : conn list;
+  ev_scratch : Bytes.t;  (* read buffer *)
 }
 
 let make_ev () =
@@ -665,8 +651,6 @@ let make_ev () =
   { ev_wake_r = r;
     ev_wake_w = w;
     ev_wake_flag = Atomic.make false;
-    ev_incoming = Queue.create ();
-    ev_inc_mu = Mutex.create ();
     ev_conns = [];
     ev_scratch = Bytes.create 65536 }
 
@@ -677,16 +661,32 @@ let ev_wake ev =
     try ignore (Unix.write ev.ev_wake_w wake_byte 0 1)
     with Unix.Unix_error _ -> ()
 
-let assign sv ev (rfd, wfd) =
+(* Take a connection into the loop: an input and an output descriptor,
+   the same socket unless it is stdio. *)
+let adopt sv ev (rfd, wfd) =
   Unix.set_nonblock rfd;
   Unix.set_nonblock wfd;
   ignore (Atomic.fetch_and_add sv.sv_connections 1);
-  Mutex.protect ev.ev_inc_mu (fun () -> Queue.push (rfd, wfd) ev.ev_incoming);
-  ev_wake ev
+  ev.ev_conns <-
+    { cn_rfd = rfd;
+      cn_wfd = wfd;
+      cn_mu = Mutex.create ();
+      cn_out = Buffer.create 256;
+      cn_closed = false;
+      cn_inflight = Atomic.make 0;
+      cn_rbuf = Buffer.create 256;
+      cn_eof = false;
+      cn_wpend = "";
+      cn_woff = 0 }
+    :: ev.ev_conns
 
-let close_fds (rfd, wfd) =
-  (try Unix.close rfd with Unix.Unix_error _ -> ());
-  if wfd <> rfd then try Unix.close wfd with Unix.Unix_error _ -> ()
+(* Accept every client waiting on the listener. *)
+let rec accept_all sv ev lfd =
+  match Unix.accept lfd with
+  | fd, _ ->
+    adopt sv ev (fd, fd);
+    accept_all sv ev lfd
+  | exception Unix.Unix_error _ -> ()
 
 let conn_closed c = Mutex.protect c.cn_mu (fun () -> c.cn_closed)
 
@@ -702,34 +702,31 @@ let close_conn sv c =
         end)
   in
   if fresh then begin
-    close_fds (c.cn_rfd, c.cn_wfd);
+    (try Unix.close c.cn_rfd with Unix.Unix_error _ -> ());
+    (if c.cn_wfd <> c.cn_rfd then
+       try Unix.close c.cn_wfd with Unix.Unix_error _ -> ());
     if
       Atomic.fetch_and_add sv.sv_connections (-1) = 1
       && sv.sv_cf.cf_socket = None
     then Atomic.set sv.sv_draining true
   end
 
-(* Stage a response on the connection's write buffer and ring the
-   owner's doorbell.  Responses for a connection that closed while its
-   request was in flight are dropped — there is nobody to read them. *)
+(* Stage a response on the connection's write buffer for the event loop
+   to flush.  Responses for a connection that closed while its request
+   was in flight are dropped — there is nobody to read them. *)
 let conn_send c resp =
-  let staged =
-    Mutex.protect c.cn_mu (fun () ->
-        if c.cn_closed then false
-        else begin
-          Buffer.add_string c.cn_out resp;
-          Buffer.add_char c.cn_out '\n';
-          true
-        end)
-  in
-  if staged then c.cn_wake ()
+  Mutex.protect c.cn_mu (fun () ->
+      if not c.cn_closed then begin
+        Buffer.add_string c.cn_out resp;
+        Buffer.add_char c.cn_out '\n'
+      end)
 
 let conn_pending c =
   c.cn_woff < String.length c.cn_wpend
   || Mutex.protect c.cn_mu (fun () -> Buffer.length c.cn_out > 0)
 
 (* Flush as much staged output as the descriptor accepts right now.
-   The in-progress chunk is event-thread-private, so a partial write
+   The in-progress chunk is the event loop's alone, so a partial write
    picks up exactly where it left off; workers keep staging into
    [cn_out] meanwhile without blocking on the descriptor. *)
 let conn_flush sv c =
@@ -833,107 +830,91 @@ let drain_wake_pipe ev =
   let rec go () =
     match Unix.read ev.ev_wake_r ev.ev_scratch 0 64 with
     | n when n > 0 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error _ -> ()
+    | _ | (exception Unix.Unix_error _) -> ()
   in
   go ()
 
-(* The event loop.  Draining protocol: once the flag is up, keep
-   serving — queued requests are answered (E032 for new work), write
-   buffers flush — and exit when every owned connection is gone, or
-   when the grace period has passed with the queue idle and all output
-   flushed (then lingering connections are closed).  Every admitted
-   request is answered before its connection is torn down. *)
-let ev_loop sv cf ev () =
+(* What one poll entry watches. *)
+type watch = Bell | Listener of Unix.file_descr | Input of conn | Output of conn
+
+(* The event loop, run by the serving thread.  Draining protocol: once
+   the flag is up, close and unlink the listener and keep serving —
+   queued requests are answered (E032 for new work), write buffers
+   flush — and return when every connection is gone, or when the grace
+   period has passed with the queue idle and all output flushed (then
+   lingering connections are closed).  Every admitted request is
+   answered before its connection is torn down. *)
+let ev_loop sv cf ev listener =
+  let listener = ref listener in
   let grace_deadline = ref None in
   let running = ref true in
   while !running do
-    (* Adopt connections assigned to this thread. *)
-    let adopted =
-      Mutex.protect ev.ev_inc_mu (fun () ->
-          let xs = List.of_seq (Queue.to_seq ev.ev_incoming) in
-          Queue.clear ev.ev_incoming;
-          xs)
-    in
-    List.iter
-      (fun (rfd, wfd) ->
-        let c =
-          { cn_rfd = rfd;
-            cn_wfd = wfd;
-            cn_mu = Mutex.create ();
-            cn_out = Buffer.create 256;
-            cn_closed = false;
-            cn_inflight = Atomic.make 0;
-            cn_rbuf = Buffer.create 256;
-            cn_eof = false;
-            cn_wpend = "";
-            cn_woff = 0;
-            cn_wake = (fun () -> ev_wake ev) }
-        in
-        ev.ev_conns <- c :: ev.ev_conns)
-      adopted;
     ev.ev_conns <- List.filter (fun c -> not (conn_closed c)) ev.ev_conns;
     let draining = Atomic.get sv.sv_draining in
-    if draining && !grace_deadline = None then
+    if draining && !grace_deadline = None then begin
+      Option.iter
+        (fun (lfd, path) ->
+          (try Unix.close lfd with Unix.Unix_error _ -> ());
+          try Unix.unlink path with Unix.Unix_error _ -> ())
+        !listener;
+      listener := None;
       grace_deadline :=
-        Some (Psc.Metrics.now_ns () + (cf.cf_grace_ms * 1_000_000));
+        Some (Psc.Metrics.now_ns () + (cf.cf_grace_ms * 1_000_000))
+    end;
     let past_grace =
       match !grace_deadline with
       | Some d -> Psc.Metrics.now_ns () >= d
       | None -> false
     in
-    let no_incoming =
-      Mutex.protect ev.ev_inc_mu (fun () -> Queue.is_empty ev.ev_incoming)
-    in
     let work_done =
       Bq.idle sv.sv_queue
       && List.for_all (fun c -> not (conn_pending c)) ev.ev_conns
     in
-    if draining && no_incoming && (ev.ev_conns = [] || (past_grace && work_done))
-    then begin
+    if draining && (ev.ev_conns = [] || (past_grace && work_done)) then begin
       List.iter (close_conn sv) ev.ev_conns;
       ev.ev_conns <- [];
       running := false
     end
     else begin
       let conns = Array.of_list ev.ev_conns in
-      (* One poll entry per open input and one per output with bytes
-         pending (a socket with both appears twice).  A half-closed
-         input is not watched: a hangup it keeps reporting would spin
-         the loop, and the worker answering it rings the doorbell
-         anyway. *)
+      (* The doorbell, the listener, one entry per open input and one
+         per output with bytes pending (a socket with both appears
+         twice).  A half-closed input is not watched: a hangup it keeps
+         reporting would spin the loop, and the worker answering it
+         rings the doorbell anyway. *)
+      let listening =
+        match !listener with Some (lfd, _) -> [ Listener lfd ] | None -> []
+      in
       let watched =
         Array.of_list
-          (List.concat_map
-             (fun c ->
-               (if c.cn_eof then [] else [ (c, true) ])
-               @ if conn_pending c then [ (c, false) ] else [])
-             ev.ev_conns)
+          ((Bell :: listening)
+          @ List.concat_map
+              (fun c ->
+                (if c.cn_eof then [] else [ Input c ])
+                @ if conn_pending c then [ Output c ] else [])
+              ev.ev_conns)
       in
+      let reading = Evpoll.{ want_read = true; want_write = false }
+      and writing = Evpoll.{ want_read = false; want_write = true } in
       let spec =
-        Array.init
-          (Array.length watched + 1)
-          (fun i ->
-            if i = 0 then
-              (ev.ev_wake_r, Evpoll.{ want_read = true; want_write = false })
-            else
-              let c, input = watched.(i - 1) in
-              ( (if input then c.cn_rfd else c.cn_wfd),
-                Evpoll.{ want_read = input; want_write = not input } ))
+        Array.map
+          (function
+            | Bell -> (ev.ev_wake_r, reading)
+            | Listener lfd -> (lfd, reading)
+            | Input c -> (c.cn_rfd, reading)
+            | Output c -> (c.cn_wfd, writing))
+          watched
       in
       let ready = Evpoll.poll spec ~timeout_ms:100 in
       drain_wake_pipe ev;
       List.iter
         (fun (i, (r : Evpoll.ready)) ->
-          if i > 0 then begin
-            let c, input = watched.(i - 1) in
-            if
-              input
-              && (r.Evpoll.readable || r.Evpoll.errored)
-              && not (conn_closed c)
-            then conn_read sv ev c
-          end)
+          match watched.(i) with
+          | Listener lfd -> accept_all sv ev lfd
+          | Input c
+            when (r.Evpoll.readable || r.Evpoll.errored) && not (conn_closed c) ->
+            conn_read sv ev c
+          | Bell | Input _ | Output _ -> ())
         ready;
       (* Opportunistic flush of everything pending, not just what
          polled writable: a response staged during the poll is usually
@@ -947,9 +928,10 @@ let ev_loop sv cf ev () =
     end
   done
 
-(* Workers: pop, answer, stage the response on the connection.
-   [answer] turns every exception a request raises into its reply. *)
-let worker_loop sv () =
+(* Workers: pop, answer, stage the response on the connection and ring
+   the doorbell.  [answer] turns every exception a request raises into
+   its reply. *)
+let worker_loop sv ev () =
   let running = ref true in
   while !running do
     match Bq.pop sv.sv_queue with
@@ -957,22 +939,21 @@ let worker_loop sv () =
     | Some wk ->
       conn_send wk.wk_conn (handle_line sv ~arrival_ns:wk.wk_arrival wk.wk_line);
       (* Answered (staged) before it leaves the in-flight count that a
-         half-closed connection waits on; the owner re-checks after. *)
+         half-closed connection waits on; the loop re-checks after the
+         ring. *)
       Atomic.decr wk.wk_conn.cn_inflight;
-      wk.wk_conn.cn_wake ();
+      ev_wake ev;
       Bq.finished sv.sv_queue
   done
 
-(* The one serve routine.  With a socket path the serving thread
-   accepts clients (polling the listener with a timeout, so a drain is
-   noticed promptly) and deals them round-robin to the event threads;
-   without one, stdin/stdout is the single connection, duplicated so
-   that closing it never frees descriptors 0 and 1 for reuse, and
+(* The one serve routine.  With a socket path the event loop listens
+   too; without one, stdin/stdout is the single connection, duplicated
+   so that closing it never frees descriptors 0 and 1 for reuse, and
    before anything else is opened, so a closed stdin fails here instead
-   of aliasing one of the server's own descriptors.  On drain: stop
-   listening, then join every event thread, stop the queue, and join
-   every worker — only after all of them are gone does [main] shut the
-   domain pool down, so no request can race a dying pool. *)
+   of aliasing one of the server's own descriptors.  The serving thread
+   runs the event loop until it drains, then stops the queue and joins
+   every worker — even if the loop raised — so that [main] shuts the
+   domain pool down only when no request can race it. *)
 let serve sv cf =
   let stdio =
     if cf.cf_socket <> None then None
@@ -995,59 +976,19 @@ let serve sv cf =
         (lfd, path))
       cf.cf_socket
   in
-  let n_ev =
-    if listener = None then 1
-    else max 1 (min 4 (Psc.Pool.recommended_size () / 2))
-  in
-  let evs = Array.init n_ev (fun _ -> make_ev ()) in
-  let ev_threads =
-    Array.map (fun ev -> Thread.create (ev_loop sv cf ev) ()) evs
-  in
+  let ev = make_ev () in
+  Option.iter (adopt sv ev) stdio;
   let workers =
     Array.init (max 1 cf.cf_workers) (fun _ ->
-        Thread.create (worker_loop sv) ())
+        Thread.create (worker_loop sv ev) ())
   in
-  Option.iter (assign sv evs.(0)) stdio;
-  (match listener with
-   | None -> ()
-   | Some (lfd, path) ->
-     let rr = ref 0 in
-     while not (Atomic.get sv.sv_draining) do
-       match
-         Evpoll.poll
-           [| (lfd, Evpoll.{ want_read = true; want_write = false }) |]
-           ~timeout_ms:100
-       with
-       | [] -> ()
-       | _ :: _ ->
-         let accepting = ref true in
-         while !accepting do
-           match Unix.accept lfd with
-           | fd, _ ->
-             assign sv evs.(!rr mod n_ev) (fd, fd);
-             incr rr
-           | exception Unix.Unix_error _ -> accepting := false
-         done
-     done;
-     (try Unix.close lfd with Unix.Unix_error _ -> ());
-     try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
-  (* Drain: event threads finish answering and flushing (bounded by the
-     grace period), then the workers run the queue dry and exit.  Join
-     them all — unconditionally — before returning to [main]'s pool
-     shutdown. *)
-  Array.iter Thread.join ev_threads;
-  Bq.stop sv.sv_queue;
-  Array.iter Thread.join workers;
-  Array.iter
-    (fun ev ->
-      (* Connections accepted but never adopted (the assignment raced
-         the drain): close them now so nothing leaks. *)
-      Mutex.protect ev.ev_inc_mu (fun () ->
-          Queue.iter close_fds ev.ev_incoming;
-          Queue.clear ev.ev_incoming);
+  Fun.protect
+    ~finally:(fun () ->
+      Bq.stop sv.sv_queue;
+      Array.iter Thread.join workers;
       (try Unix.close ev.ev_wake_r with Unix.Unix_error _ -> ());
       try Unix.close ev.ev_wake_w with Unix.Unix_error _ -> ())
-    evs;
+    (fun () -> ev_loop sv cf ev listener);
   (* Descriptors 0 and 1 may be a terminal shared with the parent
      shell: give them back blocking. *)
   if stdio <> None then
@@ -1065,8 +1006,8 @@ let main cf =
    with Invalid_argument _ -> ());
   Fun.protect
     ~finally:(fun () ->
-      (* By the time we get here every event and worker thread has been
-         joined ([serve]), so the pool has no remaining users. *)
+      (* By the time we get here every worker thread has been joined
+         ([serve]), so the pool has no remaining users. *)
       (match sv.sv_pool with Some p -> Psc.Pool.shutdown p | None -> ());
       (match sv.sv_access with
        | Some (oc, mu) -> Mutex.protect mu (fun () -> close_out_noerr oc)

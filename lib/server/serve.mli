@@ -2,10 +2,11 @@
     newline-delimited JSON requests ({!Proto}) over a Unix-domain
     socket, or over stdin/stdout.
 
-    There is one event-driven transport: a small fixed pool of event
-    threads multiplexes every connection with poll(2) ({!Evpoll}),
-    framing request lines in time linear in their length into a
-    bounded queue drained by a fixed pool of worker threads.  Stdio is
+    There is one event-driven transport: the serving thread runs one
+    poll(2) event loop ({!Evpoll}) over the listener and every
+    connection, accepting clients and framing request lines in time
+    linear in their length into a bounded queue drained by a fixed pool
+    of worker threads.  Stdio is
     one more connection of that core (stdin in, stdout out), so it is
     pipelined, shed and drained exactly like a socket client.  When the
     queue is full the server sheds load — the request is answered E033
@@ -19,9 +20,9 @@
     operations, compile errors, runtime traps and expired deadlines are
     all answered on the wire with the unified E03x diagnostic codes.
     SIGTERM, a [shutdown] request or the end of the stdio connection
-    flips the draining flag — lines framed from then on get E032,
-    in-flight requests finish and are answered, every service thread is
-    joined, and the process exits cleanly. *)
+    flips the draining flag — the listener closes, lines framed from
+    then on get E032, in-flight requests finish and are answered, every
+    worker thread is joined, and the process exits cleanly. *)
 
 type config = {
   cf_socket : string option;  (** [None]: stdin/stdout, no listener *)
@@ -49,4 +50,4 @@ val main : config -> unit
     included.  Enables {!Psc.Metrics}, installs the SIGTERM handler,
     ignores SIGPIPE, puts stdin and stdout back in blocking mode after a
     stdio session, and shuts the domain pool down only after every
-    event and worker thread has been joined. *)
+    worker thread has been joined. *)

@@ -240,6 +240,17 @@ end C;
                 expect_exit 1
                   (Printf.sprintf "run -i M=4 -i maxK=2 --policy-file %s %s" p f)
                   "error[E025]")));
+    t "run refuses --policy static with a --policy-file" (fun () ->
+        (* The static model would ignore the table, so the pair is a
+           usage error, not a silent choice. *)
+        with_source Ps_models.Models.jacobi (fun f ->
+            with_source ~suffix:".json"
+              {|{"policy":1,"source":"static","host_cores":1,"nests":[]}|}
+              (fun p ->
+                expect_exit 2
+                  (Printf.sprintf
+                     "run -i M=4 -i maxK=2 --policy static --policy-file %s %s" p f)
+                  "exclude each other")));
     t "trace-check calls a malformed number an invalid trace" (fun () ->
         with_source ~suffix:".json"
           {|{"traceEvents":[{"name":"x","ph":"B","ts":1e,"pid":1,"tid":1}]}|}

@@ -1100,7 +1100,7 @@ let cache_tests =
         let key = Cache.project_key ~digest:(Cache.digest "race-regression") in
         (* Both builders spin until the other has started, so the build
            window genuinely overlaps: both threads miss, both build, and
-           the insert race is decided under the shard lock. *)
+           the insert race is decided under the cache lock. *)
         let started = Atomic.make 0 in
         let build tag () =
           Atomic.incr started;
@@ -1129,7 +1129,7 @@ let cache_tests =
         Alcotest.(check int) "the loser (or late arrival) counts a hit" 1
           (after.Cache.st_hits - before.Cache.st_hits);
         Alcotest.(check int) "one entry, not two" 1 after.Cache.st_entries);
-    t "striped eviction keeps the cache bounded per shard" (fun () ->
+    t "inserts past the capacity evict one each and leave it full" (fun () ->
         let c = Cache.create ~capacity:8 () in
         let before = Cache.stats c in
         for i = 1 to 64 do
@@ -1139,12 +1139,26 @@ let cache_tests =
                (fun () -> Cache.A_emit (string_of_int i)))
         done;
         let after = Cache.stats c in
-        Alcotest.(check bool) "entries bounded by capacity" true
-          (after.Cache.st_entries <= 8);
+        Alcotest.(check int) "entries" 8 after.Cache.st_entries;
         Alcotest.(check int) "every insert was a miss" 64
           (after.Cache.st_misses - before.Cache.st_misses);
-        Alcotest.(check bool) "evictions account for the overflow" true
-          (after.Cache.st_evictions - before.Cache.st_evictions >= 56)) ]
+        Alcotest.(check int) "evictions" 56
+          (after.Cache.st_evictions - before.Cache.st_evictions));
+    t "the least recently used artifact goes first" (fun () ->
+        let c = Cache.create ~capacity:2 () in
+        let hit name =
+          snd
+            (Cache.find_or_build c
+               (Cache.project_key ~digest:(Cache.digest name))
+               (fun () -> Cache.A_emit name))
+        in
+        ignore (hit "lru-a");
+        ignore (hit "lru-b");
+        Alcotest.(check bool) "a hits" true (hit "lru-a");
+        ignore (hit "lru-c");
+        Alcotest.(check bool) "a, used after b, stays" true (hit "lru-a");
+        Alcotest.(check bool) "b, the least recently used, went" false
+          (hit "lru-b")) ]
 
 (* --- stress: churn, overload shedding, pipelining -------------------- *)
 
@@ -1191,7 +1205,7 @@ let stress_tests =
         let fd, ic, oc = connect path in
         recv_deadline fd;
         (* One write carrying n unique-source requests: the event
-           thread frames and admits them far faster than the single
+           loop frames and admits them far faster than the single
            worker can drain, so with a queue bound of 1 nearly all of
            them must be shed — and every one must still be answered. *)
         burst oc 0 (n - 1) (fresh_req "flood");
@@ -1268,7 +1282,7 @@ let stress_tests =
         recv_deadline fd;
         (* Fresh sources keep the one worker busy, so the malformed
            lines between them mostly meet a full queue: the event
-           thread itself reads their correlation fields to shed them. *)
+           loop itself reads their correlation fields to shed them. *)
         let n = 100 in
         burst oc 0 (n - 1) (fun i ->
             if i mod 2 = 0 then fresh_req "shed" i
