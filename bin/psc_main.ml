@@ -398,9 +398,11 @@ let run_cmd =
     Arg.(
       value & flag
       & info [ "stats" ]
-          ~doc:"After execution, print per-worker pool statistics (chunks, \
-                steals, parks, busy time, utilization, imbalance) and the \
-                top-10 hottest loops with their source locations.")
+          ~doc:"After execution, print the equation evaluations and how \
+                many of them ran a row at a time, per-worker pool \
+                statistics (chunks, steals, parks, busy time, utilization, \
+                imbalance) and the top-10 hottest loops with their source \
+                locations.")
   in
   let metrics_json =
     Arg.(
@@ -436,7 +438,9 @@ let run_cmd =
       value & flag
       & info [ "tune" ]
           ~doc:"Tune before running: replay the nests under candidate \
-                policies on the profiler and execute with the winner.")
+                policies on the profiler and execute with the winner.  \
+                Refused with $(b,--policy static) or $(b,--policy-file), \
+                whose tables the tuner would replace.")
   in
   let run file name sink fuse trim collapse inputs par no_windows verify stats
       metrics_json policy_mode policy_file tune trace =
@@ -470,23 +474,26 @@ let run_cmd =
             if Psc.Diag.errors diags <> [] then exit 1;
             if Psc.Policy.stale tp ~host_cores then static_table () else tp
         in
+        let excluded pair =
+          Fmt.epr "psc run: %s exclude each other@." pair;
+          exit 2
+        in
         let policy =
-          if tune then
+          match (tune, policy_mode, policy_file) with
+          | true, `Static, _ -> excluded "--tune and --policy static"
+          | true, `Off, Some _ -> excluded "--tune and --policy-file"
+          | true, `Off, None ->
             Some
               (Psc.tune ?name ~sink ~fuse ~trim ~cores:host_cores t ~inputs:ins
                  ~env:inputs)
-          else
-            match (policy_mode, policy_file) with
-            | `Off, None -> None
-            | `Off, Some f -> Some (load_table f)
-            | `Static, None -> Some (static_table ())
-            | `Static, Some _ ->
-              Fmt.epr "psc run: --policy static and --policy-file exclude each other@.";
-              exit 2
+          | false, `Off, None -> None
+          | false, `Off, Some f -> Some (load_table f)
+          | false, `Static, None -> Some (static_table ())
+          | false, `Static, Some _ -> excluded "--policy static and --policy-file"
         in
         let exec pool =
           Psc.run ?name ~sink ~fuse ~trim ~collapse
-            ~use_windows:(not no_windows) ?pool ?policy t ~inputs:ins
+            ~use_windows:(not no_windows) ?pool ~stats ?policy t ~inputs:ins
         in
         (* The pool's per-worker table must be rendered before [with_pool]
            drains the counters into the registry on the way out. *)
@@ -512,6 +519,10 @@ let run_cmd =
           (fun (nm, words) -> Fmt.pr "%s: %d words@." nm words)
           r.Psc.Exec.allocated;
         if stats then begin
+          (match r.Psc.Exec.evaluations, r.Psc.Exec.row_evaluations with
+           | Some evals, Some rows ->
+             Fmt.pr "--- evaluations ---@.%d equation evaluations, %d in rows@." evals rows
+           | _ -> ());
           Fmt.pr "--- pool ---@.";
           (match !pool_table with
            | Some table -> Fmt.pr "%s" table

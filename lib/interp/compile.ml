@@ -15,32 +15,37 @@
    - An array reference whose subscripts are all affine compiles to one
      offset closure, specialised by rank, with lower bounds, strides and
      constants captured.  A windowed dimension maps through a plane
-     table, so the hot path does no division.
-   - Reads are typed nodes ([CFRead], [CIRead]) that a parent arithmetic
-     node reads inline instead of calling a closure that boxes.
+     table, built once per slab for an equation, so the hot path does no
+     division.
+   - Reads are typed nodes ([CFRead], [CIRead]) that a parent reads
+     inline instead of calling a closure that boxes.  A real arithmetic
+     operation, [min]/[max], sum chain or [if] is a node too ([CFNode])
+     over inline operands, which a store evaluates in place, so the real
+     it computes is never boxed.  An [if] that compares two operands
+     does the comparison itself.
    - Superinstructions: a left-deep [+] chain of real reads, optionally
      divided or multiplied by a constant, and an [and]/[or] chain of
      comparisons between affine ints each become one closure.
      [compile_store], the one store compiler for real and int slabs,
      fuses an equation's store with its [if] nodes, and a real one's
-     with its chain nodes, so a real read, sum or int conversion is
-     stored without boxing.
+     with its chain nodes.
    - Rows: the same walk builds the row form of the equation that an
      innermost loop runs ("Rows" below).  A row is cut where an affine
      guard test compares differently, and each segment decides its
      guards once and checks its leaf's references at its two ends.  A
      real [+] chain of reads, scaled or not, then runs as a tight loop
-     over flat offsets; any other leaf runs [compile]'s own closure with
-     its references lowered to row offsets.  A segment whose check
-     fails, and a leaf the lowering refuses, run the checked per-point
-     closure.
+     with each read's array, base and step in locals (specialised for
+     one to four reads); any other leaf runs [compile]'s own nodes with
+     each reference in its row form, read in place as [a.(fr.(base) +
+     v * step)].  A segment whose check fails, and a leaf the lowering
+     refuses, run the checked per-point closure.
 
    Every node evaluates its operands left to right, as [Eval] does, so a
    read that traps raises the same [Value.Bounds] message; no float
    operation is reassociated.  Run sequentially at the benchmark's sizes,
-   fig6, h3 and lcs allocate 0.05, 0.07 and 0.03 minor words per
-   evaluation, set-up included; test_exec's "allocation" cases pin
-   bounds of 1, 0.25 and 0.1.
+   fig6, h3 and lcs allocate 0.050, 0.065 and 0.033 minor words per
+   evaluation, set-up included, and a real [if] leaf over products
+   0.045; test_exec's "allocation" cases pin 0.1 for each.
 
    Module inputs and already-computed scalar locals are read from their
    store slabs at compile time or run time as appropriate; anything
@@ -54,14 +59,6 @@ module Ast = Ps_lang.Ast
 
 type frame = int array
 
-type comp =
-  | CInt of (frame -> int)
-  | CReal of (frame -> float)
-  | CBool of (frame -> bool)
-  | CBoxed of (frame -> scalar)
-  | CFRead of float array * (frame -> int)
-  | CIRead of int array * (frame -> int)
-
 type cctx = {
   k_em : Elab.emodule;
   k_slab : string -> slab;          (* resolve/allocate a data slab *)
@@ -72,41 +69,6 @@ type cctx = {
 exception Cannot_compile of string
 
 let fail fmt = Fmt.kstr (fun m -> raise (Cannot_compile m)) fmt
-
-let as_real = function
-  | CReal f -> f
-  | CFRead (a, off) -> fun fr -> Array.unsafe_get a (off fr)
-  | CInt f -> fun fr -> float_of_int (f fr)
-  | CIRead (a, off) -> fun fr -> float_of_int (Array.unsafe_get a (off fr))
-  | CBoxed f -> fun fr -> as_float (f fr)
-  | CBool _ -> fail "boolean used as a number"
-
-let as_int_c = function
-  | CInt f -> f
-  | CIRead (a, off) -> fun fr -> Array.unsafe_get a (off fr)
-  | CReal f -> fun fr -> int_of_float (f fr)
-  | CFRead (a, off) -> fun fr -> int_of_float (Array.unsafe_get a (off fr))
-  | CBoxed f -> fun fr -> as_int (f fr)
-  | CBool _ -> fail "boolean used as an integer"
-
-let as_bool_c = function
-  | CBool f -> f
-  | CBoxed f -> fun fr -> as_bool (f fr)
-  | CInt _ | CReal _ | CFRead _ | CIRead _ -> fail "number used as a boolean"
-
-let as_scalar_c = function
-  | CInt f -> fun fr -> Sc_int (f fr)
-  | CIRead (a, off) -> fun fr -> Sc_int (Array.unsafe_get a (off fr))
-  | CReal f -> fun fr -> Sc_real (f fr)
-  | CFRead (a, off) -> fun fr -> Sc_real (Array.unsafe_get a (off fr))
-  | CBool f -> fun fr -> Sc_bool (f fr)
-  | CBoxed f -> f
-
-let is_int = function CInt _ | CIRead _ -> true | _ -> false
-
-let is_num = function
-  | CInt _ | CIRead _ | CReal _ | CFRead _ -> true
-  | CBool _ | CBoxed _ -> false
 
 (* An evaluation context whose index lookups read the current frame; used
    for the boxed fallback path. *)
@@ -234,6 +196,18 @@ let dims_of (s : slab) =
            else Array.init di.di_extent (fun r -> r mod w * stride)) })
     s.s_dims
 
+(* [dims_of] once per slab: every reference an equation compiles to a
+   slab shares one plane table. *)
+let dims_memo () =
+  let memo = ref [] in
+  fun s ->
+    match List.assq_opt s !memo with
+    | Some ds -> ds
+    | None ->
+      let ds = dims_of s in
+      memo := (s, ds) :: !memo;
+      ds
+
 let out_of_bounds (s : slab) p v =
   let di = s.s_dims.(p) in
   raise
@@ -307,51 +281,75 @@ let offset_fn (s : slab) ds (subs : sub array) : frame -> int =
       done;
       !off
 
-(* ------------------------------------------------------------------ *)
-(* Operands a parent node evaluates inline: a read, a constant, or a
-   closure call for anything else. *)
+(* Where a read finds its flat offset: a checked offset closure, or, in
+   a row leaf, its row form [fr.(r_base) + v * r_step], [v] the row
+   variable in frame slot [r_slot] and the base set by the segment's
+   check ("Rows"). *)
+type at = Off of (frame -> int) | Row of { r_slot : int; r_base : int; r_step : int }
 
-type iop = IRead of int array * (frame -> int) | IConst of int | IFn of (frame -> int)
+let[@inline] offset at fr =
+  match at with
+  | Off f -> f fr
+  | Row r -> Array.unsafe_get fr r.r_base + (Array.unsafe_get fr r.r_slot * r.r_step)
+
+(* ------------------------------------------------------------------ *)
+(* Operands and nodes a parent evaluates inline *)
+
+(* An int or real operand: a read, by its checked offset closure or in
+   its row form (a [Row]'s fields kept in the operand, so a read matches
+   once), a constant, or a closure call for anything else. *)
+type iop =
+  | IRead of int array * (frame -> int)
+  | IRow of int array * int * int * int  (* payload, row slot, base slot, step *)
+  | IConst of int
+  | IFn of (frame -> int)
 
 type fop =
   | FRead of float array * (frame -> int)
+  | FRow of float array * int * int * int
   | FConst of float
   | FFn of (frame -> float)
 
+(* A comparison of two operands: ints as ints, other numbers as IEEE
+   reals, and booleans and boxed values through a closure. *)
+type cmp =
+  | ICmp of Ast.binop * iop * iop
+  | FCmp of Ast.binop * fop * fop
+  | BFn of (frame -> bool)
+
+(* A left-deep [+] chain of real reads, then [/ k] or [* k]. *)
+type chain = {
+  ch_arrs : float array array;      (* the reads, left to right *)
+  ch_offs : at array;
+  ch_scale : (Ast.binop * float) option;
+}
+
+(* A real value computed in place: an operand, or one operation over
+   operands; [fnode] adds an [if] over two of them. *)
+type fval =
+  | FOp of fop
+  | FArith of Ast.binop * fop * fop  (* + - * / *)
+  | FMin of fop * fop
+  | FMax of fop * fop
+  | FChain of chain
+
+type fnode = FVal of fval | FIf of cmp * fval * fval
+
 let[@inline] iget o fr =
   match o with
+  | IRow (a, slot, b, step) ->
+    Array.unsafe_get a (Array.unsafe_get fr b + (Array.unsafe_get fr slot * step))
   | IRead (a, off) -> Array.unsafe_get a (off fr)
   | IConst c -> c
   | IFn f -> f fr
 
 let[@inline] fget o fr =
   match o with
+  | FRow (a, slot, b, step) ->
+    Array.unsafe_get a (Array.unsafe_get fr b + (Array.unsafe_get fr slot * step))
   | FRead (a, off) -> Array.unsafe_get a (off fr)
   | FConst c -> c
   | FFn f -> f fr
-
-(* A real literal, or an int form with no term, as a float. *)
-let real_const ctx (e : Ast.expr) =
-  match e.Ast.e with
-  | Ast.Real f -> Some f
-  | _ -> (
-    match affine_of ctx e with
-    | Some { a_slots = [||]; a_const; _ } -> Some (float_of_int a_const)
-    | _ -> None)
-
-(* [c], compiled from [e], as an inline operand. *)
-let iop ctx (e : Ast.expr) c =
-  match c with
-  | CIRead (a, off) -> IRead (a, off)
-  | _ -> (
-    match affine_of ctx e with
-    | Some { a_slots = [||]; a_const; _ } -> IConst a_const
-    | _ -> IFn (as_int_c c))
-
-let fop ctx (e : Ast.expr) c =
-  match c with
-  | CFRead (a, off) -> FRead (a, off)
-  | _ -> ( match real_const ctx e with Some f -> FConst f | None -> FFn (as_real c))
 
 let[@inline] iarith op (x : int) y =
   match op with Ast.Add -> x + y | Ast.Sub -> x - y | _ -> x * y
@@ -381,6 +379,162 @@ let[@inline] fcmp op (x : float) y =
   | Ast.Le -> x <= y
   | Ast.Gt -> x > y
   | _ -> x >= y
+
+let[@inline] cmp_value c fr =
+  match c with
+  | ICmp (op, x, y) ->
+    let u = iget x fr in
+    icmp op u (iget y fr)
+  | FCmp (op, x, y) ->
+    let u = fget x fr in
+    let w = fget y fr in
+    fcmp op u w
+  | BFn f -> f fr
+
+let cmp_fn = function
+  | ICmp (op, x, y) -> fun fr -> let u = iget x fr in icmp op u (iget y fr)
+  | FCmp (op, x, y) -> fun fr -> let u = fget x fr in let w = fget y fr in fcmp op u w
+  | BFn f -> f
+
+let[@inline] scaled scale s =
+  match scale with
+  | None -> s
+  | Some (Ast.Div, k) -> s /. k
+  | Some (_, k) -> s *. k
+
+let[@inline] chain_value ch fr =
+  let arrs = ch.ch_arrs and offs = ch.ch_offs in
+  let s =
+    ref (Array.unsafe_get (Array.unsafe_get arrs 0) (offset (Array.unsafe_get offs 0) fr))
+  in
+  for i = 1 to Array.length arrs - 1 do
+    s :=
+      !s +. Array.unsafe_get (Array.unsafe_get arrs i) (offset (Array.unsafe_get offs i) fr)
+  done;
+  scaled ch.ch_scale !s
+
+(* Stdlib's [min]/[max] semantics, monomorphic: [if a <= b then a else
+   b] and [if a >= b then a else b], so NaN and signed-zero results match
+   [Eval]'s polymorphic calls without going through [caml_lessequal]. *)
+let[@inline] fval_value v fr =
+  match v with
+  | FOp o -> fget o fr
+  | FArith (op, x, y) ->
+    let u = fget x fr in
+    let w = fget y fr in
+    farith op u w
+  | FMin (x, y) ->
+    let u = fget x fr in
+    let w = fget y fr in
+    if u <= w then u else w
+  | FMax (x, y) ->
+    let u = fget x fr in
+    let w = fget y fr in
+    if u >= w then u else w
+  | FChain ch -> chain_value ch fr
+
+let[@inline] fnode_value n fr =
+  match n with
+  | FVal v -> fval_value v fr
+  | FIf (c, t, f) -> if cmp_value c fr then fval_value t fr else fval_value f fr
+
+(* ------------------------------------------------------------------ *)
+(* Compiled expressions *)
+
+type comp =
+  | CInt of (frame -> int)
+  | CReal of (frame -> float)
+  | CBool of (frame -> bool)
+  | CBoxed of (frame -> scalar)
+  | CFRead of float array * at
+  | CIRead of int array * at
+  | CFNode of fnode
+
+(* A node a parent calls returns its value boxed anyway, so its closure
+   calls [fnode_value] out of line, the one copy of it that is not
+   inlined into a store. *)
+let as_real = function
+  | CReal f -> f
+  | CFRead (a, at) -> fun fr -> Array.unsafe_get a (offset at fr)
+  | CFNode n -> fun fr -> (fnode_value [@inlined never]) n fr
+  | CInt f -> fun fr -> float_of_int (f fr)
+  | CIRead (a, at) -> fun fr -> float_of_int (Array.unsafe_get a (offset at fr))
+  | CBoxed f -> fun fr -> as_float (f fr)
+  | CBool _ -> fail "boolean used as a number"
+
+let as_int_c = function
+  | CInt f -> f
+  | CIRead (a, at) -> fun fr -> Array.unsafe_get a (offset at fr)
+  | CFRead (a, at) -> fun fr -> int_of_float (Array.unsafe_get a (offset at fr))
+  | (CReal _ | CFNode _) as c ->
+    let f = as_real c in
+    fun fr -> int_of_float (f fr)
+  | CBoxed f -> fun fr -> as_int (f fr)
+  | CBool _ -> fail "boolean used as an integer"
+
+let as_bool_c = function
+  | CBool f -> f
+  | CBoxed f -> fun fr -> as_bool (f fr)
+  | CInt _ | CReal _ | CFRead _ | CIRead _ | CFNode _ -> fail "number used as a boolean"
+
+let as_scalar_c = function
+  | (CInt _ | CIRead _) as c ->
+    let f = as_int_c c in
+    fun fr -> Sc_int (f fr)
+  | CFRead (a, at) -> fun fr -> Sc_real (Array.unsafe_get a (offset at fr))
+  | (CReal _ | CFNode _) as c ->
+    let f = as_real c in
+    fun fr -> Sc_real (f fr)
+  | CBool f -> fun fr -> Sc_bool (f fr)
+  | CBoxed f -> f
+
+let is_int = function CInt _ | CIRead _ -> true | _ -> false
+
+let is_num = function
+  | CInt _ | CIRead _ | CReal _ | CFRead _ | CFNode _ -> true
+  | CBool _ | CBoxed _ -> false
+
+(* [c] as an operand, and a real [c] as a node, for a parent or a store
+   that evaluates it inline. *)
+let iop_of = function
+  | CIRead (a, Off off) -> IRead (a, off)
+  | CIRead (a, Row r) -> IRow (a, r.r_slot, r.r_base, r.r_step)
+  | c -> IFn (as_int_c c)
+
+let fread a = function
+  | Off off -> FRead (a, off)
+  | Row r -> FRow (a, r.r_slot, r.r_base, r.r_step)
+
+let fnode_of = function
+  | CFNode n -> n
+  | CFRead (a, at) -> FVal (FOp (fread a at))
+  | c -> FVal (FOp (FFn (as_real c)))
+
+(* A real literal, or an int form with no term, as a float. *)
+let real_const ctx (e : Ast.expr) =
+  match e.Ast.e with
+  | Ast.Real f -> Some f
+  | _ -> (
+    match affine_of ctx e with
+    | Some { a_slots = [||]; a_const; _ } -> Some (float_of_int a_const)
+    | _ -> None)
+
+(* [c], compiled from [e], as an inline operand. *)
+let iop ctx (e : Ast.expr) c =
+  match c with
+  | CIRead _ -> iop_of c
+  | _ -> (
+    match affine_of ctx e with
+    | Some { a_slots = [||]; a_const; _ } -> IConst a_const
+    | _ -> iop_of c)
+
+let fop ctx (e : Ast.expr) c =
+  match c with
+  | CFRead (a, at) -> fread a at
+  | _ -> ( match real_const ctx e with Some f -> FConst f | None -> FFn (as_real c))
+
+let fval_of ctx (e : Ast.expr) c =
+  match c with CFNode (FVal v) -> v | _ -> FOp (fop ctx e c)
 
 (* ------------------------------------------------------------------ *)
 (* Guards *)
@@ -450,29 +604,6 @@ let guard_tests ctx op (e : Ast.expr) : test array option =
   if List.for_all Option.is_some tests then
     Some (Array.of_list (List.map Option.get tests))
   else None
-
-(* ------------------------------------------------------------------ *)
-(* Real sum chains *)
-
-type chain = {
-  ch_arrs : float array array;      (* the reads, left to right *)
-  ch_offs : (frame -> int) array;
-  ch_scale : (Ast.binop * float) option;  (* then [/ k] or [* k] *)
-}
-
-let[@inline] scaled scale s =
-  match scale with
-  | None -> s
-  | Some (Ast.Div, k) -> s /. k
-  | Some (_, k) -> s *. k
-
-let[@inline] chain_value ch fr =
-  let arrs = ch.ch_arrs and offs = ch.ch_offs in
-  let s = ref (Array.unsafe_get (Array.unsafe_get arrs 0) ((Array.unsafe_get offs 0) fr)) in
-  for i = 1 to Array.length arrs - 1 do
-    s := !s +. Array.unsafe_get (Array.unsafe_get arrs i) ((Array.unsafe_get offs i) fr)
-  done;
-  scaled ch.ch_scale !s
 
 (* ------------------------------------------------------------------ *)
 (* Rows *)
@@ -578,8 +709,8 @@ let rec run_node n fr a b =
   | RIf (g, t, f) -> if g fr then run_node t fr a b else run_node f fr a b
   | RLeaf run -> run fr a b
 
-(* A row leaf's references, lowered to row offsets as [compile] meets
-   them ([lowered_offset]): reference [j]'s base sits in frame slot
+(* A row leaf's references, lowered to their row forms as [compile]
+   meets them ([lowered]): reference [j]'s base sits in frame slot
    [lw_bases + j], so a leaf with any number of references runs without
    allocating. *)
 type lowering = { lw_slot : int; lw_bases : int; mutable lw_refs : rref list }
@@ -587,24 +718,19 @@ type lowering = { lw_slot : int; lw_bases : int; mutable lw_refs : rref list }
 (* Raised while lowering a leaf that has no row form. *)
 exception No_row
 
-(* A lowered reference's offset: [fr.(b) + v * step] for the row
-   variable [v], once [check_segment] has set slot [b]. *)
-let row_offset ~slot b step : frame -> int =
- fun fr -> Array.unsafe_get fr b + (Array.unsafe_get fr slot * step)
-
-(* The offset closure [compile] gives a reference while lowering: the
-   reference joins those each segment checks, and reads unchecked.  A
-   scalar needs no check; a dynamic subscript, or a windowed dimension
+(* The offset [compile] gives a reference while lowering: the reference
+   joins those each segment checks, and reads unchecked in its row form.
+   A scalar needs no check; a dynamic subscript, or a windowed dimension
    the row variable indexes, leaves the leaf with no row form. *)
-let lowered_offset lw ds (forms : sub array) : frame -> int =
-  if Array.length forms = 0 then fun _ -> 0
+let lowered lw ds (forms : sub array) : at =
+  if Array.length forms = 0 then Off (fun _ -> 0)
   else
     match row_ref ~slot:lw.lw_slot ds forms with
     | None -> raise No_row
     | Some r ->
       let b = lw.lw_bases + List.length lw.lw_refs in
       lw.lw_refs <- r :: lw.lw_refs;
-      row_offset ~slot:lw.lw_slot b r.rr_step
+      Row { r_slot = lw.lw_slot; r_base = b; r_step = r.rr_step }
 
 (* Checks a segment [a .. a + n], from a frame at [a]: each of [refs],
    left to right, at both ends.  Reference [j]'s base, less [a] steps,
@@ -630,75 +756,133 @@ let strided ~slot ~bases ~point refs run =
     if check_segment refs ~bases fr a (b - a) then run fr a b
     else points ~slot point fr a b
 
-(* A chain leaf's loop: a chain of [nr] reads, scaled and stored, with
-   the reads inline; the destination's base follows the reads'. *)
+(* A chain leaf's loop: a chain of reads, scaled and stored, with the
+   reads inline; the destination's base follows the reads'.  Chains of
+   one to four reads keep each read's array, base and step in locals;
+   the sum is taken left to right, as [chain_value] takes it. *)
 let chain_loop ~bases dst dstep (arrs : float array array) (refs : rref array) scale =
   let nr = Array.length arrs in
   let steps = Array.map (fun r -> r.rr_step) refs in
-  let a0 = arrs.(0) and step0 = steps.(0) in
-  fun fr a b ->
-    let b0 = Array.unsafe_get fr bases and db = Array.unsafe_get fr (bases + nr) in
-    for v = a to b do
-      let s = ref (Array.unsafe_get a0 (b0 + (v * step0))) in
-      for j = 1 to nr - 1 do
-        s :=
-          !s
-          +. Array.unsafe_get (Array.unsafe_get arrs j)
-               (Array.unsafe_get fr (bases + j) + (v * Array.unsafe_get steps j))
-      done;
-      Array.unsafe_set dst (db + (v * dstep)) (scaled scale !s)
-    done
+  match arrs, steps with
+  | [| a0 |], [| s0 |] ->
+    fun fr a b ->
+      let b0 = Array.unsafe_get fr bases and db = Array.unsafe_get fr (bases + 1) in
+      for v = a to b do
+        let x = Array.unsafe_get a0 (b0 + (v * s0)) in
+        Array.unsafe_set dst (db + (v * dstep)) (scaled scale x)
+      done
+  | [| a0; a1 |], [| s0; s1 |] ->
+    fun fr a b ->
+      let b0 = Array.unsafe_get fr bases and b1 = Array.unsafe_get fr (bases + 1) in
+      let db = Array.unsafe_get fr (bases + 2) in
+      for v = a to b do
+        let x = Array.unsafe_get a0 (b0 + (v * s0)) +. Array.unsafe_get a1 (b1 + (v * s1)) in
+        Array.unsafe_set dst (db + (v * dstep)) (scaled scale x)
+      done
+  | [| a0; a1; a2 |], [| s0; s1; s2 |] ->
+    fun fr a b ->
+      let b0 = Array.unsafe_get fr bases and b1 = Array.unsafe_get fr (bases + 1) in
+      let b2 = Array.unsafe_get fr (bases + 2) and db = Array.unsafe_get fr (bases + 3) in
+      for v = a to b do
+        let x =
+          Array.unsafe_get a0 (b0 + (v * s0))
+          +. Array.unsafe_get a1 (b1 + (v * s1))
+          +. Array.unsafe_get a2 (b2 + (v * s2))
+        in
+        Array.unsafe_set dst (db + (v * dstep)) (scaled scale x)
+      done
+  | [| a0; a1; a2; a3 |], [| s0; s1; s2; s3 |] ->
+    fun fr a b ->
+      let b0 = Array.unsafe_get fr bases and b1 = Array.unsafe_get fr (bases + 1) in
+      let b2 = Array.unsafe_get fr (bases + 2) and b3 = Array.unsafe_get fr (bases + 3) in
+      let db = Array.unsafe_get fr (bases + 4) in
+      for v = a to b do
+        let x =
+          Array.unsafe_get a0 (b0 + (v * s0))
+          +. Array.unsafe_get a1 (b1 + (v * s1))
+          +. Array.unsafe_get a2 (b2 + (v * s2))
+          +. Array.unsafe_get a3 (b3 + (v * s3))
+        in
+        Array.unsafe_set dst (db + (v * dstep)) (scaled scale x)
+      done
+  | _ ->
+    let a0 = arrs.(0) and step0 = steps.(0) in
+    fun fr a b ->
+      let b0 = Array.unsafe_get fr bases and db = Array.unsafe_get fr (bases + nr) in
+      for v = a to b do
+        let s = ref (Array.unsafe_get a0 (b0 + (v * step0))) in
+        for j = 1 to nr - 1 do
+          s :=
+            !s
+            +. Array.unsafe_get (Array.unsafe_get arrs j)
+                 (Array.unsafe_get fr (bases + j) + (v * Array.unsafe_get steps j))
+        done;
+        Array.unsafe_set dst (db + (v * dstep)) (scaled scale !s)
+      done
 
 (* An equation's destination payload. *)
 type dest = Real_dst of float array | Int_dst of int array
 
 (* [c]'s value stored at [off fr]: the value first, then the offset, as
-   every equation writer does, and a real never boxed between them when
-   [c] is a real read or an int. *)
+   every equation writer does.  The value is computed in place, so a
+   real read, node or int conversion is never boxed. *)
 let store_at dst c (off : frame -> int) : frame -> unit =
   match dst, c with
-  | Real_dst d, CFRead (a, o) ->
+  | Int_dst d, _ ->
+    let x = iop_of c in
     fun fr ->
-      let v = Array.unsafe_get a (o fr) in
+      let v = iget x fr in
       Array.unsafe_set d (off fr) v
   | Real_dst d, (CInt _ | CIRead _) ->
-    let f = as_int_c c in
+    let x = iop_of c in
     fun fr ->
-      let v = float_of_int (f fr) in
+      let v = float_of_int (iget x fr) in
       Array.unsafe_set d (off fr) v
   | Real_dst d, _ ->
-    let f = as_real c in
+    let n = fnode_of c in
     fun fr ->
-      let v = f fr in
-      Array.unsafe_set d (off fr) v
-  | Int_dst d, _ ->
-    let f = as_int_c c in
-    fun fr ->
-      let v = f fr in
+      let v = fnode_value n fr in
       Array.unsafe_set d (off fr) v
 
-(* A general leaf's loop: [value], [compile]'s closure over lowered
-   references, stored at each point with the store inline, the
+(* A general leaf's loop: [value], [compile]'s node over references in
+   their row forms, computed and stored in place at each point, the
    destination's base in frame slot [db]. *)
 let store_loop ~slot ~db dst dstep value =
-  match dst with
-  | Int_dst d ->
-    let f = as_int_c value in
+  match dst, value with
+  | Int_dst d, CInt f ->
     fun fr a b ->
       let db = Array.unsafe_get fr db in
       for v = a to b do
         fr.(slot) <- v;
-        let x = f fr in
-        Array.unsafe_set d (db + (v * dstep)) x
+        let u = f fr in
+        Array.unsafe_set d (db + (v * dstep)) u
       done
-  | Real_dst d ->
-    let f = as_real value in
+  | Int_dst d, _ ->
+    let x = iop_of value in
     fun fr a b ->
       let db = Array.unsafe_get fr db in
       for v = a to b do
         fr.(slot) <- v;
-        let x = f fr in
-        Array.unsafe_set d (db + (v * dstep)) x
+        let u = iget x fr in
+        Array.unsafe_set d (db + (v * dstep)) u
+      done
+  | Real_dst d, (CInt _ | CIRead _) ->
+    let x = iop_of value in
+    fun fr a b ->
+      let db = Array.unsafe_get fr db in
+      for v = a to b do
+        fr.(slot) <- v;
+        let u = float_of_int (iget x fr) in
+        Array.unsafe_set d (db + (v * dstep)) u
+      done
+  | Real_dst d, _ ->
+    let n = fnode_of value in
+    fun fr a b ->
+      let db = Array.unsafe_get fr db in
+      for v = a to b do
+        fr.(slot) <- v;
+        let u = fnode_value n fr in
+        Array.unsafe_set d (db + (v * dstep)) u
       done
 
 (* A guard test whose sides move with the row variable: with [rt_d] the
@@ -791,9 +975,12 @@ let chain_reads ctx ~min (e : Ast.expr) =
     let rs = List.map float_read leaves in
     if List.for_all Option.is_some rs then Some (List.map Option.get rs, scale) else None
 
-(* A walk of [compile]: the caller's context and, while a row leaf
-   compiles, the lowering of its references. *)
-type walk = { w_ctx : cctx; w_lower : lowering option }
+(* A walk of [compile]: the caller's context, the plane tables of the
+   slabs it has met, and, while a row leaf compiles, the lowering of its
+   references. *)
+type walk = { w_ctx : cctx; w_dims : slab -> dim array; w_lower : lowering option }
+
+let walk ctx = { w_ctx = ctx; w_dims = dims_memo (); w_lower = None }
 
 let rec compile_walk (w : walk) (e : Ast.expr) : comp =
   let ctx = w.w_ctx in
@@ -837,45 +1024,48 @@ let rec compile_walk (w : walk) (e : Ast.expr) : comp =
       CBool (fun fr -> not (f fr))
     | Ast.Binop (op, a, b) -> compile_binop w e op a b
     | Ast.If (c, t, f) -> (
-      let cf = as_bool_c (compile_walk w c) in
+      let cond = condition w c in
       let tc = compile_walk w t in
       let fc = compile_walk w f in
       match tc, fc with
-      | _ when is_int tc && is_int fc ->
+      | _ when is_int tc && is_int fc -> (
         let tf = as_int_c tc and ff = as_int_c fc in
-        CInt (fun fr -> if cf fr then tf fr else ff fr)
-      | CBool tf, CBool ff -> CBool (fun fr -> if cf fr then tf fr else ff fr)
-      | _ when is_num tc && is_num fc ->
-        let tf = as_real tc and ff = as_real fc in
-        CReal (fun fr -> if cf fr then tf fr else ff fr)
+        match cond with
+        | ICmp (op, x, y) ->
+          CInt (fun fr -> let u = iget x fr in if icmp op u (iget y fr) then tf fr else ff fr)
+        | _ -> CInt (fun fr -> if cmp_value cond fr then tf fr else ff fr))
+      | CBool tf, CBool ff ->
+        let cf = cmp_fn cond in
+        CBool (fun fr -> if cf fr then tf fr else ff fr)
+      | _ when is_num tc && is_num fc -> CFNode (FIf (cond, fval_of ctx t tc, fval_of ctx f fc))
       | _ ->
-        let tf = as_scalar_c tc and ff = as_scalar_c fc in
+        let cf = cmp_fn cond and tf = as_scalar_c tc and ff = as_scalar_c fc in
         CBoxed (fun fr -> if cf fr then tf fr else ff fr)))
 
 (* Compile an array read: resolve the slab now, compile the subscripts
-   into one offset closure, and emit a kind-specialized node. *)
+   into one offset, and emit a kind-specialized node. *)
 and compile_read w (s : slab) subs : comp =
-  let off = compile_offset w s subs in
+  let at = offset_at w s subs in
   match s.s_data with
-  | PFloat a -> CFRead (a, off)
+  | PFloat a -> CFRead (a, at)
   | PInt a -> (
     match s.s_kind with
-    | KEnum e -> CBoxed (fun fr -> Sc_enum (e, Array.unsafe_get a (off fr)))
-    | _ -> CIRead (a, off))
-  | PBool b -> CBool (fun fr -> Bytes.unsafe_get b (off fr) <> '\000')
+    | KEnum e -> CBoxed (fun fr -> Sc_enum (e, Array.unsafe_get a (offset at fr)))
+    | _ -> CIRead (a, at))
+  | PBool b -> CBool (fun fr -> Bytes.unsafe_get b (offset at fr) <> '\000')
   | PBox a ->
     CBoxed
       (fun fr ->
-        match Array.unsafe_get a (off fr) with
+        match Array.unsafe_get a (offset at fr) with
         | Brecord fields -> Sc_record fields
         | Bnone -> Sc_record [])
 
-(* The checked offset closure, or the row offset while lowering. *)
-and compile_offset w (s : slab) (subs : Ast.expr list) : frame -> int =
-  let ds = dims_of s and forms = subs_of w subs in
+(* The checked offset closure, or the row form while lowering. *)
+and offset_at w (s : slab) (subs : Ast.expr list) : at =
+  let ds = w.w_dims s and forms = subs_of w subs in
   match w.w_lower with
-  | None -> offset_fn s ds forms
-  | Some lw -> lowered_offset lw ds forms
+  | None -> Off (offset_fn s ds forms)
+  | Some lw -> lowered lw ds forms
 
 and subs_of w (subs : Ast.expr list) : sub array =
   let sub e =
@@ -891,11 +1081,20 @@ and sum_chain w (e : Ast.expr) : chain option =
   match chain_reads w.w_ctx ~min:2 e with
   | None -> None
   | Some (rs, scale) ->
-    let offs = List.map (fun (_, s, subs) -> compile_offset w s subs) rs in
+    let offs = List.map (fun (_, s, subs) -> offset_at w s subs) rs in
     Some
       { ch_arrs = Array.of_list (List.map (fun (a, _, _) -> a) rs);
         ch_offs = Array.of_list offs;
         ch_scale = scale }
+
+(* An [if]'s condition: a comparison that is not one affine test
+   compares its operands inside the [if]'s own closure. *)
+and condition w (c : Ast.expr) : cmp =
+  match c.Ast.e with
+  | Ast.Binop (((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), a, b)
+    when affine_test w.w_ctx c = None ->
+    compare_operands w op a b
+  | _ -> BFn (as_bool_c (compile_walk w c))
 
 and compile_binop w e op a b =
   let ctx = w.w_ctx in
@@ -911,16 +1110,14 @@ and compile_binop w e op a b =
       else CBool (fun fr -> fa fr && fb fr))
   | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div -> (
     match sum_chain w e with
-    | Some ch -> CReal (fun fr -> chain_value ch fr)
+    | Some ch -> CFNode (FVal (FChain ch))
     | None ->
       let ca = compile_walk w a in
       let cb = compile_walk w b in
       if op <> Ast.Div && is_int ca && is_int cb then
         let x = iop ctx a ca and y = iop ctx b cb in
         CInt (fun fr -> let u = iget x fr in iarith op u (iget y fr))
-      else
-        let x = fop ctx a ca and y = fop ctx b cb in
-        CReal (fun fr -> let u = fget x fr in farith op u (fget y fr)))
+      else CFNode (FVal (FArith (op, fop ctx a ca, fop ctx b cb))))
   (* div/mod trap zero exactly as [Eval] does (same message, same
      exception, after both operands), so the hot compiled path and the
      cold tree-walk path fail identically instead of leaking a bare
@@ -946,24 +1143,25 @@ and compile_binop w e op a b =
   | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
     match affine_test ctx e with
     | Some t -> CBool (fun fr -> run_test t fr)
-    | None -> compile_compare w op a b)
+    | None -> CBool (cmp_fn (compare_operands w op a b)))
 
-and compile_compare w op a b =
+(* A comparison's operands, compiled left to right: two ints compare as
+   ints, two booleans or two boxed values by their own equality (or
+   order), and any other numbers as reals. *)
+and compare_operands w op a b : cmp =
   let ctx = w.w_ctx in
   let ca = compile_walk w a in
   let cb = compile_walk w b in
   match ca, cb with
-  | _ when is_int ca && is_int cb ->
-    let x = iop ctx a ca and y = iop ctx b cb in
-    CBool (fun fr -> let u = iget x fr in icmp op u (iget y fr))
+  | _ when is_int ca && is_int cb -> ICmp (op, iop ctx a ca, iop ctx b cb)
   | CBool fa, CBool fb ->
-    CBool
+    BFn
       (match op with
        | Ast.Eq -> fun fr -> let x = fa fr in x = fb fr
        | Ast.Ne -> fun fr -> let x = fa fr in x <> fb fr
        | _ -> fail "ordering on booleans")
   | CBoxed fa, CBoxed fb ->
-    CBool
+    BFn
       (match op with
        | Ast.Eq -> fun fr -> let x = fa fr in equal_scalar x (fb fr)
        | Ast.Ne -> fun fr -> let x = fa fr in not (equal_scalar x (fb fr))
@@ -974,9 +1172,7 @@ and compile_compare w op a b =
            (match op with
             | Ast.Lt -> c < 0 | Ast.Le -> c <= 0 | Ast.Gt -> c > 0 | Ast.Ge -> c >= 0
             | _ -> assert false))
-  | _ ->
-    let x = fop ctx a ca and y = fop ctx b cb in
-    CBool (fun fr -> let u = fget x fr in fcmp op u (fget y fr))
+  | _ -> FCmp (op, fop ctx a ca, fop ctx b cb)
 
 and compile_call w e f args =
   match f, args with
@@ -1004,9 +1200,7 @@ and un_real w g a =
   let fa = as_real (compile_walk w a) in
   CReal (fun fr -> g (fa fr))
 
-(* Stdlib's [min]/[max] semantics, monomorphic: [if a <= b then a else
-   b] and [if a >= b then a else b], so NaN and signed-zero results match
-   [Eval]'s polymorphic calls without going through [caml_lessequal]. *)
+(* [min]/[max] as [fval_value] takes them, on ints too. *)
 and minmax w ~is_min a b =
   let ctx = w.w_ctx in
   let ca = compile_walk w a in
@@ -1018,9 +1212,7 @@ and minmax w ~is_min a b =
     else CInt (fun fr -> let u = iget x fr in let v = iget y fr in if u >= v then u else v)
   else
     let x = fop ctx a ca and y = fop ctx b cb in
-    if is_min then
-      CReal (fun fr -> let u = fget x fr in let v = fget y fr in if u <= v then u else v)
-    else CReal (fun fr -> let u = fget x fr in let v = fget y fr in if u >= v then u else v)
+    CFNode (FVal (if is_min then FMin (x, y) else FMax (x, y)))
 
 (* The tree-walk evaluator, which a row leaf does not lower. *)
 and boxed_fallback w e =
@@ -1031,7 +1223,7 @@ and boxed_fallback w e =
 (* ------------------------------------------------------------------ *)
 (* Public entry points. *)
 
-let compile ctx e = compile_walk { w_ctx = ctx; w_lower = None } e
+let compile ctx e = compile_walk (walk ctx) e
 
 let compile_int ctx e = as_int_c (compile ctx e)
 
@@ -1041,44 +1233,46 @@ let compile_bool ctx e = as_bool_c (compile ctx e)
 
 let compile_scalar ctx e = as_scalar_c (compile ctx e)
 
-let compile_offset ctx s subs = compile_offset { w_ctx = ctx; w_lower = None } s subs
+let compile_offset ctx s subs = offset_fn s (dims_of s) (subs_of (walk ctx) subs)
 
 (* One reference compiled once: the offset closure every point calls
    and, for a row over [slot], the row form built from the same
    subscript forms. *)
-let reference ?row ctx (s : slab) subs =
-  let ds = dims_of s and forms = subs_of { w_ctx = ctx; w_lower = None } subs in
+let reference ?row w (s : slab) subs =
+  let ds = w.w_dims s and forms = subs_of w subs in
   ( offset_fn s ds forms,
     match row with Some slot -> row_ref ~slot ds forms | None -> None )
 
 (* [c] as a guard closure, the one [compile] makes, with its tests when
    it is an affine test or an [and]/[or] chain of them. *)
-let guard ctx (c : Ast.expr) =
+let guard w (c : Ast.expr) =
+  let ctx = w.w_ctx in
   match c.Ast.e with
   | Ast.Binop (((Ast.And | Ast.Or) as op), _, _) -> (
     match guard_tests ctx op c with
     | Some ts -> (guard_fn ~is_or:(op = Ast.Or) ts, Some ts)
-    | None -> (compile_bool ctx c, None))
+    | None -> (as_bool_c (compile_walk w c), None))
   | _ -> (
     match affine_test ctx c with
     | Some t -> ((fun fr -> run_test t fr), Some [| t |])
-    | None -> (compile_bool ctx c, None))
+    | None -> (as_bool_c (compile_walk w c), None))
 
 type row = { rw_run : frame -> int -> int -> unit; rw_scratch : int }
 
 (* The store of a real or int equation, fused with its [if] nodes and,
    for a real one, its chain nodes: the value is computed and stored
-   inside one closure, a real never boxed when its leaf is a chain, a
-   read or an int, and before the destination offset, as every equation
-   writer does.  With [~row:slot], the same walk builds the equation's
-   row over that slot (see "Rows"): an [if] whose guard is affine tests
-   that move along the row by bounded steps becomes a decision node, and
-   any other subtree becomes a leaf.  A real chain of reads runs as
-   [chain_loop]; any other leaf compiles again with its references
-   lowered to row offsets and runs as [store_loop], unless one has no
-   row form or the subtree takes the tree-walk fallback, and then runs
-   point by point.  There is no row when the destination has no row form
-   or no leaf is strided. *)
+   inside one closure, never boxed when it is a read, a node or an int,
+   and before the destination offset, as every equation writer does.
+   One walk context serves the whole equation, so its references share
+   one plane table per slab.  With [~row:slot], the same walk builds the
+   equation's row over that slot (see "Rows"): an [if] whose guard is
+   affine tests that move along the row by bounded steps becomes a
+   decision node, and any other subtree becomes a leaf.  A real chain of
+   reads runs as [chain_loop]; any other leaf compiles again with its
+   references in their row forms and runs as [store_loop], unless one
+   has no row form or the subtree takes the tree-walk fallback, and then
+   runs point by point.  There is no row when the destination has no row
+   form or no leaf is strided. *)
 let compile_store ?row ctx (s : slab) (subs : Ast.expr list) (e : Ast.expr) :
     (frame -> unit) * row option =
   let dst =
@@ -1087,7 +1281,8 @@ let compile_store ?row ctx (s : slab) (subs : Ast.expr list) (e : Ast.expr) :
     | PInt a -> Int_dst a
     | PBool _ | PBox _ -> fail "store into %s, which is neither real nor int" s.s_name
   in
-  let off, rd = reference ?row ctx s subs in
+  let w = walk ctx in
+  let off, rd = reference ?row w s subs in
   let tests = ref [] and reads = ref 0 and strided_leaf = ref false in
   (* Whether a guard's tests can be decided once per segment; if so,
      those that move along the row join the cut tests. *)
@@ -1122,7 +1317,7 @@ let compile_store ?row ctx (s : slab) (subs : Ast.expr list) (e : Ast.expr) :
   (* [e] as a general leaf whose checked per-point store is [point]. *)
   let general (slot, rd) ~point e =
     let lw = { lw_slot = slot; lw_bases = slot + 1; lw_refs = [] } in
-    match compile_walk { w_ctx = ctx; w_lower = Some lw } e with
+    match compile_walk { w with w_lower = Some lw } e with
     | exception No_row -> None
     | value ->
       let nr = List.length lw.lw_refs in
@@ -1133,7 +1328,7 @@ let compile_store ?row ctx (s : slab) (subs : Ast.expr list) (e : Ast.expr) :
   let rec go rw (e : Ast.expr) : (frame -> unit) * rnode option =
     match e.Ast.e, dst with
     | Ast.If (c, t, f), _ ->
-      let g, ts = guard ctx c in
+      let g, ts = guard w c in
       let split =
         match rw, ts with Some (slot, _), Some ts when decide slot ts -> rw | _ -> None
       in
@@ -1149,7 +1344,7 @@ let compile_store ?row ctx (s : slab) (subs : Ast.expr list) (e : Ast.expr) :
       match chain_reads ctx ~min:1 e with
       | Some (rs, scale) ->
         let row = Option.map fst rw in
-        let refs = List.map (fun (a, s, subs) -> (a, reference ?row ctx s subs)) rs in
+        let refs = List.map (fun (a, s, subs) -> (a, reference ?row w s subs)) rs in
         let arrs = Array.of_list (List.map fst refs) in
         let offs = Array.of_list (List.map (fun (_, (o, _)) -> o) refs) in
         let point =
@@ -1159,7 +1354,9 @@ let compile_store ?row ctx (s : slab) (subs : Ast.expr list) (e : Ast.expr) :
               let v = Array.unsafe_get a (o fr) in
               Array.unsafe_set d (off fr) v
           | _ ->
-            let ch = { ch_arrs = arrs; ch_offs = offs; ch_scale = scale } in
+            let ch =
+              { ch_arrs = arrs; ch_offs = Array.map (fun o -> Off o) offs; ch_scale = scale }
+            in
             fun fr ->
               let v = chain_value ch fr in
               Array.unsafe_set d (off fr) v
@@ -1174,7 +1371,7 @@ let compile_store ?row ctx (s : slab) (subs : Ast.expr list) (e : Ast.expr) :
       | None -> plain rw e)
     | _, Int_dst _ -> plain rw e
   and plain rw e =
-    let point = store_at dst (compile ctx e) off in
+    let point = store_at dst (compile_walk w e) off in
     (point, Option.bind rw (fun rw -> general rw ~point e))
   in
   let rw = match row, rd with Some slot, Some rd -> Some (slot, rd) | _ -> None in

@@ -3,28 +3,39 @@
     Expressions are compiled bottom-up into closures over a {!frame} — a
     flat int array of enclosing loop-variable values, at least one slot
     long — with the scalar type resolved at compile time.  Affine
-    subscripts compile to one offset closure per array reference, reads
-    are typed nodes their parents read inline, and sum chains, guard
-    chains and stores fuse into single closures; an equation in an
-    innermost loop, real or int, also gets a row form ({!row}).  Run
+    subscripts compile to one offset closure per array reference, with
+    one plane table per windowed slab for an equation; reads are typed
+    nodes their parents read inline, real arithmetic, [min]/[max], sum
+    chains and [if]s are nodes a store computes in place, and guard
+    chains and stores fuse into single closures.  An equation in an
+    innermost loop, real or int, also gets a row form ({!row}), whose
+    leaves read every operand in place: a chain of one to four reads
+    from locals, any other leaf's reads in their row form.  Run
     sequentially at the benchmark's sizes, fig6, h3 and lcs allocate
-    0.05, 0.07 and 0.03 minor words per evaluation, set-up included
-    (test_exec's "allocation" cases pin bounds of 1, 0.25 and 0.1).
-    Anything exotic (records, module calls, slices) falls back to the
-    tree-walk evaluator; the test suite checks agreement with {!Eval} on
-    random expressions. *)
+    0.050, 0.065 and 0.033 minor words per evaluation, set-up included,
+    and a real [if] leaf over products 0.045 (test_exec's "allocation"
+    cases pin 0.1 for each).  Anything exotic (records, module calls,
+    slices) falls back to the tree-walk evaluator; the test suite checks
+    agreement with {!Eval} on random expressions. *)
 
 type frame = int array
+
+type at
+(** Where a read finds its flat offset: a checked offset closure or, in
+    a row leaf, its row form, read in place *)
+
+type fnode
+(** A real arithmetic operation, [min]/[max], sum chain or [if] over
+    inline operands, which a store or a parent evaluates in place *)
 
 type comp =
   | CInt of (frame -> int)
   | CReal of (frame -> float)
   | CBool of (frame -> bool)
   | CBoxed of (frame -> Value.scalar)
-  | CFRead of float array * (frame -> int)
-      (** a real array read: payload and flat-offset closure *)
-  | CIRead of int array * (frame -> int)
-      (** an int array read: payload and flat-offset closure *)
+  | CFRead of float array * at  (** a real array read: payload and offset *)
+  | CIRead of int array * at  (** an int array read: payload and offset *)
+  | CFNode of fnode  (** a real node computed in place *)
 
 type cctx = {
   k_em : Ps_sem.Elab.emodule;
@@ -71,16 +82,17 @@ val compile_store :
 (** [compile_store ctx dst subs rhs] evaluates [rhs] and stores it at
     [dst[subs]], a real or int slab, fused with [rhs]'s [if] nodes (and,
     into a real slab, its sum-chain nodes) so a real value read from an
-    array, a chain or an int is never boxed.  The value is computed
-    before the offset.  With [~row:slot], the same walk also builds the
-    equation's row over the loop variable in frame slot [slot], when it
-    has one: the row cuts [lo .. hi] where an affine guard may change
-    value and decides those guards once per segment.  Each leaf below
-    them runs strided over a segment that passes its checks, every
-    reference it may read, then the destination, at the segment's two
-    ends: a real [+] chain of reads with its reads inline, any other
-    leaf as [compile]'s closure with each reference lowered to its row
-    offset.  A segment that fails its check, a leaf with a dynamic
-    subscript, a windowed dimension the row variable indexes, a module
-    call or the tree-walk fallback runs the checked closure point by
-    point, so it traps where a point would, with the same message. *)
+    array, computed by a node or converted from an int is never boxed.
+    The value is computed before the offset.  With [~row:slot], the
+    same walk also builds the equation's row over the loop variable in
+    frame slot [slot], when it has one: the row cuts [lo .. hi] where an
+    affine guard may change value and decides those guards once per
+    segment.  Each leaf below them runs strided over a segment that
+    passes its checks, every reference it may read, then the
+    destination, at the segment's two ends: a real [+] chain of reads
+    with its reads inline, any other leaf as [compile]'s nodes with each
+    reference in its row form, read in place.  A segment that fails its
+    check, a leaf with a dynamic subscript, a windowed dimension the row
+    variable indexes, a module call or the tree-walk fallback runs the
+    checked closure point by point, so it traps where a point would,
+    with the same message. *)

@@ -251,6 +251,23 @@ end C;
                   (Printf.sprintf
                      "run -i M=4 -i maxK=2 --policy static --policy-file %s %s" p f)
                   "exclude each other")));
+    t "run --tune refuses --policy static and a --policy-file" (fun () ->
+        (* The tuner replaces either table, so each pair is a usage
+           error; the policy file is never read. *)
+        let f = Util.example "relaxation.ps" in
+        expect_exit 2 ("run -i M=4 -i maxK=2 --tune --policy static " ^ f)
+          "--tune and --policy static exclude each other";
+        expect_exit 2
+          (Printf.sprintf "run -i M=4 -i maxK=2 --tune --policy-file %s %s"
+             (Filename.concat (Filename.get_temp_dir_name ()) "psc-no-such-policy.json")
+             f)
+          "--tune and --policy-file exclude each other");
+    t "run --stats counts the evaluations and those run in rows" (fun () ->
+        (* Eq.3's 7 x 14 x 14 points, the input copy and the result copy
+           (14 x 14 each) all run in innermost rows. *)
+        expect_ok
+          ("run --stats -i M=12 -i maxK=8 " ^ Util.example "relaxation.ps")
+          [ "--- evaluations ---"; "1764 equation evaluations, 1764 in rows" ]);
     t "trace-check calls a malformed number an invalid trace" (fun () ->
         with_source ~suffix:".json"
           {|{"traceEvents":[{"name":"x","ph":"B","ts":1e,"pid":1,"tid":1}]}|}

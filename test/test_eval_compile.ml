@@ -487,10 +487,10 @@ let row_print (e, fr, (lo, hi)) = Printf.sprintf "%s, K = %d .. %d" (shape_print
    [k * K + I] against a constant (a few near [max_int], whose sides
    wrap), over leaves of either type.
 
-   - Real leaves are constants, int reads, chains of real reads that K
-     walks forwards, backwards, or along R's windowed first dimension,
-     and leaves that are not [+] chains: products, [sqrt], [min]/[max],
-     mixed int and real arithmetic, and [if]s on data.
+   - Real leaves are constants, int reads, chains of one to six real
+     reads that K walks forwards, backwards, or along R's windowed first
+     dimension, and leaves that are not [+] chains: products, [sqrt],
+     [min]/[max], mixed int and real arithmetic, and [if]s on data.
    - Int leaves combine int reads and affine forms with [+ - *],
      [min]/[max]/[abs], [div]/[mod] by divisors that reach 0 mid-row,
      and [if]s on data, one of whose arms reads far out of range but is
@@ -524,7 +524,7 @@ let gen_row_rhs ~int_valued : Ps_lang.Ast.expr QCheck.Gen.t =
       (fun reads scale ->
         let sum = List.fold_left (bin Add) (List.hd reads) (List.tl reads) in
         match scale with 0 -> sum | 1 -> bin Div sum (int_e 4) | _ -> bin Mul sum (mk (Real 0.5)))
-      (list_size (int_range 1 4) read)
+      (list_size (int_range 1 6) read)
       (int_range 0 2)
   in
   let side =
@@ -554,10 +554,27 @@ let gen_row_rhs ~int_valued : Ps_lang.Ast.expr QCheck.Gen.t =
       [ (2, map (fun c -> bin Sub (var_e "K") (int_e c)) (int_range 0 4)); (1, zread);
         (1, map (fun c -> bin Sub zk (int_e c)) (int_range (-1) 1)) ]
   in
+  (* Depth-2 int leaves an [if] or a store reads in place: [+ - *] by a
+     constant, [min]/[max], and [if]s that compare two reads. *)
+  let ibyc =
+    map3 (fun op x c -> bin op x (int_e c)) (oneofl [ Add; Sub; Mul ]) zread (int_range (-2) 2)
+  in
+  let inode =
+    frequency
+      [ (2, ibyc);
+        (1, map3 (fun f x y -> call f [ x; y ]) (oneofl [ "min"; "max" ]) zread zread);
+        (1, zread) ]
+  in
+  let iif =
+    map3 (fun (op, l, r) x y -> mk (If (bin op l r, x, y))) (triple cmp zread zread) inode inode
+  in
   let ints =
     fix
       (fun self depth ->
-        let leaf = frequency [ (3, zread); (2, aff); (1, map int_e (int_range (-3) 3)) ] in
+        let leaf =
+          frequency
+            [ (3, zread); (2, aff); (1, map int_e (int_range (-3) 3)); (1, ibyc); (2, iif) ]
+        in
         if depth = 0 then leaf
         else
           let sub = self (depth - 1) in
@@ -573,9 +590,32 @@ let gen_row_rhs ~int_valued : Ps_lang.Ast.expr QCheck.Gen.t =
               (2, map3 (fun c x y -> mk (If (c, x, y))) guard sub sub) ])
       2
   in
+  (* Depth-2 real leaves a store computes in place: [+ - *] by a
+     constant (either side), [min]/[max], products and chains, under
+     [if]s that compare a read with a read, a constant or an int read. *)
+  let real_c = float_range (-1.0) 1.0 >|= fun f -> mk (Real f) in
+  let byc =
+    map3
+      (fun op x (c, left) -> if left then bin op c x else bin op x c)
+      (oneofl [ Add; Sub; Mul ]) read (pair real_c bool)
+  in
+  let operand = frequency [ (3, read); (1, real_c) ] in
+  let fnode =
+    frequency
+      [ (3, byc);
+        (2, map3 (fun f x y -> call f [ x; y ]) (oneofl [ "min"; "max" ]) operand operand);
+        (1, map2 (bin Mul) read read); (1, chain); (1, read); (1, real_c) ]
+  in
+  let ftest =
+    frequency
+      [ (3, map3 bin cmp read operand); (1, map3 bin cmp zread zread);
+        (1, map3 bin cmp read zread) ]
+  in
+  let fif = map3 (fun c x y -> mk (If (c, x, y))) ftest fnode fnode in
   let general =
     frequency
-      [ (2, map2 (bin Mul) read read);
+      [ (4, fif); (2, byc);
+        (2, map2 (bin Mul) read read);
         (1, map (fun x -> bin Sub x (var_e "a")) read);
         (1, map (fun x -> call "sqrt" [ x ]) read);
         (1, map3 (fun f x y -> call f [ x; y ]) (oneofl [ "min"; "max" ]) read chain);
@@ -605,6 +645,49 @@ let gen_row_rhs ~int_valued : Ps_lang.Ast.expr QCheck.Gen.t =
 let is_int_valued e =
   match Compile.compile shape_cctx e with Compile.CInt _ | Compile.CIRead _ -> true | _ -> false
 
+(* [D[K] = e] over the row [lo .. hi] at the frame's I and J, compiled
+   with its row form and point by point under [Eval]: the row's outcome,
+   [Eval]'s, and the first point before [Eval]'s trap where the row
+   stored other bits. *)
+let row_run e fr (lo, hi) =
+  let int = is_int_valued e in
+  let values = ref [] in
+  let rec reference j =
+    if j > hi then Ok ()
+    else begin
+      fr.(2) <- j;
+      match outcome (fun () -> Eval.eval_scalar (shape_eval fr) e) with
+      | Error m -> Error m
+      | Ok _ when j < 0 || j > 4 -> Error (Printf.sprintf "D: subscript 1 = %d outside 0..4" j)
+      | Ok v ->
+        values := (j, v) :: !values;
+        reference (j + 1)
+    end
+  in
+  let reference = reference lo in
+  let elem = Stypes.Scalar (if int then Stypes.Sint else Stypes.Sreal) in
+  let dst = Value.make_slab ~name:"D" ~elem ~dims:[ (0, 5, 5) ] in
+  let point, row = Compile.compile_store ~row:2 shape_cctx dst [ Ps_lang.Ast.var_e "K" ] e in
+  let scratch = match row with Some r -> r.Compile.rw_scratch | None -> 0 in
+  let frame = Array.append fr (Array.make scratch 0) in
+  let run () =
+    match row with
+    | Some r -> r.Compile.rw_run frame lo hi
+    | None ->
+      for j = lo to hi do
+        frame.(2) <- j;
+        point frame
+      done
+  in
+  let got = outcome run in
+  let differs (j, v) =
+    let stored = Value.get_scalar dst [| j |] in
+    if same_bits v stored then None else Some (j, stored, v)
+  in
+  (got, reference, List.find_map differs (List.rev !values))
+
+let show_outcome = function Ok () -> "ok" | Error m -> m
+
 let row_prop =
   QCheck.Test.make ~count:6000 ~name:"compiled rows agree with eval point by point"
     (QCheck.make
@@ -617,51 +700,40 @@ let row_prop =
               [ (1, pair (int_range (-1) 4) (int_range (-1) 5));
                 (2, pair (int_range 0 2) (int_range 2 4)) ]))
        ~print:row_print)
-    (fun (e, fr, (lo, hi)) ->
+    (fun (e, fr, range) ->
       is_bool e
       ||
-      let int = is_int_valued e in
-      let values = ref [] in
-      let rec reference j =
-        if j > hi then Ok ()
-        else begin
-          fr.(2) <- j;
-          match outcome (fun () -> Eval.eval_scalar (shape_eval fr) e) with
-          | Error m -> Error m
-          | Ok _ when j < 0 || j > 4 -> Error (Printf.sprintf "D: subscript 1 = %d outside 0..4" j)
-          | Ok v ->
-            values := (j, v) :: !values;
-            reference (j + 1)
-        end
-      in
-      let reference = reference lo in
-      let elem = Stypes.Scalar (if int then Stypes.Sint else Stypes.Sreal) in
-      let dst = Value.make_slab ~name:"D" ~elem ~dims:[ (0, 5, 5) ] in
-      let point, row =
-        Compile.compile_store ~row:2 shape_cctx dst [ Ps_lang.Ast.var_e "K" ] e
-      in
-      let scratch = match row with Some r -> r.Compile.rw_scratch | None -> 0 in
-      let frame = Array.append fr (Array.make scratch 0) in
-      let run () =
-        match row with
-        | Some r -> r.Compile.rw_run frame lo hi
-        | None ->
-          for j = lo to hi do
-            frame.(2) <- j;
-            point frame
-          done
-      in
-      let got = outcome run in
-      let show = function Ok () -> "ok" | Error m -> m in
+      let got, reference, differs = row_run e fr range in
       if got <> reference then
-        QCheck.Test.fail_reportf "row: %s, points: %s" (show got) (show reference);
-      List.for_all
-        (fun (j, v) ->
-          let stored = Value.get_scalar dst [| j |] in
-          same_bits v stored
-          || QCheck.Test.fail_reportf "K = %d: row %a, point %a" j Value.pp_scalar stored
-               Value.pp_scalar v)
-        !values)
+        QCheck.Test.fail_reportf "row: %s, points: %s" (show_outcome got)
+          (show_outcome reference);
+      match differs with
+      | None -> true
+      | Some (j, stored, v) ->
+        QCheck.Test.fail_reportf "K = %d: row %a, point %a" j Value.pp_scalar stored
+          Value.pp_scalar v)
+
+(* A leaf whose test reads one past its array at the row's last point:
+   the segment fails its check at that end and runs point by point, so
+   the row stores every point before it, as [Eval] does, and traps there
+   with [Eval]'s message. *)
+let row_trap title src ~hi msg =
+  t title (fun () ->
+      let got, reference, differs =
+        row_run (Ps_lang.Parser.expr_of_string src) [| 1; 2; 0 |] (0, hi)
+      in
+      Alcotest.(check string) "Eval" msg (show_outcome reference);
+      Alcotest.(check string) "row" msg (show_outcome got);
+      Alcotest.(check bool) "stored points agree" true (differs = None))
+
+let row_trap_tests =
+  [ row_trap "a real if leaf traps at its segment's last point"
+      ("if R[I, J, K + 1] < 0.5 then R[I, J, K] * R[I, J, K] + 0.25 "
+       ^ "else max(R[I, J, K] - 0.5, R[J, I, 3 - K])")
+      ~hi:3 "R: subscript 3 = 4 outside 0..3";
+    row_trap "an int if leaf traps at its segment's last point"
+      "if Z[I, K + 1] < Z[J, K] then Z[I, K] + 1 else min(Z[I, K], Z[J, 4 - K])"
+      ~hi:4 "Z: subscript 2 = 5 outside 0..4" ]
 
 let misc = [ t "agree on a deep mixed expression" (fun () ->
     agree "if V[I] < a * 2.0 then min(n, 3) + V[I + 2] else abs(m) / 2") ]
@@ -669,7 +741,7 @@ let misc = [ t "agree on a deep mixed expression" (fun () ->
 let () =
   Alcotest.run "eval_compile"
     [ ("semantics", semantics_tests);
-      ("bounds", bounds_tests);
+      ("bounds", bounds_tests @ row_trap_tests);
       ("agreement",
        QCheck_alcotest.to_alcotest agreement_prop
        :: QCheck_alcotest.to_alcotest shape_prop

@@ -314,10 +314,38 @@ let alloc_case name kernel ~evaluations ~max_words =
         Alcotest.failf "%s: %.3f minor words per evaluation (bound %g)" name per_eval
           max_words)
 
+let grid n = Psc.Exec.array_real ~dims:[ (0, n); (0, n) ] (fun ix -> fill ((ix.(0) * (n + 1)) + ix.(1)))
+
+(* A real leaf that is neither a chain nor a read: an [if] on data over
+   a product and a difference, which the store computes in place. *)
+let real_if_leaf =
+  lazy
+    (let n = 300 in
+     kernel_run ~sink_trim:false
+       {|
+P: module (X: array [I, J] of real; N: int): [Y: array [I, J] of real];
+type I, J = 0 .. N;
+define
+  Y[I, J] = if X[I, J] < 0.5 then X[I, J] * X[I, J] else X[I, J] - 0.5;
+end P;
+|}
+       [ ("X", grid n); ("N", Psc.Exec.scalar_int n) ])
+
 let alloc_tests =
-  [ alloc_case "fig6" fig6 ~evaluations:178596 ~max_words:1.0;
-    alloc_case "h3" h3 ~evaluations:178596 ~max_words:0.25;
-    alloc_case "lcs" lcs ~evaluations:263170 ~max_words:0.1 ]
+  [ alloc_case "fig6" fig6 ~evaluations:178596 ~max_words:0.1;
+    alloc_case "h3" h3 ~evaluations:178596 ~max_words:0.1;
+    alloc_case "lcs" lcs ~evaluations:263170 ~max_words:0.1;
+    alloc_case "a real if leaf" real_if_leaf ~evaluations:90601 ~max_words:0.1;
+    t "lcs allocates under 4000 major words per run" (fun () ->
+        (* One plane table per slab: lcs's window-3 [Lp] is 1025 words
+           a table, once per equation, not once per reference. *)
+        let run = Lazy.force lcs in
+        ignore (run false);
+        let _, _, major0 = Gc.counters () in
+        ignore (run false);
+        let _, _, major1 = Gc.counters () in
+        let words = major1 -. major0 in
+        if words >= 4000. then Alcotest.failf "lcs: %.0f major words per run (bound 4000)" words) ]
 
 (* Rows: an innermost loop over one real or int equation runs a row at a
    time, cut where a guard may change and checked at each segment's two
@@ -334,8 +362,6 @@ let c_agrees ~scalars src =
 let same_bits msg x y =
   if Int64.bits_of_float x <> Int64.bits_of_float y then
     Alcotest.failf "%s: %h <> %h" msg x y
-
-let grid n = Psc.Exec.array_real ~dims:[ (0, n); (0, n) ] (fun ix -> fill ((ix.(0) * (n + 1)) + ix.(1)))
 
 (* Each paper kernel's innermost equation gets a row form from
    [Compile.compile_store ~row], so every evaluation it makes runs inside
