@@ -34,10 +34,10 @@
      guard test compares differently, and each segment decides its
      guards once and checks its leaf's references at its two ends.  A
      real [+] chain of reads, scaled or not, then runs as a tight loop
-     with each read's array, base and step in locals (specialised for
-     one to four reads); any other leaf runs [compile]'s own nodes with
-     each reference in its row form, read in place as [a.(fr.(base) +
-     v * step)].  A segment whose check fails, and a leaf the lowering
+     (a copy or a 4-point stencil with each read's array, base and step
+     in locals); any other leaf runs [compile]'s own nodes with each
+     reference in its row form, read in place as [a.(fr.(base) + v *
+     step)].  A segment whose check fails, and a leaf the lowering
      refuses, run the checked per-point closure.
 
    Every node evaluates its operands left to right, as [Eval] does, so a
@@ -292,6 +292,13 @@ let[@inline] offset at fr =
   | Off f -> f fr
   | Row r -> Array.unsafe_get fr r.r_base + (Array.unsafe_get fr r.r_slot * r.r_step)
 
+(* [at] as a closure, for a reader that a parent calls: matched once
+   when the reader is built, not at every read. *)
+let offset_closure = function
+  | Off f -> f
+  | Row { r_slot; r_base; r_step } ->
+    fun fr -> Array.unsafe_get fr r_base + (Array.unsafe_get fr r_slot * r_step)
+
 (* ------------------------------------------------------------------ *)
 (* Operands and nodes a parent evaluates inline *)
 
@@ -455,17 +462,25 @@ type comp =
    inlined into a store. *)
 let as_real = function
   | CReal f -> f
-  | CFRead (a, at) -> fun fr -> Array.unsafe_get a (offset at fr)
+  | CFRead (a, at) ->
+    let off = offset_closure at in
+    fun fr -> Array.unsafe_get a (off fr)
   | CFNode n -> fun fr -> (fnode_value [@inlined never]) n fr
   | CInt f -> fun fr -> float_of_int (f fr)
-  | CIRead (a, at) -> fun fr -> float_of_int (Array.unsafe_get a (offset at fr))
+  | CIRead (a, at) ->
+    let off = offset_closure at in
+    fun fr -> float_of_int (Array.unsafe_get a (off fr))
   | CBoxed f -> fun fr -> as_float (f fr)
   | CBool _ -> fail "boolean used as a number"
 
 let as_int_c = function
   | CInt f -> f
-  | CIRead (a, at) -> fun fr -> Array.unsafe_get a (offset at fr)
-  | CFRead (a, at) -> fun fr -> int_of_float (Array.unsafe_get a (offset at fr))
+  | CIRead (a, at) ->
+    let off = offset_closure at in
+    fun fr -> Array.unsafe_get a (off fr)
+  | CFRead (a, at) ->
+    let off = offset_closure at in
+    fun fr -> int_of_float (Array.unsafe_get a (off fr))
   | (CReal _ | CFNode _) as c ->
     let f = as_real c in
     fun fr -> int_of_float (f fr)
@@ -478,10 +493,13 @@ let as_bool_c = function
   | CInt _ | CReal _ | CFRead _ | CIRead _ | CFNode _ -> fail "number used as a boolean"
 
 let as_scalar_c = function
-  | (CInt _ | CIRead _) as c ->
-    let f = as_int_c c in
-    fun fr -> Sc_int (f fr)
-  | CFRead (a, at) -> fun fr -> Sc_real (Array.unsafe_get a (offset at fr))
+  | CInt f -> fun fr -> Sc_int (f fr)
+  | CIRead (a, at) ->
+    let off = offset_closure at in
+    fun fr -> Sc_int (Array.unsafe_get a (off fr))
+  | CFRead (a, at) ->
+    let off = offset_closure at in
+    fun fr -> Sc_real (Array.unsafe_get a (off fr))
   | (CReal _ | CFNode _) as c ->
     let f = as_real c in
     fun fr -> Sc_real (f fr)
@@ -757,9 +775,11 @@ let strided ~slot ~bases ~point refs run =
     else points ~slot point fr a b
 
 (* A chain leaf's loop: a chain of reads, scaled and stored, with the
-   reads inline; the destination's base follows the reads'.  Chains of
-   one to four reads keep each read's array, base and step in locals;
-   the sum is taken left to right, as [chain_value] takes it. *)
+   reads inline; the destination's base follows the reads'.  A copy
+   (one read) and a 4-point stencil, the paper kernels' chains, keep
+   each read's array, base and step in locals; any other length runs
+   the generic loop.  The sum is taken left to right, as [chain_value]
+   takes it. *)
 let chain_loop ~bases dst dstep (arrs : float array array) (refs : rref array) scale =
   let nr = Array.length arrs in
   let steps = Array.map (fun r -> r.rr_step) refs in
@@ -769,26 +789,6 @@ let chain_loop ~bases dst dstep (arrs : float array array) (refs : rref array) s
       let b0 = Array.unsafe_get fr bases and db = Array.unsafe_get fr (bases + 1) in
       for v = a to b do
         let x = Array.unsafe_get a0 (b0 + (v * s0)) in
-        Array.unsafe_set dst (db + (v * dstep)) (scaled scale x)
-      done
-  | [| a0; a1 |], [| s0; s1 |] ->
-    fun fr a b ->
-      let b0 = Array.unsafe_get fr bases and b1 = Array.unsafe_get fr (bases + 1) in
-      let db = Array.unsafe_get fr (bases + 2) in
-      for v = a to b do
-        let x = Array.unsafe_get a0 (b0 + (v * s0)) +. Array.unsafe_get a1 (b1 + (v * s1)) in
-        Array.unsafe_set dst (db + (v * dstep)) (scaled scale x)
-      done
-  | [| a0; a1; a2 |], [| s0; s1; s2 |] ->
-    fun fr a b ->
-      let b0 = Array.unsafe_get fr bases and b1 = Array.unsafe_get fr (bases + 1) in
-      let b2 = Array.unsafe_get fr (bases + 2) and db = Array.unsafe_get fr (bases + 3) in
-      for v = a to b do
-        let x =
-          Array.unsafe_get a0 (b0 + (v * s0))
-          +. Array.unsafe_get a1 (b1 + (v * s1))
-          +. Array.unsafe_get a2 (b2 + (v * s2))
-        in
         Array.unsafe_set dst (db + (v * dstep)) (scaled scale x)
       done
   | [| a0; a1; a2; a3 |], [| s0; s1; s2; s3 |] ->
@@ -828,6 +828,10 @@ type dest = Real_dst of float array | Int_dst of int array
    real read, node or int conversion is never boxed. *)
 let store_at dst c (off : frame -> int) : frame -> unit =
   match dst, c with
+  | Int_dst d, CInt f ->
+    fun fr ->
+      let v = f fr in
+      Array.unsafe_set d (off fr) v
   | Int_dst d, _ ->
     let x = iop_of c in
     fun fr ->
@@ -1050,13 +1054,18 @@ and compile_read w (s : slab) subs : comp =
   | PFloat a -> CFRead (a, at)
   | PInt a -> (
     match s.s_kind with
-    | KEnum e -> CBoxed (fun fr -> Sc_enum (e, Array.unsafe_get a (offset at fr)))
+    | KEnum e ->
+      let off = offset_closure at in
+      CBoxed (fun fr -> Sc_enum (e, Array.unsafe_get a (off fr)))
     | _ -> CIRead (a, at))
-  | PBool b -> CBool (fun fr -> Bytes.unsafe_get b (offset at fr) <> '\000')
+  | PBool b ->
+    let off = offset_closure at in
+    CBool (fun fr -> Bytes.unsafe_get b (off fr) <> '\000')
   | PBox a ->
+    let off = offset_closure at in
     CBoxed
       (fun fr ->
-        match Array.unsafe_get a (offset at fr) with
+        match Array.unsafe_get a (off fr) with
         | Brecord fields -> Sc_record fields
         | Bnone -> Sc_record [])
 

@@ -9,8 +9,8 @@
     chains and [if]s are nodes a store computes in place, and guard
     chains and stores fuse into single closures.  An equation in an
     innermost loop, real or int, also gets a row form ({!row}), whose
-    leaves read every operand in place: a chain of one to four reads
-    from locals, any other leaf's reads in their row form.  Run
+    leaves read every operand in place: a one-read copy or a 4-point
+    stencil from locals, any other leaf's reads in their row form.  Run
     sequentially at the benchmark's sizes, fig6, h3 and lcs allocate
     0.050, 0.065 and 0.033 minor words per evaluation, set-up included,
     and a real [if] leaf over products 0.045 (test_exec's "allocation"
