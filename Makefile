@@ -1,11 +1,11 @@
-.PHONY: all build test fuzz-smoke serve-smoke serve-stress tune-smoke promote fmt lint-examples lint-distance trace-demo clean
+.PHONY: all build test fuzz-smoke eqn-smoke serve-smoke serve-stress tune-smoke promote fmt lint-examples lint-distance trace-demo clean
 
 all: build
 
 build:
 	dune build
 
-test: fmt fuzz-smoke serve-smoke serve-stress lint-distance tune-smoke
+test: fmt fuzz-smoke eqn-smoke serve-smoke serve-stress lint-distance tune-smoke
 	dune runtest
 
 # Bounded differential fuzzing pass: every generated module must agree
@@ -14,6 +14,19 @@ test: fmt fuzz-smoke serve-smoke serve-stress lint-distance tune-smoke
 # test`; a longer campaign is `psc fuzz --seed 1 --count 200`.
 fuzz-smoke: build
 	_build/default/bin/psc_main.exe fuzz --seed 1 --count 50
+
+# The equation notation: every examples/ps/*.eqn translates to a PS
+# module that `psc parse` reads back, and the equation_frontend example
+# (which exits 1 unless its iterative and wavefront grids agree bit for
+# bit) passes.  Part of `make test`.
+eqn-smoke: build
+	for f in examples/ps/*.eqn; do \
+	  ps=$$(_build/default/bin/psc_main.exe eqn --ps "$$f") \
+	  && printf '%s\n' "$$ps" | _build/default/bin/psc_main.exe parse - > /dev/null \
+	  || { echo "eqn-smoke: $$f does not translate to PS that parses"; exit 1; }; \
+	done
+	_build/default/examples/equation_frontend.exe > /dev/null
+	@echo "eqn-smoke: ok"
 
 # The compile server in stdio mode: a malformed number and a run
 # without its scalars must each be answered, not kill the server, so

@@ -36,359 +36,123 @@ exception Error of string * Loc.span
 let err loc fmt = Fmt.kstr (fun m -> raise (Error (m, loc))) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Lexing: reuse the PS lexer for everything except the two extra
-   multi-character tokens '_{' and '->', which we pre-translate.  '_{'
-   cannot occur in PS source ('_' alone is an identifier character, so
-   'A_{' lexes as identifier "A_" followed by '{' — which PS has no token
-   for).  We therefore scan the raw text ourselves. *)
+(* Reading.  The notation is PS text with two additions, and [rewrite]
+   turns them into PS without moving a character: each [X_{e, ...}]
+   becomes [X [e, ...]] and each [#] comment is blanked.  The PS lexer
+   and expression grammar then read everything, with exact spans; this
+   module parses only the document structure around the expressions. *)
 
-type token =
-  | Tident of string
-  | Tint of int
-  | Treal of float
-  | Tsub_open             (* _{ *)
-  | Tbrace_close          (* } *)
-  | Tarrow                (* -> *)
-  | Tlparen
-  | Trparen
-  | Tlbracket
-  | Trbracket
-  | Tcomma
-  | Tsemi
-  | Tdotdot
-  | Teq
-  | Tne
-  | Tlt
-  | Tle
-  | Tgt
-  | Tge
-  | Tplus
-  | Tminus
-  | Tstar
-  | Tslash
-  | Tkw of string         (* where if then else and or not div mod *)
-  | Teof
+let rewrite src =
+  let b = Bytes.of_string src in
+  let n = Bytes.length b in
+  (* [depth] counts the [_{] still open, so a '}' closes one only. *)
+  let rec go i depth =
+    if i < n then
+      match Bytes.get b i with
+      | '#' ->
+        let eol = Option.value (String.index_from_opt src i '\n') ~default:n in
+        Bytes.fill b i (eol - i) ' ';
+        go eol depth
+      | '_' when i + 1 < n && Bytes.get b (i + 1) = '{' ->
+        Bytes.blit_string " [" 0 b i 2;
+        go (i + 2) (depth + 1)
+      | '}' when depth > 0 ->
+        Bytes.set b i ']';
+        go (i + 1) (depth - 1)
+      | _ -> go (i + 1) depth
+  in
+  go 0 0;
+  Bytes.to_string b
 
-let keywords = [ "where"; "if"; "then"; "else"; "and"; "or"; "not"; "div"; "mod" ]
+type range = { r_names : (string * Loc.span) list; r_lo : Ast.expr; r_hi : Ast.expr }
 
-type lexer = { src : string; mutable pos : Loc.pos; mutable peeked : (token * Loc.span) option }
-
-let mk_lexer src = { src; pos = Loc.start_pos; peeked = None }
-
-let at_end lx = lx.pos.Loc.offset >= String.length lx.src
-
-let cur lx = lx.src.[lx.pos.Loc.offset]
-
-let looking_at lx s =
-  let n = String.length s and off = lx.pos.Loc.offset in
-  off + n <= String.length lx.src && String.sub lx.src off n = s
-
-let advance lx = if not (at_end lx) then lx.pos <- Loc.advance lx.pos (cur lx)
-
-let rec skip_ws lx =
-  if at_end lx then ()
-  else
-    match cur lx with
-    | ' ' | '\t' | '\r' | '\n' -> advance lx; skip_ws lx
-    | '#' ->
-      (* line comments *)
-      while (not (at_end lx)) && cur lx <> '\n' do advance lx done;
-      skip_ws lx
-    | _ -> ()
-
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-
-let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '\''
-
-let is_digit c = c >= '0' && c <= '9'
-
-let lex_one lx : token * Loc.span =
-  skip_ws lx;
-  let start = lx.pos in
-  let span () = Loc.span start lx.pos in
-  if at_end lx then (Teof, span ())
-  else if looking_at lx "_{" then begin advance lx; advance lx; (Tsub_open, span ()) end
-  else if looking_at lx "->" then begin advance lx; advance lx; (Tarrow, span ()) end
-  else if looking_at lx ".." then begin advance lx; advance lx; (Tdotdot, span ()) end
-  else if looking_at lx "<=" then begin advance lx; advance lx; (Tle, span ()) end
-  else if looking_at lx ">=" then begin advance lx; advance lx; (Tge, span ()) end
-  else if looking_at lx "<>" then begin advance lx; advance lx; (Tne, span ()) end
-  else if is_ident_start (cur lx) then begin
-    while (not (at_end lx)) && is_ident_char (cur lx) do advance lx done;
-    let s = String.sub lx.src start.Loc.offset (lx.pos.Loc.offset - start.Loc.offset) in
-    if List.mem (String.lowercase_ascii s) keywords then
-      (Tkw (String.lowercase_ascii s), span ())
-    else (Tident s, span ())
-  end
-  else if is_digit (cur lx) then begin
-    while (not (at_end lx)) && is_digit (cur lx) do advance lx done;
-    if
-      (not (at_end lx))
-      && cur lx = '.'
-      && (not (looking_at lx ".."))
-      && lx.pos.Loc.offset + 1 < String.length lx.src
-      && is_digit lx.src.[lx.pos.Loc.offset + 1]
-    then begin
-      advance lx;
-      while (not (at_end lx)) && is_digit (cur lx) do advance lx done;
-      let s = String.sub lx.src start.Loc.offset (lx.pos.Loc.offset - start.Loc.offset) in
-      (Treal (float_of_string s), span ())
-    end
-    else
-      let s = String.sub lx.src start.Loc.offset (lx.pos.Loc.offset - start.Loc.offset) in
-      (Tint (int_of_string s), span ())
-  end
-  else
-    let one tok = advance lx; (tok, span ()) in
-    match cur lx with
-    | '}' -> one Tbrace_close
-    | '(' -> one Tlparen
-    | ')' -> one Trparen
-    | '[' -> one Tlbracket
-    | ']' -> one Trbracket
-    | ',' -> one Tcomma
-    | ';' -> one Tsemi
-    | '=' -> one Teq
-    | '<' -> one Tlt
-    | '>' -> one Tgt
-    | '+' -> one Tplus
-    | '-' -> one Tminus
-    | '*' -> one Tstar
-    | '/' -> one Tslash
-    | c -> err (Loc.span start start) "unexpected character %C" c
-
-let next lx =
-  match lx.peeked with
-  | Some t -> lx.peeked <- None; t
-  | None -> lex_one lx
-
-let peek lx =
-  match lx.peeked with
-  | Some t -> t
-  | None ->
-    let t = lex_one lx in
-    lx.peeked <- Some t;
-    t
-
-(* ------------------------------------------------------------------ *)
-(* Parsing *)
-
-type range = { r_names : string list; r_lo : Ast.expr; r_hi : Ast.expr }
-
-type io = { io_name : string; io_subs : string list }
-
-type eqn = { eqn_name : string; eqn_subs : Ast.expr list; eqn_rhs : Ast.expr; eqn_loc : Loc.span }
+type io = { io_name : string; io_loc : Loc.span; io_subs : (string * Loc.span) list }
 
 type document = {
-  doc_name : string;
+  doc_name : string * Loc.span;
   doc_inputs : io list;
   doc_outputs : io list;
   doc_ranges : range list;
-  doc_eqns : eqn list;
+  doc_eqns : Ast.equation list;
 }
 
-let expect lx want msg =
-  let tok, span = next lx in
-  if tok <> want then err span "expected %s" msg
+(* [item (sep item)*] *)
+let rec sep_list p sep item =
+  let x = item p in
+  if Parser.accept p sep then x :: sep_list p sep item else [ x ]
 
-let expect_ident lx =
-  match next lx with
-  | Tident s, span -> (s, span)
-  | _, span -> err span "expected an identifier"
-
-let rec parse_expr lx : Ast.expr =
-  match peek lx with
-  | Tkw "if", _ ->
-    ignore (next lx);
-    let c = parse_expr lx in
-    expect lx (Tkw "then") "'then'";
-    let t = parse_expr lx in
-    expect lx (Tkw "else") "'else'";
-    let f = parse_expr lx in
-    Ast.mk (Ast.If (c, t, f))
-  | _ -> parse_or lx
-
-and parse_or lx =
-  let rec loop acc =
-    match peek lx with
-    | Tkw "or", _ ->
-      ignore (next lx);
-      loop (Ast.mk (Ast.Binop (Ast.Or, acc, parse_and lx)))
-    | _ -> acc
+let parse_io p : io =
+  let io_name, io_loc = Parser.expect_ident p in
+  let io_subs =
+    if Parser.accept p Token.LBRACKET then begin
+      let subs = sep_list p Token.COMMA Parser.expect_ident in
+      ignore (Parser.expect p Token.RBRACKET);
+      subs
+    end
+    else []
   in
-  loop (parse_and lx)
+  { io_name; io_loc; io_subs }
 
-and parse_and lx =
-  let rec loop acc =
-    match peek lx with
-    | Tkw "and", _ ->
-      ignore (next lx);
-      loop (Ast.mk (Ast.Binop (Ast.And, acc, parse_rel lx)))
-    | _ -> acc
+(* PS has no '->': it lexes as '-' then '>', which must touch. *)
+let expect_arrow p =
+  let tok, span = Parser.next p in
+  match tok, Parser.next p with
+  | Token.MINUS, (Token.GT, gt) when gt.Loc.start_p.offset = span.Loc.end_p.offset -> ()
+  | _ -> err span "expected '->'"
+
+let parse_range p =
+  let r_names = sep_list p Token.COMMA Parser.expect_ident in
+  ignore (Parser.expect p Token.EQ);
+  let r_lo = Parser.parse_expr p in
+  ignore (Parser.expect p Token.DOTDOT);
+  let r_hi = Parser.parse_expr p in
+  { r_names; r_lo; r_hi }
+
+let parse_equation p : Ast.equation =
+  let l_name, start = Parser.expect_ident p in
+  let l_subs, l_loc =
+    if Parser.accept p Token.LBRACKET then begin
+      let subs = Parser.parse_expr_list p in
+      (subs, Loc.merge start (Parser.expect p Token.RBRACKET))
+    end
+    else ([], start)
   in
-  loop (parse_rel lx)
-
-and parse_rel lx =
-  let a = parse_add lx in
-  let op =
-    match peek lx with
-    | Teq, _ -> Some Ast.Eq
-    | Tne, _ -> Some Ast.Ne
-    | Tlt, _ -> Some Ast.Lt
-    | Tle, _ -> Some Ast.Le
-    | Tgt, _ -> Some Ast.Gt
-    | Tge, _ -> Some Ast.Ge
-    | _ -> None
-  in
-  match op with
-  | Some op ->
-    ignore (next lx);
-    Ast.mk (Ast.Binop (op, a, parse_add lx))
-  | None -> a
-
-and parse_add lx =
-  let rec loop acc =
-    match peek lx with
-    | Tplus, _ -> ignore (next lx); loop (Ast.mk (Ast.Binop (Ast.Add, acc, parse_mul lx)))
-    | Tminus, _ -> ignore (next lx); loop (Ast.mk (Ast.Binop (Ast.Sub, acc, parse_mul lx)))
-    | _ -> acc
-  in
-  loop (parse_mul lx)
-
-and parse_mul lx =
-  let rec loop acc =
-    match peek lx with
-    | Tstar, _ -> ignore (next lx); loop (Ast.mk (Ast.Binop (Ast.Mul, acc, parse_unary lx)))
-    | Tslash, _ -> ignore (next lx); loop (Ast.mk (Ast.Binop (Ast.Div, acc, parse_unary lx)))
-    | Tkw "div", _ -> ignore (next lx); loop (Ast.mk (Ast.Binop (Ast.Idiv, acc, parse_unary lx)))
-    | Tkw "mod", _ -> ignore (next lx); loop (Ast.mk (Ast.Binop (Ast.Imod, acc, parse_unary lx)))
-    | _ -> acc
-  in
-  loop (parse_unary lx)
-
-and parse_unary lx =
-  match peek lx with
-  | Tminus, _ -> ignore (next lx); Ast.mk (Ast.Unop (Ast.Neg, parse_unary lx))
-  | Tkw "not", _ -> ignore (next lx); Ast.mk (Ast.Unop (Ast.Not, parse_unary lx))
-  | _ -> parse_primary lx
-
-and parse_primary lx =
-  match next lx with
-  | Tint n, _ -> Ast.int_e n
-  | Treal f, _ -> Ast.mk (Ast.Real f)
-  | Tlparen, _ ->
-    let e = parse_expr lx in
-    expect lx Trparen "')'";
-    e
-  | Tident name, _ -> (
-    match peek lx with
-    | Tsub_open, _ ->
-      ignore (next lx);
-      let subs = parse_expr_list lx in
-      expect lx Tbrace_close "'}'";
-      Ast.mk (Ast.Index (Ast.var_e name, subs))
-    | Tlparen, _ ->
-      ignore (next lx);
-      let args = parse_expr_list lx in
-      expect lx Trparen "')'";
-      Ast.mk (Ast.Call (name, args))
-    | _ -> Ast.var_e name)
-  | _, span -> err span "expected an expression"
-
-and parse_expr_list lx =
-  let e = parse_expr lx in
-  match peek lx with
-  | Tcomma, _ ->
-    ignore (next lx);
-    e :: parse_expr_list lx
-  | _ -> [ e ]
-
-let parse_io lx : io =
-  let name, _ = expect_ident lx in
-  match peek lx with
-  | Tlbracket, _ ->
-    ignore (next lx);
-    let rec idents () =
-      let x, _ = expect_ident lx in
-      match peek lx with
-      | Tcomma, _ -> ignore (next lx); x :: idents ()
-      | _ -> [ x ]
-    in
-    let subs = idents () in
-    expect lx Trbracket "']'";
-    { io_name = name; io_subs = subs }
-  | _ -> { io_name = name; io_subs = [] }
+  ignore (Parser.expect p Token.EQ);
+  let eq_rhs = Parser.parse_expr p in
+  { eq_lhs = [ { l_name; l_subs; l_path = []; l_loc } ];
+    eq_rhs;
+    eq_loc = Loc.merge start eq_rhs.e_loc }
 
 let parse_document src : document =
-  let lx = mk_lexer src in
-  let doc_name, _ = expect_ident lx in
-  expect lx Tlparen "'('";
-  let rec ios () =
-    let io = parse_io lx in
-    match peek lx with
-    | Tcomma, _ -> ignore (next lx); io :: ios ()
-    | _ -> [ io ]
+  let p = Parser.create (rewrite src) in
+  let doc_name = Parser.expect_ident p in
+  ignore (Parser.expect p Token.LPAREN);
+  let doc_inputs =
+    if Token.equal (fst (Parser.peek p)) Token.RPAREN then []
+    else sep_list p Token.COMMA parse_io
   in
-  let doc_inputs = match peek lx with Trparen, _ -> [] | _ -> ios () in
-  expect lx Trparen "')'";
-  expect lx Tarrow "'->'";
-  let rec outs () =
-    let io = parse_io lx in
-    match peek lx with
-    | Tcomma, _ -> ignore (next lx); io :: outs ()
-    | _ -> [ io ]
-  in
-  let doc_outputs = outs () in
+  ignore (Parser.expect p Token.RPAREN);
+  expect_arrow p;
+  let doc_outputs = sep_list p Token.COMMA parse_io in
   let doc_ranges =
-    match peek lx with
-    | Tkw "where", _ ->
-      ignore (next lx);
-      let rec ranges () =
-        let rec names () =
-          let x, _ = expect_ident lx in
-          match peek lx with
-          | Tcomma, _ -> ignore (next lx); x :: names ()
-          | _ -> [ x ]
-        in
-        let r_names = names () in
-        expect lx Teq "'='";
-        let r_lo = parse_add lx in
-        expect lx Tdotdot "'..'";
-        let r_hi = parse_add lx in
-        let r = { r_names; r_lo; r_hi } in
-        match peek lx with
-        | Tsemi, _ -> ignore (next lx); r :: ranges ()
-        | _ -> [ r ]
-      in
-      ranges ()
+    match Parser.peek p with
+    | Token.IDENT w, _ when String.lowercase_ascii w = "where" ->
+      ignore (Parser.next p);
+      sep_list p Token.SEMI parse_range
     | _ -> []
   in
   let rec eqns acc =
-    match peek lx with
-    | Teof, _ -> List.rev acc
-    | _ ->
-      let name, eqn_loc = expect_ident lx in
-      let subs =
-        match peek lx with
-        | Tsub_open, _ ->
-          ignore (next lx);
-          let subs = parse_expr_list lx in
-          expect lx Tbrace_close "'}'";
-          subs
-        | _ -> []
-      in
-      expect lx Teq "'='";
-      let rhs = parse_expr lx in
-      eqns ({ eqn_name = name; eqn_subs = subs; eqn_rhs = rhs; eqn_loc } :: acc)
+    match Parser.peek p with
+    | Token.EOF, _ -> List.rev acc
+    | _ -> eqns (parse_equation p :: acc)
   in
-  let doc_eqns = eqns [] in
-  { doc_name; doc_inputs; doc_outputs; doc_ranges; doc_eqns }
+  { doc_name; doc_inputs; doc_outputs; doc_ranges; doc_eqns = eqns [] }
 
 (* ------------------------------------------------------------------ *)
 (* Translation to a PS module *)
 
 let range_of doc v =
-  List.find_opt (fun r -> List.mem v r.r_names) doc.doc_ranges
+  List.find_opt (fun r -> List.mem_assoc v r.r_names) doc.doc_ranges
 
 (* Convex hull of the lows/highs appearing at one position of a local
    array.  Linear comparison decides constant differences outright;
@@ -423,11 +187,7 @@ let hull ~facts loc (cands : (Ast.expr * Ast.expr) list) : Ast.expr * Ast.expr =
         (pick (fun d -> d <= 0) lo lo', pick (fun d -> d >= 0) hi hi'))
       (lo0, hi0) rest
 
-(* Rewrite X_{e1..en} references into PS subscripting (the AST already
-   uses Index; nothing to do — the notation mapped directly). *)
-
 let to_module (doc : document) : Ast.pmodule =
-  let loc = Loc.dummy in
   (* Non-emptiness facts of the declared ranges: hi - lo >= 0. *)
   let facts =
     List.filter_map
@@ -448,14 +208,14 @@ let to_module (doc : document) : Ast.pmodule =
       doc.doc_ranges
     |> List.sort_uniq String.compare
   in
-  let array_type subs eloc =
+  let array_type subs =
     Ast.mk_t
       (Ast.Tarray
          ( List.map
-             (fun v ->
+             (fun (v, loc) ->
                match range_of doc v with
                | Some _ -> Ast.mk_t (Ast.Tname v)
-               | None -> err eloc "index %s has no range in the where clause" v)
+               | None -> err loc "index %s has no range in the where clause" v)
              subs,
            Ast.mk_t Ast.Treal ))
   in
@@ -466,93 +226,76 @@ let to_module (doc : document) : Ast.pmodule =
           if io.io_subs = [] then
             if List.mem io.io_name bound_vars then Ast.mk_t Ast.Tint
             else Ast.mk_t Ast.Treal
-          else array_type io.io_subs loc
+          else array_type io.io_subs
         in
-        { Ast.p_name = io.io_name; p_type; p_loc = loc })
+        { Ast.p_name = io.io_name; p_type; p_loc = io.io_loc })
       doc.doc_inputs
   in
   let m_results =
     List.map
       (fun io ->
         let p_type =
-          if io.io_subs = [] then Ast.mk_t Ast.Treal
-          else array_type io.io_subs loc
+          if io.io_subs = [] then Ast.mk_t Ast.Treal else array_type io.io_subs
         in
-        { Ast.p_name = io.io_name; p_type; p_loc = loc })
+        { Ast.p_name = io.io_name; p_type; p_loc = io.io_loc })
       doc.doc_outputs
   in
   (* Subrange type declarations from the where clause. *)
   let m_types =
     List.map
       (fun r ->
-        { Ast.td_names = r.r_names;
+        { Ast.td_names = List.map fst r.r_names;
           td_def = Ast.mk_t (Ast.Tsubrange (r.r_lo, r.r_hi));
-          td_loc = loc })
+          td_loc = snd (List.hd r.r_names) })
       doc.doc_ranges
   in
   (* Locals: defined names that are not outputs. *)
+  let lhs (e : Ast.equation) = List.hd e.eq_lhs in
   let defined =
-    List.map (fun e -> e.eqn_name) doc.doc_eqns |> List.sort_uniq String.compare
+    List.map (fun e -> (lhs e).l_name) doc.doc_eqns |> List.sort_uniq String.compare
   in
   let locals = List.filter (fun n -> (not (is_output n)) && not (is_input n)) defined in
   let m_vars =
-    List.filter_map
+    List.map
       (fun name ->
-        let defs = List.filter (fun e -> String.equal e.eqn_name name) doc.doc_eqns in
-        let arity =
-          match defs with
-          | [] -> 0
-          | d :: rest ->
-            let a = List.length d.eqn_subs in
-            List.iter
-              (fun d' ->
-                if List.length d'.eqn_subs <> a then
-                  err d'.eqn_loc "inconsistent arity for %s" name)
-              rest;
-            a
-        in
-        if arity = 0 then
-          Some
-            { Ast.vd_names = [ name ]; vd_type = Ast.mk_t Ast.Treal; vd_loc = loc }
-        else
-          let dim p =
-            let cands =
-              List.map
-                (fun d ->
-                  let sub = List.nth d.eqn_subs p in
-                  match sub.Ast.e with
-                  | Ast.Var v when range_of doc v <> None ->
-                    let r = Option.get (range_of doc v) in
-                    (r.r_lo, r.r_hi)
-                  | _ -> (sub, sub) (* constant plane *))
-                defs
-            in
-            let lo, hi = hull ~facts (List.hd defs).eqn_loc cands in
-            Ast.mk_t (Ast.Tsubrange (lo, hi))
+        let defs = List.filter (fun e -> String.equal (lhs e).l_name name) doc.doc_eqns in
+        let first = List.hd defs in
+        let arity = List.length (lhs first).l_subs in
+        List.iter
+          (fun (d : Ast.equation) ->
+            if List.length (lhs d).l_subs <> arity then
+              err d.eq_loc "inconsistent arity for %s" name)
+          defs;
+        let dim p =
+          let bounds d =
+            let sub = List.nth (lhs d).l_subs p in
+            match sub.Ast.e with
+            | Ast.Var v when range_of doc v <> None ->
+              let r = Option.get (range_of doc v) in
+              (r.r_lo, r.r_hi)
+            | _ -> (sub, sub) (* constant plane *)
           in
-          Some
-            { Ast.vd_names = [ name ];
-              vd_type =
-                Ast.mk_t (Ast.Tarray (List.init arity dim, Ast.mk_t Ast.Treal));
-              vd_loc = loc })
+          let lo, hi = hull ~facts first.eq_loc (List.map bounds defs) in
+          Ast.mk_t (Ast.Tsubrange (lo, hi))
+        in
+        let vd_type =
+          if arity = 0 then Ast.mk_t Ast.Treal
+          else Ast.mk_t (Ast.Tarray (List.init arity dim, Ast.mk_t Ast.Treal))
+        in
+        { Ast.vd_names = [ name ]; vd_type; vd_loc = first.eq_loc })
       locals
   in
-  (* Equations map one-to-one. *)
-  let m_eqs =
-    List.map
-      (fun e ->
-        { Ast.eq_lhs =
-            [ { Ast.l_name = e.eqn_name; l_subs = e.eqn_subs; l_path = []; l_loc = e.eqn_loc } ];
-          eq_rhs = e.eqn_rhs;
-          eq_loc = e.eqn_loc })
-      doc.doc_eqns
-  in
-  { Ast.m_name = doc.doc_name;
+  { Ast.m_name = fst doc.doc_name;
     m_params;
     m_results;
     m_types;
     m_vars;
-    m_eqs;
-    m_loc = loc }
+    m_eqs = doc.doc_eqns;
+    m_loc = snd doc.doc_name }
 
-let translate src : Ast.pmodule = to_module (parse_document src)
+let translate src : Ast.pmodule =
+  let doc =
+    try parse_document src with
+    | Lexer.Error (m, span) | Parser.Error (m, span) -> raise (Error (m, span))
+  in
+  to_module doc

@@ -21,11 +21,31 @@ newA_{i,j} = A_{maxK,i,j}
     defined name becomes a local array whose extent at each position is
     the convex hull of the ranges and constants used there (so [A] above
     is allocated over [1 .. maxK]).  Scalars used in range bounds are
-    [int]; everything else is [real].  [#] starts a line comment. *)
+    [int]; everything else is [real].
+
+    Lexical rules: the text is read by the PS lexer, so
+    - names are PS identifiers (a letter or [_], then letters, digits
+      and [_]; case-sensitive);
+    - the PS keywords are reserved in any case: [module], [type],
+      [var], [define], [end], [of], [array], [record], [if], [then],
+      [else], [and], [or], [not], [div], [mod], [int], [real], [bool],
+      [true] and [false];
+    - literals and comments are PS's: [42], [2.5], [1.0e-3], [true],
+      [false], and nesting [(* ... *)];
+    - every expression is a PS expression, with PS precedence.
+
+    Beyond PS: [#] starts a comment to the end of the line, wherever it
+    stands (inside [(* ... *)] too); [X_{e, ...}] is the subscript
+    [X[e, ...]], and a missing [}] is reported as a missing [']']; [->],
+    with no space inside, separates the parameters from the results;
+    and [where], in any case, right after the results opens the range
+    clause. *)
 
 exception Error of string * Ps_lang.Loc.span
 
 val translate : string -> Ps_lang.Ast.pmodule
-(** Parse the notation and build the PS module it denotes.
-    @raise Error on malformed notation, a missing range, or array
-    extents that cannot be ordered symbolically. *)
+(** Parse the notation and build the PS module it denotes.  Expressions
+    and declarations carry their spans in the notation's text.
+    @raise Error on malformed notation (lexical and syntax errors
+    included), a missing range, or array extents that cannot be ordered
+    symbolically. *)

@@ -1,8 +1,8 @@
-(* The inventory for the golden-snapshot layer: every built-in model and
-   every .ps spec under examples/ps, as (name, source) pairs.  Shared by
-   test_golden.ml (comparison in `dune runtest`) and by `make promote`
-   (re-blessing the snapshots after an intended schedule or back-end
-   change). *)
+(* The inventory for the golden-snapshot layer: every built-in model,
+   every .ps spec under examples/ps, and every equation-notation document
+   (.eqn) there, as (name, source) pairs.  Shared by test_golden.ml
+   (comparison in `dune runtest`) and by `make promote` (re-blessing the
+   snapshots after an intended schedule or back-end change). *)
 
 let models =
   [ ("jacobi", Ps_models.Models.jacobi);
@@ -23,17 +23,21 @@ let example_dirs = [ "../examples/ps"; "examples/ps" ]
 
 let read_file = Util.read_file
 
-let examples () =
+(* The example files with suffix [ext], each named [prefix ^ basename]. *)
+let example_files ~prefix ext =
   match
     List.find_opt (fun d -> Sys.file_exists d && Sys.is_directory d) example_dirs
   with
   | None -> []
   | Some dir ->
     Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".ps")
+    |> List.filter (fun f -> Filename.check_suffix f ext)
     |> List.sort compare
     |> List.map (fun f ->
-           ( "example_" ^ Filename.remove_extension f,
+           ( prefix ^ Filename.remove_extension f,
              read_file (Filename.concat dir f) ))
 
-let all () = models @ examples ()
+let all () = models @ example_files ~prefix:"example_" ".ps"
+
+(* Loaded through Psc.load_equations, not the PS parser. *)
+let equations () = example_files ~prefix:"eqn_" ".eqn"

@@ -30,7 +30,33 @@ A_{k,i,j}  = if i = 0 or j = 0 or i = M+1 or j = M+1
 newA_{i,j} = A_{maxK,i,j}
 |}
 
+(* Comments and spacing, as the notation and as PS writes them. *)
+let commented = "f(x) -> y\n# nothing\ny = x + 1.0"
+
+(* PS lexical rules inside the notation: '_' in names, PS literals and
+   PS comments. *)
+let ps_lexis =
+  {|
+lexis(x_1, N) -> y[i]
+where i = 0 .. N
+(* a PS comment *)
+y_{i} = if true then x_1 * 2.5e-1 else 0.0
+|}
+
+(* Every valid document: the ones above and examples/ps/*.eqn. *)
+let documents () =
+  [ ("Equation (1)", equation_1);
+    ("Equation (2)", equation_2);
+    ("commented", commented);
+    ("PS lexis", ps_lexis) ]
+  @ Golden_cases.equations ()
+
 let translate src = Psc.load_equations src
+
+let error_of src =
+  match translate src with
+  | exception Psc.Error m -> m
+  | _ -> Alcotest.failf "expected an error for %S" src
 
 let translation_tests =
   [ t "Equation (1) translates to a valid module" (fun () ->
@@ -60,8 +86,7 @@ let translation_tests =
           (Psc.Stypes.equal_ty
              (Psc.Stypes.elem_ty g.Psc.Elab.d_ty)
              (Psc.Stypes.Scalar Psc.Stypes.Sreal)));
-    t "comments and spacing are ignored" (fun () ->
-        ignore (translate "f(x) -> y\n# nothing\ny = x + 1.0"));
+    t "comments and spacing are ignored" (fun () -> ignore (translate commented));
     t "missing range is diagnosed" (fun () ->
         Util.expect_error ~substring:"range" (fun () ->
             translate "f(A[i]) -> y\ny = A_{1}"));
@@ -74,7 +99,25 @@ let translation_tests =
         | exception Psc.Error m ->
           Alcotest.(check bool) "notation error" true
             (Util.contains m "equation notation")
-        | _ -> Alcotest.fail "expected an error") ]
+        | _ -> Alcotest.fail "expected an error");
+    t "errors carry the notation's line and column" (fun () ->
+        List.iter
+          (fun (src, want) -> Alcotest.(check string) src want (error_of src))
+          [ (* an expression's error *)
+            ( "f(x) -> y\ny = z + 1.0",
+              "semantic error: unknown identifier z (line 2, characters 5-6)" );
+            (* names PS rejects *)
+            ( "f(x') -> y\ny = x'",
+              "equation notation: unexpected character '\\'' (line 1, characters 4-4)" );
+            ( "f(x) -> y\nend = x\ny = end",
+              "equation notation: expected an identifier but found 'end' (line 2, \
+               characters 1-4)" );
+            (* declarations *)
+            ( "f(A[i]) -> y\ny = A_{1}",
+              "equation notation: index i has no range in the where clause (line 1, \
+               characters 5-6)" );
+            ( "f(x, x) -> y\ny = x",
+              "semantic error: duplicate declaration of x (line 1, characters 3-4)" ) ]) ]
 
 let pipeline_tests =
   [ t "Equation (1) schedules to Fig. 6" (fun () ->
@@ -115,10 +158,12 @@ let pipeline_tests =
           [ (equation_1, Ps_models.Models.jacobi);
             (equation_2, Ps_models.Models.seidel) ]);
     t "generated module pretty-prints to re-parsable PS" (fun () ->
-        let tp = translate equation_1 in
-        let em = Psc.default_module tp in
-        let text = Psc.Pretty.module_to_string em.Psc.Elab.em_ast in
-        ignore (Psc.load_string text)) ]
+        let print tp = Psc.Pretty.module_to_string (Psc.default_module tp).Psc.Elab.em_ast in
+        List.iter
+          (fun (name, src) ->
+            let text = print (translate src) in
+            Alcotest.(check string) name text (print (Psc.load_string text)))
+          (documents ())) ]
 
 let () =
   Alcotest.run "eqn"
